@@ -14,7 +14,6 @@
 #include "compress/topk.h"
 #include "compress/wrappers.h"
 #include "core/apf_manager.h"
-#include "core/masked_pack.h"
 #include "core/strawmen.h"
 #include "data/partition.h"
 #include "data/synthetic_images.h"
@@ -386,7 +385,7 @@ void check_applied(StrategyKind kind, const RoundScript& s,
       const fl::ByteCount down_bytes =
           (s.flags & kFlagServerSideMask) != 0
               ? fl::ByteCount(
-                    core::encode_masked_update(post_global, pre_mask).size())
+                    wire::encode_masked_update(post_global, pre_mask).size())
               : up_bytes;
       for (std::size_t i = 0; i < n; ++i) {
         require_invariant(result.bytes_up[i] == up_bytes,
@@ -567,7 +566,7 @@ void check_applied(StrategyKind kind, const RoundScript& s,
         down_bytes =
             (s.flags & kFlagServerSideMask) != 0
                 ? fl::ByteCount(
-                      core::encode_masked_update(post_global, pre_mask)
+                      wire::encode_masked_update(post_global, pre_mask)
                           .size())
                 : up_inner;
         require_invariant(
@@ -795,7 +794,8 @@ std::uint64_t run_runner_script(const RoundScript& s) {
     }
   }
   if ((s.flags & kFlagBadWorkload) != 0) {
-    // Invalid config: run() must reject it with apf::Error before any round.
+    // Invalid config: the runner must reject it with apf::Error before any
+    // round.
     config.workload_fraction.assign(s.clients, 1.0);
     config.workload_fraction[0] = 0.0;
   }
@@ -825,15 +825,15 @@ std::uint64_t run_runner_script(const RoundScript& s) {
       runner_train_data().size(), s.clients, part_rng);
 
   auto strategy = make_runner_strategy();
-  fl::FederatedRunner runner(config, runner_train_data(), partition,
-                             runner_test_data(), model_factory,
-                             optimizer_factory, *strategy);
   fl::SimulationResult result;
   try {
+    fl::FederatedRunner runner(config, runner_train_data(), partition,
+                               runner_test_data(), model_factory,
+                               optimizer_factory, *strategy);
     result = runner.run();
   } catch (const Error&) {
-    // Rejected run (invalid config, all-zero weights after straggler
-    // drops, ...). Everything was per-execution local, so "state
+    // Rejected run (invalid config at construction, all-zero weights after
+    // straggler drops, ...). Everything was per-execution local, so "state
     // unchanged" holds trivially; the rejection itself is the outcome.
     return fnv1a_u64(kFnvOffset ^ 'R', s.flags);
   }

@@ -9,9 +9,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "compress/quantize.h"
-#include "compress/wire.h"
-#include "core/masked_pack.h"
 #include "fuzz/coverage.h"
 #include "fuzz/invariant.h"
 #include "fuzz/mutator.h"
@@ -21,6 +18,9 @@
 #include "util/bitmap.h"
 #include "util/bytes.h"
 #include "util/error.h"
+#include "wire/masked.h"
+#include "wire/quantize.h"
+#include "wire/wire.h"
 
 namespace apf::fuzz {
 
@@ -33,7 +33,7 @@ std::vector<float> random_floats(Rng& rng, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// masked — framed masked update ("APM1", core/masked_pack)
+// masked — framed masked update ("APM1", wire/masked)
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> gen_masked(Rng& rng) {
@@ -43,11 +43,11 @@ std::vector<std::uint8_t> gen_masked(Rng& rng) {
     if (rng.bernoulli(0.4)) mask.set(j, true);
   }
   const std::vector<float> full = random_floats(rng, dim);
-  return core::encode_masked_update(full, mask);
+  return wire::encode_masked_update(full, mask);
 }
 
 std::uint64_t exec_masked(std::span<const std::uint8_t> bytes) {
-  const core::MaskedUpdate update = core::decode_masked_update(bytes);
+  const wire::MaskedUpdate update = wire::decode_masked_update(bytes);
   require_invariant(
       update.payload.size() ==
           update.frozen_mask.size() - update.frozen_mask.count(),
@@ -55,8 +55,8 @@ std::uint64_t exec_masked(std::span<const std::uint8_t> bytes) {
   // Rebuild a full vector with the payload scattered into the clear bits;
   // re-framing it must reproduce the input exactly.
   std::vector<float> full(update.frozen_mask.size(), 0.f);
-  core::unpack_unfrozen(update.payload, update.frozen_mask, full);
-  const auto round_trip = core::encode_masked_update(full, update.frozen_mask);
+  wire::unpack_unfrozen(update.payload, update.frozen_mask, full);
+  const auto round_trip = wire::encode_masked_update(full, update.frozen_mask);
   require_invariant(std::ranges::equal(round_trip, bytes),
                     "masked update re-encode drifted");
   return hash_floats(update.payload);
@@ -100,7 +100,7 @@ std::uint64_t exec_bitmap(std::span<const std::uint8_t> bytes) {
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> gen_sparse(Rng& rng) {
-  compress::SparsePayload payload;
+  wire::SparsePayload payload;
   payload.dim = static_cast<std::uint32_t>(rng.uniform_int(std::uint64_t{128}));
   for (std::uint32_t j = 0; j < payload.dim; ++j) {
     if (rng.bernoulli(0.25)) {
@@ -108,19 +108,19 @@ std::vector<std::uint8_t> gen_sparse(Rng& rng) {
       payload.values.push_back(rng.uniform_float(-2.f, 2.f));
     }
   }
-  return compress::encode_sparse(payload);
+  return wire::encode_sparse(payload);
 }
 
 std::uint64_t exec_sparse(std::span<const std::uint8_t> bytes) {
-  const compress::SparsePayload payload = compress::decode_sparse(bytes);
-  const auto round_trip = compress::encode_sparse(payload);
+  const wire::SparsePayload payload = wire::decode_sparse(bytes);
+  const auto round_trip = wire::encode_sparse(payload);
   require_invariant(std::ranges::equal(round_trip, bytes),
                     "sparse re-encode drifted");
   return hash_floats(payload.values);
 }
 
 std::vector<std::uint8_t> gen_randk(Rng& rng) {
-  compress::RandkPayload payload;
+  wire::RandkPayload payload;
   payload.dim = static_cast<std::uint32_t>(
       1 + rng.uniform_int(std::uint64_t{128}));
   payload.count = static_cast<std::uint32_t>(
@@ -128,12 +128,12 @@ std::vector<std::uint8_t> gen_randk(Rng& rng) {
   payload.seed = rng.next_u64();
   payload.scale = rng.uniform_float(0.1f, 10.f);
   payload.values = random_floats(rng, payload.count);
-  return compress::encode_randk(payload);
+  return wire::encode_randk(payload);
 }
 
 std::uint64_t exec_randk(std::span<const std::uint8_t> bytes) {
-  const compress::RandkPayload payload = compress::decode_randk(bytes);
-  const auto round_trip = compress::encode_randk(payload);
+  const wire::RandkPayload payload = wire::decode_randk(bytes);
+  const auto round_trip = wire::encode_randk(payload);
   require_invariant(std::ranges::equal(round_trip, bytes),
                     "randk re-encode drifted");
   return fnv1a_u64(hash_floats(payload.values), payload.seed);
@@ -142,11 +142,11 @@ std::uint64_t exec_randk(std::span<const std::uint8_t> bytes) {
 std::vector<std::uint8_t> gen_fp16(Rng& rng) {
   const std::vector<float> values =
       random_floats(rng, rng.uniform_int(std::uint64_t{128}));
-  return compress::encode_fp16_payload(values);
+  return wire::encode_fp16_payload(values);
 }
 
 std::uint64_t exec_fp16(std::span<const std::uint8_t> bytes) {
-  const std::vector<float> values = compress::decode_fp16_payload(bytes);
+  const std::vector<float> values = wire::decode_fp16_payload(bytes);
   // half -> float -> half is the identity except that NaNs may carry any
   // payload on the wire; re-encoding canonicalizes them. So compare half by
   // half, accepting (NaN in, NaN out) pairs.
@@ -156,7 +156,7 @@ std::uint64_t exec_fp16(std::span<const std::uint8_t> bytes) {
   require_invariant(count == values.size(), "fp16 count drifted");
   for (std::uint32_t j = 0; j < count; ++j) {
     const std::uint16_t in = reader.u16();
-    const std::uint16_t out = compress::float_to_half(values[j]);
+    const std::uint16_t out = wire::float_to_half(values[j]);
     const bool in_nan = (in & 0x7C00u) == 0x7C00u && (in & 0x3FFu) != 0;
     const bool out_nan = (out & 0x7C00u) == 0x7C00u && (out & 0x3FFu) != 0;
     require_invariant(in == out || (in_nan && out_nan),
@@ -166,13 +166,13 @@ std::uint64_t exec_fp16(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> gen_dense(Rng& rng) {
-  return compress::encode_dense(
+  return wire::encode_dense(
       random_floats(rng, rng.uniform_int(std::uint64_t{128})));
 }
 
 std::uint64_t exec_dense(std::span<const std::uint8_t> bytes) {
-  const std::vector<float> values = compress::decode_dense(bytes);
-  const auto round_trip = compress::encode_dense(values);
+  const std::vector<float> values = wire::decode_dense(bytes);
+  const auto round_trip = wire::encode_dense(values);
   require_invariant(std::ranges::equal(round_trip, bytes),
                     "dense re-encode drifted");
   return hash_floats(values);
@@ -183,15 +183,15 @@ std::vector<std::uint8_t> gen_qsgd(Rng& rng) {
       static_cast<unsigned>(1 + rng.uniform_int(std::uint64_t{8}));
   const std::vector<float> update =
       random_floats(rng, rng.uniform_int(std::uint64_t{96}));
-  return compress::encode_qsgd(compress::qsgd_quantize(update, bits, rng));
+  return wire::encode_qsgd(wire::qsgd_quantize(update, bits, rng));
 }
 
 std::uint64_t exec_qsgd(std::span<const std::uint8_t> bytes) {
-  const compress::QsgdPayload payload = compress::decode_qsgd(bytes);
-  const auto round_trip = compress::encode_qsgd(payload);
+  const wire::QsgdPayload payload = wire::decode_qsgd(bytes);
+  const auto round_trip = wire::encode_qsgd(payload);
   require_invariant(std::ranges::equal(round_trip, bytes),
                     "qsgd re-encode drifted");
-  const std::vector<float> values = compress::qsgd_dequantize(payload);
+  const std::vector<float> values = wire::qsgd_dequantize(payload);
   for (const float v : values) {
     require_invariant(std::isfinite(v), "qsgd dequantized to non-finite");
   }
@@ -201,15 +201,15 @@ std::uint64_t exec_qsgd(std::span<const std::uint8_t> bytes) {
 std::vector<std::uint8_t> gen_terngrad(Rng& rng) {
   const std::vector<float> update =
       random_floats(rng, rng.uniform_int(std::uint64_t{96}));
-  return compress::encode_terngrad(compress::terngrad_quantize(update, rng));
+  return wire::encode_terngrad(wire::terngrad_quantize(update, rng));
 }
 
 std::uint64_t exec_terngrad(std::span<const std::uint8_t> bytes) {
-  const compress::TernPayload payload = compress::decode_terngrad(bytes);
-  const auto round_trip = compress::encode_terngrad(payload);
+  const wire::TernPayload payload = wire::decode_terngrad(bytes);
+  const auto round_trip = wire::encode_terngrad(payload);
   require_invariant(std::ranges::equal(round_trip, bytes),
                     "terngrad re-encode drifted");
-  const std::vector<float> values = compress::terngrad_dequantize(payload);
+  const std::vector<float> values = wire::terngrad_dequantize(payload);
   for (const float v : values) {
     require_invariant(
         v == 0.f || v == payload.scale || v == -payload.scale,
@@ -265,18 +265,18 @@ std::uint64_t exec_checkpoint(std::span<const std::uint8_t> bytes) {
 // ---------------------------------------------------------------------------
 
 constexpr FuzzTarget kTargets[] = {
-    {"masked", "core/masked_pack framed masked update (APM1)", gen_masked,
+    {"masked", "wire/masked framed masked update (APM1)", gen_masked,
      exec_masked},
     {"bitmap", "util/bitmap Bitmap::from_bytes", gen_bitmap, exec_bitmap},
-    {"sparse", "compress/wire sparse index/value payload (APS1)", gen_sparse,
+    {"sparse", "wire/wire sparse index/value payload (APS1)", gen_sparse,
      exec_sparse},
-    {"randk", "compress/wire rand-k payload (APR1)", gen_randk, exec_randk},
-    {"fp16", "compress/wire half-precision payload (APH1)", gen_fp16,
+    {"randk", "wire/wire rand-k payload (APR1)", gen_randk, exec_randk},
+    {"fp16", "wire/wire half-precision payload (APH1)", gen_fp16,
      exec_fp16},
-    {"dense", "compress/wire dense fp32 payload (APD1)", gen_dense,
+    {"dense", "wire/wire dense fp32 payload (APD1)", gen_dense,
      exec_dense},
-    {"qsgd", "compress/wire QSGD packed payload (APQ1)", gen_qsgd, exec_qsgd},
-    {"terngrad", "compress/wire TernGrad packed payload (APT1)", gen_terngrad,
+    {"qsgd", "wire/wire QSGD packed payload (APQ1)", gen_qsgd, exec_qsgd},
+    {"terngrad", "wire/wire TernGrad packed payload (APT1)", gen_terngrad,
      exec_terngrad},
     {"checkpoint", "nn/serialize load_checkpoint stream", gen_checkpoint,
      exec_checkpoint},

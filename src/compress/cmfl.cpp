@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "compress/wire.h"
 #include "util/error.h"
+#include "wire/wire.h"
 
 namespace apf::compress {
 
@@ -78,8 +78,8 @@ fl::SyncStrategy::Result CmflSync::synchronize(fl::RoundId round, std::vector<st
     if (!upload[i]) continue;
     // Push: a relevant upload ships the full parameter vector as an "APD1"
     // dense buffer; the server aggregates the decoded values.
-    std::vector<std::uint8_t> buf = encode_dense(client_params[i]);
-    const std::vector<float> decoded = decode_dense(buf);
+    std::vector<std::uint8_t> buf = wire::encode_dense(client_params[i]);
+    const std::vector<float> decoded = wire::decode_dense(buf);
     result.bytes_up[i] = fl::ByteCount(buf.size());
     result.frames_up[i] = std::move(buf);
     const double w = weights[i] / weight_total;
@@ -93,8 +93,8 @@ fl::SyncStrategy::Result CmflSync::synchronize(fl::RoundId round, std::vector<st
   }
   // Pull: every client — dropped ones included — receives the new model as
   // one dense buffer (the long-standing CMFL convention charges all n).
-  std::vector<std::uint8_t> down = encode_dense(global_);
-  const std::vector<float> decoded_down = decode_dense(down);
+  std::vector<std::uint8_t> down = wire::encode_dense(global_);
+  const std::vector<float> decoded_down = wire::decode_dense(down);
   for (std::size_t i = 0; i < n; ++i) {
     client_params[i] = decoded_down;
     result.bytes_down[i] = fl::ByteCount(down.size());

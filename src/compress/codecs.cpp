@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "compress/wire.h"
 #include "util/error.h"
+#include "wire/wire.h"
 
 namespace apf::compress {
 
@@ -17,19 +17,19 @@ void QsgdCodec::encode_decode(std::span<float> update, Rng& rng) const {
   // value distortion is bit-identical to what a receiver decodes from the
   // "APQ1" byte format (including the fp32 rounding of the transmitted
   // norm).
-  const QsgdPayload payload = qsgd_quantize(update, bits_, rng);
-  const std::vector<float> decoded = qsgd_dequantize(payload);
+  const wire::QsgdPayload payload = wire::qsgd_quantize(update, bits_, rng);
+  const std::vector<float> decoded = wire::qsgd_dequantize(payload);
   std::copy(decoded.begin(), decoded.end(), update.begin());
 }
 
 std::vector<std::uint8_t> QsgdCodec::encode(std::span<const float> update,
                                             Rng& rng) const {
-  return encode_qsgd(qsgd_quantize(update, bits_, rng));
+  return wire::encode_qsgd(wire::qsgd_quantize(update, bits_, rng));
 }
 
 std::vector<float> QsgdCodec::decode(
     std::span<const std::uint8_t> bytes) const {
-  return qsgd_dequantize(decode_qsgd(bytes));
+  return wire::qsgd_dequantize(wire::decode_qsgd(bytes));
 }
 
 double QsgdCodec::wire_bytes(std::size_t n) const {
@@ -42,19 +42,19 @@ std::string QsgdCodec::name() const {
 }
 
 void TernGradCodec::encode_decode(std::span<float> update, Rng& rng) const {
-  const TernPayload payload = terngrad_quantize(update, rng);
-  const std::vector<float> decoded = terngrad_dequantize(payload);
+  const wire::TernPayload payload = wire::terngrad_quantize(update, rng);
+  const std::vector<float> decoded = wire::terngrad_dequantize(payload);
   std::copy(decoded.begin(), decoded.end(), update.begin());
 }
 
 std::vector<std::uint8_t> TernGradCodec::encode(std::span<const float> update,
                                                 Rng& rng) const {
-  return encode_terngrad(terngrad_quantize(update, rng));
+  return wire::encode_terngrad(wire::terngrad_quantize(update, rng));
 }
 
 std::vector<float> TernGradCodec::decode(
     std::span<const std::uint8_t> bytes) const {
-  return terngrad_dequantize(decode_terngrad(bytes));
+  return wire::terngrad_dequantize(wire::decode_terngrad(bytes));
 }
 
 double TernGradCodec::wire_bytes(std::size_t n) const {

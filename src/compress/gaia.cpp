@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "compress/wire.h"
 #include "util/error.h"
+#include "wire/wire.h"
 
 namespace apf::compress {
 
@@ -61,7 +61,7 @@ fl::SyncStrategy::Result GaiaSync::synchronize(fl::RoundId round, std::vector<st
     // Push: the significant set travels as an "APS1" sparse buffer
     // (ascending coordinate order); the server aggregates the decoded
     // components.
-    SparsePayload payload;
+    wire::SparsePayload payload;
     payload.dim = static_cast<std::uint32_t>(dim);
     for (std::size_t j = 0; j < dim; ++j) {
       // Pending update = this round's local change plus carried residual.
@@ -78,8 +78,8 @@ fl::SyncStrategy::Result GaiaSync::synchronize(fl::RoundId round, std::vector<st
         residual[j] = u;
       }
     }
-    std::vector<std::uint8_t> buf = encode_sparse(payload);
-    const SparsePayload decoded = decode_sparse(buf);
+    std::vector<std::uint8_t> buf = wire::encode_sparse(payload);
+    const wire::SparsePayload decoded = wire::decode_sparse(buf);
     result.bytes_up[i] = fl::ByteCount(buf.size());
     result.frames_up[i] = std::move(buf);
     for (std::size_t t = 0; t < decoded.indices.size(); ++t) {
@@ -91,8 +91,8 @@ fl::SyncStrategy::Result GaiaSync::synchronize(fl::RoundId round, std::vector<st
   }
   // Pull: one dense model buffer, decoded by every client; only this
   // round's participants are charged for it.
-  std::vector<std::uint8_t> down = encode_dense(global_);
-  const std::vector<float> decoded_down = decode_dense(down);
+  std::vector<std::uint8_t> down = wire::encode_dense(global_);
+  const std::vector<float> decoded_down = wire::decode_dense(down);
   for (std::size_t i = 0; i < n; ++i) {
     client_params[i] = decoded_down;
     if (weights[i] > 0.0) {

@@ -4,10 +4,10 @@
 #include <cmath>
 #include <numeric>
 
-#include "compress/wire.h"
 #include "util/debug.h"
 #include "util/rng.h"
 #include "util/error.h"
+#include "wire/wire.h"
 
 namespace apf::compress {
 
@@ -85,7 +85,7 @@ fl::SyncStrategy::Result RandKSync::synchronize(fl::RoundId round, std::vector<s
     if (residual.empty()) residual.assign(dim, 0.f);
     // Push: values only, framed as an "APR1" buffer — the coordinate set is
     // derivable from the seed material that rides along in the header.
-    RandkPayload payload;
+    wire::RandkPayload payload;
     payload.dim = static_cast<std::uint32_t>(dim);
     payload.count = static_cast<std::uint32_t>(k);
     payload.seed = mix;
@@ -99,8 +99,8 @@ fl::SyncStrategy::Result RandKSync::synchronize(fl::RoundId round, std::vector<s
         residual[j] = pending;
       }
     }
-    std::vector<std::uint8_t> buf = encode_randk(payload);
-    const RandkPayload decoded = decode_randk(buf);
+    std::vector<std::uint8_t> buf = wire::encode_randk(payload);
+    const wire::RandkPayload decoded = wire::decode_randk(buf);
     result.bytes_up[i] = fl::ByteCount(buf.size());
     result.frames_up[i] = std::move(buf);
     APF_DEBUG_ASSERT_MSG(decoded.seed == mix,
@@ -115,8 +115,8 @@ fl::SyncStrategy::Result RandKSync::synchronize(fl::RoundId round, std::vector<s
   }
   // Pull: one dense model buffer, decoded by every client; only this
   // round's participants are charged for it.
-  std::vector<std::uint8_t> down = encode_dense(global_);
-  const std::vector<float> decoded_down = decode_dense(down);
+  std::vector<std::uint8_t> down = wire::encode_dense(global_);
+  const std::vector<float> decoded_down = wire::decode_dense(down);
   for (std::size_t i = 0; i < n; ++i) {
     client_params[i] = decoded_down;
     if (weights[i] > 0.0) {

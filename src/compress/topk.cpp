@@ -4,8 +4,8 @@
 #include <cmath>
 #include <numeric>
 
-#include "compress/wire.h"
 #include "util/error.h"
+#include "wire/wire.h"
 
 namespace apf::compress {
 
@@ -69,7 +69,7 @@ fl::SyncStrategy::Result TopKSync::synchronize(fl::RoundId /*round*/, std::vecto
                      });
     // Push: the selected (index, value) set travels as an "APS1" sparse
     // buffer; the server aggregates the decoded components.
-    SparsePayload payload;
+    wire::SparsePayload payload;
     payload.dim = static_cast<std::uint32_t>(dim);
     std::vector<std::size_t> sent(order.begin(),
                                   order.begin() +
@@ -79,8 +79,8 @@ fl::SyncStrategy::Result TopKSync::synchronize(fl::RoundId /*round*/, std::vecto
       payload.indices.push_back(static_cast<std::uint32_t>(j));
       payload.values.push_back(pending[j]);
     }
-    std::vector<std::uint8_t> buf = encode_sparse(payload);
-    const SparsePayload decoded = decode_sparse(buf);
+    std::vector<std::uint8_t> buf = wire::encode_sparse(payload);
+    const wire::SparsePayload decoded = wire::decode_sparse(buf);
     result.bytes_up[i] = fl::ByteCount(buf.size());
     result.frames_up[i] = std::move(buf);
     const double w = weights[i] / weight_total;
@@ -97,8 +97,8 @@ fl::SyncStrategy::Result TopKSync::synchronize(fl::RoundId /*round*/, std::vecto
   }
   // Pull: one dense model buffer, decoded by every client; only this
   // round's participants are charged for it.
-  std::vector<std::uint8_t> down = encode_dense(global_);
-  const std::vector<float> decoded_down = decode_dense(down);
+  std::vector<std::uint8_t> down = wire::encode_dense(global_);
+  const std::vector<float> decoded_down = wire::decode_dense(down);
   for (std::size_t i = 0; i < n; ++i) {
     client_params[i] = decoded_down;
     if (weights[i] > 0.0) {

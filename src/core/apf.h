@@ -8,14 +8,12 @@
 #include "compress/cmfl.h"
 #include "compress/codecs.h"
 #include "compress/gaia.h"
-#include "compress/quantize.h"
 #include "compress/quantized_sync.h"
 #include "compress/randk.h"
 #include "compress/topk.h"
 #include "compress/wrappers.h"
 #include "core/apf_manager.h"
 #include "core/freeze_controller.h"
-#include "core/masked_pack.h"
 #include "core/perturbation.h"
 #include "core/strawmen.h"
 #include "data/loader.h"
@@ -33,3 +31,5 @@
 #include "optim/fedprox.h"
 #include "optim/lr_schedule.h"
 #include "optim/optimizer.h"
+#include "wire/masked.h"
+#include "wire/quantize.h"

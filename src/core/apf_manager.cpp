@@ -1,6 +1,5 @@
 #include "core/apf_manager.h"
 
-#include "core/masked_pack.h"
 
 #include <algorithm>
 #include <cmath>
@@ -11,6 +10,7 @@
 #include "util/debug.h"
 #include "util/error.h"
 #include "util/logging.h"
+#include "wire/masked.h"
 #include "wire/wire.h"
 
 namespace apf::core {
@@ -121,7 +121,7 @@ std::vector<std::uint8_t> ApfManager::encode_push(
     fl::ClientId /*client*/, std::span<const float> params) {
   APF_CHECK_MSG(perturbation_.has_value(), "encode_push before init()");
   APF_CHECK(params.size() == global_.size());
-  return wire::encode_dense(pack_unfrozen(params, effective_mask_));
+  return wire::encode_dense(wire::pack_unfrozen(params, effective_mask_));
 }
 
 void ApfManager::begin_fold(fl::RoundId round) {
@@ -161,7 +161,7 @@ std::vector<std::uint8_t> ApfManager::finish_fold() {
   agg_->finish_weighted(merged_payload);
   agg_.reset();
   std::vector<float> new_global = global_;
-  unpack_unfrozen(merged_payload, effective_mask_, new_global);
+  wire::unpack_unfrozen(merged_payload, effective_mask_, new_global);
   APF_DEBUG_CHECK_FINITE(std::span<const float>(new_global),
                          "ApfManager::synchronize merged global model");
 
@@ -181,8 +181,8 @@ std::vector<std::uint8_t> ApfManager::finish_fold() {
   pull_mask_ = effective_mask_;
   std::vector<std::uint8_t> down_buf =
       options_.server_side_mask
-          ? encode_masked_update(global_, effective_mask_)
-          : wire::encode_dense(pack_unfrozen(global_, effective_mask_));
+          ? wire::encode_masked_update(global_, effective_mask_)
+          : wire::encode_dense(wire::pack_unfrozen(global_, effective_mask_));
 
   // Stability check every Fc rounds.
   if (++rounds_since_check_ >= options_.check_every_rounds) {
@@ -203,13 +203,13 @@ void ApfManager::apply_pull(std::span<const std::uint8_t> frame,
   // holds plus the decoded payload.
   std::vector<float> down_payload;
   if (options_.server_side_mask) {
-    MaskedUpdate update = decode_masked_update(frame);
+    wire::MaskedUpdate update = wire::decode_masked_update(frame);
     down_payload = std::move(update.payload);
   } else {
     down_payload = wire::decode_dense(frame);
   }
   params.assign(global_.begin(), global_.end());
-  unpack_unfrozen(down_payload, pull_mask_, params);
+  wire::unpack_unfrozen(down_payload, pull_mask_, params);
 }
 
 void ApfManager::run_stability_check() {

@@ -66,8 +66,7 @@ FederatedRunner::FederatedRunner(FlConfig config, const data::Dataset& train,
                 "partition size " << partition_.size() << " != clients "
                                   << config_.num_clients);
   APF_CHECK(config_.rounds > 0 && config_.local_iters > 0);
-  APF_CHECK(config_.workload_fraction.empty() ||
-            config_.workload_fraction.size() == config_.num_clients);
+  APF_CHECK_MSG(config_.eval_every > 0, "FlConfig::eval_every must be > 0");
   APF_CHECK(config_.participation_fraction > 0.0 &&
             config_.participation_fraction <= 1.0);
   // Reject a broken network model here, with config context, instead of
@@ -84,6 +83,13 @@ FederatedRunner::FederatedRunner(FlConfig config, const data::Dataset& train,
                   "compute_multiplier entries must be finite and > 0, got "
                       << m);
   }
+  APF_CHECK(config_.workload_fraction.empty() ||
+            config_.workload_fraction.size() == config_.num_clients);
+  for (const double frac : config_.workload_fraction) {
+    APF_CHECK_MSG(frac > 0.0 && frac <= 1.0,
+                  "workload_fraction entries must be in (0, 1], got "
+                      << frac);
+  }
   APF_CHECK_MSG(config_.async_goal_k <= config_.num_clients,
                 "async_goal_k " << config_.async_goal_k << " > clients "
                                 << config_.num_clients);
@@ -93,11 +99,41 @@ FederatedRunner::FederatedRunner(FlConfig config, const data::Dataset& train,
                     << config_.async_timeout_seconds);
 }
 
+// One round loop serves both aggregation modes. Client set-up, the joiner
+// draw, training, evaluation and round bookkeeping are shared; the mode
+// selects only how joiners pick up the global state (join) and how their
+// pushes become a commit (exchange):
+//
+//   - kSynchronous: joiners adopt the strategy's global (scattered under
+//     partial participation); the exchange is one batch synchronize(), whose
+//     traffic is then routed over the bus to price it, and the round barriers
+//     on the slowest participant.
+//   - kAsyncBuffered (FedBuff-style, docs/TRANSPORT.md, "Asynchronous
+//     rounds"): each round is a COMMIT WINDOW, not a barrier. Clients with no
+//     push in flight join: pull the global (dense frame), train on the pool,
+//     and push the strategy-encoded result; their push "arrives" at window
+//     start + download + compute + upload under the network model (compute
+//     scaled by the per-client straggler multiplier). The server folds
+//     arrivals in ARRIVAL order into a bounded BufferedAggregator with
+//     staleness-discounted weights, and commits at the goal-K-th arrival or
+//     the straggler timeout, whichever is first. Pushes that miss the commit
+//     stay queued: finish_round(kCarryOver) carries them (original round id,
+//     bytes charged once at push time) into the next window, where their
+//     staleness has grown by one.
+//
+// Everything timing-related is derived from deterministic simulated values,
+// and training is one per-client bit-identical kernel, so the full
+// SimulationResult is bit-identical for any worker_threads in both modes —
+// the golden-digest tests pin this.
 SimulationResult FederatedRunner::run() {
-  if (config_.aggregation_mode == AggregationMode::kAsyncBuffered) {
-    return run_async();
-  }
   const std::size_t n = config_.num_clients;
+  const bool async =
+      config_.aggregation_mode == AggregationMode::kAsyncBuffered;
+  StreamSync* stream = async ? strategy_.stream_sync() : nullptr;
+  APF_CHECK_MSG(!async || stream != nullptr,
+                "AggregationMode::kAsyncBuffered requires a StreamSync-"
+                "capable strategy; "
+                    << strategy_.name() << " is batch-only");
 
   // Per-client state. All models start bit-identical (factory contract).
   struct Client {
@@ -118,7 +154,6 @@ SimulationResult FederatedRunner::run() {
     const double frac = config_.workload_fraction.empty()
                             ? 1.0
                             : config_.workload_fraction[i];
-    APF_CHECK(frac > 0.0 && frac <= 1.0);
     clients[i].iters_per_round = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::lround(
                frac * static_cast<double>(config_.local_iters))));
@@ -147,10 +182,40 @@ SimulationResult FederatedRunner::run() {
   std::vector<float> init_params;
   clients[0].view->gather(init_params);
   strategy_.init(init_params, n);
-  // Every client starts from the (identical) initial global model.
-  for (auto& c : clients) c.view->scatter(strategy_.global_params());
-
   const std::size_t buffer_dim = nn::flatten_buffers(*clients[0].model).size();
+
+  // The runner owns the async global: a commit folds pushes from several
+  // origin rounds at once, which the strategy's per-round batch
+  // synchronize() contract cannot express.
+  std::vector<float> async_global;
+  if (async) {
+    APF_CHECK_MSG(strategy_.frozen_mask() == nullptr,
+                  "AggregationMode::kAsyncBuffered aggregates dense "
+                  "full-model pushes; "
+                      << strategy_.name() << " freezes coordinates");
+    APF_CHECK_MSG(buffer_dim == 0,
+                  "AggregationMode::kAsyncBuffered does not aggregate "
+                  "BatchNorm buffers yet (model carries "
+                      << buffer_dim << " buffer scalars)");
+    const auto g = strategy_.global_params();
+    async_global.assign(g.begin(), g.end());
+  }
+  auto global = [&]() -> std::span<const float> {
+    return async ? std::span<const float>(async_global)
+                 : strategy_.global_params();
+  };
+  // Every client starts from the (identical) initial global model.
+  for (auto& c : clients) c.view->scatter(global());
+  if (async) {
+    // Push-format probe: the commit decodes pushes as dense frames, so the
+    // strategy's encoding must round-trip through the dense codec.
+    const std::vector<std::uint8_t> probe =
+        stream->encode_push(ClientId(0), async_global);
+    APF_CHECK_MSG(wire::decode_dense(probe).size() == dim,
+                  strategy_.name()
+                      << " push frames are not dense; kAsyncBuffered "
+                         "supports dense full-model strategies only");
+  }
 
   SimulationResult result;
   result.rounds.reserve(config_.rounds);
@@ -171,38 +236,88 @@ SimulationResult FederatedRunner::run() {
   std::vector<float> global_buffers =
       buffer_dim > 0 ? nn::flatten_buffers(*clients[0].model)
                      : std::vector<float>{};
+  auto compute_seconds_of = [&](std::size_t i) {
+    const double mult = config_.compute_multiplier.empty()
+                            ? 1.0
+                            : config_.compute_multiplier[i];
+    return static_cast<double>(clients[i].iters_per_round) *
+           config_.compute_seconds_per_iter * mult;
+  };
 
   // All round traffic travels as framed messages over the in-process bus
   // (docs/TRANSPORT.md); per-link byte totals priced once per direction keep
   // the timing bit-identical to the pre-bus accounting.
   transport::Bus bus(config_.network);
 
+  // Async commit state. One pending entry per push in flight; a client
+  // trains again only after its push has been folded. Synchronous rounds
+  // fold every push in the round that made it, so nothing is ever pending.
+  const std::size_t goal_k =
+      std::min(n, config_.async_goal_k == 0 ? participants_per_round
+                                            : config_.async_goal_k);
+  std::optional<transport::BufferedAggregator> buffer;
+  if (async) buffer.emplace(dim, goal_k);
+  struct Pending {
+    double arrival = 0.0;  // absolute simulated time the push lands
+    double weight = 0.0;   // partition-size aggregation weight
+  };
+  std::vector<std::optional<Pending>> pending(n);
+  double now = 0.0;
+
   for (std::size_t round = 1; round <= config_.rounds; ++round) {
     if (lr_schedule_ != nullptr) {
       const double lr = lr_schedule_->lr(round - 1);
       for (auto& c : clients) c.optimizer->set_lr(lr);
     }
-    // FedProx anchor: the global model this round starts from.
+    bus.begin_round(RoundId(round));
+    // FedProx anchor: the global model this round's joiners start from.
     if (config_.fedprox_mu > 0.0) {
-      const auto g = strategy_.global_params();
+      const auto g = global();
       anchor_copy.assign(g.begin(), g.end());
     }
 
-    // Draw this round's participants.
-    std::vector<bool> participates(n, true);
+    // Draw this round's joiners: a deterministic subset of the clients with
+    // no push in flight, in client index order.
+    std::vector<std::size_t> active;
     if (participants_per_round < n) {
       participation_rng.shuffle(client_order);
-      participates.assign(n, false);
-      for (std::size_t i = 0; i < participants_per_round; ++i) {
-        participates[client_order[i]] = true;
+      for (const std::size_t idx : client_order) {
+        if (active.size() == participants_per_round) break;
+        if (!pending[idx].has_value()) active.push_back(idx);
       }
-      // Joining clients pull the latest global model + buffers (admission
-      // control, paper footnote 5); the pull is charged below.
+      std::sort(active.begin(), active.end());
+    } else {
       for (std::size_t i = 0; i < n; ++i) {
-        if (!participates[i]) continue;
-        clients[i].view->scatter(strategy_.global_params());
-        if (buffer_dim > 0) {
-          nn::load_buffers(*clients[i].model, global_buffers);
+        if (!pending[i].has_value()) active.push_back(i);
+      }
+    }
+
+    // ---- Join: joiners pick up the latest global state ----
+    std::vector<std::uint8_t> down;  // async: the dense pull frame
+    if (!async) {
+      // The participant draw clamps to >= 1, so an empty round is a logic
+      // bug: it would train nothing and aggregate no participant.
+      APF_CHECK_MSG(!active.empty(),
+                    "round " << round << " selected zero participants");
+      // Joining clients pull the latest global model + buffers (admission
+      // control, paper footnote 5); the pull is charged in the exchange.
+      if (participants_per_round < n) {
+        for (const std::size_t i : active) {
+          clients[i].view->scatter(global());
+          if (buffer_dim > 0) {
+            nn::load_buffers(*clients[i].model, global_buffers);
+          }
+        }
+      }
+    } else {
+      // Joiners download the current global as one dense frame each.
+      down = wire::encode_dense(async_global);
+      for (const std::size_t i : active) {
+        bus.deliver(ClientId(i), transport::Frame::Kind::kStrategy, down);
+      }
+      for (const std::size_t i : active) {
+        for (transport::Frame& frame : bus.take_pulls(ClientId(i))) {
+          clients[i].view->scatter(wire::decode_dense(frame.payload));
         }
       }
     }
@@ -223,7 +338,6 @@ SimulationResult FederatedRunner::run() {
     // (tools/check_thread_safety.sh covers this TU).
     double loss_sum = 0.0;
     std::size_t loss_count = 0;
-    double max_compute_seconds = 0.0;
     struct RoundScratch {
       util::Mutex mu;
       std::vector<double> loss APF_GUARDED_BY(mu);
@@ -234,10 +348,12 @@ SimulationResult FederatedRunner::run() {
       scratch.loss.assign(n, 0.0);
       scratch.iters.assign(n, 0);
     }
-    auto train_client = [&](std::size_t i, double& local_loss_sum,
-                            std::size_t& local_loss_count) {
+    pool.parallel_for(active.size(), [&](std::size_t slot) {
+      const std::size_t i = active[slot];
       Client& client = clients[i];
       client.model->set_training(true);
+      double local_loss_sum = 0.0;
+      std::size_t local_loss_count = 0;
       for (std::size_t it = 0; it < client.iters_per_round; ++it) {
         const data::Batch batch = client.loader->next_batch();
         client.optimizer->zero_grad();
@@ -260,20 +376,6 @@ SimulationResult FederatedRunner::run() {
         local_loss_sum += loss.loss;
         ++local_loss_count;
       }
-    };
-    std::vector<std::size_t> active;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (participates[i]) active.push_back(i);
-    }
-    // The participant draw clamps to >= 1, so an empty round is a logic bug:
-    // it would train nothing and then divide by zero participants below.
-    APF_CHECK_MSG(!active.empty(),
-                  "round " << round << " selected zero participants");
-    pool.parallel_for(active.size(), [&](std::size_t slot) {
-      const std::size_t i = active[slot];
-      double local_loss_sum = 0.0;
-      std::size_t local_loss_count = 0;
-      train_client(i, local_loss_sum, local_loss_count);
       util::MutexLock lock(scratch.mu);
       scratch.loss[i] = local_loss_sum;
       scratch.iters[i] = local_loss_count;
@@ -281,201 +383,292 @@ SimulationResult FederatedRunner::run() {
     // Ordered reduction: client index order, independent of lane count.
     {
       util::MutexLock lock(scratch.mu);
-      for (std::size_t i : active) {
+      for (const std::size_t i : active) {
         loss_sum += scratch.loss[i];
         loss_count += scratch.iters[i];
       }
     }
-    auto compute_seconds_of = [&](std::size_t i) {
-      const double mult = config_.compute_multiplier.empty()
-                              ? 1.0
-                              : config_.compute_multiplier[i];
-      return static_cast<double>(clients[i].iters_per_round) *
-             config_.compute_seconds_per_iter * mult;
-    };
-    for (std::size_t i : active) {
-      max_compute_seconds =
-          std::max(max_compute_seconds, compute_seconds_of(i));
-    }
 
-    // Gather local models and aggregate. Non-participants carry weight 0
-    // and their local state is restored after the strategy runs.
-    std::vector<double> weights(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      clients[i].view->gather(client_params[i]);
-      const bool straggler =
-          clients[i].iters_per_round < config_.local_iters;
-      const bool dropped =
-          straggler && config_.straggler_policy == StragglerPolicy::kDrop;
-      weights[i] = (!participates[i] || dropped)
-                       ? 0.0
-                       : static_cast<double>(partition_[i].size());
-    }
-    SyncStrategy::Result sync =
-        strategy_.synchronize(RoundId(round), client_params, weights);
-    APF_CHECK(sync.bytes_up.size() == n && sync.bytes_down.size() == n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (participates[i]) clients[i].view->scatter(client_params[i]);
+    // ---- Exchange: pushes become this round's commit ----
+    RoundRecord record;
+    record.round = RoundId(round);
+    double total_bytes_all_clients = 0.0;
+    if (!async) {
+      double max_compute_seconds = 0.0;
+      for (const std::size_t i : active) {
+        max_compute_seconds =
+            std::max(max_compute_seconds, compute_seconds_of(i));
+      }
+
+      // Gather local models and aggregate. Non-participants carry weight 0
+      // and their local state is restored after the strategy runs.
+      std::vector<bool> participates(n, false);
+      for (const std::size_t i : active) participates[i] = true;
+      std::vector<double> weights(n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        clients[i].view->gather(client_params[i]);
+        const bool straggler =
+            clients[i].iters_per_round < config_.local_iters;
+        const bool dropped =
+            straggler && config_.straggler_policy == StragglerPolicy::kDrop;
+        weights[i] = (!participates[i] || dropped)
+                         ? 0.0
+                         : static_cast<double>(partition_[i].size());
+      }
+      SyncStrategy::Result sync =
+          strategy_.synchronize(RoundId(round), client_params, weights);
+      APF_CHECK(sync.bytes_up.size() == n && sync.bytes_down.size() == n);
+      for (const std::size_t i : active) {
+        clients[i].view->scatter(client_params[i]);
+      }
       // Non-participants keep their stale local state untouched.
-    }
+      record.participants = active.size();
+      record.frozen_fraction = sync.frozen_fraction;
 
-    // ---- Transport phase: every byte of round traffic rides the bus ----
-    // The strategy already folded the pushes (its synchronize() is the batch
-    // driver over the StreamSync hooks where available), so here the runner
-    // routes the actual frames: captured strategy buffers when the strategy
-    // provides them, placeholder frames of the declared sizes otherwise, so
-    // byte accounting is identical either way. BatchNorm buffers genuinely
-    // aggregate on the server side of the bus: aux push frames fold into a
-    // streaming mean in ascending client order and the result broadcasts
-    // back as one aux frame per participant.
-    bus.begin_round(RoundId(round));
-    APF_CHECK_MSG(
-        sync.frames_up.empty() || sync.frames_up.size() == n,
-        strategy_.name() << " captured " << sync.frames_up.size()
-                         << " push frames for " << n << " clients");
-    const bool captured = sync.frames_up.size() == n;
-    // Declared byte counts are ByteCount by type, so the pre-strong-type
-    // "declared count must be integral" check is now a compile-time fact.
-    auto placeholder_frame = [](ByteCount declared) {
-      return std::vector<std::uint8_t>(
-          static_cast<std::size_t>(declared.value()), 0);
-    };
-    for (std::size_t i : active) {
-      if (captured) {
-        APF_CHECK_MSG(
-            ByteCount(sync.frames_up[i].size()) == sync.bytes_up[i],
-            strategy_.name() << " client " << i << " push frame size "
-                             << sync.frames_up[i].size() << " != declared "
-                             << sync.bytes_up[i]);
-        if (!sync.frames_up[i].empty()) {
+      // ---- Transport phase: every byte of round traffic rides the bus ----
+      // The strategy already folded the pushes (its synchronize() is the
+      // batch driver over the StreamSync hooks where available), so here the
+      // runner routes the actual frames: captured strategy buffers when the
+      // strategy provides them, placeholder frames of the declared sizes
+      // otherwise, so byte accounting is identical either way. BatchNorm
+      // buffers genuinely aggregate on the server side of the bus: aux push
+      // frames fold into a streaming mean in ascending client order and the
+      // result broadcasts back as one aux frame per participant.
+      APF_CHECK_MSG(
+          sync.frames_up.empty() || sync.frames_up.size() == n,
+          strategy_.name() << " captured " << sync.frames_up.size()
+                           << " push frames for " << n << " clients");
+      const bool captured = sync.frames_up.size() == n;
+      // Declared byte counts are ByteCount by type, so the pre-strong-type
+      // "declared count must be integral" check is now a compile-time fact.
+      auto placeholder_frame = [](ByteCount declared) {
+        return std::vector<std::uint8_t>(
+            static_cast<std::size_t>(declared.value()), 0);
+      };
+      for (const std::size_t i : active) {
+        if (captured) {
+          APF_CHECK_MSG(
+              ByteCount(sync.frames_up[i].size()) == sync.bytes_up[i],
+              strategy_.name() << " client " << i << " push frame size "
+                               << sync.frames_up[i].size() << " != declared "
+                               << sync.bytes_up[i]);
+          if (!sync.frames_up[i].empty()) {
+            bus.push(ClientId(i), transport::Frame::Kind::kStrategy,
+                     std::move(sync.frames_up[i]));
+          }
+        } else if (sync.bytes_up[i] > ByteCount(0)) {
           bus.push(ClientId(i), transport::Frame::Kind::kStrategy,
-                   std::move(sync.frames_up[i]));
+                   placeholder_frame(sync.bytes_up[i]));
         }
-      } else if (sync.bytes_up[i] > ByteCount(0)) {
+        if (buffer_dim > 0) {
+          bus.push(ClientId(i), transport::Frame::Kind::kAuxiliary,
+                   wire::encode_dense(nn::flatten_buffers(*clients[i].model)));
+        }
+      }
+
+      // Server side: drain the inboxes in deterministic (client, seq) order,
+      // folding aux frames into the buffer mean as they stream past. Peak
+      // server memory stays O(model): one streaming accumulator, never a
+      // per-client staging table.
+      ByteCount buffer_bytes;
+      {
+        transport::StreamingAggregator buf_agg(buffer_dim);
+        for (transport::Frame& frame : bus.take_pushes()) {
+          if (frame.kind != transport::Frame::Kind::kAuxiliary) continue;
+          const std::vector<float> decoded = wire::decode_dense(frame.payload);
+          buffer_bytes = frame.size_bytes();
+          buf_agg.fold(frame.client, decoded, 1.0);
+        }
+        if (buffer_dim > 0) {
+          APF_CHECK(buf_agg.folded() > 0);
+          buf_agg.finish_mean(global_buffers);
+        }
+      }
+      std::vector<std::uint8_t> buffer_down;
+      if (buffer_dim > 0) {
+        buffer_down = wire::encode_dense(global_buffers);
+        // Dense frames are symmetric, so one count covers both directions.
+        APF_CHECK(buffer_bytes == ByteCount(buffer_down.size()));
+      }
+
+      // Pull direction: the strategy's pull frame (per-client when it ships
+      // distinct payloads, the shared broadcast otherwise) plus the buffer
+      // broadcast, delivered per participant and drained from each mailbox.
+      const bool per_client_down = captured && sync.frames_down.size() == n;
+      for (const std::size_t i : active) {
+        std::vector<std::uint8_t> pull;
+        if (per_client_down && !sync.frames_down[i].empty()) {
+          pull = std::move(sync.frames_down[i]);
+        } else if (captured && !sync.broadcast_frame.empty() &&
+                   sync.bytes_down[i] > ByteCount(0)) {
+          pull = sync.broadcast_frame;  // one copy per receiving client
+        } else if (sync.bytes_down[i] > ByteCount(0)) {
+          pull = placeholder_frame(sync.bytes_down[i]);
+        }
+        if (!pull.empty()) {
+          APF_CHECK_MSG(
+              ByteCount(pull.size()) == sync.bytes_down[i],
+              strategy_.name() << " client " << i << " pull frame size "
+                               << pull.size() << " != declared "
+                               << sync.bytes_down[i]);
+          bus.deliver(ClientId(i), transport::Frame::Kind::kStrategy,
+                      std::move(pull));
+        }
+        if (buffer_dim > 0) {
+          bus.deliver(ClientId(i), transport::Frame::Kind::kAuxiliary,
+                      buffer_down);
+        }
+      }
+      for (const std::size_t i : active) {
+        for (transport::Frame& frame : bus.take_pulls(ClientId(i))) {
+          if (frame.kind == transport::Frame::Kind::kAuxiliary) {
+            nn::load_buffers(*clients[i].model,
+                             wire::decode_dense(frame.payload));
+          }
+          // Strategy pull frames were already applied by synchronize() (the
+          // batch driver runs apply_pull itself); the bus leg is the wire.
+        }
+      }
+
+      // Byte and time accounting: BSP barrier = slowest participant, and the
+      // server link carries everyone's traffic. The bus prices each link's
+      // byte totals once per direction, reproducing the pre-bus arithmetic
+      // bit for bit.
+      const transport::RoundStats net = bus.finish_round();
+      // Exit the measured integer domain exactly once: everything below is
+      // amortization/pricing math, which runs in double as it always has.
+      total_bytes_all_clients = net.total_bytes.to_double();
+      // Completion-time model: the round ends when the LAST client finishes
+      // its own compute followed by its own transfers, max_i(compute_i +
+      // comm_i) — NOT max_compute + max_comm, which glued the slowest
+      // computer to the slowest communicator even when they were different
+      // clients. The shared server link is still a floor: it cannot start
+      // before uploads begin nor end before carrying every byte, so
+      // max_compute + server_seconds lower-bounds the round as before. When
+      // every client's compute is equal (the homogeneous default) both models
+      // coincide exactly: max_i(C + comm_i) = C + max_comm.
+      double max_completion_seconds = max_compute_seconds;
+      for (const auto& [link_client, link_comm] : net.link_comm_seconds) {
+        max_completion_seconds = std::max(
+            max_completion_seconds,
+            compute_seconds_of(static_cast<std::size_t>(link_client.value())) +
+                link_comm);
+      }
+      record.round_seconds = std::max(
+          max_completion_seconds,
+          max_compute_seconds +
+              config_.network.server_seconds(total_bytes_all_clients));
+    } else {
+      buffer->begin_round(RoundId(round));
+      // Push: each joiner's encoded result is queued NOW (bytes charge at
+      // push, in this window) but only ARRIVES after its download + compute
+      // + upload; until then it is a straggler frame the commit may miss.
+      for (const std::size_t i : active) {
+        clients[i].view->gather(client_params[i]);
+        std::vector<std::uint8_t> up =
+            stream->encode_push(ClientId(i), client_params[i]);
+        double comm_seconds =
+            config_.network.client_download_seconds(ByteCount(down.size())) +
+            config_.network.client_upload_seconds(ByteCount(up.size()));
+        if (config_.network.frame_latency_seconds > 0.0) {
+          comm_seconds += 2.0 * config_.network.frame_latency_seconds;
+        }
+        Pending entry;
+        entry.arrival = now + compute_seconds_of(i) + comm_seconds;
+        entry.weight = static_cast<double>(partition_[i].size());
         bus.push(ClientId(i), transport::Frame::Kind::kStrategy,
-                 placeholder_frame(sync.bytes_up[i]));
+                 std::move(up));
+        pending[i] = entry;
       }
-      if (buffer_dim > 0) {
-        bus.push(ClientId(i), transport::Frame::Kind::kAuxiliary,
-                 wire::encode_dense(nn::flatten_buffers(*clients[i].model)));
-      }
-    }
 
-    // Server side: drain the inboxes in deterministic (client, seq) order,
-    // folding aux frames into the buffer mean as they stream past. Peak
-    // server memory stays O(model): one streaming accumulator, never a
-    // per-client staging table.
-    ByteCount buffer_bytes;
-    {
-      transport::StreamingAggregator buf_agg(buffer_dim);
-      for (transport::Frame& frame : bus.take_pushes()) {
-        if (frame.kind != transport::Frame::Kind::kAuxiliary) continue;
-        const std::vector<float> decoded = wire::decode_dense(frame.payload);
-        buffer_bytes = frame.size_bytes();
-        buf_agg.fold(frame.client, decoded, 1.0);
-      }
-      if (buffer_dim > 0) {
-        APF_CHECK(buf_agg.folded() > 0);
-        buf_agg.finish_mean(global_buffers);
-      }
-    }
-    std::vector<std::uint8_t> buffer_down;
-    if (buffer_dim > 0) {
-      buffer_down = wire::encode_dense(global_buffers);
-      // Dense frames are symmetric, so one count covers both directions.
-      APF_CHECK(buffer_bytes == ByteCount(buffer_down.size()));
-    }
-
-    // Pull direction: the strategy's pull frame (per-client when it ships
-    // distinct payloads, the shared broadcast otherwise) plus the buffer
-    // broadcast, delivered per participant and drained from each mailbox.
-    const bool per_client_down = captured && sync.frames_down.size() == n;
-    for (std::size_t i : active) {
-      std::vector<std::uint8_t> down;
-      if (per_client_down && !sync.frames_down[i].empty()) {
-        down = std::move(sync.frames_down[i]);
-      } else if (captured && !sync.broadcast_frame.empty() &&
-                 sync.bytes_down[i] > ByteCount(0)) {
-        down = sync.broadcast_frame;  // one copy per receiving client
-      } else if (sync.bytes_down[i] > ByteCount(0)) {
-        down = placeholder_frame(sync.bytes_down[i]);
-      }
-      if (!down.empty()) {
-        APF_CHECK_MSG(
-            ByteCount(down.size()) == sync.bytes_down[i],
-            strategy_.name() << " client " << i << " pull frame size "
-                             << down.size() << " != declared "
-                             << sync.bytes_down[i]);
-        bus.deliver(ClientId(i), transport::Frame::Kind::kStrategy,
-                    std::move(down));
-      }
-      if (buffer_dim > 0) {
-        bus.deliver(ClientId(i), transport::Frame::Kind::kAuxiliary,
-                    buffer_down);
-      }
-    }
-    for (std::size_t i : active) {
-      for (transport::Frame& frame : bus.take_pulls(ClientId(i))) {
-        if (frame.kind == transport::Frame::Kind::kAuxiliary) {
-          nn::load_buffers(*clients[i].model,
-                           wire::decode_dense(frame.payload));
+      // Commit decision: fold the first goal-K arrivals if the K-th lands
+      // before the timeout, otherwise whatever arrived by the timeout
+      // (possibly nothing). Ties and order are exact doubles from the
+      // deterministic timing model, so the schedule is reproducible.
+      std::vector<std::pair<double, std::size_t>> arrivals;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (pending[i].has_value()) {
+          arrivals.emplace_back(pending[i]->arrival, i);
         }
-        // Strategy pull frames were already applied by synchronize() (the
-        // batch driver runs apply_pull itself); the bus leg is the wire.
+      }
+      std::sort(arrivals.begin(), arrivals.end());
+      APF_CHECK_MSG(!arrivals.empty(),
+                    "async round " << round << " has no push in flight");
+      const std::size_t k = std::min(goal_k, arrivals.size());
+      const double deadline =
+          config_.async_timeout_seconds > 0.0
+              ? now + config_.async_timeout_seconds
+              : std::numeric_limits<double>::infinity();
+      double commit_time;
+      std::size_t fold_count;
+      if (arrivals[k - 1].first <= deadline) {
+        commit_time = arrivals[k - 1].first;
+        fold_count = k;
+      } else {
+        commit_time = deadline;
+        fold_count = 0;
+        while (fold_count < arrivals.size() &&
+               arrivals[fold_count].first <= deadline) {
+          ++fold_count;
+        }
+      }
+
+      // Fold the committed arrivals in arrival order; everything else stays
+      // queued on the bus and carries over.
+      for (std::size_t c = 0; c < fold_count; ++c) {
+        const std::size_t i = arrivals[c].second;
+        std::vector<transport::Frame> frames = bus.take_pushes(ClientId(i));
+        APF_CHECK_MSG(frames.size() == 1,
+                      "async client " << i << " had " << frames.size()
+                                      << " pushes in flight (expected 1)");
+        transport::Frame& frame = frames[0];
+        buffer->fold(frame.client, frame.round,
+                     wire::decode_dense(frame.payload), pending[i]->weight);
+        record.staleness.emplace_back(
+            frame.client, RoundId(round).value() - frame.round.value());
+        pending[i].reset();
+      }
+      if (buffer->buffered() > 0) {
+        buffer->commit(async_global);
+      }
+      const transport::RoundStats net =
+          bus.finish_round(transport::FinishPolicy::kCarryOver);
+      total_bytes_all_clients = net.total_bytes.to_double();
+      // The window closes at the commit — goal-K arrival or timeout — never
+      // at the slowest straggler; the shared server link (which must carry
+      // every byte queued this window) still floors it. A commit_time in the
+      // past means the arrivals were already waiting: zero additional wait.
+      record.round_seconds =
+          std::max(std::max(0.0, commit_time - now),
+                   config_.network.server_seconds(total_bytes_all_clients));
+      now += record.round_seconds;
+      record.participants = fold_count;
+      if (observer_) {
+        for (std::size_t i = 0; i < n; ++i) {
+          clients[i].view->gather(client_params[i]);
+        }
       }
     }
 
-    // Byte and time accounting: BSP barrier = slowest participant, and the
-    // server link carries everyone's traffic. The bus prices each link's
-    // byte totals once per direction, reproducing the pre-bus arithmetic
-    // bit for bit.
-    const transport::RoundStats net = bus.finish_round();
-    // Exit the measured integer domain exactly once: everything below is
-    // amortization/pricing math, which runs in double as it always has.
-    const double total_bytes_all_clients = net.total_bytes.to_double();
     // bytes_per_client amortizes the round's traffic over ALL n clients
     // (non-participants contribute zero traffic but stay in the
     // denominator); bytes_per_participant divides by participants only. See
     // the RoundRecord field docs in runner.h.
     const double mean_bytes =
         total_bytes_all_clients / static_cast<double>(n);
-    const double participant_bytes =
-        total_bytes_all_clients / static_cast<double>(active.size());
-    // Completion-time model: the round ends when the LAST client finishes
-    // its own compute followed by its own transfers, max_i(compute_i +
-    // comm_i) — NOT max_compute + max_comm, which glued the slowest computer
-    // to the slowest communicator even when they were different clients. The
-    // shared server link is still a floor: it cannot start before uploads
-    // begin nor end before carrying every byte, so max_compute +
-    // server_seconds lower-bounds the round as before. When every client's
-    // compute is equal (the homogeneous default) both models coincide
-    // exactly: max_i(C + comm_i) = C + max_comm.
-    double max_completion_seconds = max_compute_seconds;
-    for (const auto& [link_client, link_comm] : net.link_comm_seconds) {
-      max_completion_seconds = std::max(
-          max_completion_seconds,
-          compute_seconds_of(static_cast<std::size_t>(link_client.value())) +
-              link_comm);
-    }
-    const double round_seconds =
-        std::max(max_completion_seconds,
-                 max_compute_seconds +
-                     config_.network.server_seconds(total_bytes_all_clients));
-
     cum_bytes += mean_bytes;
-    cum_seconds += round_seconds;
-    frozen_stat.add(sync.frozen_fraction);
+    cum_seconds += record.round_seconds;
+    frozen_stat.add(record.frozen_fraction);
 
-    RoundRecord record;
-    record.round = RoundId(round);
     record.train_loss =
         loss_count ? loss_sum / static_cast<double>(loss_count) : 0.0;
     record.bytes_per_client = mean_bytes;
     record.cumulative_bytes_per_client = cum_bytes;
-    record.participants = active.size();
-    record.bytes_per_participant = participant_bytes;
-    record.frozen_fraction = sync.frozen_fraction;
-    record.round_seconds = round_seconds;
+    record.bytes_per_participant =
+        record.participants == 0
+            ? 0.0
+            : total_bytes_all_clients /
+                  static_cast<double>(record.participants);
     record.cumulative_seconds = cum_seconds;
     if (round % config_.eval_every == 0 || round == config_.rounds) {
       // Evaluate the server-side global model on the pool: every replica
@@ -485,7 +678,7 @@ SimulationResult FederatedRunner::run() {
       std::vector<nn::Module*> replicas;
       replicas.reserve(eval_models.size());
       for (std::size_t r = 0; r < eval_models.size(); ++r) {
-        eval_views[r]->scatter(strategy_.global_params());
+        eval_views[r]->scatter(global());
         if (buffer_dim > 0) {
           nn::load_buffers(*eval_models[r], global_buffers);
         }
@@ -502,377 +695,18 @@ SimulationResult FederatedRunner::run() {
       result.final_accuracy = record.test_accuracy;
       APF_INFO("round " << round << " acc=" << record.test_accuracy
                         << " frozen=" << record.frozen_fraction
+                        << " participants=" << record.participants
                         << " loss=" << record.train_loss);
     }
     result.rounds.push_back(record);
-    if (observer_) {
-      observer_(RoundId(round), strategy_.global_params(), client_params);
-    }
+    if (observer_) observer_(RoundId(round), global(), client_params);
   }
 
   result.total_bytes_per_client = cum_bytes;
   result.total_seconds = cum_seconds;
   result.mean_frozen_fraction = frozen_stat.mean();
-  const auto g = strategy_.global_params();
+  const auto g = global();
   result.final_global_params.assign(g.begin(), g.end());
-  APF_CHECK(result.final_global_params.size() == dim);
-  return result;
-}
-
-// FedBuff-style asynchronous rounds (docs/TRANSPORT.md, "Asynchronous
-// rounds"). Each round is a COMMIT WINDOW, not a barrier:
-//
-//   - clients with no push in flight join: pull the global (dense frame),
-//     train on the pool, and push the strategy-encoded result; their push
-//     "arrives" at window start + download + compute + upload under the
-//     network model (compute scaled by the per-client straggler multiplier);
-//   - the server folds arrivals in ARRIVAL order into a bounded
-//     BufferedAggregator with staleness-discounted weights, and commits at
-//     the goal-K-th arrival or the straggler timeout, whichever is first;
-//   - pushes that miss the commit stay queued: finish_round(kCarryOver)
-//     carries them (original round id, bytes charged once at push time)
-//     into the next window, where their staleness has grown by one.
-//
-// Everything timing-related is derived from deterministic simulated values,
-// and training is the same per-client bit-identical kernel the synchronous
-// path uses, so the full SimulationResult is bit-identical for any
-// worker_threads — the async tests pin this.
-SimulationResult FederatedRunner::run_async() {
-  const std::size_t n = config_.num_clients;
-  StreamSync* stream = strategy_.stream_sync();
-  APF_CHECK_MSG(stream != nullptr,
-                "AggregationMode::kAsyncBuffered requires a StreamSync-"
-                "capable strategy; "
-                    << strategy_.name() << " is batch-only");
-
-  struct Client {
-    std::unique_ptr<nn::Module> model;
-    std::unique_ptr<optim::Optimizer> optimizer;
-    std::unique_ptr<FlatParamView> view;
-    std::unique_ptr<data::DataLoader> loader;
-    std::size_t iters_per_round = 0;
-  };
-  std::vector<Client> clients(n);
-  Rng seed_rng(config_.seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    clients[i].model = model_factory_();
-    clients[i].optimizer = optimizer_factory_(*clients[i].model);
-    clients[i].view = std::make_unique<FlatParamView>(*clients[i].model);
-    clients[i].loader = std::make_unique<data::DataLoader>(
-        train_, partition_[i], config_.batch_size, seed_rng.split());
-    const double frac = config_.workload_fraction.empty()
-                            ? 1.0
-                            : config_.workload_fraction[i];
-    APF_CHECK(frac > 0.0 && frac <= 1.0);
-    clients[i].iters_per_round = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::lround(
-               frac * static_cast<double>(config_.local_iters))));
-  }
-
-  util::ThreadPool pool(config_.worker_threads);
-
-  const std::size_t eval_batch_size = 128;
-  const std::size_t eval_batches =
-      (test_.size() + eval_batch_size - 1) / eval_batch_size;
-  const std::size_t eval_replica_count =
-      std::max<std::size_t>(1, std::min(pool.lanes(), eval_batches));
-  std::vector<std::unique_ptr<nn::Module>> eval_models;
-  std::vector<std::unique_ptr<FlatParamView>> eval_views;
-  for (std::size_t r = 0; r < eval_replica_count; ++r) {
-    eval_models.push_back(model_factory_());
-    eval_views.push_back(std::make_unique<FlatParamView>(*eval_models[r]));
-  }
-
-  const std::size_t dim = clients[0].view->dim();
-  std::vector<float> init_params;
-  clients[0].view->gather(init_params);
-  strategy_.init(init_params, n);
-  APF_CHECK_MSG(strategy_.frozen_mask() == nullptr,
-                "AggregationMode::kAsyncBuffered aggregates dense full-model "
-                "pushes; "
-                    << strategy_.name() << " freezes coordinates");
-  const std::size_t buffer_dim = nn::flatten_buffers(*clients[0].model).size();
-  APF_CHECK_MSG(buffer_dim == 0,
-                "AggregationMode::kAsyncBuffered does not aggregate BatchNorm "
-                "buffers yet (model carries "
-                    << buffer_dim << " buffer scalars)");
-
-  // The runner owns the async global: a commit folds pushes from several
-  // origin rounds at once, which the strategy's per-round batch
-  // synchronize() contract cannot express.
-  std::vector<float> global(strategy_.global_params().begin(),
-                            strategy_.global_params().end());
-  for (auto& c : clients) c.view->scatter(global);
-  // Push-format probe: the commit decodes pushes as dense frames, so the
-  // strategy's encoding must round-trip through the dense codec.
-  {
-    const std::vector<std::uint8_t> probe =
-        stream->encode_push(ClientId(0), global);
-    APF_CHECK_MSG(wire::decode_dense(probe).size() == dim,
-                  strategy_.name()
-                      << " push frames are not dense; kAsyncBuffered "
-                         "supports dense full-model strategies only");
-  }
-
-  auto compute_seconds_of = [&](std::size_t i) {
-    const double mult = config_.compute_multiplier.empty()
-                            ? 1.0
-                            : config_.compute_multiplier[i];
-    return static_cast<double>(clients[i].iters_per_round) *
-           config_.compute_seconds_per_iter * mult;
-  };
-
-  SimulationResult result;
-  result.rounds.reserve(config_.rounds);
-  double cum_bytes = 0.0, cum_seconds = 0.0;
-  std::vector<std::vector<float>> client_params(n);
-  std::vector<float> anchor_copy;
-  Rng participation_rng(config_.seed ^ 0xC11E47ULL);
-  const std::size_t participants_per_round = std::max<std::size_t>(
-      1, static_cast<std::size_t>(
-             std::lround(config_.participation_fraction *
-                         static_cast<double>(n))));
-  std::vector<std::size_t> client_order(n);
-  for (std::size_t i = 0; i < n; ++i) client_order[i] = i;
-
-  const std::size_t goal_k =
-      std::min(n, config_.async_goal_k == 0 ? participants_per_round
-                                            : config_.async_goal_k);
-  transport::Bus bus(config_.network);
-  transport::BufferedAggregator buffer(dim, goal_k);
-
-  // One entry per push in flight; a client trains again only after its push
-  // has been folded.
-  struct Pending {
-    double arrival = 0.0;  // absolute simulated time the push lands
-    double weight = 0.0;   // partition-size aggregation weight
-  };
-  std::vector<std::optional<Pending>> pending(n);
-  double now = 0.0;
-
-  for (std::size_t round = 1; round <= config_.rounds; ++round) {
-    if (lr_schedule_ != nullptr) {
-      const double lr = lr_schedule_->lr(round - 1);
-      for (auto& c : clients) c.optimizer->set_lr(lr);
-    }
-    bus.begin_round(RoundId(round));
-    buffer.begin_round(RoundId(round));
-    // FedProx anchor: the global the joiners are about to pull.
-    if (config_.fedprox_mu > 0.0) {
-      anchor_copy.assign(global.begin(), global.end());
-    }
-
-    // Joiners: a deterministic draw among clients with no push in flight.
-    std::vector<std::size_t> joiners;
-    if (participants_per_round < n) {
-      participation_rng.shuffle(client_order);
-      for (const std::size_t idx : client_order) {
-        if (joiners.size() == participants_per_round) break;
-        if (!pending[idx].has_value()) joiners.push_back(idx);
-      }
-      std::sort(joiners.begin(), joiners.end());
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!pending[i].has_value()) joiners.push_back(i);
-      }
-    }
-
-    // Pull: joiners download the current global as one dense frame each.
-    const std::vector<std::uint8_t> down = wire::encode_dense(global);
-    for (const std::size_t i : joiners) {
-      bus.deliver(ClientId(i), transport::Frame::Kind::kStrategy, down);
-    }
-    for (const std::size_t i : joiners) {
-      for (transport::Frame& frame : bus.take_pulls(ClientId(i))) {
-        clients[i].view->scatter(wire::decode_dense(frame.payload));
-      }
-    }
-
-    // Local training, same commit protocol as the synchronous path: losses
-    // land in per-client slots under the scratch mutex and reduce in client
-    // index order, so train_loss is bit-identical for any lane count.
-    double loss_sum = 0.0;
-    std::size_t loss_count = 0;
-    struct RoundScratch {
-      util::Mutex mu;
-      std::vector<double> loss APF_GUARDED_BY(mu);
-      std::vector<std::size_t> iters APF_GUARDED_BY(mu);
-    } scratch;
-    {
-      util::MutexLock lock(scratch.mu);
-      scratch.loss.assign(n, 0.0);
-      scratch.iters.assign(n, 0);
-    }
-    pool.parallel_for(joiners.size(), [&](std::size_t slot) {
-      const std::size_t i = joiners[slot];
-      Client& client = clients[i];
-      client.model->set_training(true);
-      double local_loss_sum = 0.0;
-      std::size_t local_loss_count = 0;
-      for (std::size_t it = 0; it < client.iters_per_round; ++it) {
-        const data::Batch batch = client.loader->next_batch();
-        client.optimizer->zero_grad();
-        const Tensor logits = client.model->forward(batch.inputs);
-        const auto loss = nn::softmax_cross_entropy(logits, batch.labels);
-        client.model->backward(loss.grad_logits);
-        if (config_.fedprox_mu > 0.0) {
-          optim::add_proximal_grad(*client.model, anchor_copy,
-                                   config_.fedprox_mu);
-        }
-        if (config_.grad_clip_norm > 0.0) {
-          optim::clip_grad_norm(*client.model, config_.grad_clip_norm);
-        }
-        client.optimizer->step();
-        local_loss_sum += loss.loss;
-        ++local_loss_count;
-      }
-      util::MutexLock lock(scratch.mu);
-      scratch.loss[i] = local_loss_sum;
-      scratch.iters[i] = local_loss_count;
-    });
-    {
-      util::MutexLock lock(scratch.mu);
-      for (const std::size_t i : joiners) {
-        loss_sum += scratch.loss[i];
-        loss_count += scratch.iters[i];
-      }
-    }
-
-    // Push: each joiner's encoded result is queued NOW (bytes charge at
-    // push, in this window) but only ARRIVES after its download + compute +
-    // upload; until then it is a straggler frame the commit may miss.
-    for (const std::size_t i : joiners) {
-      clients[i].view->gather(client_params[i]);
-      std::vector<std::uint8_t> up =
-          stream->encode_push(ClientId(i), client_params[i]);
-      double comm_seconds =
-          config_.network.client_download_seconds(ByteCount(down.size())) +
-          config_.network.client_upload_seconds(ByteCount(up.size()));
-      if (config_.network.frame_latency_seconds > 0.0) {
-        comm_seconds += 2.0 * config_.network.frame_latency_seconds;
-      }
-      Pending entry;
-      entry.arrival = now + compute_seconds_of(i) + comm_seconds;
-      entry.weight = static_cast<double>(partition_[i].size());
-      bus.push(ClientId(i), transport::Frame::Kind::kStrategy,
-               std::move(up));
-      pending[i] = entry;
-    }
-
-    // Commit decision: fold the first goal-K arrivals if the K-th lands
-    // before the timeout, otherwise whatever arrived by the timeout
-    // (possibly nothing). Ties and order are exact doubles from the
-    // deterministic timing model, so the schedule is reproducible.
-    std::vector<std::pair<double, std::size_t>> arrivals;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pending[i].has_value()) {
-        arrivals.emplace_back(pending[i]->arrival, i);
-      }
-    }
-    std::sort(arrivals.begin(), arrivals.end());
-    APF_CHECK_MSG(!arrivals.empty(),
-                  "async round " << round << " has no push in flight");
-    const std::size_t k = std::min(goal_k, arrivals.size());
-    const double deadline =
-        config_.async_timeout_seconds > 0.0
-            ? now + config_.async_timeout_seconds
-            : std::numeric_limits<double>::infinity();
-    double commit_time;
-    std::size_t fold_count;
-    if (arrivals[k - 1].first <= deadline) {
-      commit_time = arrivals[k - 1].first;
-      fold_count = k;
-    } else {
-      commit_time = deadline;
-      fold_count = 0;
-      while (fold_count < arrivals.size() &&
-             arrivals[fold_count].first <= deadline) {
-        ++fold_count;
-      }
-    }
-
-    // Fold the committed arrivals in arrival order; everything else stays
-    // queued on the bus and carries over.
-    RoundRecord record;
-    record.round = RoundId(round);
-    for (std::size_t c = 0; c < fold_count; ++c) {
-      const std::size_t i = arrivals[c].second;
-      std::vector<transport::Frame> frames = bus.take_pushes(ClientId(i));
-      APF_CHECK_MSG(frames.size() == 1,
-                    "async client " << i << " had " << frames.size()
-                                    << " pushes in flight (expected 1)");
-      transport::Frame& frame = frames[0];
-      buffer.fold(frame.client, frame.round, wire::decode_dense(frame.payload),
-                  pending[i]->weight);
-      record.staleness.emplace_back(
-          frame.client, RoundId(round).value() - frame.round.value());
-      pending[i].reset();
-    }
-    if (buffer.buffered() > 0) {
-      buffer.commit(global);
-    }
-    const transport::RoundStats net =
-        bus.finish_round(transport::FinishPolicy::kCarryOver);
-
-    const double total_bytes_all_clients = net.total_bytes.to_double();
-    const double mean_bytes =
-        total_bytes_all_clients / static_cast<double>(n);
-    // The window closes at the commit — goal-K arrival or timeout — never
-    // at the slowest straggler; the shared server link (which must carry
-    // every byte queued this window) still floors it. A commit_time in the
-    // past means the arrivals were already waiting: zero additional wait.
-    const double round_seconds =
-        std::max(std::max(0.0, commit_time - now),
-                 config_.network.server_seconds(total_bytes_all_clients));
-    now += round_seconds;
-
-    cum_bytes += mean_bytes;
-    cum_seconds += round_seconds;
-    record.train_loss =
-        loss_count ? loss_sum / static_cast<double>(loss_count) : 0.0;
-    record.bytes_per_client = mean_bytes;
-    record.cumulative_bytes_per_client = cum_bytes;
-    record.participants = fold_count;
-    record.bytes_per_participant =
-        fold_count ? total_bytes_all_clients /
-                         static_cast<double>(fold_count)
-                   : 0.0;
-    record.frozen_fraction = 0.0;
-    record.round_seconds = round_seconds;
-    record.cumulative_seconds = cum_seconds;
-    if (round % config_.eval_every == 0 || round == config_.rounds) {
-      std::vector<nn::Module*> replicas;
-      replicas.reserve(eval_models.size());
-      for (std::size_t r = 0; r < eval_models.size(); ++r) {
-        eval_views[r]->scatter(global);
-        replicas.push_back(eval_models[r].get());
-      }
-      const EvalSums eval =
-          evaluate_sums_parallel(replicas, test_, eval_batch_size, pool);
-      record.test_accuracy =
-          eval.total == 0 ? 0.0
-                          : static_cast<double>(eval.correct) /
-                                static_cast<double>(eval.total);
-      result.best_accuracy =
-          std::max(result.best_accuracy, record.test_accuracy);
-      result.final_accuracy = record.test_accuracy;
-      APF_INFO("async round " << round << " acc=" << record.test_accuracy
-                              << " folded=" << fold_count
-                              << " loss=" << record.train_loss);
-    }
-    result.rounds.push_back(record);
-    if (observer_) {
-      for (std::size_t i = 0; i < n; ++i) {
-        clients[i].view->gather(client_params[i]);
-      }
-      observer_(RoundId(round), global, client_params);
-    }
-  }
-
-  result.total_bytes_per_client = cum_bytes;
-  result.total_seconds = cum_seconds;
-  result.mean_frozen_fraction = 0.0;
-  result.final_global_params = global;
   APF_CHECK(result.final_global_params.size() == dim);
   return result;
 }

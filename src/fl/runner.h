@@ -16,11 +16,11 @@
 
 #include "data/dataset.h"
 #include "data/partition.h"
-#include "fl/network.h"
 #include "fl/sync_strategy.h"
 #include "nn/module.h"
 #include "optim/lr_schedule.h"
 #include "optim/optimizer.h"
+#include "transport/network.h"
 
 namespace apf::fl {
 
@@ -55,7 +55,7 @@ struct FlConfig {
   /// Simulated compute seconds per local iteration (per client).
   double compute_seconds_per_iter = 0.02;
 
-  NetworkModel network;
+  transport::NetworkModel network;
 
   /// Evaluate test accuracy every this many rounds.
   std::size_t eval_every = 1;
@@ -69,9 +69,10 @@ struct FlConfig {
   StragglerPolicy straggler_policy = StragglerPolicy::kInclude;
 
   /// Fraction of clients participating each round (FedAvg's C). Each round a
-  /// ceil(C*N)-subset is drawn; the rest neither train nor communicate and
-  /// pick the latest global state up at their next participation (paper
-  /// footnote 5: admission control keeps joiners consistent).
+  /// subset of round(C*N) clients (at least 1) is drawn; the rest neither
+  /// train nor communicate and pick the latest global state up at their next
+  /// participation (paper footnote 5: admission control keeps joiners
+  /// consistent).
   double participation_fraction = 1.0;
 
   /// Global L2 gradient-norm clip applied before each optimizer step;
@@ -120,10 +121,13 @@ struct RoundRecord {
   double bytes_per_client = 0.0;
   double cumulative_bytes_per_client = 0.0;
 
-  /// Number of clients that trained and communicated this round.
+  /// Synchronous rounds: number of clients that trained and communicated
+  /// this round. kAsyncBuffered: number of contributions folded into this
+  /// round's commit (0 when the timeout fired before any push arrived).
   std::size_t participants = 0;
-  /// Traffic this round (up + down) averaged over participants only. Equal
-  /// to bytes_per_client when participation_fraction == 1.
+  /// Traffic this round (up + down) divided by `participants` (0 when it is
+  /// 0). Equal to bytes_per_client in synchronous rounds with
+  /// participation_fraction == 1.
   double bytes_per_participant = 0.0;
 
   double frozen_fraction = 0.0;
@@ -192,11 +196,6 @@ class FederatedRunner {
   SimulationResult run();
 
  private:
-  /// The kAsyncBuffered round loop (docs/TRANSPORT.md, "Asynchronous
-  /// rounds"); run() dispatches here so the synchronous path stays
-  /// bit-identical, untouched by async bookkeeping.
-  SimulationResult run_async();
-
   FlConfig config_;
   const data::Dataset& train_;
   data::Partition partition_;

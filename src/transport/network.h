@@ -8,8 +8,7 @@
 // and the barrier takes whichever side is slower.
 //
 // The model lives in `transport` so the message bus can price the frames it
-// carries; `fl/network.h` re-exports it for existing users of
-// `apf::fl::NetworkModel`.
+// carries.
 #pragma once
 
 #include <cstddef>

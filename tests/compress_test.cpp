@@ -5,19 +5,19 @@
 
 #include "compress/cmfl.h"
 #include "compress/gaia.h"
-#include "compress/quantize.h"
 #include "compress/quantized_sync.h"
 #include "compress/topk.h"
 #include "fl/sync_strategy.h"
 #include "util/rng.h"
+#include "wire/quantize.h"
 
 namespace apf {
 namespace {
 
-using compress::decode_fp16;
-using compress::encode_fp16;
-using compress::float_to_half;
-using compress::half_to_float;
+using wire::decode_fp16;
+using wire::encode_fp16;
+using wire::float_to_half;
+using wire::half_to_float;
 
 TEST(Fp16, ExactlyRepresentableValuesRoundTrip) {
   for (float v : {0.f, 1.f, -1.f, 0.5f, 2.f, -0.25f, 1024.f, 0.125f}) {
@@ -71,9 +71,9 @@ TEST(Fp16, QuantizeInplaceIdempotent) {
   Rng rng(3);
   std::vector<float> values(100);
   for (auto& v : values) v = rng.uniform_float(-1.f, 1.f);
-  compress::quantize_fp16_inplace(values);
+  wire::quantize_fp16_inplace(values);
   auto once = values;
-  compress::quantize_fp16_inplace(values);
+  wire::quantize_fp16_inplace(values);
   EXPECT_EQ(values, once);
 }
 

@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "core/apf_manager.h"
-#include "core/masked_pack.h"
 #include "util/bitmap.h"
 #include "util/debug.h"
 #include "util/error.h"
+#include "wire/masked.h"
 
 namespace apf {
 namespace {
@@ -197,13 +197,13 @@ TEST(CheckFiniteTest, CatchesNanThroughMaskedWirePath) {
   frozen.set(5, true);
   std::vector<float> client(dim, 1.f);
   client[3] = kNan;  // unfrozen scalar: travels in the payload
-  const std::vector<float> payload = core::pack_unfrozen(client, frozen);
+  const std::vector<float> payload = wire::pack_unfrozen(client, frozen);
   EXPECT_THROW(debug::check_finite(payload, "packed client payload"), Error);
 
   // A NaN hiding behind the frozen mask never reaches the wire.
   client[3] = 1.f;
   client[5] = kNan;  // frozen scalar: masked out of the payload
-  const std::vector<float> masked = core::pack_unfrozen(client, frozen);
+  const std::vector<float> masked = wire::pack_unfrozen(client, frozen);
   EXPECT_NO_THROW(debug::check_finite(masked, "packed client payload"));
 }
 

@@ -4,19 +4,22 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/apf_manager.h"
 #include "data/loader.h"
 #include "data/partition.h"
 #include "data/synthetic_images.h"
 #include "fl/evaluate.h"
-#include "nn/layers.h"
 #include "fl/flat_view.h"
-#include "fl/network.h"
 #include "fl/runner.h"
 #include "fl/sync_strategy.h"
+#include "nn/batchnorm.h"
+#include "nn/conv_layers.h"
+#include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "nn/param_vector.h"
 #include "optim/optimizer.h"
+#include "transport/network.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -27,7 +30,7 @@ using data::SyntheticImageDataset;
 using data::SyntheticImageSpec;
 
 TEST(NetworkModel, TransferSeconds) {
-  fl::NetworkModel net;  // 9 down / 3 up Mbps
+  transport::NetworkModel net;  // 9 down / 3 up Mbps
   // 1 MB down at 9 Mbps = 8e6 bits / 9e6 bps.
   EXPECT_NEAR(net.client_download_seconds(1e6), 8.0 / 9.0, 1e-9);
   EXPECT_NEAR(net.client_upload_seconds(1e6), 8.0 / 3.0, 1e-9);
@@ -378,13 +381,13 @@ TEST(Runner, RejectsNonPositiveBandwidthAtConstruction) {
                                      tiny_mlp_factory(64, 4), opt_factory,
                                      strategy),
                  Error);
-    config.network = fl::NetworkModel{};
+    config.network = transport::NetworkModel{};
     config.network.client_download_mbps = bad;
     EXPECT_THROW(fl::FederatedRunner(config, train, partition, test,
                                      tiny_mlp_factory(64, 4), opt_factory,
                                      strategy),
                  Error);
-    config.network = fl::NetworkModel{};
+    config.network = transport::NetworkModel{};
     config.network.server_bandwidth_mbps = bad;
     EXPECT_THROW(fl::FederatedRunner(config, train, partition, test,
                                      tiny_mlp_factory(64, 4), opt_factory,
@@ -625,9 +628,40 @@ TEST(Runner, AsyncRequiresStreamCapableStrategyAndValidConfig) {
                              batch_only);
   EXPECT_THROW(runner.run(), Error);
 
-  // Config validation stays at construction: a mis-sized straggler
-  // distribution or broken async knobs never reach the round loop.
+  // Async aggregates dense full-model pushes: a freezing strategy (its
+  // frozen_mask() is non-null after init) and a model with BatchNorm
+  // buffers are rejected by run() before round 1 is observed.
+  auto run_rejects_before_round_one = [&](fl::FederatedRunner& r) {
+    bool observed = false;
+    r.set_observer([&](fl::RoundId, std::span<const float>,
+                       const std::vector<std::vector<float>>&) {
+      observed = true;
+    });
+    EXPECT_THROW(r.run(), Error);
+    EXPECT_FALSE(observed);
+  };
+  core::ApfManager freezing;
+  fl::FederatedRunner freezing_runner(config, train, partition, test,
+                                      tiny_mlp_factory(64, 4), opt_factory,
+                                      freezing);
+  run_rejects_before_round_one(freezing_runner);
   fl::FullSync strategy;
+  auto bn_factory = [] {
+    Rng rng(4243);
+    auto net = std::make_unique<nn::Sequential>();
+    net->add(std::make_unique<nn::Conv2d>(1, 2, 3, rng, 1, 1), "conv");
+    net->add(std::make_unique<nn::BatchNorm2d>(2), "bn");
+    net->add(std::make_unique<nn::Flatten>(), "flatten");
+    net->add(std::make_unique<nn::Linear>(128, 4, rng), "fc");
+    return net;
+  };
+  fl::FederatedRunner bn_runner(config, train, partition, test, bn_factory,
+                                opt_factory, strategy);
+  run_rejects_before_round_one(bn_runner);
+
+  // Config validation stays at construction: a mis-sized straggler
+  // distribution, broken async knobs, an out-of-range workload fraction or
+  // a zero evaluation period never reach the round loop.
   fl::FlConfig bad = config;
   bad.compute_multiplier = {1.0, 2.0, 3.0};  // 3 entries for 2 clients
   EXPECT_THROW(fl::FederatedRunner(bad, train, partition, test,
@@ -648,6 +682,20 @@ TEST(Runner, AsyncRequiresStreamCapableStrategyAndValidConfig) {
                Error);
   bad = config;
   bad.async_timeout_seconds = -1.0;
+  EXPECT_THROW(fl::FederatedRunner(bad, train, partition, test,
+                                   tiny_mlp_factory(64, 4), opt_factory,
+                                   strategy),
+               Error);
+  for (const double frac : {0.0, -0.5, 1.5}) {
+    bad = config;
+    bad.workload_fraction = {1.0, frac};
+    EXPECT_THROW(fl::FederatedRunner(bad, train, partition, test,
+                                     tiny_mlp_factory(64, 4), opt_factory,
+                                     strategy),
+                 Error);
+  }
+  bad = config;
+  bad.eval_every = 0;  // round % eval_every would divide by zero
   EXPECT_THROW(fl::FederatedRunner(bad, train, partition, test,
                                    tiny_mlp_factory(64, 4), opt_factory,
                                    strategy),

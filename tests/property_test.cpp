@@ -5,7 +5,6 @@
 #include <cmath>
 #include <set>
 
-#include "compress/quantize.h"
 #include "core/apf_manager.h"
 #include "core/freeze_controller.h"
 #include "core/perturbation.h"
@@ -13,6 +12,7 @@
 #include "fl/sync_strategy.h"
 #include "util/bitmap.h"
 #include "util/rng.h"
+#include "wire/quantize.h"
 
 namespace apf {
 namespace {
@@ -167,7 +167,7 @@ TEST_P(Fp16MagnitudeSweep, RelativeErrorWithinHalfUlp) {
   for (int i = 0; i < 2000; ++i) {
     const float v = rng.uniform_float(-magnitude, magnitude);
     const float r =
-        compress::half_to_float(compress::float_to_half(v));
+        wire::half_to_float(wire::float_to_half(v));
     ASSERT_NEAR(r, v, std::fabs(v) * (1.0f / 2048.f) + 6.2e-5f) << v;
   }
 }

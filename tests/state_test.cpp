@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "core/apf_manager.h"
-#include "core/masked_pack.h"
 #include "data/partition.h"
 #include "data/synthetic_images.h"
 #include "fl/runner.h"
@@ -16,6 +15,7 @@
 #include "util/bitmap.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "wire/masked.h"
 
 namespace apf {
 namespace {
@@ -49,7 +49,7 @@ TEST(MaskedPack, PacksOnlyUnfrozenInOrder) {
   mask.set(1, true);
   mask.set(3, true);
   const std::vector<float> full = {10, 11, 12, 13, 14};
-  const auto payload = core::pack_unfrozen(full, mask);
+  const auto payload = wire::pack_unfrozen(full, mask);
   EXPECT_EQ(payload, (std::vector<float>{10, 12, 14}));
 }
 
@@ -58,7 +58,7 @@ TEST(MaskedPack, UnpackLeavesFrozenUntouched) {
   mask.set(0, true);
   std::vector<float> full = {99, 0, 0, 0};
   const std::vector<float> payload = {1, 2, 3};
-  core::unpack_unfrozen(payload, mask, full);
+  wire::unpack_unfrozen(payload, mask, full);
   EXPECT_EQ(full, (std::vector<float>{99, 1, 2, 3}));
 }
 
@@ -72,13 +72,13 @@ TEST(MaskedPack, RoundTripRandomMasks) {
       full[j] = rng.uniform_float(-1.f, 1.f);
       mask.set(j, rng.bernoulli(0.5));
     }
-    const auto payload = core::pack_unfrozen(full, mask);
+    const auto payload = wire::pack_unfrozen(full, mask);
     EXPECT_EQ(payload.size(), dim - mask.count());
     std::vector<float> rebuilt = full;
     for (std::size_t j = 0; j < dim; ++j) {
       if (!mask.get(j)) rebuilt[j] = -7.f;  // clobber unfrozen slots
     }
-    core::unpack_unfrozen(payload, mask, rebuilt);
+    wire::unpack_unfrozen(payload, mask, rebuilt);
     EXPECT_EQ(rebuilt, full);
   }
 }
@@ -87,7 +87,7 @@ TEST(MaskedPack, SizeMismatchThrows) {
   Bitmap mask(4, false);
   std::vector<float> full(4, 0.f);
   const std::vector<float> wrong(2, 0.f);
-  EXPECT_THROW(core::unpack_unfrozen(wrong, mask, full), Error);
+  EXPECT_THROW(wire::unpack_unfrozen(wrong, mask, full), Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@
 #include <string>
 #include <vector>
 
-#include "compress/wire.h"
 #include "fuzz/mutator.h"
 #include "fuzz/targets.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "wire/wire.h"
 
 namespace fs = std::filesystem;
 using apf::Error;
@@ -131,23 +131,23 @@ TEST(WireFuzzDeterminism, SameSeedSameDigest) {
 // -- pinned rejections for the decode bugs fixed by this harness ------------
 
 TEST(WireFuzzRegression, SparseRejectsNonAscendingIndices) {
-  apf::compress::SparsePayload p;
+  apf::wire::SparsePayload p;
   p.dim = 8;
   p.indices = {3, 3};
   p.values = {1.f, 2.f};
   // Encoding validates too — the encoder refuses to emit a non-canonical
   // buffer, and the decoder refuses to accept one.
-  EXPECT_THROW(apf::compress::encode_sparse(p), Error);
+  EXPECT_THROW(apf::wire::encode_sparse(p), Error);
 }
 
 TEST(WireFuzzRegression, RandkRejectsCountAboveDim) {
-  apf::compress::RandkPayload p;
+  apf::wire::RandkPayload p;
   p.dim = 2;
   p.count = 3;
   p.seed = 7;
   p.scale = 1.f;
   p.values = {1.f, 2.f, 3.f};
-  EXPECT_THROW(apf::compress::encode_randk(p), Error);
+  EXPECT_THROW(apf::wire::encode_randk(p), Error);
 }
 
 TEST(WireFuzzRegression, QsgdRejectsNonzeroPadBits) {
@@ -158,7 +158,7 @@ TEST(WireFuzzRegression, QsgdRejectsNonzeroPadBits) {
     bytes.push_back(static_cast<std::uint8_t>((norm_bits >> (8 * i)) & 0xFF));
   }
   bytes.push_back(0x04);
-  EXPECT_THROW(apf::compress::decode_qsgd(bytes), Error);
+  EXPECT_THROW(apf::wire::decode_qsgd(bytes), Error);
 }
 
 TEST(WireFuzzRegression, TerngradRejectsCodeThree) {
@@ -168,13 +168,13 @@ TEST(WireFuzzRegression, TerngradRejectsCodeThree) {
     bytes.push_back(static_cast<std::uint8_t>((scale_bits >> (8 * i)) & 0xFF));
   }
   bytes.push_back(0x03);
-  EXPECT_THROW(apf::compress::decode_terngrad(bytes), Error);
+  EXPECT_THROW(apf::wire::decode_terngrad(bytes), Error);
 }
 
 TEST(WireFuzzRegression, DenseRejectsCountPayloadMismatch) {
   std::vector<std::uint8_t> bytes = {'A', 'P', 'D', '1', 4, 0, 0, 0};
   bytes.resize(bytes.size() + 8, 0);  // only 2 of the 4 promised floats
-  EXPECT_THROW(apf::compress::decode_dense(bytes), Error);
+  EXPECT_THROW(apf::wire::decode_dense(bytes), Error);
 }
 
 }  // namespace
