@@ -7,6 +7,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "compress/cmfl.h"
 #include "compress/codecs.h"
@@ -47,6 +48,11 @@ struct StrategyCase {
   /// excluded scalars diverge).
   bool consistent_clients = true;
 };
+
+// Without this, gtest prints the parameter as its raw bytes, which include
+// heap pointers, so the ctest names gtest_discover_tests derives from
+// --gtest_list_tests would change on every build.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<StrategyCase> all_strategies() {
   std::vector<StrategyCase> cases;
