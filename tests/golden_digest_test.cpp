@@ -31,6 +31,7 @@
 #include "core/strawmen.h"
 #include "data/partition.h"
 #include "data/synthetic_images.h"
+#include "data/synthetic_sequences.h"
 #include "fl/runner.h"
 #include "fl/sync_strategy.h"
 #include "nn/batchnorm.h"
@@ -252,6 +253,38 @@ fl::SimulationResult run_mlp_async(std::size_t worker_threads) {
   return runner.run();
 }
 
+/// Two stacked LSTMs plus a linear head on synthetic sequences, synchronous
+/// FullSync, evaluated every round: the recurrent forward, BPTT backward and
+/// eval-mode forward paths. Hidden size 5 makes the 4H = 20 gate rows and
+/// the 4-class head end in partial 8-row panels of matmul_nt.
+fl::SimulationResult run_lstm_sync(std::size_t worker_threads) {
+  data::SyntheticSequenceSpec spec;
+  spec.num_classes = 4;
+  spec.time_steps = 5;
+  spec.features = 6;
+  data::SyntheticSequenceDataset train(spec, 64, 7);
+  data::SyntheticSequenceDataset test(spec, 24, 8);
+  Rng prng(34);
+  auto partition = data::iid_partition(train.size(), 4, prng);
+  fl::FlConfig config;
+  config.num_clients = 4;
+  config.rounds = 6;
+  config.local_iters = 2;
+  config.batch_size = 8;
+  config.eval_every = 1;
+  config.seed = 8;
+  config.worker_threads = worker_threads;
+  fl::FullSync strategy;
+  fl::FederatedRunner runner(
+      config, train, partition, test,
+      [] {
+        Rng rng(909);
+        return nn::make_kws_lstm(rng, 6, 5, 4);
+      },
+      sgd(0.1), strategy);
+  return runner.run();
+}
+
 /// Wraps a strategy maker into a sync-MLP case runner.
 template <typename Make>
 std::function<fl::SimulationResult(std::size_t)> mlp_sync(Make make) {
@@ -357,6 +390,8 @@ std::vector<GoldenCase> golden_cases() {
                    0x2c2f6b5c5a847915ULL});
   cases.push_back(
       {"AsyncFullSyncCarryOver", run_mlp_async, 0x7770f97c8b8a117cULL});
+  cases.push_back({"LstmFullSyncEvalEveryRound", run_lstm_sync,
+                   0xd9dba394f823481fULL});
   return cases;
 }
 
@@ -403,6 +438,10 @@ TEST(GoldenDigestPremise, CasesExerciseTheirFeatures) {
   }
   EXPECT_TRUE(carried_over);
   EXPECT_TRUE(short_commit);
+
+  // Every LSTM round runs the eval-mode forward.
+  const fl::SimulationResult lstm = run_lstm_sync(1);
+  for (const auto& r : lstm.rounds) EXPECT_GE(r.test_accuracy, 0.0);
 }
 
 }  // namespace
