@@ -37,6 +37,21 @@ void BM_MatmulTn(benchmark::State& state) {
   }
 }
 
+void BM_MatmulNt(benchmark::State& state) {
+  // C(m x r) = A(m x k) * B(r x k)^T: the Linear/LSTM/GRU forward and conv dW.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto r = static_cast<std::size_t>(state.range(2));
+  Rng rng(9);
+  Tensor a = Tensor::uniform({m, k}, rng);
+  Tensor b = Tensor::uniform({r, k}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matmul_nt(a, b));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m * k * r));
+}
+
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(3);
   nn::Conv2d conv(3, 16, 3, rng, 1, 1);
@@ -109,6 +124,11 @@ void BM_BitmapCount(benchmark::State& state) {
 
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_MatmulTn)->Arg(128);
+// 128^3, a KWS-sized recurrent step and the ResNet stem's dW.
+BENCHMARK(BM_MatmulNt)
+    ->Args({128, 128, 128})
+    ->Args({16, 32, 128})
+    ->Args({6, 256, 27});
 BENCHMARK(BM_Conv2dForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LstmForward)->Unit(benchmark::kMillisecond);

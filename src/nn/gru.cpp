@@ -46,24 +46,23 @@ Tensor GRU::forward(const Tensor& input) {
                                     << shape_str(input.shape()));
   batch_ = input.dim(0);
   time_ = input.dim(1);
+  // Evaluation keeps no BPTT caches; backward then refuses to run.
+  const bool keep_caches = training();
   steps_.clear();
-  steps_.reserve(time_);
+  if (keep_caches) steps_.reserve(time_);
   Tensor h({batch_, hidden_});
   Tensor out({batch_, time_, hidden_});
   for (std::size_t t = 0; t < time_; ++t) {
-    StepCache cache;
-    cache.x = time_slice(input, t);
-    cache.h_prev = h;
-    Tensor gi = matmul_nt(cache.x, w_ih_.value);  // (N, 3H)
+    Tensor x = time_slice(input, t);
+    // gi (N, 3H) = x W_ih^T + b_ih, activated in place to [r, z, n] below.
+    Tensor gi = matmul_nt(x, w_ih_.value);
     add_bias_rows(gi, bias_ih_.value);
     Tensor gh = matmul_nt(h, w_hh_.value);        // (N, 3H)
     add_bias_rows(gh, bias_hh_.value);
-    cache.r = Tensor({batch_, hidden_});
-    cache.z = Tensor({batch_, hidden_});
-    cache.n = Tensor({batch_, hidden_});
-    cache.hn_lin = Tensor({batch_, hidden_});
+    StepCache cache;
+    if (keep_caches) cache.h_prev = h;
     for (std::size_t s = 0; s < batch_; ++s) {
-      const float* girow = gi.raw() + s * 3 * hidden_;
+      float* girow = gi.raw() + s * 3 * hidden_;
       const float* ghrow = gh.raw() + s * 3 * hidden_;
       for (std::size_t j = 0; j < hidden_; ++j) {
         const std::size_t idx = s * hidden_ + j;
@@ -71,21 +70,27 @@ Tensor GRU::forward(const Tensor& input) {
         const float z = sigmoidf(girow[hidden_ + j] + ghrow[hidden_ + j]);
         const float hn_lin = ghrow[2 * hidden_ + j];
         const float n = std::tanh(girow[2 * hidden_ + j] + r * hn_lin);
-        cache.r[idx] = r;
-        cache.z[idx] = z;
-        cache.n[idx] = n;
-        cache.hn_lin[idx] = hn_lin;
+        girow[j] = r;
+        girow[hidden_ + j] = z;
+        girow[2 * hidden_ + j] = n;
         const float hv = (1.f - z) * n + z * h[idx];
         h[idx] = hv;
         out[(s * time_ + t) * hidden_ + j] = hv;
       }
     }
-    steps_.push_back(std::move(cache));
+    if (keep_caches) {
+      cache.x = std::move(x);
+      cache.gates = std::move(gi);
+      cache.gh = std::move(gh);
+      steps_.push_back(std::move(cache));
+    }
   }
   return out;
 }
 
 Tensor GRU::backward(const Tensor& grad_output) {
+  APF_CHECK_MSG(steps_.size() == time_,
+                "GRU::backward needs a training-mode forward first");
   APF_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch_ &&
             grad_output.dim(1) == time_ && grad_output.dim(2) == hidden_);
   Tensor grad_input({batch_, time_, input_size_});
@@ -96,14 +101,16 @@ Tensor GRU::backward(const Tensor& grad_output) {
     Tensor dgates_hh({batch_, 3 * hidden_});
     Tensor dh_prev_direct({batch_, hidden_});
     for (std::size_t s = 0; s < batch_; ++s) {
+      const float* act = cache.gates.raw() + s * 3 * hidden_;
+      const float* ghrow = cache.gh.raw() + s * 3 * hidden_;
       for (std::size_t j = 0; j < hidden_; ++j) {
         const std::size_t idx = s * hidden_ + j;
         const float dh_total =
             grad_output[(s * time_ + t) * hidden_ + j] + dh[idx];
-        const float r = cache.r[idx];
-        const float z = cache.z[idx];
-        const float n = cache.n[idx];
-        const float hn_lin = cache.hn_lin[idx];
+        const float r = act[j];
+        const float z = act[hidden_ + j];
+        const float n = act[2 * hidden_ + j];
+        const float hn_lin = ghrow[2 * hidden_ + j];
         const float h_prev = cache.h_prev[idx];
         const float dz = dh_total * (h_prev - n);
         const float dn = dh_total * (1.f - z);

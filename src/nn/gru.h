@@ -36,11 +36,12 @@ class GRU : public Module {
   Parameter bias_ih_;  // (3H)
   Parameter bias_hh_;  // (3H)
 
+  // Per-timestep caches for BPTT, filled only by a training-mode forward.
   struct StepCache {
-    Tensor x;        // (N, in)
-    Tensor h_prev;   // (N, H)
-    Tensor r, z, n;  // activated gates (N, H)
-    Tensor hn_lin;   // W_hn h + b_hn (N, H)
+    Tensor x;       // (N, in)
+    Tensor h_prev;  // (N, H)
+    Tensor gates;   // activated [r, z, n] (N, 3H)
+    Tensor gh;      // W_hh h + b_hh (N, 3H); its n block is hn_lin
   };
   std::vector<StepCache> steps_;
   std::size_t batch_ = 0;

@@ -44,51 +44,57 @@ Tensor LSTM::forward(const Tensor& input) {
                                      << shape_str(input.shape()));
   batch_ = input.dim(0);
   time_ = input.dim(1);
+  // Evaluation keeps no BPTT caches; backward then refuses to run.
+  const bool keep_caches = training();
   steps_.clear();
-  steps_.reserve(time_);
+  if (keep_caches) steps_.reserve(time_);
   Tensor h({batch_, hidden_});
   Tensor c({batch_, hidden_});
   Tensor out({batch_, time_, hidden_});
   for (std::size_t t = 0; t < time_; ++t) {
-    StepCache cache;
-    cache.x = time_slice(input, t);
-    cache.h_prev = h;
-    cache.c_prev = c;
-    // gates_pre (N, 4H) = x W_ih^T + h W_hh^T + b
-    Tensor gates = matmul_nt(cache.x, w_ih_.value);
+    Tensor x = time_slice(input, t);
+    // gates (N, 4H) = x W_ih^T + h W_hh^T + b, activated in place below.
+    Tensor gates = matmul_nt(x, w_ih_.value);
     gates += matmul_nt(h, w_hh_.value);
     add_bias_rows(gates, bias_.value);
-    cache.i = Tensor({batch_, hidden_});
-    cache.f = Tensor({batch_, hidden_});
-    cache.g = Tensor({batch_, hidden_});
-    cache.o = Tensor({batch_, hidden_});
-    cache.tanh_c = Tensor({batch_, hidden_});
+    StepCache cache;
+    if (keep_caches) {
+      cache.h_prev = h;
+      cache.c_prev = c;
+      cache.tanh_c = Tensor({batch_, hidden_});
+    }
     for (std::size_t s = 0; s < batch_; ++s) {
-      const float* grow = gates.raw() + s * 4 * hidden_;
+      float* grow = gates.raw() + s * 4 * hidden_;
       for (std::size_t j = 0; j < hidden_; ++j) {
         const float iv = sigmoidf(grow[j]);
         const float fv = sigmoidf(grow[hidden_ + j]);
         const float gv = std::tanh(grow[2 * hidden_ + j]);
         const float ov = sigmoidf(grow[3 * hidden_ + j]);
-        cache.i[s * hidden_ + j] = iv;
-        cache.f[s * hidden_ + j] = fv;
-        cache.g[s * hidden_ + j] = gv;
-        cache.o[s * hidden_ + j] = ov;
+        grow[j] = iv;
+        grow[hidden_ + j] = fv;
+        grow[2 * hidden_ + j] = gv;
+        grow[3 * hidden_ + j] = ov;
         const float cv = fv * c[s * hidden_ + j] + iv * gv;
         c[s * hidden_ + j] = cv;
         const float tc = std::tanh(cv);
-        cache.tanh_c[s * hidden_ + j] = tc;
+        if (keep_caches) cache.tanh_c[s * hidden_ + j] = tc;
         const float hv = ov * tc;
         h[s * hidden_ + j] = hv;
         out[(s * time_ + t) * hidden_ + j] = hv;
       }
     }
-    steps_.push_back(std::move(cache));
+    if (keep_caches) {
+      cache.x = std::move(x);
+      cache.gates = std::move(gates);
+      steps_.push_back(std::move(cache));
+    }
   }
   return out;
 }
 
 Tensor LSTM::backward(const Tensor& grad_output) {
+  APF_CHECK_MSG(steps_.size() == time_,
+                "LSTM::backward needs a training-mode forward first");
   APF_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch_ &&
             grad_output.dim(1) == time_ && grad_output.dim(2) == hidden_);
   Tensor grad_input({batch_, time_, input_size_});
@@ -99,16 +105,17 @@ Tensor LSTM::backward(const Tensor& grad_output) {
     // Pre-activation gate gradients, packed as (N, 4H).
     Tensor dgates({batch_, 4 * hidden_});
     for (std::size_t s = 0; s < batch_; ++s) {
+      const float* act = cache.gates.raw() + s * 4 * hidden_;
       for (std::size_t j = 0; j < hidden_; ++j) {
         const std::size_t idx = s * hidden_ + j;
         const float dh_total =
             grad_output[(s * time_ + t) * hidden_ + j] + dh[idx];
-        const float o = cache.o[idx];
+        const float o = act[3 * hidden_ + j];
         const float tc = cache.tanh_c[idx];
         const float dct = dh_total * o * (1.f - tc * tc) + dc[idx];
-        const float i = cache.i[idx];
-        const float f = cache.f[idx];
-        const float g = cache.g[idx];
+        const float i = act[j];
+        const float f = act[hidden_ + j];
+        const float g = act[2 * hidden_ + j];
         const float di = dct * g;
         const float df = dct * cache.c_prev[idx];
         const float dg = dct * i;

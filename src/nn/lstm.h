@@ -30,12 +30,12 @@ class LSTM : public Module {
   Parameter w_hh_;  // (4H, H)
   Parameter bias_;  // (4H)
 
-  // Per-timestep caches for BPTT.
+  // Per-timestep caches for BPTT, filled only by a training-mode forward.
   struct StepCache {
     Tensor x;       // (N, in)
     Tensor h_prev;  // (N, H)
     Tensor c_prev;  // (N, H)
-    Tensor i, f, g, o;  // activated gates (N, H)
+    Tensor gates;   // activated [i, f, g, o] (N, 4H)
     Tensor tanh_c;  // tanh(c_t) (N, H)
   };
   std::vector<StepCache> steps_;

@@ -53,7 +53,8 @@ class Module {
   virtual Tensor forward(const Tensor& input) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
-  /// dLoss/dInput. Must be called after a forward() with matching shapes.
+  /// dLoss/dInput. Must be called after a forward() with matching shapes;
+  /// LSTM and GRU keep no caches in eval mode and throw after an eval forward.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// Appends this module's parameters (prefixed names) to `out`.

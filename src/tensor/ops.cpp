@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -15,6 +16,9 @@ namespace {
 // Parallel and serial paths perform bit-identical arithmetic per output
 // element, so this decision never changes results.
 constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
+
+// Output columns matmul_nt computes together: one panel of packed B rows.
+constexpr std::size_t kNtPanel = 8;
 
 bool use_pool(std::size_t flops) {
   if (flops < kParallelFlopThreshold) return false;
@@ -97,14 +101,33 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const float* pa = a.raw();
   const float* pb = b.raw();
   float* pc = c.raw();
+  // Pack B into zero-padded, k-major panels of kNtPanel rows (see ops.h).
+  const std::size_t panels = (r + kNtPanel - 1) / kNtPanel;
+  std::vector<float> packed(panels * k * kNtPanel, 0.f);
+  for (std::size_t j = 0; j < r; ++j) {
+    float* dst = packed.data() + (j / kNtPanel) * k * kNtPanel + j % kNtPanel;
+    const float* brow = pb + j * k;
+    for (std::size_t kk = 0; kk < k; ++kk) dst[kk * kNtPanel] = brow[kk];
+  }
+  // The inner loop vectorizes across a panel's independent columns; each
+  // C[i][j] still sums its k products in ascending kk, as the scalar dot
+  // product does. float*float is exact in double, so FMA contraction cannot
+  // change a result either. Padded lanes are computed and dropped.
   auto compute_row = [&](std::size_t i) {
     const float* arow = pa + i * k;
-    for (std::size_t j = 0; j < r; ++j) {
-      const float* brow = pb + j * k;
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk)
-        acc += static_cast<double>(arow[kk]) * brow[kk];
-      pc[i * r + j] = static_cast<float>(acc);
+    float* crow = pc + i * r;
+    for (std::size_t p = 0; p < panels; ++p) {
+      const float* panel = packed.data() + p * k * kNtPanel;
+      double acc[kNtPanel] = {};
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const double av = arow[kk];
+        const float* bcol = panel + kk * kNtPanel;
+        for (std::size_t jj = 0; jj < kNtPanel; ++jj) acc[jj] += av * bcol[jj];
+      }
+      const std::size_t j0 = p * kNtPanel;
+      const std::size_t width = std::min(kNtPanel, r - j0);
+      for (std::size_t jj = 0; jj < width; ++jj)
+        crow[j0 + jj] = static_cast<float>(acc[jj]);
     }
   };
   if (use_pool(2 * m * k * r)) {

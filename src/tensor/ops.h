@@ -1,7 +1,14 @@
 // Linear-algebra kernels over Tensor: matmul family, transpose, row softmax.
 //
-// These are the hot loops of the NN substrate. matmul uses a cache-friendly
-// ikj ordering; nothing here allocates beyond its output.
+// These are the hot loops of the NN substrate. Determinism rule: a kernel
+// may vectorize across output elements but never reassociates a reduction,
+// so every output gets the additions of the plain scalar loop, in the same
+// order, on any lane count. matmul and matmul_tn sweep contiguous output
+// rows (ikj order, float accumulation in place). matmul_nt packs B into
+// zero-padded panels of 8 rows stored k-major (panel[kk*8 + jj] =
+// B[j0 + jj][kk]) and runs 8 independent double accumulators per row of A
+// with kk ascending, so it matches the scalar double dot product bit for
+// bit. Only matmul_nt allocates beyond its output (the packed panels).
 #pragma once
 
 #include "tensor/tensor.h"

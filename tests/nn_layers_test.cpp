@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "grad_check.h"
 #include "nn/batchnorm.h"
 #include "nn/conv_layers.h"
+#include "nn/gru.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
@@ -21,6 +23,7 @@ using nn::BasicBlock;
 using nn::Conv2d;
 using nn::Flatten;
 using nn::GlobalAvgPool;
+using nn::GRU;
 using nn::AvgPool2d;
 using nn::LastTimeStep;
 using nn::Linear;
@@ -264,6 +267,57 @@ TEST(LSTM, GradCheck) {
   LSTM lstm(3, 4, rng);
   test::check_gradients(lstm, Tensor::uniform({2, 3, 3}, rng), rng,
                         {.eps = 1e-2, .rel_tol = 5e-2, .abs_tol = 5e-3});
+}
+
+// Eval mode skips the BPTT caches; the gate arithmetic must not change.
+template <typename Recurrent>
+void expect_eval_forward_matches_training() {
+  Rng rng(22);
+  Recurrent layer(4, 6, rng);
+  const Tensor x = Tensor::uniform({3, 5, 4}, rng, -2.f, 2.f);
+  const Tensor trained = layer.forward(x);
+  layer.set_training(false);
+  const Tensor evaluated = layer.forward(x);
+  ASSERT_EQ(trained.shape(), evaluated.shape());
+  EXPECT_EQ(std::memcmp(trained.raw(), evaluated.raw(),
+                        trained.numel() * sizeof(float)),
+            0);
+}
+
+// A backward after an eval-mode forward must refuse rather than run BPTT
+// over the caches of the earlier training-mode forward.
+template <typename Recurrent>
+void expect_backward_after_eval_forward_throws() {
+  Rng rng(23);
+  Recurrent layer(4, 6, rng);
+  const Tensor x = Tensor::uniform({3, 5, 4}, rng);
+  const Tensor g = Tensor::uniform({3, 5, 6}, rng);
+  layer.forward(x);
+  layer.set_training(false);
+  layer.forward(Tensor::uniform({3, 5, 4}, rng));
+  EXPECT_THROW(layer.backward(g), Error);
+  for (const auto& ref : layer.parameters()) {
+    EXPECT_EQ(ref.param->grad.norm(), 0.f) << ref.name;
+  }
+  layer.set_training(true);
+  layer.forward(x);
+  EXPECT_EQ(layer.backward(g).shape(), x.shape());
+}
+
+TEST(LSTM, EvalForwardMatchesTrainingForwardBitwise) {
+  expect_eval_forward_matches_training<LSTM>();
+}
+
+TEST(LSTM, BackwardAfterEvalForwardThrows) {
+  expect_backward_after_eval_forward_throws<LSTM>();
+}
+
+TEST(GRU, EvalForwardMatchesTrainingForwardBitwise) {
+  expect_eval_forward_matches_training<GRU>();
+}
+
+TEST(GRU, BackwardAfterEvalForwardThrows) {
+  expect_backward_after_eval_forward_throws<GRU>();
 }
 
 TEST(LastTimeStep, SlicesAndPads) {

@@ -168,21 +168,25 @@ TEST(ParallelKernels, MatmulFamilyMatchesSerialBitwise) {
   Tensor a = Tensor::uniform({96, 80}, rng);
   Tensor b = Tensor::uniform({80, 112}, rng);
   Tensor bt = Tensor::uniform({112, 80}, rng);
+  // 113 rows end matmul_nt's packed B in a partial 8-row panel.
+  Tensor bt_ragged = Tensor::uniform({113, 80}, rng);
   Tensor tall = Tensor::uniform({96, 112}, rng);
   for (std::size_t i = 0; i < a.numel(); i += 17) a[i] = 0.f;
 
-  Tensor serial_mm, serial_tn, serial_nt;
+  Tensor serial_mm, serial_tn, serial_nt, serial_nt_ragged;
   {
     ComputePoolOverride one(1);
     serial_mm = matmul(a, b);
     serial_tn = matmul_tn(a, tall);
     serial_nt = matmul_nt(a, bt);
+    serial_nt_ragged = matmul_nt(a, bt_ragged);
   }
   for (std::size_t lanes : {2u, 8u}) {
     ComputePoolOverride many(lanes);
     const Tensor par_mm = matmul(a, b);
     const Tensor par_tn = matmul_tn(a, tall);
     const Tensor par_nt = matmul_nt(a, bt);
+    const Tensor par_nt_ragged = matmul_nt(a, bt_ragged);
     ASSERT_TRUE(std::equal(serial_mm.raw(), serial_mm.raw() + serial_mm.numel(),
                            par_mm.raw()))
         << "matmul lanes=" << lanes;
@@ -192,6 +196,10 @@ TEST(ParallelKernels, MatmulFamilyMatchesSerialBitwise) {
     ASSERT_TRUE(std::equal(serial_nt.raw(), serial_nt.raw() + serial_nt.numel(),
                            par_nt.raw()))
         << "matmul_nt lanes=" << lanes;
+    ASSERT_TRUE(std::equal(serial_nt_ragged.raw(),
+                           serial_nt_ragged.raw() + serial_nt_ragged.numel(),
+                           par_nt_ragged.raw()))
+        << "matmul_nt 113 rows lanes=" << lanes;
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "tensor/conv.h"
 #include "tensor/ops.h"
@@ -145,6 +146,49 @@ TEST(Ops, MatmulNtMatchesExplicitTranspose) {
   ASSERT_EQ(got.shape(), expect.shape());
   for (std::size_t i = 0; i < got.numel(); ++i)
     EXPECT_NEAR(got[i], expect[i], 1e-5f);
+}
+
+// The scalar double-accumulator loop matmul_nt must reproduce bit for bit:
+// each C[i][j] sums float products in double, in ascending k.
+Tensor matmul_nt_scalar_reference(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), r = b.dim(0);
+  Tensor c({m, r});
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* arow = a.raw() + i * k;
+    for (std::size_t j = 0; j < r; ++j) {
+      const float* brow = b.raw() + j * k;
+      double acc = 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk)
+        acc += static_cast<double>(arow[kk]) * brow[kk];
+      c.raw()[i * r + j] = static_cast<float>(acc);
+    }
+  }
+  return c;
+}
+
+TEST(Ops, MatmulNtBitwiseMatchesScalarReference) {
+  // r covers single, partial and multiple 8-row panels; k = 0 is the empty
+  // reduction.
+  std::vector<std::size_t> rows;
+  for (std::size_t r = 1; r <= 17; ++r) rows.push_back(r);
+  rows.push_back(27);
+  rows.push_back(128);
+  Rng rng(4);
+  for (const std::size_t r : rows) {
+    for (const std::size_t k : {0u, 1u, 8u, 256u}) {
+      for (const std::size_t m : {1u, 16u}) {
+        const Tensor a = Tensor::uniform({m, k}, rng, -3.f, 3.f);
+        const Tensor b = Tensor::uniform({r, k}, rng, -3.f, 3.f);
+        const Tensor expect = matmul_nt_scalar_reference(a, b);
+        const Tensor got = matmul_nt(a, b);
+        ASSERT_EQ(got.shape(), expect.shape());
+        EXPECT_EQ(std::memcmp(got.raw(), expect.raw(),
+                              got.numel() * sizeof(float)),
+                  0)
+            << "m=" << m << " k=" << k << " r=" << r;
+      }
+    }
+  }
 }
 
 TEST(Ops, TransposeInvolution) {
