@@ -69,14 +69,18 @@ TEST_P(QuadraticSweep, ConvergesToOptimum) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Conditions, QuadraticSweep,
-    ::testing::Values(QuadraticCase{1.0, false, 0.1},
-                      QuadraticCase{10.0, false, 0.05},
-                      QuadraticCase{50.0, false, 0.01},
-                      QuadraticCase{1.0, true, 0.05},
-                      QuadraticCase{10.0, true, 0.05},
-                      QuadraticCase{50.0, true, 0.05}));
+// gtest names each case after the raw bytes of its QuadraticCase, padding
+// after use_adam included, and gtest_discover_tests copies that text into
+// the ctest name. Stack temporaries leave the padding holding whatever was
+// there, so the names changed from run to run. A table with static storage
+// is zero-initialised first, padding included, and gtest copies the cases
+// bitwise, so every run registers the same names.
+constexpr QuadraticCase kQuadraticCases[] = {
+    {1.0, false, 0.1}, {10.0, false, 0.05}, {50.0, false, 0.01},
+    {1.0, true, 0.05}, {10.0, true, 0.05},  {50.0, true, 0.05}};
+
+INSTANTIATE_TEST_SUITE_P(Conditions, QuadraticSweep,
+                         ::testing::ValuesIn(kQuadraticCases));
 
 class LrSweep : public ::testing::TestWithParam<double> {};
 

@@ -138,15 +138,17 @@ TEST_P(ConvSweep, MatchesNaiveConvolution) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, ConvSweep,
-    ::testing::Values(ConvCase{1, 1, 5, 1, 1, 0, false},
-                      ConvCase{1, 2, 6, 3, 1, 0, true},
-                      ConvCase{2, 3, 6, 3, 1, 1, true},
-                      ConvCase{3, 4, 8, 3, 2, 1, false},
-                      ConvCase{2, 2, 9, 5, 2, 2, true},
-                      ConvCase{4, 1, 7, 7, 1, 3, true},
-                      ConvCase{1, 8, 4, 1, 1, 0, true}));
+// Static storage zero-initialises the padding after `bias`, which gtest
+// prints as part of each case's name (see QuadraticSweep in
+// optim_property_test.cpp).
+constexpr ConvCase kConvCases[] = {
+    {1, 1, 5, 1, 1, 0, false}, {1, 2, 6, 3, 1, 0, true},
+    {2, 3, 6, 3, 1, 1, true},  {3, 4, 8, 3, 2, 1, false},
+    {2, 2, 9, 5, 2, 2, true},  {4, 1, 7, 7, 1, 3, true},
+    {1, 8, 4, 1, 1, 0, true}};
+
+INSTANTIATE_TEST_SUITE_P(Geometries, ConvSweep,
+                         ::testing::ValuesIn(kConvCases));
 
 // ---------------------------------------------------------------------------
 // LSTM single-step reference
