@@ -39,6 +39,7 @@
 #include "nn/layers.h"
 #include "nn/models.h"
 #include "nn/param_vector.h"
+#include "nn/resnet.h"
 #include "optim/lr_schedule.h"
 #include "optim/optimizer.h"
 #include "util/rng.h"
@@ -285,6 +286,46 @@ fl::SimulationResult run_lstm_sync(std::size_t worker_threads) {
   return runner.run();
 }
 
+/// Biased 3x3 stem conv, then a stride-2 BasicBlock with its 1x1 projection,
+/// global average pooling and a linear head, under fp16-quantized APF in
+/// synchronous rounds with every second round evaluated: the conv forward,
+/// backward (dW, bias, input gradient) and eval-mode forward paths at
+/// stride 1 and 2, pad 0 and 1, kernel 1 and 3.
+fl::SimulationResult run_resnet_quantized_apf(std::size_t worker_threads) {
+  SyntheticImageSpec spec = tiny_spec();
+  spec.channels = 3;
+  spec.image_size = 12;
+  SyntheticImageDataset train(spec, 64, 9);
+  SyntheticImageDataset test(spec, 24, 10);
+  Rng prng(35);
+  auto partition = data::iid_partition(train.size(), 4, prng);
+  fl::FlConfig config;
+  config.num_clients = 4;
+  config.rounds = 6;
+  config.local_iters = 2;
+  config.batch_size = 8;
+  config.eval_every = 2;
+  config.seed = 9;
+  config.worker_threads = worker_threads;
+  compress::QuantizedSync strategy(
+      std::make_unique<core::ApfManager>(apf_options()));
+  fl::FederatedRunner runner(
+      config, train, partition, test,
+      [] {
+        Rng rng(515);
+        auto net = std::make_unique<nn::Sequential>();
+        net->add(std::make_unique<nn::Conv2d>(3, 4, 3, rng, 1, 1, true),
+                 "stem_conv");
+        net->add(std::make_unique<nn::ReLU>(), "stem_relu");
+        net->add(std::make_unique<nn::BasicBlock>(4, 6, 2, rng), "block");
+        net->add(std::make_unique<nn::GlobalAvgPool>(), "gap");
+        net->add(std::make_unique<nn::Linear>(6, 4, rng), "fc");
+        return net;
+      },
+      sgd(0.05), strategy);
+  return runner.run();
+}
+
 /// Wraps a strategy maker into a sync-MLP case runner.
 template <typename Make>
 std::function<fl::SimulationResult(std::size_t)> mlp_sync(Make make) {
@@ -392,6 +433,8 @@ std::vector<GoldenCase> golden_cases() {
       {"AsyncFullSyncCarryOver", run_mlp_async, 0x7770f97c8b8a117cULL});
   cases.push_back({"LstmFullSyncEvalEveryRound", run_lstm_sync,
                    0xd9dba394f823481fULL});
+  cases.push_back({"ResNetQuantizedApfEvalEveryTwo", run_resnet_quantized_apf,
+                   0xbc9cbe27172132bfULL});
   return cases;
 }
 
@@ -442,6 +485,13 @@ TEST(GoldenDigestPremise, CasesExerciseTheirFeatures) {
   // Every LSTM round runs the eval-mode forward.
   const fl::SimulationResult lstm = run_lstm_sync(1);
   for (const auto& r : lstm.rounds) EXPECT_GE(r.test_accuracy, 0.0);
+
+  // The ResNet case evaluates the conv stack and APF freezes some of it.
+  const fl::SimulationResult resnet = run_resnet_quantized_apf(1);
+  bool froze = false;
+  for (const auto& r : resnet.rounds) froze = froze || r.frozen_fraction > 0.0;
+  EXPECT_TRUE(froze);
+  EXPECT_GE(resnet.best_accuracy, 0.0);
 }
 
 }  // namespace
