@@ -54,7 +54,8 @@ class Module {
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
   /// dLoss/dInput. Must be called after a forward() with matching shapes;
-  /// LSTM and GRU keep no caches in eval mode and throw after an eval forward.
+  /// Conv2d, LSTM and GRU keep no caches in eval mode and throw after an eval
+  /// forward.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// Appends this module's parameters (prefixed names) to `out`.

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "grad_check.h"
 #include "nn/batchnorm.h"
@@ -12,6 +14,8 @@
 #include "nn/lstm.h"
 #include "nn/module.h"
 #include "nn/resnet.h"
+#include "tensor/conv.h"
+#include "tensor/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -140,6 +144,118 @@ TEST(Conv2d, GradCheckStride2NoBias) {
   Rng rng(12);
   Conv2d conv(2, 2, 3, rng, 2, 1, /*bias=*/false);
   test::check_gradients(conv, Tensor::uniform({2, 2, 8, 8}, rng), rng);
+}
+
+// The per-sample lowering Conv2d used before it batched the minibatch:
+// im2col, matmul and matmul_tn per sample, matmul_nt for each sample's dW
+// and bias sums in double, folded into the gradients in sample order.
+struct ConvPass {
+  Tensor y, grad_input, grad_weight, grad_bias;
+};
+
+ConvPass per_sample_conv_reference(const Tensor& x, const Tensor& weight,
+                                   const Tensor* bias, const Tensor& gy,
+                                   const ConvGeom& g) {
+  const std::size_t n = x.dim(0), out_c = weight.dim(0);
+  const std::size_t plane = g.out_h() * g.out_w();
+  const std::size_t image = g.channels * g.in_h * g.in_w;
+  ConvPass ref{Tensor({n, out_c, g.out_h(), g.out_w()}), Tensor(x.shape()),
+               Tensor(weight.shape()), Tensor({out_c})};
+  for (std::size_t s = 0; s < n; ++s) {
+    const Tensor cols = im2col(x.raw() + s * image, g);
+    Tensor ys = matmul(weight, cols);
+    for (std::size_t c = 0; c < out_c; ++c) {
+      for (std::size_t i = 0; i < plane; ++i) {
+        if (bias != nullptr) ys[c * plane + i] += (*bias)[c];
+        ref.y[(s * out_c + c) * plane + i] = ys[c * plane + i];
+      }
+    }
+    const Tensor gys({out_c, plane},
+                     std::vector<float>(gy.raw() + s * out_c * plane,
+                                        gy.raw() + (s + 1) * out_c * plane));
+    ref.grad_weight += matmul_nt(gys, cols);
+    for (std::size_t c = 0; c < out_c; ++c) {
+      double acc = 0.0;
+      for (std::size_t i = 0; i < plane; ++i) acc += gys[c * plane + i];
+      ref.grad_bias[c] += static_cast<float>(acc);
+    }
+    col2im(matmul_tn(weight, gys), g, ref.grad_input.raw() + s * image);
+  }
+  return ref;
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(Conv2d, BatchedMatchesPerSampleReferenceBitwise) {
+  Rng rng(13);
+  for (const std::size_t kernel : {1u, 3u}) {
+    for (const std::size_t stride : {1u, 2u}) {
+      for (const std::size_t pad : {0u, 1u}) {
+        for (const bool bias : {false, true}) {
+          for (const std::size_t n : {1u, 5u}) {
+            Conv2d conv(3, 5, kernel, rng, stride, pad, bias);
+            const ConvGeom g{3, 7, 6, kernel, stride, pad};
+            const Tensor x = Tensor::uniform({n, 3, 7, 6}, rng);
+            const Tensor gy = Tensor::uniform(
+                {n, 5, g.out_h(), g.out_w()}, rng, -0.5f, 0.5f);
+            const auto params = conv.parameters();
+            const ConvPass ref = per_sample_conv_reference(
+                x, params[0].param->value,
+                bias ? &params[1].param->value : nullptr, gy, g);
+            const std::string where =
+                "k=" + std::to_string(kernel) + " s=" + std::to_string(stride) +
+                " p=" + std::to_string(pad) + " bias=" + std::to_string(bias) +
+                " n=" + std::to_string(n);
+            EXPECT_TRUE(bitwise_equal(conv.forward(x), ref.y)) << where;
+            EXPECT_TRUE(bitwise_equal(conv.backward(gy), ref.grad_input))
+                << where;
+            EXPECT_TRUE(bitwise_equal(params[0].param->grad, ref.grad_weight))
+                << where;
+            if (bias) {
+              EXPECT_TRUE(bitwise_equal(params[1].param->grad, ref.grad_bias))
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv2d, EvalForwardMatchesTrainingForwardBitwise) {
+  Rng rng(14);
+  Conv2d conv(3, 6, 3, rng, 2, 1);
+  const Tensor x = Tensor::uniform({4, 3, 9, 9}, rng, -2.f, 2.f);
+  const Tensor trained = conv.forward(x);
+  conv.set_training(false);
+  EXPECT_TRUE(bitwise_equal(conv.forward(x), trained));
+}
+
+// An eval-mode forward keeps no im2col cache and drops the one an earlier
+// training-mode forward left, so backward must refuse rather than pair the
+// new gradient with stale columns.
+TEST(Conv2d, BackwardAfterEvalForwardThrows) {
+  Rng rng(15);
+  Conv2d conv(2, 4, 3, rng, 1, 1);
+  const Tensor x = Tensor::uniform({3, 2, 5, 5}, rng);
+  const Tensor g = Tensor::uniform({3, 4, 5, 5}, rng);
+  conv.set_training(false);
+  conv.forward(x);
+  EXPECT_THROW(conv.backward(g), Error);
+  conv.set_training(true);
+  conv.forward(x);
+  conv.set_training(false);
+  conv.forward(x);
+  EXPECT_THROW(conv.backward(g), Error);
+  for (const auto& ref : conv.parameters()) {
+    EXPECT_EQ(ref.param->grad.norm(), 0.f) << ref.name;
+  }
+  conv.set_training(true);
+  conv.forward(x);
+  EXPECT_EQ(conv.backward(g).shape(), x.shape());
 }
 
 TEST(MaxPool2d, ForwardSelectsMax) {
