@@ -1,11 +1,12 @@
 // Parallel-scaling micro-bench for the thread-pool runtime.
 //
-// Measures (a) the matmul-family kernel throughput and (b) federated-round
-// wall time as a function of the worker count, and emits machine-readable
-// JSON so CI can archive the perf trajectory:
+// Measures (a) the matmul-family and Conv2d kernel throughput and (b)
+// federated-round wall time as a function of the worker count, and emits
+// machine-readable JSON so CI can archive the perf trajectory:
 //
 //   BENCH_kernels.json  — per kernel x size x thread count: seconds/call,
-//                         GFLOP/s, speedup vs the 1-thread (seed) kernel
+//                         GFLOP/s, speedup vs the 1-thread (seed) kernel;
+//                         conv2d_* rows time a ResNet stage-1 Conv2d
 //   BENCH_runner.json   — per thread count: wall seconds for a small LeNet
 //                         federated run, seconds/round, speedup vs 1 thread,
 //                         and the measured per-round bytes_per_client column
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "common.h"
+#include "nn/conv_layers.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -68,26 +70,53 @@ struct RunnerResult {
   std::vector<double> bytes_per_client_per_round;
 };
 
-using KernelFn = Tensor (*)(const Tensor&, const Tensor&);
-
-double time_kernel(KernelFn fn, const Tensor& a, const Tensor& b,
-                   std::size_t reps) {
+// Seconds per call of `fn` (which returns a value to keep live), after one
+// warm-up call.
+template <typename Fn>
+double time_calls(const Fn& fn, std::size_t reps) {
   volatile float sink = 0.f;  // keep the result live
-  Tensor warm = fn(a, b);
-  sink = sink + warm[0];
+  sink = sink + fn();
   const double start = now_seconds();
-  for (std::size_t r = 0; r < reps; ++r) {
-    Tensor c = fn(a, b);
-    sink = sink + c[0];
-  }
+  for (std::size_t r = 0; r < reps; ++r) sink = sink + fn();
   const double elapsed = now_seconds() - start;
   (void)sink;
   return elapsed / static_cast<double>(reps);
 }
 
+// Times `fn` once per thread count on a pool of that size and appends one
+// row per count; `flops` is the arithmetic of one call.
+template <typename Fn>
+void bench_rows(const char* name, std::size_t m, std::size_t k, std::size_t n,
+                double flops, const std::vector<std::size_t>& threads,
+                std::size_t reps, const Fn& fn,
+                std::vector<KernelResult>& results) {
+  double base_seconds = 0.0;
+  for (const std::size_t t : threads) {
+    util::ThreadPool pool(t);
+    util::set_compute_pool(&pool);
+    KernelResult r;
+    r.kernel = name;
+    r.m = m;
+    r.k = k;
+    r.n = n;
+    r.threads = t;
+    r.seconds_per_call = time_calls(fn, reps);
+    r.gflops = flops / r.seconds_per_call / 1e9;
+    if (t == 1) base_seconds = r.seconds_per_call;
+    r.speedup_vs_1t =
+        base_seconds > 0.0 ? base_seconds / r.seconds_per_call : 1.0;
+    util::set_compute_pool(nullptr);
+    results.push_back(r);
+    std::cout << "  " << r.kernel << " " << m << "x" << k << "x" << n
+              << " threads=" << t << "  " << r.gflops << " GFLOP/s  (x"
+              << r.speedup_vs_1t << ")\n";
+  }
+}
+
 std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
                                         const std::vector<std::size_t>& sizes,
                                         std::size_t reps) {
+  using KernelFn = Tensor (*)(const Tensor&, const Tensor&);
   struct Spec {
     const char* name;
     KernelFn fn;
@@ -100,30 +129,31 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
       Rng rng(1);
       const Tensor a = Tensor::uniform({size, size}, rng);
       const Tensor b = Tensor::uniform({size, size}, rng);
-      double base_seconds = 0.0;
-      for (const std::size_t t : threads) {
-        util::ThreadPool pool(t);
-        util::set_compute_pool(&pool);
-        KernelResult r;
-        r.kernel = spec.name;
-        r.m = r.k = r.n = size;
-        r.threads = t;
-        r.seconds_per_call = time_kernel(spec.fn, a, b, reps);
-        const double flops = 2.0 * static_cast<double>(size) *
-                             static_cast<double>(size) *
-                             static_cast<double>(size);
-        r.gflops = flops / r.seconds_per_call / 1e9;
-        if (t == 1) base_seconds = r.seconds_per_call;
-        r.speedup_vs_1t =
-            base_seconds > 0.0 ? base_seconds / r.seconds_per_call : 1.0;
-        util::set_compute_pool(nullptr);
-        results.push_back(r);
-        std::cout << "  " << r.kernel << " " << size << "x" << size << "x"
-                  << size << " threads=" << t << "  " << r.gflops
-                  << " GFLOP/s  (x" << r.speedup_vs_1t << ")\n";
-      }
+      const double flops = 2.0 * static_cast<double>(size) *
+                           static_cast<double>(size) *
+                           static_cast<double>(size);
+      bench_rows(spec.name, size, size, size, flops, threads, reps,
+                 [&] { return spec.fn(a, b)[0]; }, results);
     }
   }
+  // ResNet-18 stage 1 of resnet-apfq-train: batch 16, 6 -> 6 channels,
+  // 16x16, 3x3 pad 1. m, k, n are the GEMM the layer lowers to: out
+  // channels, C*k*k and N*oh*ow. Backward does two such products (dW and
+  // the input gradient).
+  constexpr std::size_t kBatch = 16, kChannels = 6, kSize = 16;
+  const std::size_t gm = kChannels, gk = kChannels * 9,
+                    gn = kBatch * kSize * kSize;
+  const double conv_flops = 2.0 * static_cast<double>(gm) *
+                            static_cast<double>(gk) * static_cast<double>(gn);
+  Rng rng(2);
+  nn::Conv2d conv(kChannels, kChannels, 3, rng, 1, 1, false);
+  const Tensor x =
+      Tensor::uniform({kBatch, kChannels, kSize, kSize}, rng);
+  const Tensor g = Tensor::uniform(conv.forward(x).shape(), rng);
+  bench_rows("conv2d_forward", gm, gk, gn, conv_flops, threads, reps,
+             [&] { return conv.forward(x)[0]; }, results);
+  bench_rows("conv2d_backward", gm, gk, gn, 2.0 * conv_flops, threads, reps,
+             [&] { return conv.backward(g)[0]; }, results);
   return results;
 }
 

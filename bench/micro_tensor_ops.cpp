@@ -35,6 +35,8 @@ void BM_MatmulTn(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(matmul_tn(a, b));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * n * n));
 }
 
 void BM_MatmulNt(benchmark::State& state) {
@@ -52,25 +54,53 @@ void BM_MatmulNt(benchmark::State& state) {
                           static_cast<std::int64_t>(m * k * r));
 }
 
+// ResNet-18 stage 1 at the resnet-apfq-train shape: batch 16, 6 -> 6
+// channels, 16x16, 3x3 pad 1. Items are multiply-adds of the forward GEMM
+// (backward runs two such products: dW and the input gradient).
+constexpr std::size_t kConvBatch = 16, kConvChannels = 6, kConvSize = 16;
+
+std::int64_t conv_macs() {
+  return static_cast<std::int64_t>(kConvChannels * kConvChannels * 9 *
+                                   kConvBatch * kConvSize * kConvSize);
+}
+
+Tensor conv_input(Rng& rng) {
+  return Tensor::uniform({kConvBatch, kConvChannels, kConvSize, kConvSize},
+                         rng);
+}
+
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(3);
-  nn::Conv2d conv(3, 16, 3, rng, 1, 1);
-  Tensor x = Tensor::uniform({8, 3, 32, 32}, rng);
+  nn::Conv2d conv(kConvChannels, kConvChannels, 3, rng, 1, 1, false);
+  Tensor x = conv_input(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.forward(x));
   }
+  state.SetItemsProcessed(state.iterations() * conv_macs());
+}
+
+void BM_Conv2dEvalForward(benchmark::State& state) {
+  Rng rng(3);
+  nn::Conv2d conv(kConvChannels, kConvChannels, 3, rng, 1, 1, false);
+  conv.set_training(false);
+  Tensor x = conv_input(rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(x));
+  }
+  state.SetItemsProcessed(state.iterations() * conv_macs());
 }
 
 void BM_Conv2dBackward(benchmark::State& state) {
   Rng rng(4);
-  nn::Conv2d conv(3, 16, 3, rng, 1, 1);
-  Tensor x = Tensor::uniform({8, 3, 32, 32}, rng);
+  nn::Conv2d conv(kConvChannels, kConvChannels, 3, rng, 1, 1, false);
+  Tensor x = conv_input(rng);
   Tensor y = conv.forward(x);
   Tensor g = Tensor::uniform(y.shape(), rng);
   for (auto _ : state) {
     conv.zero_grad();
     benchmark::DoNotOptimize(conv.backward(g));
   }
+  state.SetItemsProcessed(state.iterations() * 2 * conv_macs());
 }
 
 void BM_LstmForward(benchmark::State& state) {
@@ -130,6 +160,7 @@ BENCHMARK(BM_MatmulNt)
     ->Args({16, 32, 128})
     ->Args({6, 256, 27});
 BENCHMARK(BM_Conv2dForward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Conv2dEvalForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LstmForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeNetTrainingStep)->Unit(benchmark::kMillisecond);

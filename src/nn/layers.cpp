@@ -61,13 +61,12 @@ void Linear::collect_params(const std::string& prefix,
 
 Tensor ReLU::forward(const Tensor& input) {
   mask_ = Tensor(input.shape());
-  Tensor out = input;
+  Tensor out(input.shape());
+  // Branch-free selects, so the loop vectorizes whatever the sign pattern.
   for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.f) {
-      mask_[i] = 1.f;
-    } else {
-      out[i] = 0.f;
-    }
+    const bool positive = input[i] > 0.f;
+    out[i] = positive ? input[i] : 0.f;
+    mask_[i] = positive ? 1.f : 0.f;
   }
   return out;
 }

@@ -28,11 +28,9 @@ Tensor BasicBlock::forward(const Tensor& input) {
   out += shortcut;
   relu_mask_ = Tensor(out.shape());
   for (std::size_t i = 0; i < out.numel(); ++i) {
-    if (out[i] > 0.f) {
-      relu_mask_[i] = 1.f;
-    } else {
-      out[i] = 0.f;
-    }
+    const bool positive = out[i] > 0.f;
+    relu_mask_[i] = positive ? 1.f : 0.f;
+    out[i] = positive ? out[i] : 0.f;
   }
   return out;
 }
