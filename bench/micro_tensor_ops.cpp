@@ -1,15 +1,19 @@
 // Micro-benchmarks for the tensor / NN substrate hot paths
-// (google-benchmark): matmul kernels, im2col convolution, LSTM step, and
-// the APF building blocks (EMA perturbation fold, bitmap ops).
+// (google-benchmark): matmul kernels, im2col convolution, LSTM step, the
+// APF building blocks (EMA perturbation fold, bitmap ops) and the masked
+// fp16 sync path (masked pack/unpack, pin_masked, fp16 round trip).
 #include <benchmark/benchmark.h>
 
 #include "core/perturbation.h"
+#include "fl/flat_view.h"
 #include "nn/conv_layers.h"
 #include "nn/lstm.h"
 #include "nn/models.h"
 #include "tensor/ops.h"
 #include "util/bitmap.h"
 #include "util/rng.h"
+#include "wire/masked.h"
+#include "wire/wire.h"
 
 namespace {
 
@@ -150,6 +154,79 @@ void BM_BitmapCount(benchmark::State& state) {
   }
 }
 
+// The resnet-apfq-train sync path: make_resnet18 at base width 6 has 99,616
+// scalars, and the workload's freezing mask sits near 39% frozen. Items are
+// scalars walked per call.
+constexpr std::size_t kResnetDim = 99'616;
+constexpr double kResnetFrozen = 0.39;
+
+Bitmap resnet_mask(std::size_t dim) {
+  Bitmap mask(dim, false);
+  Rng rng(11);
+  for (std::size_t j = 0; j < dim; ++j) mask.set(j, rng.bernoulli(kResnetFrozen));
+  return mask;
+}
+
+std::vector<float> resnet_params(std::size_t dim) {
+  std::vector<float> params(dim);
+  Rng rng(12);
+  for (auto& v : params) v = rng.uniform_float(-1.f, 1.f);
+  return params;
+}
+
+void set_scalars_processed(benchmark::State& state, std::size_t dim) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(dim));
+}
+
+void BM_MaskedPack(benchmark::State& state) {
+  const Bitmap mask = resnet_mask(kResnetDim);
+  const std::vector<float> params = resnet_params(kResnetDim);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::pack_unfrozen(params, mask));
+  }
+  set_scalars_processed(state, kResnetDim);
+}
+
+void BM_MaskedUnpack(benchmark::State& state) {
+  const Bitmap mask = resnet_mask(kResnetDim);
+  std::vector<float> params = resnet_params(kResnetDim);
+  const std::vector<float> payload = wire::pack_unfrozen(params, mask);
+  for (auto _ : state) {
+    wire::unpack_unfrozen(payload, mask, params);
+    benchmark::DoNotOptimize(params.data());
+    benchmark::ClobberMemory();
+  }
+  set_scalars_processed(state, kResnetDim);
+}
+
+void BM_PinMasked(benchmark::State& state) {
+  Rng rng(13);
+  auto net = nn::make_resnet18(rng, 3, 10, /*base_width=*/6);
+  fl::FlatParamView view(*net);
+  const Bitmap mask = resnet_mask(view.dim());
+  const std::vector<float> anchor = resnet_params(view.dim());
+  for (auto _ : state) {
+    view.pin_masked(mask, anchor);
+    benchmark::DoNotOptimize(&view);
+    benchmark::ClobberMemory();
+  }
+  set_scalars_processed(state, view.dim());
+}
+
+// One participant's QuantizedSync push: pack, fp16 encode, decode, unpack.
+void BM_Fp16PayloadRoundTrip(benchmark::State& state) {
+  const Bitmap mask = resnet_mask(kResnetDim);
+  std::vector<float> params = resnet_params(kResnetDim);
+  for (auto _ : state) {
+    const auto frame =
+        wire::encode_fp16_payload(wire::pack_unfrozen(params, mask));
+    wire::unpack_unfrozen(wire::decode_fp16_payload(frame), mask, params);
+    benchmark::DoNotOptimize(frame.data());
+  }
+  set_scalars_processed(state, kResnetDim);
+}
+
 }  // namespace
 
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
@@ -166,5 +243,9 @@ BENCHMARK(BM_LstmForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LeNetTrainingStep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EmaPerturbationFold)->Arg(62006)->Arg(1 << 20);
 BENCHMARK(BM_BitmapCount)->Arg(62006)->Arg(1 << 20);
+BENCHMARK(BM_MaskedPack);
+BENCHMARK(BM_MaskedUnpack);
+BENCHMARK(BM_PinMasked);
+BENCHMARK(BM_Fp16PayloadRoundTrip);
 
 BENCHMARK_MAIN();

@@ -1,9 +1,11 @@
 #include "compress/quantized_sync.h"
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 
 #include "util/error.h"
+#include "util/thread_pool.h"
 #include "wire/masked.h"
 #include "wire/wire.h"
 
@@ -38,6 +40,11 @@ std::vector<std::uint8_t> fp16_round_trip(std::vector<float>& params,
   return buf;
 }
 
+bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
 }  // namespace
 
 fl::SyncStrategy::Result QuantizedSync::synchronize(fl::RoundId round, std::vector<std::vector<float>>& client_params,
@@ -66,19 +73,43 @@ fl::SyncStrategy::Result QuantizedSync::synchronize(fl::RoundId round, std::vect
   // buffer; the server aggregates what the wire carried. The round trips
   // run on STAGED copies: a shape-valid round the inner strategy still
   // rejects (non-finite weights, zero total) must leave the caller's
-  // proposals untouched — rejection is atomic.
+  // proposals untouched — rejection is atomic. The copies are made here on
+  // the caller thread; the round trips then run on the compute pool, each
+  // task touching only its own client's slots, so the result does not
+  // depend on the lane count.
   std::vector<std::vector<float>> staged = client_params;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (weights[i] == 0.0) continue;
+  util::compute_pool().parallel_for(n, [&](std::size_t i) {
+    if (weights[i] == 0.0) return;
     up_frames[i] = fp16_round_trip(staged[i], mask);
     up_bytes[i] = fl::ByteCount(up_frames[i].size());
-  }
+  });
   Result result = inner_->synchronize(round, staged, weights);
   client_params = std::move(staged);
-  // Pull-side: the post-sync parameters travel back the same way.
+  // Pull-side: the post-sync parameters travel back the same way. Under one
+  // mask a round trip is a function of the vector's bits alone, so a
+  // participant whose post-sync vector is bitwise equal to the previous
+  // participant's reuses that participant's frame and decoded vector (under
+  // APF and FedAvg every participant matches, so the model is encoded once
+  // per round). The distinct pulls run on the compute pool like the pushes.
+  std::vector<std::size_t> pull_of(n, n);  // whose pull client i receives
+  std::size_t prev = n;
   for (std::size_t i = 0; i < n; ++i) {
     if (weights[i] == 0.0) continue;
+    const bool same =
+        prev < n && bitwise_equal(client_params[i], client_params[prev]);
+    pull_of[i] = same ? pull_of[prev] : i;
+    prev = i;
+  }
+  util::compute_pool().parallel_for(n, [&](std::size_t i) {
+    if (pull_of[i] != i) return;
     down_frames[i] = fp16_round_trip(client_params[i], mask);
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pull_of[i] == n) continue;
+    if (pull_of[i] != i) {
+      client_params[i] = client_params[pull_of[i]];
+      down_frames[i] = down_frames[pull_of[i]];
+    }
     down_bytes[i] = fl::ByteCount(down_frames[i].size());
   }
   // The wrapper's fp16 buffers replace the inner strategy's traffic in both

@@ -7,6 +7,12 @@
 // Pull: the post-sync scalars travel back the same way. Byte charges are the
 // measured buffer sizes — masks are client-derived (§7.7 configuration), so
 // no mask bytes ride along.
+//
+// The per-client push round trips run on util::compute_pool() lanes, each
+// writing only its own client's slots. A pull is encoded once per distinct
+// post-sync vector: participants whose vectors are bitwise equal share the
+// frame and the decoded result, and each still gets its own frame copy and
+// byte charge.
 #pragma once
 
 #include <memory>

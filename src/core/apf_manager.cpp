@@ -10,6 +10,7 @@
 #include "util/debug.h"
 #include "util/error.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "wire/masked.h"
 #include "wire/wire.h"
 
@@ -96,23 +97,28 @@ fl::SyncStrategy::Result ApfManager::synchronize(fl::RoundId round, std::vector<
   begin_fold(round);
   Result result;
   result.bytes_up.assign(n, fl::ByteCount(0));
-  result.bytes_down.assign(n, fl::ByteCount(0));
   result.frames_up.resize(n);
   result.frozen_fraction = fold_frozen_fraction_;
+  // Every client (participating or not) uploads its packed unfrozen
+  // scalars as a dense wire buffer; aggregation consumes the decoded values
+  // of the participants. The encodes read only the mask and the global
+  // model, so they run on pool lanes; the folds then run serially in
+  // ascending client id, which fixes the floating-point summation order.
+  util::ThreadPool& pool = util::compute_pool();
+  pool.parallel_for(n, [&](std::size_t i) {
+    result.frames_up[i] = encode_push(fl::ClientId(i), client_params[i]);
+  });
   for (std::size_t i = 0; i < n; ++i) {
-    // Every client (participating or not) uploads its packed unfrozen
-    // scalars as a dense wire buffer; aggregation consumes the decoded
-    // values of the participants.
-    std::vector<std::uint8_t> up_buf = encode_push(fl::ClientId(i), client_params[i]);
-    result.bytes_up[i] = fl::ByteCount(up_buf.size());
-    if (weights[i] > 0.0) fold_push(fl::ClientId(i), up_buf, weights[i] / weight_total);
-    result.frames_up[i] = std::move(up_buf);
+    result.bytes_up[i] = fl::ByteCount(result.frames_up[i].size());
+    if (weights[i] > 0.0) {
+      fold_push(fl::ClientId(i), result.frames_up[i], weights[i] / weight_total);
+    }
   }
   std::vector<std::uint8_t> down_buf = finish_fold();
-  for (std::size_t i = 0; i < n; ++i) {
+  pool.parallel_for(n, [&](std::size_t i) {
     apply_pull(down_buf, client_params[i]);
-    result.bytes_down[i] = fl::ByteCount(down_buf.size());
-  }
+  });
+  result.bytes_down.assign(n, fl::ByteCount(down_buf.size()));
   result.broadcast_frame = std::move(down_buf);
   return result;
 }

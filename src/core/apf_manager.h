@@ -99,6 +99,12 @@ class ApfManager : public fl::SyncStrategyBase, public fl::StreamSync {
   /// that same mask BEFORE evolving it for the next round, and apply_pull
   /// rebuilds clients from the stored pull mask, so a late apply_pull is
   /// unaffected by the mask having moved on.
+  ///
+  /// encode_push reads only the effective mask and the model dimension, and
+  /// apply_pull only the global model and the stored pull mask, so calls of
+  /// either (for different clients) may run concurrently; synchronize()
+  /// runs them on util::compute_pool() lanes. begin_fold, fold_push and
+  /// finish_fold mutate the fold state and stay serial.
   fl::StreamSync* stream_sync() override { return this; }
   std::vector<std::uint8_t> encode_push(
       fl::ClientId client, std::span<const float> params) override;

@@ -1,7 +1,5 @@
 #include "core/freeze_controller.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 
 namespace apf::core {
@@ -46,26 +44,6 @@ void FreezeController::restore(std::span<const std::uint32_t> periods,
   period_.assign(periods.begin(), periods.end());
   remaining_.assign(remaining.begin(), remaining.end());
   for (std::size_t j = 0; j < remaining_.size(); ++j) {
-    mask_.set(j, remaining_[j] > 0);
-  }
-}
-
-void FreezeController::check(
-    const std::function<bool(std::size_t)>& evaluable,
-    const std::function<bool(std::size_t)>& stable) {
-  APF_CHECK_MSG(evaluable && stable, "null predicate passed to check()");
-  for (std::size_t j = 0; j < period_.size(); ++j) {
-    if (remaining_[j] > 0) {
-      // Still serving a freezing period; tick down.
-      --remaining_[j];
-    } else if (evaluable(j)) {
-      // Trained through a full window: adjust the period per policy.
-      period_[j] =
-          std::min(next_period(period_[j], stable(j)), options_.max_period);
-      remaining_[j] = period_[j];
-    }
-    // else: active but interrupted mid-window (random freezing); leave the
-    // period untouched and re-evaluate after the next full window.
     mask_.set(j, remaining_[j] > 0);
   }
 }

@@ -19,11 +19,14 @@
 // observation window. This class implements the Fig. 8 semantics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
+#include <type_traits>
+#include <vector>
 
 #include "util/bitmap.h"
+#include "util/error.h"
 
 namespace apf::core {
 
@@ -51,9 +54,33 @@ class FreezeController {
   ///    (the manager excludes scalars randomly frozen mid-window).
   ///  - `stable(j)`: the stability verdict; called only for active,
   ///    evaluable scalars.
-  /// Updates periods, remaining counters and the frozen mask.
-  void check(const std::function<bool(std::size_t)>& evaluable,
-             const std::function<bool(std::size_t)>& stable);
+  /// Updates periods, remaining counters and the frozen mask. The
+  /// predicates are template parameters so the per-scalar calls inline; a
+  /// null predicate (nullptr, a null function pointer or an empty
+  /// std::function) raises apf::Error before any state changes.
+  template <typename Evaluable, typename Stable>
+  void check(const Evaluable& evaluable, const Stable& stable) {
+    APF_CHECK_MSG(!is_null_predicate(evaluable) && !is_null_predicate(stable),
+                  "null predicate passed to check()");
+    // A literal nullptr has no call operator; the check above rejected it.
+    if constexpr (!std::is_null_pointer_v<Evaluable> &&
+                  !std::is_null_pointer_v<Stable>) {
+      for (std::size_t j = 0; j < period_.size(); ++j) {
+        if (remaining_[j] > 0) {
+          // Still serving a freezing period; tick down.
+          --remaining_[j];
+        } else if (evaluable(j)) {
+          // Trained through a full window: adjust the period per policy.
+          period_[j] = std::min(next_period(period_[j], stable(j)),
+                                options_.max_period);
+          remaining_[j] = period_[j];
+        }
+        // else: active but interrupted mid-window (random freezing); leave
+        // the period untouched and re-evaluate after the next full window.
+        mask_.set(j, remaining_[j] > 0);
+      }
+    }
+  }
 
   const Bitmap& mask() const { return mask_; }
   bool frozen(std::size_t j) const { return remaining_[j] > 0; }
@@ -71,6 +98,24 @@ class FreezeController {
 
  private:
   std::uint32_t next_period(std::uint32_t current, bool stable) const;
+
+  /// Only callables that can be null are checked: nullptr itself, function
+  /// pointers and types with an explicit operator bool (std::function). A
+  /// lambda converts to bool only through its function pointer, which is
+  /// never null.
+  template <typename F>
+  static bool is_null_predicate(const F& f) {
+    if constexpr (std::is_null_pointer_v<F>) {
+      return true;
+    } else if constexpr (std::is_pointer_v<F>) {
+      return f == nullptr;
+    } else if constexpr (std::is_constructible_v<bool, const F&> &&
+                         !std::is_convertible_v<const F&, bool>) {
+      return !static_cast<bool>(f);
+    } else {
+      return false;
+    }
+  }
 
   FreezeControllerOptions options_;
   std::vector<std::uint32_t> period_;

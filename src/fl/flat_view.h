@@ -29,6 +29,8 @@ class FlatParamView {
 
   /// For every set bit in `mask`, writes anchor[j] into parameter j —
   /// the rollback that emulates fine-grained freezing (paper Alg. 1 l.2).
+  /// Runs after every local step, so it walks Bitmap::words() and skips
+  /// all-clear words; clear-bit parameters are never written.
   void pin_masked(const Bitmap& mask, std::span<const float> anchor);
 
  private:

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace apf {
@@ -25,6 +26,12 @@ class Bitmap {
 
   bool get(std::size_t i) const;
   void set(std::size_t i, bool value);
+
+  /// Read-only view of the backing words, for loops that walk the mask a
+  /// word at a time instead of calling get() per bit. Bit i lives at bit
+  /// (i % 64) of words()[i / 64]; there are (size() + 63) / 64 words, and
+  /// the bits of the last word at or beyond size() are always clear.
+  std::span<const std::uint64_t> words() const { return words_; }
 
   /// Sets every bit to `value`.
   void fill(bool value);

@@ -26,6 +26,10 @@ class ByteWriter {
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
   std::size_t size() const { return bytes_.size(); }
 
+  /// Pre-sizes the buffer for `n` bytes in total, so an encoder that knows
+  /// its frame size up front grows the vector once instead of doubling.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
 
   void u16(std::uint16_t v) {

@@ -16,14 +16,20 @@
 
 namespace apf::wire {
 
+// Both walk the mask a word (64 scalars) at a time through
+// Bitmap::words(): an all-clear word is one 64-float copy, an all-set word
+// is skipped, and only mixed words look at individual bits. Values are
+// copied, never computed on, so the result is bit-for-bit the per-bit
+// definition below (NaN payloads included).
+
 /// Values of `full` at positions where `frozen_mask` is clear, in ascending
 /// index order (the unfrozen payload).
 std::vector<float> pack_unfrozen(std::span<const float> full,
                                  const Bitmap& frozen_mask);
 
 /// Scatters `payload` back into `full` at the clear positions of
-/// `frozen_mask`; frozen positions are left untouched. payload.size() must
-/// equal the number of clear bits.
+/// `frozen_mask`; frozen positions are never written, so they keep their
+/// exact bits. payload.size() must equal the number of clear bits.
 void unpack_unfrozen(std::span<const float> payload, const Bitmap& frozen_mask,
                      std::span<float> full);
 

@@ -1,6 +1,7 @@
 #include "wire/wire.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "wire/quantize.h"
@@ -25,11 +26,18 @@ void check_tag(ByteReader& reader, std::uint32_t expected,
 }
 
 /// Reads `count` f32 values after verifying the bytes actually exist, so a
-/// lying count field cannot trigger a huge allocation.
+/// lying count field cannot trigger a huge allocation. The values are bit
+/// copies (NaN payloads included) taken from one bounds-checked raw() span.
 std::vector<float> read_f32_array(ByteReader& reader, std::size_t count) {
-  reader.require(count * 4);
+  const std::span<const std::uint8_t> bytes = reader.raw(count * 4);
   std::vector<float> out(count);
-  for (auto& v : out) v = reader.f32();
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t* b = bytes.data() + 4 * i;
+    out[i] = std::bit_cast<float>(static_cast<std::uint32_t>(b[0]) |
+                                  static_cast<std::uint32_t>(b[1]) << 8 |
+                                  static_cast<std::uint32_t>(b[2]) << 16 |
+                                  static_cast<std::uint32_t>(b[3]) << 24);
+  }
   return out;
 }
 
@@ -49,6 +57,7 @@ std::vector<std::uint8_t> encode_sparse(const SparsePayload& payload) {
                                   << payload.values.size() << " values");
   APF_CHECK(payload.indices.size() <= payload.dim);
   ByteWriter writer;
+  writer.reserve(12 + payload.indices.size() * 8);
   writer.u32(kTagSparse);
   writer.u32(payload.dim);
   writer.u32(static_cast<std::uint32_t>(payload.indices.size()));
@@ -105,6 +114,7 @@ std::vector<std::uint8_t> encode_randk(const RandkPayload& payload) {
   APF_CHECK_MSG(std::isfinite(payload.scale) && payload.scale > 0.f,
                 "randk encode: bad scale " << payload.scale);
   ByteWriter writer;
+  writer.reserve(24 + payload.values.size() * 4);
   writer.u32(kTagRandk);
   writer.u32(payload.dim);
   writer.u32(payload.count);
@@ -138,6 +148,7 @@ RandkPayload decode_randk(std::span<const std::uint8_t> bytes) {
 
 std::vector<std::uint8_t> encode_fp16_payload(std::span<const float> values) {
   ByteWriter writer;
+  writer.reserve(8 + values.size() * 2);
   writer.u32(kTagFp16);
   writer.u32(static_cast<std::uint32_t>(values.size()));
   for (const float v : values) writer.u16(float_to_half(v));
@@ -148,15 +159,22 @@ std::vector<float> decode_fp16_payload(std::span<const std::uint8_t> bytes) {
   ByteReader reader(bytes, "fp16 payload");
   check_tag(reader, kTagFp16, "fp16 payload");
   const std::uint32_t count = reader.u32();
-  reader.require(static_cast<std::size_t>(count) * 2);
+  // raw() checks the length before `out` is allocated, so a lying count
+  // cannot trigger a huge allocation.
+  const std::span<const std::uint8_t> halves =
+      reader.raw(static_cast<std::size_t>(count) * 2);
   std::vector<float> out(count);
-  for (auto& v : out) v = half_to_float(reader.u16());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = half_to_float(static_cast<std::uint16_t>(
+        halves[2 * i] | static_cast<unsigned>(halves[2 * i + 1]) << 8));
+  }
   reader.expect_exhausted();
   return out;
 }
 
 std::vector<std::uint8_t> encode_dense(std::span<const float> values) {
   ByteWriter writer;
+  writer.reserve(8 + values.size() * 4);
   writer.u32(kTagDense);
   writer.u32(static_cast<std::uint32_t>(values.size()));
   write_f32_array(writer, values);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 
 #include "compress/cmfl.h"
 #include "compress/gaia.h"
@@ -10,6 +12,7 @@
 #include "fl/sync_strategy.h"
 #include "util/rng.h"
 #include "wire/quantize.h"
+#include "wire/wire.h"
 
 namespace apf {
 namespace {
@@ -250,6 +253,60 @@ TEST(QuantizedSync, HalvesBytesAndRoundsValues) {
   EXPECT_EQ(result.bytes_up[0], fl::ByteCount(12));
   // Values went through fp16.
   EXPECT_EQ(params[0][0], half_to_float(float_to_half(0.1f)));
+}
+
+/// Inner strategy whose post-sync vector differs per client. Clients 0 and
+/// 1 get the same vector; client 2's differs from it only in the sign of a
+/// zero (equal under ==, not bitwise); client 3 repeats client 0's after a
+/// different one; client 4's differs in a value.
+class PerClientPull : public fl::SyncStrategyBase {
+ public:
+  static std::vector<float> pull_for(std::size_t client) {
+    std::vector<float> v = {0.1f, 0.f, 1.f / 3.f, -2.5f, 65504.f, 1e-6f};
+    if (client == 2) v[1] = -0.f;
+    if (client == 4) v[0] = 0.2f;
+    return v;
+  }
+
+  Result synchronize(fl::RoundId /*round*/,
+                     std::vector<std::vector<float>>& client_params,
+                     const std::vector<double>& weights) override {
+    require_round_inputs(client_params, weights);
+    for (std::size_t i = 0; i < client_params.size(); ++i) {
+      client_params[i] = pull_for(i);
+    }
+    Result result;
+    result.bytes_up.assign(client_params.size(), fl::ByteCount(0));
+    result.bytes_down.assign(client_params.size(), fl::ByteCount(0));
+    return result;
+  }
+
+  std::string name() const override { return "PerClientPull"; }
+};
+
+TEST(QuantizedSync, SharesPullOnlyBetweenBitwiseEqualVectors) {
+  constexpr std::size_t kClients = 5;
+  compress::QuantizedSync strategy(std::make_unique<PerClientPull>());
+  strategy.init(std::vector<float>(6, 0.f), kClients);
+  std::vector<std::vector<float>> params(kClients, std::vector<float>(6, 1.f));
+  const auto result = strategy.synchronize(
+      fl::RoundId(1), params, std::vector<double>(kClients, 1.0));
+  ASSERT_EQ(result.frames_down.size(), kClients);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    // What a per-client encode of this client's post-sync vector gives.
+    const auto frame = wire::encode_fp16_payload(PerClientPull::pull_for(i));
+    const auto decoded = wire::decode_fp16_payload(frame);
+    EXPECT_EQ(result.frames_down[i], frame) << "client " << i;
+    EXPECT_EQ(result.bytes_down[i], fl::ByteCount(frame.size()));
+    ASSERT_EQ(params[i].size(), decoded.size());
+    EXPECT_EQ(std::memcmp(params[i].data(), decoded.data(),
+                          decoded.size() * sizeof(float)),
+              0)
+        << "client " << i;
+  }
+  // The signed zero reached the wire: sharing client 1's frame would not.
+  EXPECT_NE(result.frames_down[2], result.frames_down[1]);
+  EXPECT_TRUE(std::signbit(params[2][1]));
 }
 
 TEST(QuantizedSync, NamePropagates) {

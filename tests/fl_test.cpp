@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "core/apf_manager.h"
@@ -64,6 +65,53 @@ TEST(FlatParamView, PinMaskedRestoresAnchors) {
   EXPECT_EQ(flat.back(), 7.f);
   // An unmasked scalar keeps its trained value.
   EXPECT_NE(flat[1], 7.f);
+}
+
+TEST(FlatParamView, PinMaskedMatchesReferenceAcrossUnalignedSegments) {
+  Rng rng(4);
+  // Segments of 133, 19, 361, 19, 95 and 5 scalars: no boundary after the
+  // first falls on a 64-bit word boundary of the flat mask.
+  auto net = nn::make_mlp(rng, 7, 19, 2, 5);
+  fl::FlatParamView view(*net);
+  std::size_t offset = 0;
+  std::size_t unaligned = 0;
+  for (const auto& p : net->parameters()) {
+    offset += p.param->numel();
+    if (offset % 64 != 0) ++unaligned;
+  }
+  ASSERT_EQ(unaligned, net->parameters().size());
+  const std::size_t dim = view.dim();
+  std::vector<float> anchor(dim);
+  for (auto& v : anchor) v = rng.uniform_float(5.f, 6.f);
+
+  std::vector<Bitmap> masks = {Bitmap(dim, false), Bitmap(dim, true)};
+  Bitmap edges(dim, false);
+  for (std::size_t j = 0; j < dim; j += 64) {
+    edges.set(j, true);
+    if (j + 63 < dim) edges.set(j + 63, true);
+  }
+  masks.push_back(edges);
+  for (const double density : {0.1, 0.39, 0.9}) {
+    Bitmap random(dim, false);
+    for (std::size_t j = 0; j < dim; ++j) random.set(j, rng.bernoulli(density));
+    masks.push_back(random);
+  }
+  for (std::size_t m = 0; m < masks.size(); ++m) {
+    const Bitmap& mask = masks[m];
+    std::vector<float> before(dim);
+    for (auto& v : before) v = rng.uniform_float(-1.f, 1.f);
+    view.scatter(before);
+    std::vector<float> expected = before;
+    for (std::size_t j = 0; j < dim; ++j) {
+      if (mask.get(j)) expected[j] = anchor[j];
+    }
+    view.pin_masked(mask, anchor);
+    std::vector<float> after;
+    view.gather(after);
+    ASSERT_EQ(std::memcmp(after.data(), expected.data(), dim * sizeof(float)),
+              0)
+        << "mask " << m;
+  }
 }
 
 TEST(FlatParamView, SizeMismatchThrows) {

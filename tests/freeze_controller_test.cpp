@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/freeze_controller.h"
+#include "util/error.h"
 
 namespace apf {
 namespace {
@@ -176,6 +180,27 @@ TEST(FreezeController, MaskMatchesFrozenPredicate) {
   for (std::size_t j = 0; j < 16; ++j) {
     EXPECT_EQ(c.mask().get(j), c.frozen(j));
   }
+}
+
+TEST(FreezeController, NullPredicateThrowsBeforeAnyChange) {
+  FreezeController c(3);
+  c.check(kAlways, kAlways);
+  const std::vector<std::uint32_t> periods(c.raw_periods().begin(),
+                                           c.raw_periods().end());
+  const std::function<bool(std::size_t)> empty;
+  bool (*const null_fn)(std::size_t) = nullptr;
+  EXPECT_THROW(c.check(empty, kAlways), Error);
+  EXPECT_THROW(c.check(kAlways, empty), Error);
+  EXPECT_THROW(c.check(nullptr, kAlways), Error);
+  EXPECT_THROW(c.check(kAlways, null_fn), Error);
+  EXPECT_EQ(std::vector<std::uint32_t>(c.raw_periods().begin(),
+                                       c.raw_periods().end()),
+            periods);
+  EXPECT_EQ(c.mask().count(), 3u);
+  // A non-null std::function still works.
+  const std::function<bool(std::size_t)> always = kAlways;
+  c.check(always, always);
+  EXPECT_EQ(c.remaining(0), 0u);
 }
 
 }  // namespace

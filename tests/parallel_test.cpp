@@ -3,8 +3,12 @@
 // logger thread-safety, and the FederatedRunner determinism contract
 // ("results are bit-identical for any worker count"). This file and fl_test
 // also run under the tsan preset in CI so pool/runner races fail the build.
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <iostream>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "nn/layers.h"
 #include "nn/models.h"
 #include "tensor/ops.h"
+#include "util/error.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -256,6 +261,119 @@ TEST(ParallelKernels, Conv2dSixChannelsMatchesSerialBitwise) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Strategy-side codec work on the compute pool is lane-count independent
+// ---------------------------------------------------------------------------
+
+// APF under fp16 (the paper's §7.7 stack) with a loose threshold and a check
+// every round, so the freezing mask fills within a few rounds and the masked
+// push/pull paths run on a non-empty mask.
+std::unique_ptr<fl::SyncStrategy> make_quantized_apf() {
+  core::ApfOptions options;
+  options.stability_threshold = 0.5;
+  options.ema_alpha = 0.5;
+  options.check_every_rounds = 1;
+  return std::make_unique<compress::QuantizedSync>(
+      std::make_unique<core::ApfManager>(options));
+}
+
+constexpr std::size_t kSyncDim = 300;  // four full words and a partial one
+constexpr std::size_t kSyncClients = 4;
+
+/// Client i's round-`round` proposal: the global model plus noise drawn from
+/// a seed fixed by (round, i), so every lane count sees the same inputs.
+std::vector<std::vector<float>> sync_proposals(const fl::SyncStrategy& s,
+                                               std::size_t round) {
+  std::vector<std::vector<float>> params(kSyncClients);
+  for (std::size_t i = 0; i < kSyncClients; ++i) {
+    Rng rng(1000 * round + i);
+    params[i].assign(s.global_params().begin(), s.global_params().end());
+    for (auto& v : params[i]) v += rng.uniform_float(-0.1f, 0.1f);
+  }
+  return params;
+}
+
+struct SyncTrace {
+  std::vector<std::uint8_t> bytes;  // every Result field and post-sync vector
+  double max_frozen_fraction = 0.0;
+};
+
+SyncTrace run_quantized_apf_rounds() {
+  auto strategy = make_quantized_apf();
+  std::vector<float> init(kSyncDim);
+  Rng init_rng(5);
+  for (auto& v : init) v = init_rng.uniform_float(-1.f, 1.f);
+  strategy->init(init, kSyncClients);
+  // Client 2 sits out: it gets no frames and keeps its proposal.
+  const std::vector<double> weights = {1.0, 2.0, 0.0, 1.0};
+  SyncTrace trace;
+  const auto append = [&](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    trace.bytes.insert(trace.bytes.end(), bytes, bytes + size);
+  };
+  for (std::size_t round = 1; round <= 12; ++round) {
+    auto params = sync_proposals(*strategy, round);
+    const auto result =
+        strategy->synchronize(fl::RoundId(round), params, weights);
+    trace.max_frozen_fraction =
+        std::max(trace.max_frozen_fraction, result.frozen_fraction);
+    for (std::size_t i = 0; i < kSyncClients; ++i) {
+      const std::uint64_t counts[] = {result.bytes_up[i].value(),
+                                      result.bytes_down[i].value(),
+                                      result.frames_up[i].size(),
+                                      result.frames_down[i].size()};
+      append(counts, sizeof(counts));
+      append(result.frames_up[i].data(), result.frames_up[i].size());
+      append(result.frames_down[i].data(), result.frames_down[i].size());
+      append(params[i].data(), params[i].size() * sizeof(float));
+    }
+    append(&result.frozen_fraction, sizeof(result.frozen_fraction));
+  }
+  return trace;
+}
+
+TEST(ParallelStrategies, QuantizedApfBitIdenticalAcrossLaneCounts) {
+  SyncTrace serial;
+  {
+    ComputePoolOverride one(1);
+    serial = run_quantized_apf_rounds();
+  }
+  // The mask must have filled, or the masked paths were never exercised.
+  EXPECT_GT(serial.max_frozen_fraction, 0.0);
+  for (std::size_t lanes : {2u, 8u}) {
+    ComputePoolOverride many(lanes);
+    const SyncTrace parallel = run_quantized_apf_rounds();
+    ASSERT_TRUE(parallel.bytes == serial.bytes) << "lanes=" << lanes;
+  }
+}
+
+TEST(ParallelStrategies, QuantizedApfRejectionLeavesProposalsUntouched) {
+  ComputePoolOverride four(4);
+  auto strategy = make_quantized_apf();
+  strategy->init(std::vector<float>(kSyncDim, 0.5f), kSyncClients);
+  for (std::size_t round = 1; round <= 3; ++round) {
+    auto params = sync_proposals(*strategy, round);
+    strategy->synchronize(fl::RoundId(round), params,
+                          std::vector<double>(kSyncClients, 1.0));
+  }
+  const std::vector<float> global_before(strategy->global_params().begin(),
+                                         strategy->global_params().end());
+  auto params = sync_proposals(*strategy, 4);
+  const auto proposals = params;
+  const std::vector<double> weights = {
+      1.0, std::numeric_limits<double>::quiet_NaN(), 1.0, 1.0};
+  EXPECT_THROW(strategy->synchronize(fl::RoundId(4), params, weights), Error);
+  for (std::size_t i = 0; i < kSyncClients; ++i) {
+    ASSERT_EQ(std::memcmp(params[i].data(), proposals[i].data(),
+                          kSyncDim * sizeof(float)),
+              0)
+        << "client " << i;
+  }
+  ASSERT_EQ(std::memcmp(strategy->global_params().data(),
+                        global_before.data(), kSyncDim * sizeof(float)),
+            0);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,11 @@
 // and bitmap byte (de)serialization.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/apf_manager.h"
 #include "data/partition.h"
@@ -88,6 +92,83 @@ TEST(MaskedPack, SizeMismatchThrows) {
   std::vector<float> full(4, 0.f);
   const std::vector<float> wrong(2, 0.f);
   EXPECT_THROW(wire::unpack_unfrozen(wrong, mask, full), Error);
+}
+
+// The word-at-a-time pack/unpack must be bitwise equal to the per-bit
+// definition, at every word-boundary case and mask shape.
+std::vector<float> reference_pack(const std::vector<float>& full,
+                                  const Bitmap& mask) {
+  std::vector<float> out;
+  for (std::size_t j = 0; j < full.size(); ++j) {
+    if (!mask.get(j)) out.push_back(full[j]);
+  }
+  return out;
+}
+
+void reference_unpack(const std::vector<float>& payload, const Bitmap& mask,
+                      std::vector<float>& full) {
+  std::size_t cursor = 0;
+  for (std::size_t j = 0; j < full.size(); ++j) {
+    if (!mask.get(j)) full[j] = payload[cursor++];
+  }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Named masks of `dim` bits: all-clear, all-set, alternating, one set bit
+/// at each word edge (bits 64w and 64w + 63), and random at three densities.
+std::vector<std::pair<std::string, Bitmap>> word_edge_masks(std::size_t dim,
+                                                            Rng& rng) {
+  std::vector<std::pair<std::string, Bitmap>> masks;
+  masks.emplace_back("all-clear", Bitmap(dim, false));
+  masks.emplace_back("all-set", Bitmap(dim, true));
+  Bitmap alternating(dim, false);
+  for (std::size_t j = 0; j < dim; j += 2) alternating.set(j, true);
+  masks.emplace_back("alternating", alternating);
+  for (std::size_t edge = 0; edge < dim; edge += 64) {
+    for (const std::size_t bit : {edge, edge + 63}) {
+      if (bit >= dim) continue;
+      Bitmap single(dim, false);
+      single.set(bit, true);
+      masks.emplace_back("single bit " + std::to_string(bit), single);
+    }
+  }
+  for (const double density : {0.1, 0.39, 0.9}) {
+    Bitmap random(dim, false);
+    for (std::size_t j = 0; j < dim; ++j) random.set(j, rng.bernoulli(density));
+    masks.emplace_back("random " + std::to_string(density), random);
+  }
+  return masks;
+}
+
+TEST(MaskedPack, WordWalkMatchesPerBitReference) {
+  Rng rng(11);
+  const float nan_sentinel =
+      std::bit_cast<float>(std::uint32_t{0x7FA5A5A5});  // signaling NaN
+  for (const std::size_t dim : {1u, 63u, 64u, 65u, 127u, 128u, 129u, 1000u}) {
+    std::vector<float> full(dim);
+    for (auto& v : full) v = rng.uniform_float(-1.f, 1.f);
+    for (const auto& [name, mask] : word_edge_masks(dim, rng)) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + ", mask " + name);
+      const std::vector<float> payload = wire::pack_unfrozen(full, mask);
+      ASSERT_TRUE(same_bits(payload, reference_pack(full, mask)));
+
+      // Frozen slots hold NaN sentinels that unpack must not touch;
+      // unfrozen slots are clobbered so every write is checked.
+      std::vector<float> target(dim);
+      for (std::size_t j = 0; j < dim; ++j) {
+        target[j] = mask.get(j) ? nan_sentinel : -7.f;
+      }
+      std::vector<float> expected = target;
+      reference_unpack(payload, mask, expected);
+      wire::unpack_unfrozen(payload, mask, target);
+      ASSERT_TRUE(same_bits(target, expected));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

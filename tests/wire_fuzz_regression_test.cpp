@@ -177,4 +177,28 @@ TEST(WireFuzzRegression, DenseRejectsCountPayloadMismatch) {
   EXPECT_THROW(apf::wire::decode_dense(bytes), Error);
 }
 
+TEST(WireFuzzRegression, Fp16RejectsCountPayloadMismatch) {
+  std::vector<std::uint8_t> bytes = {'A', 'P', 'H', '1', 4, 0, 0, 0};
+  bytes.resize(bytes.size() + 4, 0);  // only 2 of the 4 promised halves
+  EXPECT_THROW(apf::wire::decode_fp16_payload(bytes), Error);
+  // A count of 2^31 halves would be an 8 GiB float vector: the length check
+  // must reject it before anything is allocated.
+  bytes[7] = 0x80;
+  EXPECT_THROW(apf::wire::decode_fp16_payload(bytes), Error);
+}
+
+TEST(WireFuzzRegression, DenseRoundTripsNanPayloadBitsExactly) {
+  const std::vector<std::uint32_t> bits = {0x7FC00000u, 0x7FA00001u,
+                                           0xFFC12345u, 0xFF800001u,
+                                           0x80000000u, 0x3F800000u};
+  std::vector<float> values;
+  for (const std::uint32_t b : bits) values.push_back(std::bit_cast<float>(b));
+  const std::vector<float> decoded =
+      apf::wire::decode_dense(apf::wire::encode_dense(values));
+  ASSERT_EQ(decoded.size(), bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(decoded[i]), bits[i]) << i;
+  }
+}
+
 }  // namespace
