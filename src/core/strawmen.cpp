@@ -15,7 +15,7 @@ StrawmanBase::StrawmanBase(StrawmanOptions options) : options_(options) {
   APF_CHECK(options_.check_every_rounds >= 1);
 }
 
-// lint-apf: no-input-checks(SyncStrategyBase::init validates both arguments)
+// lint-apf: allow-entry-check(SyncStrategyBase::init validates both arguments)
 void StrawmanBase::init(std::span<const float> initial_params,
                         std::size_t num_clients) {
   SyncStrategyBase::init(initial_params, num_clients);

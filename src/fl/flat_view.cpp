@@ -16,7 +16,7 @@ FlatParamView::FlatParamView(nn::Module& module) {
   APF_CHECK(dim_ > 0);
 }
 
-// lint-apf: no-input-checks(out is a pure output buffer, resized here)
+// lint-apf: allow-entry-check(out is a pure output buffer, resized here)
 void FlatParamView::gather(std::vector<float>& out) const {
   out.resize(dim_);
   std::size_t offset = 0;

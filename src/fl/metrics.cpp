@@ -10,7 +10,7 @@
 
 namespace apf::fl {
 
-// lint-apf: no-input-checks(pure formatter; any SimulationResult is valid)
+// lint-apf: allow-entry-check(pure formatter; any SimulationResult is valid)
 void write_round_csv(const SimulationResult& result, std::ostream& os) {
   os << "round,test_accuracy,train_loss,bytes_per_client,"
         "cumulative_bytes_per_client,frozen_fraction,round_seconds,"
@@ -32,7 +32,7 @@ void write_round_csv_file(const SimulationResult& result,
   write_round_csv(result, os);
 }
 
-// lint-apf: no-input-checks(pure formatter; any SimulationResult is valid)
+// lint-apf: allow-entry-check(pure formatter; any SimulationResult is valid)
 std::string summarize(const SimulationResult& result) {
   std::ostringstream oss;
   oss << "best=" << TablePrinter::fmt(result.best_accuracy, 3)

@@ -23,7 +23,7 @@ namespace apf::fl {
 
 // Strong id/byte types (util/ids.h): every client id, round id, sequence
 // number and byte count crossing the strategy interface is typed, so
-// transposed arguments are compile errors (apf_ast_lint.py `strong-type`
+// transposed arguments are compile errors (the apf_lint `strong-type`
 // rule keeps bare integers from creeping back in).
 using util::ByteCount;
 using util::ClientId;

@@ -170,7 +170,7 @@ RoundStats Bus::finish_round(FinishPolicy policy) {
   return stats;
 }
 
-// lint-apf: allow-weak-type(feeds std::atomic counters directly)
+// lint-apf: allow-strong-type(feeds std::atomic counters directly)
 void Bus::note_queued(std::size_t bytes) {
   const std::size_t now =
       queued_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
@@ -186,7 +186,7 @@ void Bus::note_queued(std::size_t bytes) {
   }
 }
 
-// lint-apf: allow-weak-type(feeds std::atomic counters directly)
+// lint-apf: allow-strong-type(feeds std::atomic counters directly)
 void Bus::note_taken(std::size_t bytes) {
   queued_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
 }

@@ -153,9 +153,9 @@ class Bus {
 
   // Private plumbing into the std::atomic counters below; the public
   // surface exposes ByteCount accessors (queued_bytes/peak_queued_bytes).
-  // lint-apf: allow-weak-type(feeds std::atomic counters directly)
+  // lint-apf: allow-strong-type(feeds std::atomic counters directly)
   void note_queued(std::size_t bytes);
-  void note_taken(std::size_t bytes);  // lint-apf: allow-weak-type(as above)
+  void note_taken(std::size_t bytes);  // lint-apf: allow-strong-type(as above)
 
   NetworkModel network_;
   // Round lifecycle state; owned by the server coordinator thread (see the

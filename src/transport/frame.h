@@ -27,7 +27,7 @@ using util::SeqNo;
 struct Frame {
   /// What the payload carries. The bus treats both identically; the tag lets
   /// the receiver dispatch without sniffing the wire magic. Dispatch over
-  /// Kind must be exhaustive and default-free (apf_ast_lint.py rule
+  /// Kind must be exhaustive and default-free (apf_lint rule
   /// `exhaustive-dispatch`), so adding an enumerator breaks every switch
   /// that has not decided what to do with it.
   enum class Kind : std::uint8_t {

@@ -12,7 +12,7 @@
 //
 // Raw std::mutex / std::lock_guard / std::unique_lock / std::scoped_lock /
 // std::condition_variable are banned outside this header (enforced by the
-// `capability` rule family in tools/lint_apf.py): the analysis only sees
+// `capability-*` rules of tools/apf_lint): the analysis only sees
 // relationships expressed through annotated types, so one unannotated lock
 // is a hole in the whole proof. Use apf::util::Mutex + MutexLock + CondVar.
 //

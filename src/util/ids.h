@@ -5,9 +5,9 @@
 // it belongs to), per-link sequence numbers (send order), and byte counts
 // (measured payload sizes). All four used to be bare std::uint64_t/size_t,
 // so a swapped argument compiled silently. These newtypes make every mix-up
-// a compile error, and tools/apf_ast_lint.py's strong-type rule bans new
+// a compile error, and the strong-type rule of tools/apf_lint bans new
 // bare-integer id/byte parameters from reappearing in transport/, wire/ and
-// fl/ (docs/STATIC_ANALYSIS.md "Semantic AST lint").
+// fl/ (docs/STATIC_ANALYSIS.md "Static analyzer").
 //
 // Design points:
 //   - Construction is always explicit; there are NO conversions between the

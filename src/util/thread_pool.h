@@ -84,16 +84,16 @@ class ThreadPool {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t n = 0;
     std::size_t chunk = 1;
-    // apf-lint: unguarded(lock-free chunk hand-out; atomics synchronize)
+    // lint-apf: allow-capability-unguarded-member(lock-free atomic hand-out)
     std::atomic<std::size_t> next{0};
-    // apf-lint: unguarded(completed-index count; acq_rel atomics synchronize)
+    // lint-apf: allow-capability-unguarded-member(acq_rel atomics synchronize)
     std::atomic<std::size_t> done{0};
   };
 
   void worker_loop() APF_EXCLUDES(mutex_);
   void run_chunks(Job& job) APF_EXCLUDES(mutex_);
 
-  // apf-lint: unguarded(filled in ctor, joined in dtor; immutable between)
+  // lint-apf: allow-capability-unguarded-member(set in ctor, joined in dtor)
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar wake_cv_;  // workers wait here for a job

@@ -2,7 +2,7 @@
 // construction only, no cross-type conversion (compile-time, via
 // static_assert), ordered/hashable ids with no arithmetic, and ByteCount's
 // additive-only discipline (overflow-checked addition, exact-double exit).
-// tools/apf_ast_lint.py's strong-type rule enforces that transport/, wire/
+// The strong-type rule of tools/apf_lint enforces that transport/, wire/
 // and fl/ actually use these types; this test enforces what the types mean.
 #include "util/ids.h"
 

@@ -1,0 +1,5 @@
+// Fixture support for tools/apf_lint — NOT part of the build.
+// lint-place: src/util/
+#pragma once
+
+int helper_value();

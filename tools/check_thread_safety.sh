@@ -22,14 +22,14 @@
 # Usage: tools/check_thread_safety.sh [--if-available] [--negative-only]
 #                                     [--verbose-triage]
 #   --if-available   exit 0 instead of 3 when clang++ is not on PATH
-#                    (GCC-only machines rely on tools/lint_apf.py instead)
+#                    (GCC-only machines rely on tools/apf_lint instead)
 #   --negative-only  run just the negative-compile assertions
 #   --verbose-triage run the advisory -Wthread-safety-verbose pass too
 #                    (skipped with a note when clang lacks the flag)
 #
 # When build/compile_commands.json exists (the top-level CMakeLists.txt
 # exports it), the positive pass takes its TU list from that database — the
-# same file set the build compiles and tools/apf_ast_lint.py scans — and
+# same file set the build compiles and clang-tidy checks — and
 # falls back to `find` otherwise.
 set -u
 cd "$(dirname "$0")/.."
@@ -86,7 +86,8 @@ for rel in sorted(seen):
 EOF
   else
     find src fuzz tests -name '*.cpp' \
-      ! -path 'tests/thread_safety_negative/*' | sort
+      ! -path 'tests/thread_safety_negative/*' \
+      ! -path 'tests/lint_negative/*' | sort
   fi
 }
 

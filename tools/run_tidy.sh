@@ -8,8 +8,8 @@
 #
 # With no build-dir argument, reuses the main build/ tree's database when it
 # exists (the top-level CMakeLists.txt sets CMAKE_EXPORT_COMPILE_COMMANDS ON,
-# so any configured tree has one — the same database tools/apf_ast_lint.py
-# consumes); otherwise configures a dedicated tree at build-tidy/.
+# so any configured tree has one); otherwise configures a dedicated tree at
+# build-tidy/.
 #
 # When clang-tidy is not installed, the default is a hard failure (exit 3
 # with a clear message) so CI cannot silently skip the check. Pass
