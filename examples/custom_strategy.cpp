@@ -1,20 +1,28 @@
 // Extending the library: writing your own synchronization strategy.
 //
-// Implements a toy "LayerFreeze" strategy against the public SyncStrategy
-// interface — it freezes whole tensors bottom-up on a fixed schedule, in the
-// spirit of FreezeOut/AutoFreeze (paper §8), and compares it with APF. The
-// example demonstrates the three integration points a strategy controls:
-//   1. frozen_mask()/frozen_anchor(): which scalars the runner pins locally,
-//   2. synchronize(): aggregation + byte accounting,
-//   3. global_params(): the server view used for evaluation.
+// Implements a toy "LayerFreeze" strategy on fl::SyncStrategyBase — it
+// freezes whole tensors bottom-up on a fixed schedule, in the spirit of
+// FreezeOut/AutoFreeze (paper §8), and compares it with APF. A strategy
+// defines the five round hooks and the base class runs the batch round over
+// them (its bytes are the sizes of the frames the hooks encode):
+//   1. encode_push(): a client's push frame (here the packed unfrozen
+//      scalars),
+//   2. begin_fold()/fold_push()/finish_fold(): the server's fold, ascending
+//      client id, ending in the pull frame,
+//   3. apply_pull(): a client rebuilds its model from the pull frame.
+// frozen_mask()/frozen_anchor() say which scalars the runner pins locally,
+// and global_params() is the server view used for evaluation.
 // It also shows why scalar-granularity adaptive freezing beats fixed
 // layer-granularity schedules (the paper's Fig. 3 argument).
 //
 //   $ ./custom_strategy
 #include <iostream>
+#include <optional>
 
 #include "core/apf.h"
 #include "util/table.h"
+#include "wire/masked.h"
+#include "wire/wire.h"
 
 using namespace apf;
 
@@ -34,31 +42,38 @@ class LayerFreeze : public fl::SyncStrategyBase {
             std::size_t num_clients) override {
     SyncStrategyBase::init(initial_params, num_clients);
     mask_ = Bitmap(initial_params.size(), false);
+    pull_mask_ = mask_;
   }
 
-  Result synchronize(fl::RoundId round,
-                     std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override {
-    const std::size_t dim = global_.size();
-    std::vector<float> new_global;
-    weighted_average(client_params, weights, new_global);
-    for (std::size_t j = 0; j < dim; ++j) {
-      if (mask_.get(j)) new_global[j] = global_[j];
-    }
-    global_ = std::move(new_global);
-    for (auto& params : client_params) {
-      params.assign(global_.begin(), global_.end());
-    }
-    Result result;
-    const fl::ByteCount payload(4 * (dim - mask_.count()));
-    result.bytes_up.assign(client_params.size(), payload);
-    result.bytes_down.assign(client_params.size(), payload);
-    result.frozen_fraction = mask_.fraction();
+  std::vector<std::uint8_t> encode_push(
+      fl::ClientId /*client*/, std::span<const float> params) override {
+    return wire::encode_dense(wire::pack_unfrozen(params, mask_));
+  }
+
+  void begin_fold(fl::RoundId round) override {
+    round_ = round;
+    agg_.emplace(global_.size() - mask_.count());
+  }
+
+  void fold_push(fl::ClientId client, std::span<const std::uint8_t> frame,
+                 double normalized_weight) override {
+    agg_->fold(client, wire::decode_dense(frame), normalized_weight);
+  }
+
+  std::vector<std::uint8_t> finish_fold() override {
+    // Frozen scalars keep their global value; the rest take the average.
+    std::vector<float> live(agg_->dim());
+    agg_->finish_weighted(live);
+    agg_.reset();
+    wire::unpack_unfrozen(live, mask_, global_);
+    pull_mask_ = mask_;
+    std::vector<std::uint8_t> pull =
+        wire::encode_dense(wire::pack_unfrozen(global_, mask_));
 
     // Schedule: after every `rounds_per_layer_` rounds, freeze one more
     // tensor (bottom-up), keeping at least the classifier trainable.
     const std::size_t layers_frozen =
-        std::min(round.value() / rounds_per_layer_,
+        std::min(round_.value() / rounds_per_layer_,
                  static_cast<std::uint64_t>(segments_.size() - 2));
     for (std::size_t s = 0; s < layers_frozen; ++s) {
       for (std::size_t j = segments_[s].offset;
@@ -66,17 +81,31 @@ class LayerFreeze : public fl::SyncStrategyBase {
         mask_.set(j, true);
       }
     }
-    return result;
+    return pull;
+  }
+
+  void apply_pull(std::span<const std::uint8_t> frame,
+                  std::vector<float>& params) const override {
+    params.assign(global_.begin(), global_.end());
+    wire::unpack_unfrozen(wire::decode_dense(frame), pull_mask_, params);
   }
 
   const Bitmap* frozen_mask() const override { return &mask_; }
   std::span<const float> frozen_anchor() const override { return global_; }
   std::string name() const override { return "LayerFreeze"; }
 
+ protected:
+  double round_frozen_fraction() const override {
+    return pull_mask_.fraction();
+  }
+
  private:
   std::vector<nn::ParamSegment> segments_;
   std::size_t rounds_per_layer_;
-  Bitmap mask_;
+  Bitmap mask_;       // frozen from the next round on
+  Bitmap pull_mask_;  // the mask the last folded round trained with
+  fl::RoundId round_;
+  std::optional<transport::StreamingAggregator> agg_;
 };
 
 }  // namespace

@@ -5,9 +5,7 @@
 #include <string>
 
 #include "compress/cmfl.h"
-#include "compress/gaia.h"
-#include "compress/randk.h"
-#include "compress/topk.h"
+#include "compress/error_feedback.h"
 #include "compress/wrappers.h"
 #include "core/apf_manager.h"
 #include "core/strawmen.h"
@@ -64,15 +62,10 @@ std::vector<std::uint8_t> snapshot_strategy(const fl::SyncStrategy& strategy) {
     std::ostringstream os(std::ios::binary);
     strawman->save_state(os);
     append_stream(writer, os);
-  } else if (const auto* topk =
-                 dynamic_cast<const compress::TopKSync*>(&strategy)) {
-    append_residuals(writer, topk->residuals());
-  } else if (const auto* gaia =
-                 dynamic_cast<const compress::GaiaSync*>(&strategy)) {
-    append_residuals(writer, gaia->residuals());
-  } else if (const auto* randk =
-                 dynamic_cast<const compress::RandKSync*>(&strategy)) {
-    append_residuals(writer, randk->residuals());
+  } else if (const auto* sparse =
+                 dynamic_cast<const compress::ErrorFeedbackSync*>(
+                     &strategy)) {
+    append_residuals(writer, sparse->residuals());
   } else if (const auto* cmfl =
                  dynamic_cast<const compress::CmflSync*>(&strategy)) {
     append_floats(writer, cmfl->prev_update());

@@ -16,13 +16,16 @@ CmflSync::CmflSync(CmflOptions options) : options_(options) {
 
 void CmflSync::init(std::span<const float> initial_params,
                     std::size_t num_clients) {
-  SyncStrategyBase::init(initial_params, num_clients);
+  APF_CHECK(!initial_params.empty());
+  APF_CHECK(num_clients > 0);
+  global_.assign(initial_params.begin(), initial_params.end());
+  num_clients_ = num_clients;
   prev_global_update_.assign(initial_params.size(), 0.f);
 }
 
 fl::SyncStrategy::Result CmflSync::synchronize(fl::RoundId round, std::vector<std::vector<float>>& client_params,
     const std::vector<double>& weights) {
-  require_round_inputs(client_params, weights);
+  fl::require_round_inputs(global_, num_clients_, client_params, weights);
   const std::size_t n = client_params.size();
   const std::size_t dim = global_.size();
   const double threshold =
@@ -33,6 +36,7 @@ fl::SyncStrategy::Result CmflSync::synchronize(fl::RoundId round, std::vector<st
   result.bytes_up.assign(n, fl::ByteCount(0));
   result.bytes_down.assign(n, fl::ByteCount(0));
   result.frames_up.resize(n);
+  result.frames_down.resize(n);
 
   // Relevance check: sign agreement with the previous global update. In the
   // first round there is no reference update, so every upload is relevant.
@@ -98,8 +102,8 @@ fl::SyncStrategy::Result CmflSync::synchronize(fl::RoundId round, std::vector<st
   for (std::size_t i = 0; i < n; ++i) {
     client_params[i] = decoded_down;
     result.bytes_down[i] = fl::ByteCount(down.size());
+    result.frames_down[i] = down;
   }
-  result.broadcast_frame = std::move(down);
   return result;
 }
 

@@ -16,15 +16,21 @@ struct CmflOptions {
   double threshold_decay = 1.0;
 };
 
-class CmflSync : public fl::SyncStrategyBase {
+/// Batch-only: not a SyncStrategyBase, because the two-phase relevance
+/// filter (every upload judged before any fold, with an all-filtered
+/// fallback and weights renormalized over the accepted uploads) cannot be
+/// split into per-client push hooks bit-identically.
+class CmflSync : public fl::SyncStrategy {
  public:
   explicit CmflSync(CmflOptions options = {});
 
   void init(std::span<const float> initial_params,
             std::size_t num_clients) override;
+  // Own batch round: relevance is judged for every client before any fold.
   Result synchronize(fl::RoundId round,
                      std::vector<std::vector<float>>& client_params,
                      const std::vector<double>& weights) override;
+  std::span<const float> global_params() const override { return global_; }
   std::string name() const override { return "CMFL"; }
 
   /// Fraction of client uploads accepted so far (diagnostics).
@@ -39,6 +45,8 @@ class CmflSync : public fl::SyncStrategyBase {
 
  private:
   CmflOptions options_;
+  std::vector<float> global_;
+  std::size_t num_clients_ = 0;
   std::vector<float> prev_global_update_;
   std::size_t accepted_ = 0;
   std::size_t considered_ = 0;

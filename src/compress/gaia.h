@@ -1,14 +1,14 @@
 // Gaia-style significance sparsification (Hsieh et al., NSDI'17; paper §7.4).
 //
 // Each client pushes only the update components whose *relative* magnitude
-// |u_j| / max(|x_j|, eps) exceeds a significance threshold; insignificant
-// components accumulate locally (error feedback) until they become
-// significant. The threshold decays as training progresses, as in the Gaia
-// paper. The pull phase ships the full model — Gaia compresses push only.
+// |u_j| / max(|x_j|, eps) exceeds a significance threshold, as an "APS1"
+// sparse frame; insignificant components accumulate locally (error
+// feedback) until they become significant. The threshold decays as training
+// progresses, as in the Gaia paper. The pull phase ships the full model —
+// Gaia compresses push only.
 #pragma once
 
-#include "fl/sync_strategy.h"
-#include "transport/client_store.h"
+#include "compress/error_feedback.h"
 
 namespace apf::compress {
 
@@ -19,27 +19,19 @@ struct GaiaOptions {
   double eps = 1e-8;  // floor on |x_j| for the relative test
 };
 
-class GaiaSync : public fl::SyncStrategyBase {
+class GaiaSync : public ErrorFeedbackSync {
  public:
   explicit GaiaSync(GaiaOptions options = {});
 
-  void init(std::span<const float> initial_params,
-            std::size_t num_clients) override;
-  Result synchronize(fl::RoundId round,
-                     std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override;
+  /// Arms the fold and derives the round's significance threshold.
+  void begin_fold(fl::RoundId round) override;
+  std::vector<std::uint8_t> encode_push(
+      fl::ClientId client, std::span<const float> params) override;
   std::string name() const override { return "Gaia"; }
-
-  /// Per-client error-feedback residuals, materialized densely (client id ->
-  /// vector; untouched clients are all-zero). Exposed for the fuzz state
-  /// oracle; live state is the lazy sharded store below.
-  std::vector<std::vector<float>> residuals() const;
 
  private:
   GaiaOptions options_;
-  // Per-client error feedback, created lazily on first participation so a
-  // huge client universe costs nothing until a client actually shows up.
-  transport::ShardedClientStore<std::vector<float>> residual_;
+  double threshold_ = 0.0;  // the armed round's
 };
 
 }  // namespace apf::compress

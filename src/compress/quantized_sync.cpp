@@ -113,12 +113,11 @@ fl::SyncStrategy::Result QuantizedSync::synchronize(fl::RoundId round, std::vect
     down_bytes[i] = fl::ByteCount(down_frames[i].size());
   }
   // The wrapper's fp16 buffers replace the inner strategy's traffic in both
-  // directions (per-client pulls, so no shared broadcast frame survives).
+  // directions.
   result.bytes_up = std::move(up_bytes);
   result.bytes_down = std::move(down_bytes);
   result.frames_up = std::move(up_frames);
   result.frames_down = std::move(down_frames);
-  result.broadcast_frame.clear();
   return result;
 }
 

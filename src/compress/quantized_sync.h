@@ -28,6 +28,7 @@ class QuantizedSync : public fl::SyncStrategy {
 
   void init(std::span<const float> initial_params,
             std::size_t num_clients) override;
+  // Own batch round: it transforms the inner strategy's batch round.
   Result synchronize(fl::RoundId round,
                      std::vector<std::vector<float>>& client_params,
                      const std::vector<double>& weights) override;

@@ -9,8 +9,9 @@
 // of Top-k's (and APF's) benefit comes from *informed* selection.
 #pragma once
 
-#include "fl/sync_strategy.h"
-#include "transport/client_store.h"
+#include <cstdint>
+
+#include "compress/error_feedback.h"
 
 namespace apf::compress {
 
@@ -22,25 +23,26 @@ struct RandKOptions {
   std::uint64_t seed = 0x5EEDULL;
 };
 
-class RandKSync : public fl::SyncStrategyBase {
+class RandKSync : public ErrorFeedbackSync {
  public:
   explicit RandKSync(RandKOptions options = {});
 
-  void init(std::span<const float> initial_params,
-            std::size_t num_clients) override;
-  Result synchronize(fl::RoundId round,
-                     std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override;
+  /// Arms the fold and draws the round's coordinate set.
+  void begin_fold(fl::RoundId round) override;
+  std::vector<std::uint8_t> encode_push(
+      fl::ClientId client, std::span<const float> params) override;
+  /// Folds an "APR1" values-only push over the round's coordinate set.
+  void fold_push(fl::ClientId client, std::span<const std::uint8_t> frame,
+                 double normalized_weight) override;
   std::string name() const override { return "RandK"; }
-
-  /// Per-client error-feedback residuals, materialized densely (client id ->
-  /// vector; untouched clients are all-zero). Exposed for the fuzz state
-  /// oracle; live state is the lazy sharded store below.
-  std::vector<std::vector<float>> residuals() const;
 
  private:
   RandKOptions options_;
-  transport::ShardedClientStore<std::vector<float>> residual_;
+  // The armed round's selection: seed material, ascending coordinates (the
+  // order values travel in) and the scale applied on the server.
+  std::uint64_t mix_ = 0;
+  std::vector<std::size_t> coords_;
+  float scale_ = 1.f;
 };
 
 }  // namespace apf::compress

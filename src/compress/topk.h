@@ -2,12 +2,11 @@
 // the sparsification literature, e.g. Dryden et al. / Strom).
 //
 // Each client pushes the k largest-magnitude components of its pending
-// update (local change + carried residual); the rest accumulate locally.
-// Pull ships the full model.
+// update (local change + carried residual) as an "APS1" sparse frame; the
+// rest accumulate locally. Pull ships the full model.
 #pragma once
 
-#include "fl/sync_strategy.h"
-#include "transport/client_store.h"
+#include "compress/error_feedback.h"
 
 namespace apf::compress {
 
@@ -15,25 +14,16 @@ struct TopKOptions {
   double fraction = 0.1;  // k = ceil(fraction * dim)
 };
 
-class TopKSync : public fl::SyncStrategyBase {
+class TopKSync : public ErrorFeedbackSync {
  public:
   explicit TopKSync(TopKOptions options = {});
 
-  void init(std::span<const float> initial_params,
-            std::size_t num_clients) override;
-  Result synchronize(fl::RoundId round,
-                     std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override;
+  std::vector<std::uint8_t> encode_push(
+      fl::ClientId client, std::span<const float> params) override;
   std::string name() const override { return "TopK"; }
-
-  /// Per-client error-feedback residuals, materialized densely (client id ->
-  /// vector; untouched clients are all-zero). Exposed for the fuzz state
-  /// oracle; live state is the lazy sharded store below.
-  std::vector<std::vector<float>> residuals() const;
 
  private:
   TopKOptions options_;
-  transport::ShardedClientStore<std::vector<float>> residual_;
 };
 
 }  // namespace apf::compress

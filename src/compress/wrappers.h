@@ -27,6 +27,7 @@ class UpdateQuantizedSync : public fl::SyncStrategy {
 
   void init(std::span<const float> initial_params,
             std::size_t num_clients) override;
+  // Own batch round: it transforms the inner strategy's batch round.
   Result synchronize(fl::RoundId round,
                      std::vector<std::vector<float>>& client_params,
                      const std::vector<double>& weights) override;
@@ -54,6 +55,7 @@ class DpNoiseSync : public fl::SyncStrategy {
 
   void init(std::span<const float> initial_params,
             std::size_t num_clients) override;
+  // Own batch round: it transforms the inner strategy's batch round.
   Result synchronize(fl::RoundId round,
                      std::vector<std::vector<float>>& client_params,
                      const std::vector<double>& weights) override;

@@ -10,7 +10,6 @@
 #include "util/debug.h"
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "wire/masked.h"
 #include "wire/wire.h"
 
@@ -72,57 +71,6 @@ void ApfManager::init(std::span<const float> initial_params,
   fold_round_ = 0;
 }
 
-fl::SyncStrategy::Result ApfManager::synchronize(fl::RoundId round, std::vector<std::vector<float>>& client_params,
-    const std::vector<double>& weights) {
-  APF_CHECK_MSG(perturbation_.has_value(), "synchronize() before init()");
-  // All input validation happens before any member is mutated, so a
-  // malformed round is rejected atomically: a non-finite participant
-  // payload, a wrong-dimension vector (even at weight 0), or a bad weight
-  // leaves the manager byte-identical to its pre-round state. After this,
-  // none of the stream hooks below can throw.
-  require_round_inputs(client_params, weights);
-  const std::size_t n = client_params.size();
-
-  // Aggregate through the actual wire path (paper Alg. 1): each client
-  // packs only its unfrozen scalars (masked_select), the server folds the
-  // compact payloads into the streaming aggregate as they arrive, and the
-  // result is merged back over the frozen values (masked_fill). Frozen
-  // scalars never leave the client, so they stay bit-exact at the anchor.
-  double weight_total = 0.0;
-  for (const double w : weights) {
-    APF_CHECK(w >= 0.0);
-    weight_total += w;
-  }
-  APF_CHECK_MSG(weight_total > 0.0, "all aggregation weights are zero");
-  begin_fold(round);
-  Result result;
-  result.bytes_up.assign(n, fl::ByteCount(0));
-  result.frames_up.resize(n);
-  result.frozen_fraction = fold_frozen_fraction_;
-  // Every client (participating or not) uploads its packed unfrozen
-  // scalars as a dense wire buffer; aggregation consumes the decoded values
-  // of the participants. The encodes read only the mask and the global
-  // model, so they run on pool lanes; the folds then run serially in
-  // ascending client id, which fixes the floating-point summation order.
-  util::ThreadPool& pool = util::compute_pool();
-  pool.parallel_for(n, [&](std::size_t i) {
-    result.frames_up[i] = encode_push(fl::ClientId(i), client_params[i]);
-  });
-  for (std::size_t i = 0; i < n; ++i) {
-    result.bytes_up[i] = fl::ByteCount(result.frames_up[i].size());
-    if (weights[i] > 0.0) {
-      fold_push(fl::ClientId(i), result.frames_up[i], weights[i] / weight_total);
-    }
-  }
-  std::vector<std::uint8_t> down_buf = finish_fold();
-  pool.parallel_for(n, [&](std::size_t i) {
-    apply_pull(down_buf, client_params[i]);
-  });
-  result.bytes_down.assign(n, fl::ByteCount(down_buf.size()));
-  result.broadcast_frame = std::move(down_buf);
-  return result;
-}
-
 std::vector<std::uint8_t> ApfManager::encode_push(
     fl::ClientId /*client*/, std::span<const float> params) {
   APF_CHECK_MSG(perturbation_.has_value(), "encode_push before init()");
@@ -153,7 +101,7 @@ void ApfManager::fold_push(fl::ClientId client,
                        "client " << client << " payload " << payload.size()
                                  << " != unfrozen count " << agg_->dim());
   APF_DEBUG_CHECK_FINITE(std::span<const float>(payload),
-                         "ApfManager::synchronize client payload");
+                         "ApfManager::fold_push client payload");
   agg_->fold(client, payload, normalized_weight);
 }
 
@@ -162,14 +110,14 @@ std::vector<std::uint8_t> ApfManager::finish_fold() {
   APF_CHECK_MSG(agg_->folded() > 0, "finish_fold with no folded pushes");
   const std::size_t dim = global_.size();
   APF_DEBUG_CHECK_FINITE(agg_->accumulated(),
-                         "ApfManager::synchronize aggregated payload");
+                         "ApfManager::finish_fold aggregated payload");
   std::vector<float> merged_payload(agg_->dim());
   agg_->finish_weighted(merged_payload);
   agg_.reset();
   std::vector<float> new_global = global_;
   wire::unpack_unfrozen(merged_payload, effective_mask_, new_global);
   APF_DEBUG_CHECK_FINITE(std::span<const float>(new_global),
-                         "ApfManager::synchronize merged global model");
+                         "ApfManager::finish_fold merged global model");
 
   // Track the accumulated global update for the next stability check, and
   // remember which scalars were frozen at any point during the window.

@@ -78,7 +78,7 @@ struct ApfOptions {
   std::uint64_t seed = 0xAFF1E5ULL;
 };
 
-class ApfManager : public fl::SyncStrategyBase, public fl::StreamSync {
+class ApfManager : public fl::SyncStrategyBase {
  public:
   explicit ApfManager(ApfOptions options = {});
 
@@ -88,24 +88,18 @@ class ApfManager : public fl::SyncStrategyBase, public fl::StreamSync {
 
   void init(std::span<const float> initial_params,
             std::size_t num_clients) override;
-  Result synchronize(fl::RoundId round,
-                     std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override;
 
-  /// Streaming transport hooks (docs/TRANSPORT.md): synchronize() is the
-  /// batch driver over these, so the bus path and the in-memory path share
-  /// one code path. encode_push packs under the mask in force for the round
-  /// (the one local training ran with); finish_fold encodes the pull under
-  /// that same mask BEFORE evolving it for the next round, and apply_pull
-  /// rebuilds clients from the stored pull mask, so a late apply_pull is
-  /// unaffected by the mask having moved on.
+  /// Streaming transport hooks (docs/TRANSPORT.md), driven in batch by
+  /// SyncStrategyBase::synchronize(). encode_push packs under the mask in
+  /// force for the round (the one local training ran with); finish_fold
+  /// encodes the pull under that same mask BEFORE evolving it for the next
+  /// round, and apply_pull rebuilds clients from the stored pull mask, so a
+  /// late apply_pull is unaffected by the mask having moved on.
   ///
   /// encode_push reads only the effective mask and the model dimension, and
   /// apply_pull only the global model and the stored pull mask, so calls of
-  /// either (for different clients) may run concurrently; synchronize()
-  /// runs them on util::compute_pool() lanes. begin_fold, fold_push and
-  /// finish_fold mutate the fold state and stay serial.
-  fl::StreamSync* stream_sync() override { return this; }
+  /// either (for different clients) may run concurrently. begin_fold,
+  /// fold_push and finish_fold mutate the fold state and stay serial.
   std::vector<std::uint8_t> encode_push(
       fl::ClientId client, std::span<const float> params) override;
   void begin_fold(fl::RoundId round) override;
@@ -134,6 +128,12 @@ class ApfManager : public fl::SyncStrategyBase, public fl::StreamSync {
   /// with the same model dimension and equivalent options; throws apf::Error
   /// on any mismatch or truncation.
   void load_state(std::istream& is);
+
+ protected:
+  /// The mask the round trained with, not the one finish_fold() evolved.
+  double round_frozen_fraction() const override {
+    return fold_frozen_fraction_;
+  }
 
  private:
   void run_stability_check();

@@ -23,6 +23,7 @@ void StrawmanBase::init(std::span<const float> initial_params,
   delta_accum_.assign(initial_params.size(), 0.f);
   excluded_ = Bitmap(initial_params.size(), false);
   rounds_since_check_ = 0;
+  agg_.reset();
 }
 
 void StrawmanBase::observe_round(std::span<const float> new_global) {
@@ -88,102 +89,56 @@ void StrawmanBase::load_state(std::istream& is) {
   excluded_ = read_bitmap(is, dim);
 }
 
-PartialSync::PartialSync(StrawmanOptions options) : StrawmanBase(options) {}
+std::vector<std::uint8_t> StrawmanBase::encode_push(
+    fl::ClientId /*client*/, std::span<const float> params) {
+  APF_CHECK_MSG(perturbation_.has_value(), "encode_push before init()");
+  APF_CHECK(params.size() == global_.size());
+  return wire::encode_dense(wire::pack_unfrozen(params, excluded_));
+}
 
-fl::SyncStrategy::Result PartialSync::synchronize(fl::RoundId /*round*/, std::vector<std::vector<float>>& client_params,
-    const std::vector<double>& weights) {
-  require_round_inputs(client_params, weights);
-  const std::size_t n = client_params.size();
-  double weight_total = 0.0;
-  for (const double w : weights) weight_total += w;
-  Result result;
-  result.bytes_up.assign(n, fl::ByteCount(0));
-  result.bytes_down.assign(n, fl::ByteCount(0));
-  result.frames_up.resize(n);
-  // Push: each client uploads only its non-excluded scalars (packed under the
-  // mask in force at upload time), framed as a dense wire buffer; the server
-  // folds each decoded frame straight into the streaming aggregate instead
-  // of staging per-client copies.
-  const Bitmap pre_excluded = excluded_;
-  transport::StreamingAggregator agg(global_.size() - pre_excluded.count());
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::uint8_t> buf = wire::encode_dense(
-        wire::pack_unfrozen(client_params[i], pre_excluded));
-    result.bytes_up[i] = fl::ByteCount(buf.size());
-    if (weights[i] > 0.0) {
-      agg.fold(fl::ClientId(i), wire::decode_dense(buf), weights[i] / weight_total);
-    }
-    result.frames_up[i] = std::move(buf);
-  }
-  // Excluded scalars are not synchronized: the server keeps its stale value
-  // and every client keeps its own local value.
-  std::vector<float> packed_global(agg.dim());
-  agg.finish_weighted(packed_global);
+void StrawmanBase::begin_fold(fl::RoundId /*round*/) {
+  APF_CHECK_MSG(perturbation_.has_value(), "begin_fold before init()");
+  agg_.emplace(global_.size() - excluded_.count());
+}
+
+void StrawmanBase::fold_push(fl::ClientId client,
+                             std::span<const std::uint8_t> frame,
+                             double normalized_weight) {
+  APF_CHECK_MSG(agg_.has_value(), "fold_push before begin_fold()");
+  agg_->fold(client, wire::decode_dense(frame), normalized_weight);
+}
+
+std::vector<std::uint8_t> StrawmanBase::finish_fold() {
+  APF_CHECK_MSG(agg_.has_value(), "finish_fold before begin_fold()");
+  APF_CHECK_MSG(agg_->folded() > 0, "finish_fold with no folded pushes");
+  // Excluded scalars are not synchronized: the server keeps its stale value.
+  std::vector<float> packed_global(agg_->dim());
+  agg_->finish_weighted(packed_global);
+  agg_.reset();
   std::vector<float> new_global(global_);
-  wire::unpack_unfrozen(packed_global, pre_excluded, new_global);
+  wire::unpack_unfrozen(packed_global, excluded_, new_global);
   observe_round(new_global);
   global_ = std::move(new_global);
-  // Pull: one packed buffer under the (possibly grown) post-round mask;
-  // every client scatters the decoded values into its live positions.
-  std::vector<std::uint8_t> down =
-      wire::encode_dense(wire::pack_unfrozen(global_, excluded_));
-  const std::vector<float> decoded_down = wire::decode_dense(down);
-  for (std::size_t i = 0; i < n; ++i) {
-    wire::unpack_unfrozen(decoded_down, excluded_, client_params[i]);
-    result.bytes_down[i] = fl::ByteCount(down.size());
-  }
-  result.broadcast_frame = std::move(down);
-  result.frozen_fraction = excluded_.fraction();
-  return result;
+  return wire::encode_dense(wire::pack_unfrozen(global_, excluded_));
+}
+
+PartialSync::PartialSync(StrawmanOptions options) : StrawmanBase(options) {}
+
+void PartialSync::apply_pull(std::span<const std::uint8_t> frame,
+                             std::vector<float>& params) const {
+  APF_CHECK_MSG(perturbation_.has_value(), "apply_pull before init()");
+  wire::unpack_unfrozen(wire::decode_dense(frame), excluded_, params);
 }
 
 PermanentFreeze::PermanentFreeze(StrawmanOptions options)
     : StrawmanBase(options) {}
 
-fl::SyncStrategy::Result PermanentFreeze::synchronize(fl::RoundId /*round*/, std::vector<std::vector<float>>& client_params,
-    const std::vector<double>& weights) {
-  require_round_inputs(client_params, weights);
-  const std::size_t n = client_params.size();
-  double weight_total = 0.0;
-  for (const double w : weights) weight_total += w;
-  Result result;
-  result.bytes_up.assign(n, fl::ByteCount(0));
-  result.bytes_down.assign(n, fl::ByteCount(0));
-  result.frames_up.resize(n);
-  // Push: non-frozen scalars only, packed under the upload-time mask and
-  // folded into the streaming aggregate frame by frame.
-  const Bitmap pre_excluded = excluded_;
-  transport::StreamingAggregator agg(global_.size() - pre_excluded.count());
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::uint8_t> buf = wire::encode_dense(
-        wire::pack_unfrozen(client_params[i], pre_excluded));
-    result.bytes_up[i] = fl::ByteCount(buf.size());
-    if (weights[i] > 0.0) {
-      agg.fold(fl::ClientId(i), wire::decode_dense(buf), weights[i] / weight_total);
-    }
-    result.frames_up[i] = std::move(buf);
-  }
-  // Frozen scalars stay at their anchor forever.
-  std::vector<float> packed_global(agg.dim());
-  agg.finish_weighted(packed_global);
-  std::vector<float> new_global(global_);
-  wire::unpack_unfrozen(packed_global, pre_excluded, new_global);
-  observe_round(new_global);
-  global_ = std::move(new_global);
-  // Pull: live scalars under the post-round mask; each client rebuilds the
-  // full vector from the frozen anchor it already holds plus the decoded
-  // payload.
-  std::vector<std::uint8_t> down =
-      wire::encode_dense(wire::pack_unfrozen(global_, excluded_));
-  const std::vector<float> decoded_down = wire::decode_dense(down);
-  for (std::size_t i = 0; i < n; ++i) {
-    client_params[i].assign(global_.begin(), global_.end());
-    wire::unpack_unfrozen(decoded_down, excluded_, client_params[i]);
-    result.bytes_down[i] = fl::ByteCount(down.size());
-  }
-  result.broadcast_frame = std::move(down);
-  result.frozen_fraction = excluded_.fraction();
-  return result;
+void PermanentFreeze::apply_pull(std::span<const std::uint8_t> frame,
+                                 std::vector<float>& params) const {
+  APF_CHECK_MSG(perturbation_.has_value(), "apply_pull before init()");
+  const std::vector<float> live = wire::decode_dense(frame);
+  params.assign(global_.begin(), global_.end());
+  wire::unpack_unfrozen(live, excluded_, params);
 }
 
 }  // namespace apf::core

@@ -208,13 +208,19 @@ SimulationResult FederatedRunner::run() {
   for (auto& c : clients) c.view->scatter(global());
   if (async) {
     // Push-format probe: the commit decodes pushes as dense frames, so the
-    // strategy's encoding must round-trip through the dense codec.
-    const std::vector<std::uint8_t> probe =
-        stream->encode_push(ClientId(0), async_global);
-    APF_CHECK_MSG(wire::decode_dense(probe).size() == dim,
-                  strategy_.name()
-                      << " push frames are not dense; kAsyncBuffered "
-                         "supports dense full-model strategies only");
+    // strategy's encoding must round-trip through the dense codec. A push
+    // that fails to encode outside a round (the error-feedback sparsifiers
+    // need begin_fold(), and throw before moving any residual) or to decode
+    // as dense fails the probe the same way.
+    bool dense = false;
+    try {
+      dense = wire::decode_dense(stream->encode_push(ClientId(0), async_global))
+                  .size() == dim;
+    } catch (const Error&) {
+    }
+    APF_CHECK_MSG(dense, strategy_.name()
+                             << " push frames are not dense; kAsyncBuffered "
+                                "supports dense full-model strategies only");
   }
 
   SimulationResult result;
@@ -426,39 +432,34 @@ SimulationResult FederatedRunner::run() {
       record.frozen_fraction = sync.frozen_fraction;
 
       // ---- Transport phase: every byte of round traffic rides the bus ----
-      // The strategy already folded the pushes (its synchronize() is the
-      // batch driver over the StreamSync hooks where available), so here the
-      // runner routes the actual frames: captured strategy buffers when the
-      // strategy provides them, placeholder frames of the declared sizes
-      // otherwise, so byte accounting is identical either way. BatchNorm
+      // The strategy already folded the pushes (SyncStrategyBase's
+      // synchronize() is the batch driver over the StreamSync hooks), so
+      // here the runner routes the round's frames: one push and one pull
+      // per client, an empty frame meaning nothing was sent. BatchNorm
       // buffers genuinely aggregate on the server side of the bus: aux push
       // frames fold into a streaming mean in ascending client order and the
       // result broadcasts back as one aux frame per participant.
-      APF_CHECK_MSG(
-          sync.frames_up.empty() || sync.frames_up.size() == n,
-          strategy_.name() << " captured " << sync.frames_up.size()
-                           << " push frames for " << n << " clients");
-      const bool captured = sync.frames_up.size() == n;
-      // Declared byte counts are ByteCount by type, so the pre-strong-type
-      // "declared count must be integral" check is now a compile-time fact.
-      auto placeholder_frame = [](ByteCount declared) {
-        return std::vector<std::uint8_t>(
-            static_cast<std::size_t>(declared.value()), 0);
-      };
+      APF_CHECK_MSG(sync.frames_up.size() == n && sync.frames_down.size() == n,
+                    strategy_.name()
+                        << " reported bytes without one push and one pull "
+                           "frame per client ("
+                        << sync.frames_up.size() << " push, "
+                        << sync.frames_down.size() << " pull frames for " << n
+                        << " clients)");
+      for (std::size_t i = 0; i < n; ++i) {
+        APF_CHECK_MSG(
+            ByteCount(sync.frames_up[i].size()) == sync.bytes_up[i] &&
+                ByteCount(sync.frames_down[i].size()) == sync.bytes_down[i],
+            strategy_.name() << " client " << i << " frames ("
+                             << sync.frames_up[i].size() << " up, "
+                             << sync.frames_down[i].size()
+                             << " down) != declared (" << sync.bytes_up[i]
+                             << ", " << sync.bytes_down[i] << ")");
+      }
       for (const std::size_t i : active) {
-        if (captured) {
-          APF_CHECK_MSG(
-              ByteCount(sync.frames_up[i].size()) == sync.bytes_up[i],
-              strategy_.name() << " client " << i << " push frame size "
-                               << sync.frames_up[i].size() << " != declared "
-                               << sync.bytes_up[i]);
-          if (!sync.frames_up[i].empty()) {
-            bus.push(ClientId(i), transport::Frame::Kind::kStrategy,
-                     std::move(sync.frames_up[i]));
-          }
-        } else if (sync.bytes_up[i] > ByteCount(0)) {
+        if (!sync.frames_up[i].empty()) {
           bus.push(ClientId(i), transport::Frame::Kind::kStrategy,
-                   placeholder_frame(sync.bytes_up[i]));
+                   std::move(sync.frames_up[i]));
         }
         if (buffer_dim > 0) {
           bus.push(ClientId(i), transport::Frame::Kind::kAuxiliary,
@@ -491,28 +492,13 @@ SimulationResult FederatedRunner::run() {
         APF_CHECK(buffer_bytes == ByteCount(buffer_down.size()));
       }
 
-      // Pull direction: the strategy's pull frame (per-client when it ships
-      // distinct payloads, the shared broadcast otherwise) plus the buffer
-      // broadcast, delivered per participant and drained from each mailbox.
-      const bool per_client_down = captured && sync.frames_down.size() == n;
+      // Pull direction: each participant's strategy pull frame plus the
+      // buffer broadcast, delivered per participant and drained from each
+      // mailbox.
       for (const std::size_t i : active) {
-        std::vector<std::uint8_t> pull;
-        if (per_client_down && !sync.frames_down[i].empty()) {
-          pull = std::move(sync.frames_down[i]);
-        } else if (captured && !sync.broadcast_frame.empty() &&
-                   sync.bytes_down[i] > ByteCount(0)) {
-          pull = sync.broadcast_frame;  // one copy per receiving client
-        } else if (sync.bytes_down[i] > ByteCount(0)) {
-          pull = placeholder_frame(sync.bytes_down[i]);
-        }
-        if (!pull.empty()) {
-          APF_CHECK_MSG(
-              ByteCount(pull.size()) == sync.bytes_down[i],
-              strategy_.name() << " client " << i << " pull frame size "
-                               << pull.size() << " != declared "
-                               << sync.bytes_down[i]);
+        if (!sync.frames_down[i].empty()) {
           bus.deliver(ClientId(i), transport::Frame::Kind::kStrategy,
-                      std::move(pull));
+                      std::move(sync.frames_down[i]));
         }
         if (buffer_dim > 0) {
           bus.deliver(ClientId(i), transport::Frame::Kind::kAuxiliary,
@@ -525,8 +511,8 @@ SimulationResult FederatedRunner::run() {
             nn::load_buffers(*clients[i].model,
                              wire::decode_dense(frame.payload));
           }
-          // Strategy pull frames were already applied by synchronize() (the
-          // batch driver runs apply_pull itself); the bus leg is the wire.
+          // Strategy pull frames were already applied by synchronize() (its
+          // batch round runs apply_pull itself); the bus leg is the wire.
         }
       }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/thread_pool.h"
 #include "wire/wire.h"
 
 namespace apf::fl {
@@ -15,12 +16,16 @@ void SyncStrategyBase::init(std::span<const float> initial_params,
   num_clients_ = num_clients;
 }
 
-void SyncStrategyBase::require_round_inputs(
-    const std::vector<std::vector<float>>& client_params,
-    const std::vector<double>& weights) const {
-  APF_CHECK_MSG(!global_.empty(), "synchronize() before init()");
+void require_round_inputs(std::span<const float> global,
+                          std::size_t num_clients,
+                          const std::vector<std::vector<float>>& client_params,
+                          const std::vector<double>& weights) {
+  APF_CHECK_MSG(!global.empty(), "synchronize() before init()");
   APF_CHECK(!client_params.empty());
   APF_CHECK(client_params.size() == weights.size());
+  APF_CHECK_MSG(client_params.size() == num_clients,
+                client_params.size() << " clients in a round of a "
+                                     << num_clients << "-client strategy");
   double total = 0.0;
   for (double w : weights) {
     APF_CHECK_MSG(std::isfinite(w), "aggregation weight is not finite");
@@ -28,7 +33,7 @@ void SyncStrategyBase::require_round_inputs(
     total += w;
   }
   APF_CHECK_MSG(total > 0.0, "all aggregation weights are zero");
-  const std::size_t dim = global_.size();
+  const std::size_t dim = global.size();
   for (std::size_t i = 0; i < client_params.size(); ++i) {
     APF_CHECK_MSG(client_params[i].size() == dim,
                   "client " << i << " update size " << client_params[i].size()
@@ -41,62 +46,50 @@ void SyncStrategyBase::require_round_inputs(
   }
 }
 
-void SyncStrategyBase::weighted_average(
-    const std::vector<std::vector<float>>& client_params,
-    const std::vector<double>& weights, std::vector<float>& out) {
-  APF_CHECK(!client_params.empty());
-  APF_CHECK(client_params.size() == weights.size());
-  double total = 0.0;
-  for (double w : weights) {
-    APF_CHECK(w >= 0.0);
-    total += w;
-  }
-  APF_CHECK_MSG(total > 0.0, "all aggregation weights are zero");
-  const std::size_t dim = client_params.front().size();
-  out.assign(dim, 0.f);
-  std::vector<double> acc(dim, 0.0);
-  for (std::size_t i = 0; i < client_params.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    APF_CHECK(client_params[i].size() == dim);
-    const double w = weights[i] / total;
-    const auto& params = client_params[i];
-    for (std::size_t j = 0; j < dim; ++j) acc[j] += w * params[j];
-  }
-  for (std::size_t j = 0; j < dim; ++j) out[j] = static_cast<float>(acc[j]);
-}
-
-SyncStrategy::Result FullSync::synchronize(
+SyncStrategy::Result SyncStrategyBase::synchronize(
     RoundId round, std::vector<std::vector<float>>& client_params,
     const std::vector<double>& weights) {
   // Everything is validated before any state moves (rejection stays
-  // atomic); after this, none of the stream hooks below can throw.
-  require_round_inputs(client_params, weights);
+  // atomic); after this, none of the hooks below can throw.
+  require_round_inputs(global_, num_clients_, client_params, weights);
   const std::size_t n = client_params.size();
   double weight_total = 0.0;
   for (const double w : weights) weight_total += w;
+  const bool all_exchange = zero_weight_clients_exchange();
+  auto exchanges = [&](std::size_t i) {
+    return all_exchange || weights[i] > 0.0;
+  };
+
   Result result;
-  result.bytes_up.assign(n, ByteCount(0));
-  result.bytes_down.assign(n, ByteCount(0));
   result.frames_up.resize(n);
-  // Push: every client uploads its full model as a dense wire buffer; each
-  // decoded frame folds straight into the streaming aggregate (fp32
-  // round-trips bit-exactly), so the server never stages per-client copies.
+  result.frames_down.resize(n);
   begin_fold(round);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<std::uint8_t> buf = encode_push(ClientId(i), client_params[i]);
-    result.bytes_up[i] = ByteCount(buf.size());
-    if (weights[i] > 0.0) {
-      fold_push(ClientId(i), buf, weights[i] / weight_total);
+  // Encodes read only the round's armed state and the client's own slots,
+  // so they run on pool lanes; the folds then run serially in ascending
+  // client id, which fixes the floating-point summation order.
+  util::ThreadPool& pool = util::compute_pool();
+  pool.parallel_for(n, [&](std::size_t i) {
+    if (exchanges(i)) {
+      result.frames_up[i] = encode_push(ClientId(i), client_params[i]);
     }
-    result.frames_up[i] = std::move(buf);
-  }
-  // Pull: one dense model buffer, decoded by every client.
-  std::vector<std::uint8_t> down = finish_fold();
+  });
   for (std::size_t i = 0; i < n; ++i) {
-    apply_pull(down, client_params[i]);
-    result.bytes_down[i] = ByteCount(down.size());
+    if (weights[i] > 0.0) {
+      fold_push(ClientId(i), result.frames_up[i], weights[i] / weight_total);
+    }
   }
-  result.broadcast_frame = std::move(down);
+  const std::vector<std::uint8_t> pull = finish_fold();
+  result.frozen_fraction = round_frozen_fraction();
+  pool.parallel_for(n, [&](std::size_t i) {
+    apply_pull(pull, client_params[i]);
+  });
+  result.bytes_up.resize(n);
+  result.bytes_down.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (exchanges(i)) result.frames_down[i] = pull;
+    result.bytes_up[i] = ByteCount(result.frames_up[i].size());
+    result.bytes_down[i] = ByteCount(result.frames_down[i].size());
+  }
   return result;
 }
 

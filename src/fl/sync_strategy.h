@@ -3,9 +3,9 @@
 // A SyncStrategy decides, at each communication round, what each client
 // transmits, how the server aggregates it, and what each client's model is
 // afterwards. Vanilla FedAvg (FullSync) ships the full parameter vector both
-// ways; APF, the strawmen and the sparsification baselines ship less. Byte
-// accounting is the strategy's responsibility because only it knows what got
-// transmitted.
+// ways; APF, the strawmen and the sparsification baselines ship less. A
+// strategy's unit is its push/pull encoding: the round's byte counts are the
+// sizes of the frames it encodes, never a model of them.
 #pragma once
 
 #include <cstddef>
@@ -37,16 +37,18 @@ using util::SeqNo;
 /// per-client vectors on the server: encode each client's push frame, fold
 /// arriving frames one at a time (strictly ascending client id — that order
 /// IS the determinism guarantee), finish into the broadcast pull frame, and
-/// rebuild a client from it. synchronize() on such a strategy is just the
-/// batch driver over these hooks, so both paths are bit-identical by
-/// construction.
+/// rebuild a client from it. Every SyncStrategyBase strategy implements it,
+/// and SyncStrategyBase::synchronize() is the batch driver over these
+/// hooks, so both paths are bit-identical by construction.
 class StreamSync {
  public:
   virtual ~StreamSync() = default;
 
   /// Client side: the push frame for `client` given its post-training
-  /// parameters. Valid any time between rounds (the round's mask/state is
-  /// whatever the last finish_fold() left behind).
+  /// parameters. FullSync, APF and the strawmen encode against whatever the
+  /// last finish_fold() left behind, so they accept a call any time between
+  /// rounds; the error-feedback sparsifiers (TopK, RandK, Gaia) move a
+  /// client residual per push and require the round armed by begin_fold().
   virtual std::vector<std::uint8_t> encode_push(
       ClientId client, std::span<const float> params) = 0;
 
@@ -75,24 +77,18 @@ class SyncStrategy {
   virtual ~SyncStrategy() = default;
 
   /// Per-round synchronization accounting. Byte figures are measured
-  /// ByteCounts — payload.size() of a real wire buffer, never a model.
+  /// ByteCounts: the sizes of the round's real wire frames.
   struct Result {
-    std::vector<ByteCount> bytes_up;    // per client, this round
-    std::vector<ByteCount> bytes_down;  // per client, this round
+    std::vector<ByteCount> bytes_up;    // per client: frames_up[i].size()
+    std::vector<ByteCount> bytes_down;  // per client: frames_down[i].size()
     double frozen_fraction = 0.0;       // of scalars excluded from sync
 
-    // -- captured transport frames ----------------------------------------
-    // A strategy that captures its traffic fills frames_up with exactly one
-    // entry per client (empty payload = that client sent nothing) and
-    // either broadcast_frame (one shared pull payload) or frames_down (a
-    // distinct pull per client). The runner routes captured frames through
-    // the transport bus and APF_CHECKs every payload size against the
-    // declared byte counts; when frames_up is empty (a third-party strategy
-    // that only reports sizes) it synthesizes placeholder frames of the
-    // declared sizes instead, so byte accounting is unchanged either way.
+    // The round's traffic: exactly one push frame and one pull frame per
+    // client, where an empty frame means nothing was sent. The runner
+    // routes these over the transport bus and rejects a Result whose frames
+    // are missing or disagree with the byte counts.
     std::vector<std::vector<std::uint8_t>> frames_up;
     std::vector<std::vector<std::uint8_t>> frames_down;
-    std::vector<std::uint8_t> broadcast_frame;
   };
 
   /// Called once before the first round with the initial global model.
@@ -126,45 +122,57 @@ class SyncStrategy {
   virtual std::string name() const = 0;
 };
 
-/// Shared plumbing: stores the global model and client count.
-class SyncStrategyBase : public SyncStrategy {
+/// Validates one round's inputs against the model `global` BEFORE any state
+/// is mutated, so a rejection is atomic: client/weight counts match (and
+/// equal `num_clients`), every client vector has the model dimension
+/// (participant or not — a zero-weight client with a short vector must not
+/// be written out of bounds later), every weight is finite and non-negative
+/// with a positive total, and every participating (weight > 0) payload is
+/// finite. Throws apf::Error.
+void require_round_inputs(std::span<const float> global,
+                          std::size_t num_clients,
+                          const std::vector<std::vector<float>>& client_params,
+                          const std::vector<double>& weights);
+
+/// Shared plumbing: stores the global model and client count, and runs the
+/// one batch round over the StreamSync hooks a subclass implements.
+class SyncStrategyBase : public SyncStrategy, public StreamSync {
  public:
   void init(std::span<const float> initial_params,
             std::size_t num_clients) override;
 
+  /// The batch round, in this order: validate the inputs
+  /// (require_round_inputs; nothing moves on a rejection), begin_fold,
+  /// encode_push on util::compute_pool() lanes, fold_push serially in
+  /// ascending client id (the fixed summation order), finish_fold, and
+  /// apply_pull on lanes. encode_push for distinct clients and apply_pull
+  /// must therefore be safe to run concurrently. Result's byte counts are
+  /// the sizes of the frames this driver moved.
+  Result synchronize(RoundId round,
+                     std::vector<std::vector<float>>& client_params,
+                     const std::vector<double>& weights) final;
+
   std::span<const float> global_params() const override { return global_; }
+  StreamSync* stream_sync() final { return this; }
 
  protected:
-  /// Validates one round's inputs against the registered model BEFORE any
-  /// state is mutated, so a rejection is atomic: client/weight counts match,
-  /// every client vector has the model dimension (participant or not — a
-  /// zero-weight client with a short vector must not be written out of
-  /// bounds later), every weight is finite and non-negative with a positive
-  /// total, and every participating (weight > 0) payload is finite. Throws
-  /// apf::Error; strategies call this first in synchronize().
-  void require_round_inputs(
-      const std::vector<std::vector<float>>& client_params,
-      const std::vector<double>& weights) const;
+  /// Whether a weight-0 client still takes part in the wire round: it
+  /// pushes (without being folded) and is billed the pull (FullSync, APF,
+  /// the strawmen), or it sits the round out, pushing nothing and billed
+  /// no pull (the error-feedback sparsifiers, whose residuals must not
+  /// move). Either way every client applies the pull.
+  virtual bool zero_weight_clients_exchange() const { return true; }
 
-  /// Weighted average of client params into `out` (normalized weights).
-  static void weighted_average(
-      const std::vector<std::vector<float>>& client_params,
-      const std::vector<double>& weights, std::vector<float>& out);
+  /// The frozen fraction the round reports, read after finish_fold().
+  virtual double round_frozen_fraction() const { return 0.0; }
 
   std::vector<float> global_;
   std::size_t num_clients_ = 0;
 };
 
-/// Vanilla FedAvg: full model both directions every round. Implements
-/// StreamSync — synchronize() is the batch driver over the stream hooks, so
-/// the bus path and the in-memory path are one code path.
-class FullSync : public SyncStrategyBase, public StreamSync {
+/// Vanilla FedAvg: full model both directions every round.
+class FullSync : public SyncStrategyBase {
  public:
-  Result synchronize(RoundId round,
-                     std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override;
-
-  StreamSync* stream_sync() override { return this; }
   std::vector<std::uint8_t> encode_push(
       ClientId client, std::span<const float> params) override;
   void begin_fold(RoundId round) override;

@@ -46,7 +46,7 @@ namespace detail {
 }  // namespace detail
 
 /// Throws apf::Error if any element of `values` is NaN or infinite. The
-/// message names `context` (e.g. "ApfManager::synchronize client payload"),
+/// message names `context` (e.g. "ApfManager::fold_push client payload"),
 /// the first offending flat index and the offending value, so a failure
 /// points at the producer instead of surfacing rounds later as a bad
 /// accuracy number.

@@ -396,7 +396,7 @@ TEST(ApfManager, StreamHooksMatchBatchSynchronize) {
       stream->fold_push(fl::ClientId(i), frame, weights[i] / 3.0);
     }
     const auto pull = stream->finish_fold();
-    EXPECT_EQ(pull, result.broadcast_frame) << "round " << k;
+    EXPECT_EQ(pull, result.frames_down[0]) << "round " << k;
     for (std::size_t i = 0; i < n; ++i) {
       stream->apply_pull(pull, stream_params[i]);
       EXPECT_EQ(stream_params[i], batch_params[i])

@@ -259,7 +259,7 @@ TEST(QuantizedSync, HalvesBytesAndRoundsValues) {
 /// 1 get the same vector; client 2's differs from it only in the sign of a
 /// zero (equal under ==, not bitwise); client 3 repeats client 0's after a
 /// different one; client 4's differs in a value.
-class PerClientPull : public fl::SyncStrategyBase {
+class PerClientPull : public fl::SyncStrategy {
  public:
   static std::vector<float> pull_for(std::size_t client) {
     std::vector<float> v = {0.1f, 0.f, 1.f / 3.f, -2.5f, 65504.f, 1e-6f};
@@ -268,20 +268,27 @@ class PerClientPull : public fl::SyncStrategyBase {
     return v;
   }
 
+  void init(std::span<const float> initial_params,
+            std::size_t /*num_clients*/) override {
+    global_.assign(initial_params.begin(), initial_params.end());
+  }
   Result synchronize(fl::RoundId /*round*/,
                      std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override {
-    require_round_inputs(client_params, weights);
-    for (std::size_t i = 0; i < client_params.size(); ++i) {
-      client_params[i] = pull_for(i);
-    }
+                     const std::vector<double>& /*weights*/) override {
+    const std::size_t n = client_params.size();
+    for (std::size_t i = 0; i < n; ++i) client_params[i] = pull_for(i);
     Result result;
-    result.bytes_up.assign(client_params.size(), fl::ByteCount(0));
-    result.bytes_down.assign(client_params.size(), fl::ByteCount(0));
+    result.bytes_up.assign(n, fl::ByteCount(0));
+    result.bytes_down.assign(n, fl::ByteCount(0));
+    result.frames_up.resize(n);
+    result.frames_down.resize(n);
     return result;
   }
-
+  std::span<const float> global_params() const override { return global_; }
   std::string name() const override { return "PerClientPull"; }
+
+ private:
+  std::vector<float> global_;
 };
 
 TEST(QuantizedSync, SharesPullOnlyBetweenBitwiseEqualVectors) {

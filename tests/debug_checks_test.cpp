@@ -184,7 +184,7 @@ TEST(CheckFiniteTest, EmptySpanIsFine) {
 
 // ---------------------------------------------------------------------------
 // NaN injection through the masked wire path. The gated tripwires inside
-// ApfManager::synchronize live in apf_core and fire only when the library
+// ApfManager's fold hooks live in apf_core and fire only when the library
 // itself is built with APF_ENABLE_DEBUG_CHECKS (the debug / asan-ubsan
 // presets); here we drive the always-available check_finite() over the same
 // pack path the manager uses, so the contract holds in every build.

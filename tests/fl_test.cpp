@@ -5,6 +5,9 @@
 #include <cstring>
 #include <numeric>
 
+#include "compress/gaia.h"
+#include "compress/randk.h"
+#include "compress/topk.h"
 #include "core/apf_manager.h"
 #include "data/loader.h"
 #include "data/partition.h"
@@ -360,7 +363,7 @@ TEST(FullSync, StreamHooksMatchBatchSynchronize) {
     if (weights[i] > 0.0) stream->fold_push(fl::ClientId(i), frame, weights[i] / weight_total);
   }
   const auto pull = stream->finish_fold();
-  EXPECT_EQ(pull, result.broadcast_frame);
+  EXPECT_EQ(pull, result.frames_down[0]);
   std::vector<float> rebuilt;
   stream->apply_pull(pull, rebuilt);
   EXPECT_EQ(rebuilt, batch_params[0]);
@@ -444,25 +447,44 @@ TEST(Runner, RejectsNonPositiveBandwidthAtConstruction) {
   }
 }
 
-// A strategy that only reports byte sizes (no captured frames): the runner
-// must synthesize placeholder frames so the bus totals match the declaration.
-class BytesOnlyStrategy : public fl::SyncStrategyBase {
+/// Batch-only stand-in: keeps its initial model and reports fixed per-client
+/// traffic, with real frames of those sizes or (`with_frames` false) byte
+/// counts alone.
+class FixedTrafficStrategy : public fl::SyncStrategy {
  public:
+  FixedTrafficStrategy(std::vector<std::size_t> up,
+                       std::vector<std::size_t> down, bool with_frames)
+      : up_(std::move(up)), down_(std::move(down)), with_frames_(with_frames) {}
+
+  void init(std::span<const float> initial_params,
+            std::size_t /*num_clients*/) override {
+    global_.assign(initial_params.begin(), initial_params.end());
+  }
   Result synchronize(fl::RoundId /*round*/,
                      std::vector<std::vector<float>>& client_params,
-                     const std::vector<double>& weights) override {
-    require_round_inputs(client_params, weights);
-    weighted_average(client_params, weights, global_);
-    for (auto& p : client_params) p = global_;
+                     const std::vector<double>& /*weights*/) override {
     Result result;
-    result.bytes_up.assign(client_params.size(), fl::ByteCount(123));
-    result.bytes_down.assign(client_params.size(), fl::ByteCount(45));
-    return result;  // frames_up left empty on purpose
+    for (std::size_t i = 0; i < client_params.size(); ++i) {
+      client_params[i] = global_;
+      result.bytes_up.push_back(fl::ByteCount(up_[i]));
+      result.bytes_down.push_back(fl::ByteCount(down_[i]));
+      if (with_frames_) {
+        result.frames_up.emplace_back(up_[i], std::uint8_t{0});
+        result.frames_down.emplace_back(down_[i], std::uint8_t{0});
+      }
+    }
+    return result;
   }
-  std::string name() const override { return "BytesOnly"; }
+  std::span<const float> global_params() const override { return global_; }
+  std::string name() const override { return "FixedTraffic"; }
+
+ private:
+  std::vector<std::size_t> up_, down_;
+  bool with_frames_;
+  std::vector<float> global_;
 };
 
-TEST(Runner, PlaceholderFramesCarryDeclaredSizesForBytesOnlyStrategies) {
+TEST(Runner, RejectsStrategyThatReportsBytesWithoutFrames) {
   SyntheticImageDataset train(tiny_spec(), 32, 1);
   SyntheticImageDataset test(tiny_spec(), 8, 2);
   Rng prng(13);
@@ -475,16 +497,22 @@ TEST(Runner, PlaceholderFramesCarryDeclaredSizesForBytesOnlyStrategies) {
   config.batch_size = 8;
   config.eval_every = 100;
 
-  BytesOnlyStrategy strategy;
+  FixedTrafficStrategy strategy({123, 123}, {45, 45}, /*with_frames=*/false);
   fl::FederatedRunner runner(
       config, train, partition, test, tiny_mlp_factory(64, 4),
       [](nn::Module& m) {
         return std::make_unique<optim::Sgd>(m.parameters(), 0.05);
       },
       strategy);
-  const auto result = runner.run();
-  for (const auto& r : result.rounds) {
-    EXPECT_EQ(r.bytes_per_client, 123.0 + 45.0);
+  try {
+    runner.run();
+    ADD_FAILURE() << "a Result with bytes but no frames was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("FixedTraffic"), std::string::npos) << what;
+    EXPECT_NE(what.find("without one push and one pull frame"),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -511,22 +539,6 @@ TEST(Runner, SyncRoundTimeIsMaxPerClientCompletion) {
   // at max_compute + max_comm. Client 0 computes slowly but ships few bytes;
   // client 1 computes fast but ships many — under the old model the round
   // cost the slow compute PLUS the big upload, as if one client owned both.
-  class SkewedBytesStrategy : public fl::SyncStrategyBase {
-   public:
-    Result synchronize(fl::RoundId /*round*/,
-                       std::vector<std::vector<float>>& client_params,
-                       const std::vector<double>& weights) override {
-      require_round_inputs(client_params, weights);
-      weighted_average(client_params, weights, global_);
-      for (auto& p : client_params) p = global_;
-      Result result;
-      result.bytes_up = {fl::ByteCount(1000), fl::ByteCount(100000)};
-      result.bytes_down.assign(client_params.size(), fl::ByteCount(0));
-      return result;
-    }
-    std::string name() const override { return "SkewedBytes"; }
-  };
-
   SyntheticImageDataset train(tiny_spec(), 32, 1);
   SyntheticImageDataset test(tiny_spec(), 8, 2);
   Rng prng(14);
@@ -541,7 +553,7 @@ TEST(Runner, SyncRoundTimeIsMaxPerClientCompletion) {
   config.compute_seconds_per_iter = 1.0;
   config.compute_multiplier = {8.0, 1.0};
 
-  SkewedBytesStrategy strategy;
+  FixedTrafficStrategy strategy({1000, 100000}, {0, 0}, /*with_frames=*/true);
   fl::FederatedRunner runner(
       config, train, partition, test, tiny_mlp_factory(64, 4),
       [](nn::Module& m) {
@@ -670,7 +682,7 @@ TEST(Runner, AsyncRequiresStreamCapableStrategyAndValidConfig) {
   config.num_clients = 2;
   config.rounds = 1;
   config.aggregation_mode = fl::AggregationMode::kAsyncBuffered;
-  BytesOnlyStrategy batch_only;
+  FixedTrafficStrategy batch_only({8, 8}, {8, 8}, /*with_frames=*/true);
   fl::FederatedRunner runner(config, train, partition, test,
                              tiny_mlp_factory(64, 4), opt_factory,
                              batch_only);
@@ -748,6 +760,54 @@ TEST(Runner, AsyncRequiresStreamCapableStrategyAndValidConfig) {
                                    tiny_mlp_factory(64, 4), opt_factory,
                                    strategy),
                Error);
+}
+
+TEST(Runner, AsyncProbeRejectsSparsePushFormatsWithoutSideEffects) {
+  // TopK, RandK and Gaia stream, so the async push-format probe reaches
+  // them. Each must be rejected as "not dense" (not with a wire-decode or
+  // begin_fold error), and the probe must leave the strategy as it was.
+  SyntheticImageDataset train(tiny_spec(), 32, 1);
+  SyntheticImageDataset test(tiny_spec(), 8, 2);
+  Rng prng(16);
+  auto partition = data::iid_partition(train.size(), 2, prng);
+  fl::FlConfig config;
+  config.num_clients = 2;
+  config.rounds = 1;
+  config.aggregation_mode = fl::AggregationMode::kAsyncBuffered;
+
+  compress::TopKSync topk;
+  compress::RandKSync randk;
+  compress::GaiaSync gaia;
+  for (compress::ErrorFeedbackSync* strategy :
+       std::initializer_list<compress::ErrorFeedbackSync*>{&topk, &randk,
+                                                           &gaia}) {
+    fl::FederatedRunner runner(
+        config, train, partition, test, tiny_mlp_factory(64, 4),
+        [](nn::Module& m) {
+          return std::make_unique<optim::Sgd>(m.parameters(), 0.05);
+        },
+        *strategy);
+    try {
+      runner.run();
+      ADD_FAILURE() << strategy->name() << " passed the dense probe";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(strategy->name() + " push frames are not dense"),
+                std::string::npos)
+          << what;
+    }
+    for (const auto& residual : strategy->residuals()) {
+      for (const float r : residual) EXPECT_EQ(r, 0.f) << strategy->name();
+    }
+  }
+
+  // Outside a round the sparsifiers refuse to encode before touching any
+  // residual: an accepted push here would leave client 0 a nonzero one.
+  topk.init(std::vector<float>(8, 0.f), 2);
+  EXPECT_THROW(topk.encode_push(fl::ClientId(0), std::vector<float>(8, 1.f)),
+               Error);
+  EXPECT_EQ(topk.residuals(),
+            std::vector<std::vector<float>>(2, std::vector<float>(8, 0.f)));
 }
 
 TEST(FullSyncStream, ApplyPullRejectsWrongDimAtomically) {

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <tuple>
 
 #include "compress/cmfl.h"
 #include "compress/codecs.h"
@@ -20,6 +22,7 @@
 #include "core/strawmen.h"
 #include "fl/sync_strategy.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace apf {
 namespace {
@@ -216,6 +219,153 @@ INSTANTIATE_TEST_SUITE_P(
         if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
       }
       return name;
+    });
+
+// ---------------------------------------------------------------------------
+// The batch driver equals the five StreamSync hooks driven by hand.
+// ---------------------------------------------------------------------------
+
+struct StreamCase {
+  std::string name;
+  std::function<std::unique_ptr<fl::SyncStrategy>()> make;
+  /// Whether a weight-0 client still pushes and is billed the pull (false
+  /// for the error-feedback sparsifiers, where it sits the round out).
+  bool zero_weight_exchange = true;
+};
+
+void PrintTo(const StreamCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<StreamCase> stream_strategies() {
+  auto apf = [](auto&& configure) {
+    return [configure] {
+      core::ApfOptions opt = test_apf_options();
+      opt.check_every_rounds = 1;
+      configure(opt);
+      auto manager = std::make_unique<core::ApfManager>(opt);
+      manager->set_segments({{0, 10}, {10, 14}});
+      return manager;
+    };
+  };
+  core::StrawmanOptions strawman = test_strawman_options();
+  strawman.check_every_rounds = 1;
+  std::vector<StreamCase> cases;
+  cases.push_back({"FedAvg", [] { return std::make_unique<fl::FullSync>(); }});
+  cases.push_back({"APFScalar", apf([](core::ApfOptions&) {})});
+  cases.push_back({"APFTensor", apf([](core::ApfOptions& opt) {
+                     opt.granularity = core::FreezeGranularity::kTensor;
+                   })});
+  cases.push_back({"APFServerMask", apf([](core::ApfOptions& opt) {
+                     opt.server_side_mask = true;
+                   })});
+  cases.push_back({"PartialSync", [strawman] {
+                     return std::make_unique<core::PartialSync>(strawman);
+                   }});
+  cases.push_back({"PermanentFreeze", [strawman] {
+                     return std::make_unique<core::PermanentFreeze>(strawman);
+                   }});
+  cases.push_back({"TopK",
+                   [] { return std::make_unique<compress::TopKSync>(); },
+                   false});
+  cases.push_back({"RandK",
+                   [] { return std::make_unique<compress::RandKSync>(); },
+                   false});
+  cases.push_back({"Gaia",
+                   [] { return std::make_unique<compress::GaiaSync>(); },
+                   false});
+  return cases;
+}
+
+bool bits_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+class StreamEqualsBatch
+    : public ::testing::TestWithParam<std::tuple<StreamCase, std::size_t>> {};
+
+TEST_P(StreamEqualsBatch, HandDrivenHooksMatchSynchronizeBitForBit) {
+  const auto& [c, lanes] = GetParam();
+  util::ThreadPool pool(lanes);
+  util::set_compute_pool(&pool);
+  struct Restore {
+    ~Restore() { util::set_compute_pool(nullptr); }
+  } restore;
+
+  constexpr std::size_t kDim = 24;
+  constexpr std::size_t kClients = 4;
+  const std::vector<double> weights = {2.0, 0.0, 1.0, 3.0};
+  const double weight_total = 6.0;
+  Rng rng(31);
+  std::vector<float> init(kDim);
+  for (auto& v : init) v = rng.uniform_float(-1.f, 1.f);
+  auto batch = c.make();
+  auto streamed = c.make();
+  batch->init(init, kClients);
+  streamed->init(init, kClients);
+  fl::StreamSync* stream = streamed->stream_sync();
+  ASSERT_NE(stream, nullptr);
+
+  std::vector<std::vector<float>> batch_params(kClients, init);
+  std::vector<std::vector<float>> stream_params(kClients, init);
+  for (std::size_t k = 1; k <= 3; ++k) {
+    // Identical proposals for both replicas: drift on the first half,
+    // oscillation on the second, frozen scalars pinned to the anchor.
+    const Bitmap* mask = batch->frozen_mask();
+    for (std::size_t i = 0; i < kClients; ++i) {
+      for (std::size_t j = 0; j < kDim; ++j) {
+        const float step =
+            j < kDim / 2 ? 0.02f : (k % 2 == 0 ? 0.3f : -0.3f);
+        batch_params[i][j] += step + rng.uniform_float(-0.01f, 0.01f);
+        if (mask != nullptr && mask->get(j)) {
+          batch_params[i][j] = batch->frozen_anchor()[j];
+        }
+      }
+      stream_params[i] = batch_params[i];
+    }
+    const auto result =
+        batch->synchronize(fl::RoundId(k), batch_params, weights);
+
+    stream->begin_fold(fl::RoundId(k));
+    std::vector<std::vector<std::uint8_t>> up(kClients);
+    for (std::size_t i = 0; i < kClients; ++i) {
+      if (c.zero_weight_exchange || weights[i] > 0.0) {
+        up[i] = stream->encode_push(fl::ClientId(i), stream_params[i]);
+      }
+    }
+    for (std::size_t i = 0; i < kClients; ++i) {
+      if (weights[i] > 0.0) {
+        stream->fold_push(fl::ClientId(i), up[i], weights[i] / weight_total);
+      }
+    }
+    const std::vector<std::uint8_t> pull = stream->finish_fold();
+    for (auto& params : stream_params) stream->apply_pull(pull, params);
+
+    ASSERT_EQ(result.frames_up.size(), kClients);
+    ASSERT_EQ(result.frames_down.size(), kClients);
+    for (std::size_t i = 0; i < kClients; ++i) {
+      const bool exchanges = c.zero_weight_exchange || weights[i] > 0.0;
+      const std::vector<std::uint8_t> down =
+          exchanges ? pull : std::vector<std::uint8_t>{};
+      EXPECT_EQ(result.frames_up[i], up[i]) << "round " << k << " client " << i;
+      EXPECT_EQ(result.frames_down[i], down)
+          << "round " << k << " client " << i;
+      EXPECT_EQ(result.bytes_up[i], fl::ByteCount(up[i].size()));
+      EXPECT_EQ(result.bytes_down[i], fl::ByteCount(down.size()));
+      EXPECT_TRUE(bits_equal(batch_params[i], stream_params[i]))
+          << "round " << k << " client " << i;
+    }
+    EXPECT_TRUE(bits_equal(batch->global_params(), streamed->global_params()))
+        << "round " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryStreamingStrategy, StreamEqualsBatch,
+    ::testing::Combine(::testing::ValuesIn(stream_strategies()),
+                       ::testing::Values(std::size_t{1}, std::size_t{4})),
+    [](const ::testing::TestParamInfo<StreamEqualsBatch::ParamType>& info) {
+      return std::get<0>(info.param).name + "_" +
+             std::to_string(std::get<1>(info.param)) + "Lanes";
     });
 
 }  // namespace
