@@ -6,16 +6,16 @@
 // driver shows the frame-level transport layer (docs/TRANSPORT.md) sustains
 // that regime in O(model) server memory: the client universe is purely an id
 // space, only the sampled participants materialize state (bus links and the
-// participation ledger live in ShardedClientStores), and the server folds
-// arriving push frames into one StreamingAggregator instead of staging
+// participation ledger are ordered maps keyed by client id), and the server
+// folds arriving push frames into one StreamingAggregator instead of staging
 // per-client vectors.
 //
 // Per round: sample P distinct ids from [0, N), generate each participant's
-// synthetic local update deterministically from (id, round), encode + push
-// over the bus in parallel chunks (distinct clients, so concurrent pushes
-// are safe), fold the drained frames in ascending id order, broadcast the
-// pull frame back, and rebuild every participant from it. Everything that
-// matters is asserted or reported:
+// synthetic local update deterministically from (id, round), encode in
+// parallel chunks on pool lanes, push each chunk serially in ascending id
+// (the bus has a single owner), fold the drained frames in ascending id
+// order, broadcast the pull frame back, and rebuild every participant from
+// it. Everything that matters is asserted or reported:
 //
 //   - per-round total bytes are measured frame sizes off the bus
 //     (bit-identical for any --threads value; CI diffs the JSON),
@@ -34,6 +34,7 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <set>
 #include <span>
 #include <sstream>
@@ -43,7 +44,6 @@
 #include "core/apf_manager.h"
 #include "fl/sync_strategy.h"
 #include "transport/bus.h"
-#include "transport/client_store.h"
 #include "transport/frame.h"
 #include "transport/network.h"
 #include "transport/streaming.h"
@@ -123,7 +123,7 @@ StrategyReport run_strategy(fl::SyncStrategy& strategy, const char* name,
   util::ThreadPool pool(threads);
   // Participation ledger over the sparse universe: only touched ids own an
   // entry, so its size is O(distinct participants), never O(universe).
-  transport::ShardedClientStore<std::uint32_t> last_round_seen;
+  std::map<fl::ClientId, std::uint32_t> last_round_seen;
   Rng sample_rng(seed);
 
   StrategyReport report;
@@ -143,23 +143,26 @@ StrategyReport run_strategy(fl::SyncStrategy& strategy, const char* name,
 
     bus.begin_round(fl::RoundId(round));
     stream->begin_fold(fl::RoundId(round));
-    // Windowed pipeline: encode+push a chunk in parallel (distinct client
-    // ids -> distinct links, which the bus contract allows), then drain and
-    // fold it before the next chunk, so at most one chunk of frames is ever
-    // queued.
+    // Windowed pipeline: encode a chunk on pool lanes (each lane writes
+    // only its own frame slot), push it serially in ascending id, then drain
+    // and fold it before the next chunk, so at most one chunk of frames is
+    // ever queued.
+    std::vector<std::vector<std::uint8_t>> encoded(kChunk);
     for (std::size_t base = 0; base < active.size(); base += kChunk) {
       const std::size_t end = std::min(base + kChunk, active.size());
       pool.parallel_for(end - base, [&](std::size_t slot) {
         const std::uint64_t id = active[base + slot];
         std::vector<float> params;
         synth_update(id, round, strategy.global_params(), params);
-        bus.push(fl::ClientId(id), transport::Frame::Kind::kStrategy,
-                 stream->encode_push(fl::ClientId(id), params));
+        encoded[slot] = stream->encode_push(fl::ClientId(id), params);
       });
+      for (std::size_t k = base; k < end; ++k) {
+        bus.push(fl::ClientId(active[k]), transport::Frame::Kind::kStrategy,
+                 std::move(encoded[k - base]));
+      }
       for (transport::Frame& frame : bus.take_pushes()) {
         stream->fold_push(frame.client, frame.payload, norm_weight);
-        last_round_seen.obtain(frame.client) =
-            static_cast<std::uint32_t>(round);
+        last_round_seen[frame.client] = static_cast<std::uint32_t>(round);
       }
     }
     const std::vector<std::uint8_t> pull = stream->finish_fold();

@@ -93,7 +93,7 @@ void bench_rows(const char* name, std::size_t m, std::size_t k, std::size_t n,
   double base_seconds = 0.0;
   for (const std::size_t t : threads) {
     util::ThreadPool pool(t);
-    util::set_compute_pool(&pool);
+    const util::ScopedComputePool compute_scope(pool);
     KernelResult r;
     r.kernel = name;
     r.m = m;
@@ -105,7 +105,6 @@ void bench_rows(const char* name, std::size_t m, std::size_t k, std::size_t n,
     if (t == 1) base_seconds = r.seconds_per_call;
     r.speedup_vs_1t =
         base_seconds > 0.0 ? base_seconds / r.seconds_per_call : 1.0;
-    util::set_compute_pool(nullptr);
     results.push_back(r);
     std::cout << "  " << r.kernel << " " << m << "x" << k << "x" << n
               << " threads=" << t << "  " << r.gflops << " GFLOP/s  (x"

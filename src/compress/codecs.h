@@ -1,8 +1,7 @@
 // Stochastic gradient/update codecs from the communication-compression
 // literature the paper surveys (§2): QSGD (Alistarh et al.) and TernGrad
-// (Wen et al.). A codec maps an update vector to its wire representation and
-// back (encode_decode applies the exact value distortion the receiver would
-// see) and reports the wire cost.
+// (Wen et al.). A codec maps an update vector to its framed wire buffer and
+// back; byte accounting is the measured size of that buffer.
 #pragma once
 
 #include <cstddef>
@@ -19,25 +18,15 @@ class UpdateCodec {
  public:
   virtual ~UpdateCodec() = default;
 
-  /// Applies the codec's quantization to `update` in place (what the
-  /// receiver would decode). Stochastic codecs draw from `rng`.
-  virtual void encode_decode(std::span<float> update, Rng& rng) const = 0;
-
-  /// Quantizes `update` into its framed wire buffer, drawing the same
-  /// stochastic rounding as encode_decode would for the same rng state.
+  /// Quantizes `update` into its framed wire buffer. Stochastic codecs draw
+  /// their rounding from `rng`.
   virtual std::vector<std::uint8_t> encode(std::span<const float> update,
                                            Rng& rng) const = 0;
 
-  /// Decodes a buffer produced by encode(); decode(encode(u, rng)) is
-  /// bit-identical to encode_decode(u, rng) on the same rng state. Raises
-  /// apf::Error on malformed framing.
+  /// Decodes a buffer produced by encode() into the values the receiver
+  /// sees. Raises apf::Error on malformed framing.
   virtual std::vector<float> decode(
       std::span<const std::uint8_t> bytes) const = 0;
-
-  /// Modeled wire cost in bytes for a vector of `n` elements (payload +
-  /// scalars, headers excluded) — a planning helper; byte *accounting* uses
-  /// the measured encode() buffer size.
-  virtual double wire_bytes(std::size_t n) const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -49,12 +38,10 @@ class QsgdCodec : public UpdateCodec {
  public:
   explicit QsgdCodec(unsigned bits);
 
-  void encode_decode(std::span<float> update, Rng& rng) const override;
   std::vector<std::uint8_t> encode(std::span<const float> update,
                                    Rng& rng) const override;
   std::vector<float> decode(
       std::span<const std::uint8_t> bytes) const override;
-  double wire_bytes(std::size_t n) const override;
   std::string name() const override;
 
   unsigned bits() const { return bits_; }
@@ -70,12 +57,10 @@ class QsgdCodec : public UpdateCodec {
 /// element + the scale.
 class TernGradCodec : public UpdateCodec {
  public:
-  void encode_decode(std::span<float> update, Rng& rng) const override;
   std::vector<std::uint8_t> encode(std::span<const float> update,
                                    Rng& rng) const override;
   std::vector<float> decode(
       std::span<const std::uint8_t> bytes) const override;
-  double wire_bytes(std::size_t n) const override;
   std::string name() const override { return "TernGrad"; }
 };
 

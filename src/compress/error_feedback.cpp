@@ -12,16 +12,14 @@ void ErrorFeedbackSync::init(std::span<const float> initial_params,
                              std::size_t num_clients) {
   SyncStrategyBase::init(initial_params, num_clients);
   acc_.clear();
-  residual_.clear();
+  residual_.assign(num_clients, {});
 }
 
 std::vector<std::vector<float>> ErrorFeedbackSync::residuals() const {
-  std::vector<std::vector<float>> out(
-      num_clients_, std::vector<float>(global_.size(), 0.f));
-  residual_.for_each_ordered(
-      [&](util::ClientId id, const std::vector<float>& r) {
-        out[id.value()] = r;
-      });
+  std::vector<std::vector<float>> out = residual_;
+  for (std::vector<float>& r : out) {
+    if (r.empty()) r.assign(global_.size(), 0.f);
+  }
   return out;
 }
 
@@ -35,7 +33,10 @@ std::vector<float>& ErrorFeedbackSync::armed_residual(
     fl::ClientId client, std::span<const float> params) {
   APF_CHECK_MSG(!acc_.empty(), name() << " encode_push before begin_fold()");
   APF_CHECK(params.size() == global_.size());
-  std::vector<float>& residual = residual_.obtain(client);
+  APF_CHECK_MSG(client.value() < residual_.size(),
+                name() << " client " << client << " out of range ("
+                       << residual_.size() << " clients)");
+  std::vector<float>& residual = residual_[client.value()];
   if (residual.empty()) residual.assign(global_.size(), 0.f);
   return residual;
 }

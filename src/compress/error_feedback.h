@@ -7,15 +7,17 @@
 // round out: they push nothing, are billed no pull and their residual does
 // not move, but they still adopt the new model.
 //
-// Residuals live in a lazily-sharded per-client store, so encode_push for
-// distinct clients may run concurrently (the batch driver runs it on pool
-// lanes). They move only inside a round armed by begin_fold().
+// Residuals live in per-client slots that init() sizes; a slot stays empty
+// until its client first takes part. Only that client's encode_push writes
+// its slot, so encodes for distinct clients may run concurrently (the batch
+// driver runs them on pool lanes). They move only inside a round armed by
+// begin_fold().
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "fl/sync_strategy.h"
-#include "transport/client_store.h"
 
 namespace apf::compress {
 
@@ -34,8 +36,8 @@ class ErrorFeedbackSync : public fl::SyncStrategyBase {
                   std::vector<float>& params) const override;
 
   /// Per-client error-feedback residuals, materialized densely (client id ->
-  /// vector; untouched clients are all-zero). Exposed for the fuzz state
-  /// oracle; live state is the lazy sharded store below.
+  /// vector; clients that never took part are all-zero). Exposed for the
+  /// fuzz state oracle; live state is the lazy slots below.
   std::vector<std::vector<float>> residuals() const;
 
  protected:
@@ -45,9 +47,9 @@ class ErrorFeedbackSync : public fl::SyncStrategyBase {
   std::size_t selection_size(double fraction) const;
 
   /// `client`'s residual, zero-filled on first participation. Throws before
-  /// touching the store unless a round is armed and `params` has the model
-  /// dimension, so an encode outside a round leaves every residual as it
-  /// was.
+  /// touching any slot unless a round is armed, `params` has the model
+  /// dimension and `client` is below init()'s client count, so an encode
+  /// outside a round leaves every residual as it was.
   std::vector<float>& armed_residual(fl::ClientId client,
                                      std::span<const float> params);
 
@@ -55,7 +57,8 @@ class ErrorFeedbackSync : public fl::SyncStrategyBase {
   std::vector<double> acc_;
 
  private:
-  transport::ShardedClientStore<std::vector<float>> residual_;
+  // One slot per client; empty until the client's first push.
+  std::vector<std::vector<float>> residual_;
 };
 
 }  // namespace apf::compress

@@ -160,8 +160,11 @@ SimulationResult FederatedRunner::run() {
   }
 
   // One persistent pool serves the whole simulation: client training fans
-  // out over it every round, and evaluation reuses it with model replicas.
+  // out over it every round, evaluation reuses it with model replicas, and
+  // it is the compute pool for the run, so strategy codec work and off-lane
+  // kernels stay within the same worker_threads lane budget.
   util::ThreadPool pool(config_.worker_threads);
+  const util::ScopedComputePool compute_scope(pool);
 
   // Evaluation replicas (each receives the global params before each eval);
   // one per pool lane, capped by the number of evaluation batches so small
@@ -540,30 +543,24 @@ SimulationResult FederatedRunner::run() {
             compute_seconds_of(static_cast<std::size_t>(link_client.value())) +
                 link_comm);
       }
-      record.round_seconds = std::max(
-          max_completion_seconds,
-          max_compute_seconds +
-              config_.network.server_seconds(total_bytes_all_clients));
+      record.round_seconds =
+          std::max(max_completion_seconds,
+                   max_compute_seconds + net.server_seconds);
     } else {
       buffer->begin_round(RoundId(round));
       // Push: each joiner's encoded result is queued NOW (bytes charge at
       // push, in this window) but only ARRIVES after its download + compute
       // + upload; until then it is a straggler frame the commit may miss.
+      // A joiner's link carries exactly its pull and its push this window,
+      // so the bus's price of the open link is its comm time.
       for (const std::size_t i : active) {
         clients[i].view->gather(client_params[i]);
-        std::vector<std::uint8_t> up =
-            stream->encode_push(ClientId(i), client_params[i]);
-        double comm_seconds =
-            config_.network.client_download_seconds(ByteCount(down.size())) +
-            config_.network.client_upload_seconds(ByteCount(up.size()));
-        if (config_.network.frame_latency_seconds > 0.0) {
-          comm_seconds += 2.0 * config_.network.frame_latency_seconds;
-        }
-        Pending entry;
-        entry.arrival = now + compute_seconds_of(i) + comm_seconds;
-        entry.weight = static_cast<double>(partition_[i].size());
         bus.push(ClientId(i), transport::Frame::Kind::kStrategy,
-                 std::move(up));
+                 stream->encode_push(ClientId(i), client_params[i]));
+        Pending entry;
+        entry.arrival = now + compute_seconds_of(i) +
+                        bus.link_comm_seconds(ClientId(i));
+        entry.weight = static_cast<double>(partition_[i].size());
         pending[i] = entry;
       }
 
@@ -625,8 +622,7 @@ SimulationResult FederatedRunner::run() {
       // every byte queued this window) still floors it. A commit_time in the
       // past means the arrivals were already waiting: zero additional wait.
       record.round_seconds =
-          std::max(std::max(0.0, commit_time - now),
-                   config_.network.server_seconds(total_bytes_all_clients));
+          std::max(std::max(0.0, commit_time - now), net.server_seconds);
       now += record.round_seconds;
       record.participants = fold_count;
       if (observer_) {

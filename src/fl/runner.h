@@ -98,7 +98,9 @@ struct FlConfig {
   std::vector<double> compute_multiplier;
 
   /// Execution lanes used to train clients in parallel within a round (one
-  /// persistent util::ThreadPool serves the whole simulation). Clients are
+  /// persistent util::ThreadPool serves the whole simulation: run() installs
+  /// it as util::compute_pool(), so strategy work uses the same lanes, and
+  /// restores the previous compute pool on return or throw). Clients are
   /// fully independent between synchronizations and every cross-client
   /// reduction is combined in client index order, so the full
   /// SimulationResult is bit-identical for any lane count. 0 = one lane per

@@ -8,18 +8,19 @@
 // byte. Lifecycle per round (docs/TRANSPORT.md):
 //
 //   begin_round(r)
-//     clients:  push(id, kind, payload)          [concurrent, distinct links]
+//     clients:  push(id, kind, payload)
 //     server:   take_pushes() -> frames sorted by (client, seq)
 //     server:   deliver(id, kind, payload)
 //     clients:  take_pulls(id) -> that link's frames in send order
 //   finish_round() -> RoundStats
 //
 // finish_round() checks every frame was consumed (an undelivered frame is a
-// routing bug, not traffic), prices each link with the legacy per-round
-// arithmetic — upload_seconds(sum of up bytes) + download_seconds(sum of
-// down bytes), plus frame_latency_seconds per frame when configured — and
-// resets the per-round link state, so bus memory is O(links active this
-// round), not O(client universe).
+// routing bug, not traffic), prices each link — upload_seconds(sum of up
+// bytes) + download_seconds(sum of down bytes) — and resets the per-round
+// link state, so bus memory is O(links active this round), not O(client
+// universe). The bus is the only code that prices bytes: the same per-link
+// price answers link_comm_seconds() on an open link, and RoundStats carries
+// the shared server link's time.
 //
 // Asynchronous rounds relax exactly one clause: finish_round(kCarryOver)
 // lets untaken server-bound pushes (stragglers that missed the commit)
@@ -29,19 +30,15 @@
 // links are ClientId, rounds RoundId, send order SeqNo, and every byte
 // figure a ByteCount, so transposed arguments fail to compile.
 //
-// Thread safety: push/deliver/take_pulls may run concurrently for DISTINCT
-// clients (per-link state lives in a ShardedClientStore; see its contract);
-// a single link has a single logical owner on each side. begin_round /
-// take_pushes / finish_round belong to the server coordinator thread and
-// must not overlap client calls.
+// Single owner: a Bus is not thread-safe. One thread drives it — callers
+// that encode on pool lanes push the finished frames serially.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
-#include "transport/client_store.h"
 #include "transport/frame.h"
 #include "transport/network.h"
 
@@ -71,21 +68,17 @@ struct RoundStats {
   /// (always 0 under FinishPolicy::kStrict).
   std::uint64_t carried_frames = 0;
   ByteCount total_bytes;  // up + down across all links
-  /// BSP barrier: the slowest link's upload + download time.
-  double max_client_comm_seconds = 0.0;
   /// Time for the shared server link to carry total_bytes.
   double server_seconds = 0.0;
-  /// Per-link comm seconds (upload + download + per-frame latency), in
-  /// ascending client id order — what a completion-time round model needs
-  /// to pair each client's comm with its own compute.
+  /// Per-link comm seconds (upload + download), in ascending client id
+  /// order — what a completion-time round model needs to pair each client's
+  /// comm with its own compute.
   std::vector<std::pair<ClientId, double>> link_comm_seconds;
 };
 
 class Bus {
  public:
-  explicit Bus(NetworkModel network, std::size_t shard_count = 16);
-
-  const NetworkModel& network() const { return network_; }
+  explicit Bus(NetworkModel network);
 
   /// Arms the bus for round `round` (1-based).
   void begin_round(RoundId round);
@@ -116,24 +109,23 @@ class Bus {
   ByteCount link_up_bytes(ClientId client) const;
   ByteCount link_down_bytes(ClientId client) const;
 
+  /// Comm seconds of `client`'s link for the bytes it has carried so far
+  /// this round (0 for an untouched link): the same price finish_round()
+  /// reports for the link if nothing else travels on it.
+  double link_comm_seconds(ClientId client) const;
+
   /// Payload bytes currently queued (pushed or delivered, not yet taken).
-  ByteCount queued_bytes() const {
-    return ByteCount(queued_bytes_.load(std::memory_order_relaxed));
-  }
+  ByteCount queued_bytes() const { return queued_bytes_; }
 
   /// High-water mark of queued_bytes() since construction (never reset).
-  ByteCount peak_queued_bytes() const {
-    return ByteCount(peak_queued_bytes_.load(std::memory_order_relaxed));
-  }
+  ByteCount peak_queued_bytes() const { return peak_queued_bytes_; }
 
   /// High-water mark of queued_bytes() since the last begin_round() — the
   /// figure per-round windowing bounds (e.g. the million-client bench's
   /// one-encode-window assertion) must use; the lifetime peak above only
   /// ever ratchets up. begin_round() resets it to the bytes still in flight
   /// (carried frames), not to zero.
-  ByteCount round_peak_queued_bytes() const {
-    return ByteCount(round_peak_queued_bytes_.load(std::memory_order_relaxed));
-  }
+  ByteCount round_peak_queued_bytes() const { return round_peak_queued_bytes_; }
 
   /// Closes the round under `policy` (see FinishPolicy). Prices each link in
   /// ascending client id order and resets all per-round link state; carried
@@ -151,25 +143,34 @@ class Bus {
     std::vector<Frame> mailbox;  // client-bound, awaiting take_pulls()
   };
 
-  // Private plumbing into the std::atomic counters below; the public
-  // surface exposes ByteCount accessors (queued_bytes/peak_queued_bytes).
-  // lint-apf: allow-strong-type(feeds std::atomic counters directly)
-  void note_queued(std::size_t bytes);
-  void note_taken(std::size_t bytes);  // lint-apf: allow-strong-type(as above)
+  /// Stamps a new frame on `link` (round, kind, next seq) and queues its
+  /// bytes; the caller appends it to the inbox or mailbox.
+  Frame open_frame(LinkState& link, ClientId client, Frame::Kind kind,
+                   std::vector<std::uint8_t> payload);
+  /// Moves every frame of `queue` to `out` in order and un-queues its bytes.
+  void drain(std::vector<Frame>& queue, std::vector<Frame>& out);
+  /// The one pricing function: upload + download seconds of `link`.
+  double price(const LinkState& link) const;
+  const LinkState* find(ClientId client) const;
+
+  // The queued-byte gauges below; note_taken() is the one place a byte
+  // count goes down.
+  void note_queued(ByteCount bytes);
+  void note_taken(ByteCount bytes);
 
   NetworkModel network_;
-  // Round lifecycle state; owned by the server coordinator thread (see the
-  // header comment), so it needs no lock.
   RoundId round_;
   bool in_round_ = false;
-  ShardedClientStore<LinkState> links_;
+  // Links touched this round, ascending client id: the deterministic fold
+  // and pricing order.
+  std::map<ClientId, LinkState> links_;
   // Server-bound frames a kCarryOver finish left untaken, in ascending
   // (client, seq) order; re-injected into their links by the next
   // begin_round(). Their bytes stay in queued_bytes_ the whole time.
   std::vector<Frame> carried_;
-  std::atomic<std::size_t> queued_bytes_{0};
-  std::atomic<std::size_t> peak_queued_bytes_{0};
-  std::atomic<std::size_t> round_peak_queued_bytes_{0};
+  ByteCount queued_bytes_;
+  ByteCount peak_queued_bytes_;
+  ByteCount round_peak_queued_bytes_;
 };
 
 }  // namespace apf::transport

@@ -7,9 +7,9 @@
 namespace apf::transport {
 
 namespace {
-double seconds(double bytes, double mbps) {
+double seconds(util::ByteCount bytes, double mbps) {
   APF_CHECK(mbps > 0.0);
-  return bytes * 8.0 / (mbps * 1e6);
+  return bytes.to_double() * 8.0 / (mbps * 1e6);
 }
 }  // namespace
 
@@ -23,24 +23,17 @@ void NetworkModel::validate(const std::string& context) const {
   require_bandwidth(client_download_mbps, "client_download_mbps");
   require_bandwidth(client_upload_mbps, "client_upload_mbps");
   require_bandwidth(server_bandwidth_mbps, "server_bandwidth_mbps");
-  APF_CHECK_MSG(
-      std::isfinite(frame_latency_seconds) && frame_latency_seconds >= 0.0,
-      context << ": NetworkModel::frame_latency_seconds must be finite and "
-              << ">= 0, got " << frame_latency_seconds);
 }
 
-double NetworkModel::client_download_seconds(double bytes) const {
-  APF_CHECK(bytes >= 0.0);
+double NetworkModel::client_download_seconds(util::ByteCount bytes) const {
   return seconds(bytes, client_download_mbps);
 }
 
-double NetworkModel::client_upload_seconds(double bytes) const {
-  APF_CHECK(bytes >= 0.0);
+double NetworkModel::client_upload_seconds(util::ByteCount bytes) const {
   return seconds(bytes, client_upload_mbps);
 }
 
-double NetworkModel::server_seconds(double total_bytes) const {
-  APF_CHECK(total_bytes >= 0.0);
+double NetworkModel::server_seconds(util::ByteCount total_bytes) const {
   return seconds(total_bytes, server_bandwidth_mbps);
 }
 

@@ -144,4 +144,9 @@ void set_compute_pool(ThreadPool* pool) {
   g_compute_pool.store(pool, std::memory_order_release);
 }
 
+ScopedComputePool::ScopedComputePool(ThreadPool& pool)
+    : previous_(g_compute_pool.exchange(&pool, std::memory_order_acq_rel)) {}
+
+ScopedComputePool::~ScopedComputePool() { set_compute_pool(previous_); }
+
 }  // namespace apf::util

@@ -1,18 +1,17 @@
 // Shared deterministic thread-pool runtime.
 //
 // The simulator's contract is that results are bit-identical for any worker
-// count, so every parallel construct in the repo is built from two
-// order-preserving primitives provided here:
+// count. Every parallel region in the library is a parallel_for whose tasks
+// write only per-index slots; cross-index reductions then combine those
+// slots serially in index order on the caller (docs/PARALLELISM.md):
 //
 //  - parallel_for(n, fn): runs fn(i) for i in [0, n) on the pool. Each index
 //    is executed exactly once by exactly one thread; work is handed out in
 //    dynamically sized chunks, so *which* thread runs an index varies between
 //    runs — any state fn touches must be per-index.
-//  - ordered_reduce(n, init, produce, combine): materializes per-index
-//    partials with parallel_for and then combines them serially in index
-//    order 0..n-1. Floating-point summation order is therefore a function of
-//    n alone, never of the worker count or scheduling — this is what makes
-//    reductions bit-identical for any thread count.
+//  - ordered_reduce(n, init, produce, combine): that per-slot-then-serial
+//    pattern packaged as one call. Floating-point summation order is a
+//    function of n alone, never of the worker count or scheduling.
 //
 // One pool instance owns `lanes - 1` persistent worker threads; the caller of
 // parallel_for is the extra lane. Nested parallel_for calls (a task that
@@ -108,15 +107,30 @@ class ThreadPool {
   std::exception_ptr error_ APF_GUARDED_BY(mutex_);  // first failure
 };
 
-/// Pool used by the library's internal hot paths (tensor kernels, parallel
-/// evaluation) when the caller does not pass one explicitly. Defaults to
-/// ThreadPool::global(); benchmarks and tests may substitute their own pool
-/// to control the lane count. Not synchronized — swap only while no kernels
-/// are running.
+/// Pool used by the library's internal hot paths (tensor kernels, strategy
+/// codec work) when the caller does not pass one explicitly. Defaults to
+/// ThreadPool::global(); FederatedRunner::run(), benchmarks and tests
+/// substitute their own pool to control the lane count. Not synchronized —
+/// swap only while no kernels are running.
 ThreadPool& compute_pool();
 
 /// Replaces the compute pool (nullptr restores the process-wide default).
 /// The caller keeps ownership of `pool`, which must outlive the replacement.
 void set_compute_pool(ThreadPool* pool);
+
+/// Installs `pool` as the compute pool for the enclosing scope and restores
+/// whatever was installed before (an override or the default) when the scope
+/// ends, also on unwinding.
+class ScopedComputePool {
+ public:
+  explicit ScopedComputePool(ThreadPool& pool);
+  ~ScopedComputePool();
+
+  ScopedComputePool(const ScopedComputePool&) = delete;
+  ScopedComputePool& operator=(const ScopedComputePool&) = delete;
+
+ private:
+  ThreadPool* previous_;
+};
 
 }  // namespace apf::util

@@ -66,22 +66,4 @@ float half_to_float(std::uint16_t half) {
   return std::bit_cast<float>(sign | (exp32 << 23) | (mantissa << 13));
 }
 
-void quantize_fp16_inplace(std::span<float> values) {
-  for (auto& v : values) v = half_to_float(float_to_half(v));
-}
-
-std::vector<std::uint16_t> encode_fp16(std::span<const float> values) {
-  std::vector<std::uint16_t> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i)
-    out[i] = float_to_half(values[i]);
-  return out;
-}
-
-std::vector<float> decode_fp16(std::span<const std::uint16_t> halves) {
-  std::vector<float> out(halves.size());
-  for (std::size_t i = 0; i < halves.size(); ++i)
-    out[i] = half_to_float(halves[i]);
-  return out;
-}
-
 }  // namespace apf::wire

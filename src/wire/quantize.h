@@ -6,8 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace apf::wire {
 
@@ -17,15 +15,5 @@ std::uint16_t float_to_half(float value);
 
 /// float16 bit pattern -> float32.
 float half_to_float(std::uint16_t half);
-
-/// Rounds every element through fp16 (the precision loss a transmit/receive
-/// pair would incur).
-void quantize_fp16_inplace(std::span<float> values);
-
-/// Encodes to a half-precision payload.
-std::vector<std::uint16_t> encode_fp16(std::span<const float> values);
-
-/// Decodes a half-precision payload.
-std::vector<float> decode_fp16(std::span<const std::uint16_t> halves);
 
 }  // namespace apf::wire

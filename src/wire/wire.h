@@ -102,13 +102,11 @@ struct QsgdPayload {
 };
 
 /// The receiver-side value of one coordinate: sign * norm * level / s.
-/// Shared by QsgdCodec::encode_decode and the wire decoder so the in-place
-/// codec and the byte path agree bit-for-bit.
 float qsgd_value(float norm, std::uint32_t level, unsigned levels,
                  bool negative);
 
 /// Quantizes `update` into a payload, drawing the stochastic rounding from
-/// `rng` exactly as QsgdCodec::encode_decode does.
+/// `rng` (QsgdCodec::encode).
 QsgdPayload qsgd_quantize(std::span<const float> update, unsigned bits,
                           Rng& rng);
 
@@ -128,8 +126,8 @@ struct TernPayload {
   std::vector<std::uint8_t> codes; // dim entries in {0, 1, 2}
 };
 
-/// Quantizes `update` drawing from `rng` exactly as
-/// TernGradCodec::encode_decode does.
+/// Quantizes `update`, drawing the stochastic selection from `rng`
+/// (TernGradCodec::encode).
 TernPayload terngrad_quantize(std::span<const float> update, Rng& rng);
 
 std::vector<float> terngrad_dequantize(const TernPayload& payload);

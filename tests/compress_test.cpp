@@ -8,6 +8,7 @@
 #include "compress/cmfl.h"
 #include "compress/gaia.h"
 #include "compress/quantized_sync.h"
+#include "compress/randk.h"
 #include "compress/topk.h"
 #include "fl/sync_strategy.h"
 #include "util/rng.h"
@@ -17,8 +18,6 @@
 namespace apf {
 namespace {
 
-using wire::decode_fp16;
-using wire::encode_fp16;
 using wire::float_to_half;
 using wire::half_to_float;
 
@@ -59,25 +58,31 @@ TEST(Fp16, SubnormalsPreserved) {
 }
 
 TEST(Fp16, EncodeDecodeVectors) {
+  // The framed payload QuantizedSync ships: each element decodes to its own
+  // float_to_half/half_to_float round trip.
   Rng rng(2);
   std::vector<float> values(257);
   for (auto& v : values) v = rng.uniform_float(-2.f, 2.f);
-  const auto halves = encode_fp16(values);
-  const auto back = decode_fp16(halves);
+  const auto back =
+      wire::decode_fp16_payload(wire::encode_fp16_payload(values));
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(back[i], half_to_float(float_to_half(values[i])));
     EXPECT_NEAR(back[i], values[i], std::fabs(values[i]) * 1e-3f + 1e-6f);
   }
 }
 
 TEST(Fp16, QuantizeInplaceIdempotent) {
+  // A second trip through the fp16 payload changes nothing: every decoded
+  // value is exactly representable in half precision.
   Rng rng(3);
   std::vector<float> values(100);
   for (auto& v : values) v = rng.uniform_float(-1.f, 1.f);
-  wire::quantize_fp16_inplace(values);
-  auto once = values;
-  wire::quantize_fp16_inplace(values);
-  EXPECT_EQ(values, once);
+  const auto once =
+      wire::decode_fp16_payload(wire::encode_fp16_payload(values));
+  const auto twice =
+      wire::decode_fp16_payload(wire::encode_fp16_payload(once));
+  EXPECT_EQ(twice, once);
 }
 
 // ---------------------------------------------------------------------------
@@ -241,6 +246,49 @@ TEST(TopK, ResidualEventuallyFlushes) {
     strategy.synchronize(fl::RoundId(r), params, {1.0});
   }
   EXPECT_GT(strategy.global_params()[1], 0.3f);
+}
+
+TEST(ErrorFeedbackResiduals, SlotsFillOnlyForParticipants) {
+  constexpr std::size_t kDim = 8;
+  const std::vector<float> ramp = {1.f, 2.f, 3.f, 4.f, 5.f, 6.f, 7.f, 8.f};
+  const std::vector<std::vector<float>> all_zero(
+      3, std::vector<float>(kDim, 0.f));
+  compress::TopKSync topk;
+  compress::RandKSync randk;
+  compress::GaiaSync gaia;
+  for (compress::ErrorFeedbackSync* strategy :
+       std::initializer_list<compress::ErrorFeedbackSync*>{&topk, &randk,
+                                                           &gaia}) {
+    strategy->init(std::vector<float>(kDim, 0.f), 3);
+    // An encode outside a round throws before any slot fills.
+    EXPECT_THROW(strategy->encode_push(fl::ClientId(0), ramp), Error)
+        << strategy->name();
+    EXPECT_EQ(strategy->residuals(), all_zero) << strategy->name();
+
+    // Client 1 sits the round out: its slot never fills and reads all-zero.
+    std::vector<std::vector<float>> params(3, ramp);
+    strategy->synchronize(fl::RoundId(1), params, {1.0, 0.0, 2.0});
+    const auto after = strategy->residuals();
+    ASSERT_EQ(after.size(), 3u) << strategy->name();
+    EXPECT_EQ(after[1], all_zero[1]) << strategy->name();
+    for (const auto& residual : after) EXPECT_EQ(residual.size(), kDim);
+  }
+  // Top-1 of eight coordinates leaves the other seven in each participant's
+  // residual.
+  EXPECT_NE(topk.residuals()[0], all_zero[0]);
+  EXPECT_NE(topk.residuals()[2], all_zero[2]);
+}
+
+TEST(ErrorFeedbackResiduals, OutOfRangeClientThrowsWithoutMovingSlots) {
+  compress::TopKSync topk;
+  topk.init(std::vector<float>(4, 0.f), 2);
+  topk.begin_fold(fl::RoundId(1));
+  const std::vector<float> params = {1.f, 2.f, 3.f, 4.f};
+  EXPECT_THROW(topk.encode_push(fl::ClientId(2), params), Error);
+  EXPECT_EQ(topk.residuals(),
+            std::vector<std::vector<float>>(2, std::vector<float>(4, 0.f)));
+  // In-range ids still encode in the same armed round.
+  EXPECT_FALSE(topk.encode_push(fl::ClientId(1), params).empty());
 }
 
 TEST(QuantizedSync, HalvesBytesAndRoundsValues) {

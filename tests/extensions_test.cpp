@@ -215,7 +215,7 @@ TEST(QsgdCodec, IsUnbiased) {
   const int reps = 20000;
   for (int r = 0; r < reps; ++r) {
     std::vector<float> u = original;
-    codec.encode_decode(u, rng);
+    u = codec.decode(codec.encode(u, rng));
     for (std::size_t i = 0; i < u.size(); ++i) mean[i] += u[i];
   }
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -230,7 +230,7 @@ TEST(QsgdCodec, OutputsOnQuantizationGrid) {
   double norm = 0;
   for (float v : u) norm += static_cast<double>(v) * v;
   norm = std::sqrt(norm);
-  codec.encode_decode(u, rng);
+  u = codec.decode(codec.encode(u, rng));
   for (float v : u) {
     const double level = std::fabs(v) / norm * 7.0;
     EXPECT_NEAR(level, std::round(level), 1e-4);
@@ -239,8 +239,9 @@ TEST(QsgdCodec, OutputsOnQuantizationGrid) {
 
 TEST(QsgdCodec, WireBytesFormula) {
   compress::QsgdCodec codec(4);
-  // 4+1 bits per element over 8 elements = 5 bytes + 4 B norm.
-  EXPECT_EQ(codec.wire_bytes(8), 9.0);
+  Rng rng(18);
+  // Measured APQ1 frame: 13-byte header + 8 elements at (4+1) bits packed.
+  EXPECT_EQ(codec.encode(std::vector<float>(8, 0.5f), rng).size(), 13u + 5u);
   EXPECT_EQ(codec.name(), "QSGD4b");
 }
 
@@ -248,7 +249,7 @@ TEST(QsgdCodec, ZeroVectorUnchanged) {
   compress::QsgdCodec codec(4);
   Rng rng(15);
   std::vector<float> u(5, 0.f);
-  codec.encode_decode(u, rng);
+  u = codec.decode(codec.encode(u, rng));
   for (float v : u) EXPECT_EQ(v, 0.f);
 }
 
@@ -257,7 +258,7 @@ TEST(TernGradCodec, OutputsTernaryTimesScale) {
   Rng rng(16);
   std::vector<float> u = {0.5f, -0.2f, 0.9f, 0.f};
   const float scale = 0.9f;
-  codec.encode_decode(u, rng);
+  u = codec.decode(codec.encode(u, rng));
   for (float v : u) {
     EXPECT_TRUE(v == 0.f || std::fabs(std::fabs(v) - scale) < 1e-6f) << v;
   }
@@ -271,7 +272,7 @@ TEST(TernGradCodec, IsUnbiased) {
   const int reps = 20000;
   for (int r = 0; r < reps; ++r) {
     std::vector<float> u = original;
-    codec.encode_decode(u, rng);
+    u = codec.decode(codec.encode(u, rng));
     for (std::size_t i = 0; i < u.size(); ++i) mean[i] += u[i];
   }
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -281,7 +282,9 @@ TEST(TernGradCodec, IsUnbiased) {
 
 TEST(TernGradCodec, WireBytes) {
   compress::TernGradCodec codec;
-  EXPECT_EQ(codec.wire_bytes(16), 8.0);  // 2 bits/elem + 4 B scale
+  Rng rng(19);
+  // Measured APT1 frame: 12-byte header + 16 elements at 2 bits packed.
+  EXPECT_EQ(codec.encode(std::vector<float>(16, 0.5f), rng).size(), 12u + 4u);
 }
 
 // ---------------------------------------------------------------------------

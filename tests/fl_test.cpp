@@ -36,9 +36,10 @@ using data::SyntheticImageSpec;
 TEST(NetworkModel, TransferSeconds) {
   transport::NetworkModel net;  // 9 down / 3 up Mbps
   // 1 MB down at 9 Mbps = 8e6 bits / 9e6 bps.
-  EXPECT_NEAR(net.client_download_seconds(1e6), 8.0 / 9.0, 1e-9);
-  EXPECT_NEAR(net.client_upload_seconds(1e6), 8.0 / 3.0, 1e-9);
-  EXPECT_NEAR(net.server_seconds(1e6), 8e6 / 1e10, 1e-12);
+  const util::ByteCount mb(1000000);
+  EXPECT_NEAR(net.client_download_seconds(mb), 8.0 / 9.0, 1e-9);
+  EXPECT_NEAR(net.client_upload_seconds(mb), 8.0 / 3.0, 1e-9);
+  EXPECT_NEAR(net.server_seconds(mb), 8e6 / 1e10, 1e-12);
 }
 
 TEST(FlatParamView, GatherScatterRoundTrip) {
@@ -563,9 +564,11 @@ TEST(Runner, SyncRoundTimeIsMaxPerClientCompletion) {
   const auto result = runner.run();
   ASSERT_EQ(result.rounds.size(), 1u);
 
-  const double comm0 = config.network.client_upload_seconds(1000.0);
-  const double comm1 = config.network.client_upload_seconds(100000.0);
-  const double server = config.network.server_seconds(101000.0);
+  const double comm0 =
+      config.network.client_upload_seconds(util::ByteCount(1000));
+  const double comm1 =
+      config.network.client_upload_seconds(util::ByteCount(100000));
+  const double server = config.network.server_seconds(util::ByteCount(101000));
   const double completion =
       std::max({8.0 + comm0, 1.0 + comm1, 8.0 + server});
   const double old_model = 8.0 + std::max(comm1, server);

@@ -157,13 +157,12 @@ TEST(Logging, ConcurrentEmitKeepsLinesIntact) {
 
 class ComputePoolOverride {
  public:
-  explicit ComputePoolOverride(std::size_t lanes) : pool_(lanes) {
-    util::set_compute_pool(&pool_);
-  }
-  ~ComputePoolOverride() { util::set_compute_pool(nullptr); }
+  explicit ComputePoolOverride(std::size_t lanes)
+      : pool_(lanes), scope_(pool_) {}
 
  private:
   util::ThreadPool pool_;
+  util::ScopedComputePool scope_;
 };
 
 TEST(ParallelKernels, MatmulFamilyMatchesSerialBitwise) {
@@ -462,8 +461,9 @@ TEST(Evaluate, ParallelSumsBitIdenticalForAnyReplicaCount) {
 // Runner determinism: the headline regression test
 // ---------------------------------------------------------------------------
 
-fl::SimulationResult run_simulation(std::size_t worker_threads,
-                                    double participation_fraction) {
+fl::SimulationResult run_with(fl::SyncStrategy& strategy,
+                              std::size_t worker_threads,
+                              double participation_fraction) {
   data::SyntheticImageSpec spec;
   spec.num_classes = 4;
   spec.channels = 1;
@@ -481,11 +481,6 @@ fl::SimulationResult run_simulation(std::size_t worker_threads,
   config.eval_every = 2;
   config.participation_fraction = participation_fraction;
   config.worker_threads = worker_threads;
-  core::ApfOptions opt;
-  opt.check_every_rounds = 2;
-  opt.ema_alpha = 0.7;
-  opt.stability_threshold = 0.3;
-  core::ApfManager strategy(opt);
   fl::FederatedRunner runner(
       config, train, partition, test,
       [] {
@@ -500,6 +495,16 @@ fl::SimulationResult run_simulation(std::size_t worker_threads,
       },
       strategy);
   return runner.run();
+}
+
+fl::SimulationResult run_simulation(std::size_t worker_threads,
+                                    double participation_fraction) {
+  core::ApfOptions opt;
+  opt.check_every_rounds = 2;
+  opt.ema_alpha = 0.7;
+  opt.stability_threshold = 0.3;
+  core::ApfManager strategy(opt);
+  return run_with(strategy, worker_threads, participation_fraction);
 }
 
 void expect_bit_identical(const fl::SimulationResult& a,
@@ -571,6 +576,71 @@ TEST(RunnerBytes, PerParticipantVsPerClientAccounting) {
     // With everyone participating the two views coincide exactly.
     EXPECT_EQ(r.bytes_per_participant, r.bytes_per_client);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One lane budget per run: run() installs its pool as the compute pool
+// ---------------------------------------------------------------------------
+
+// Records the compute pool's lane count inside synchronize(), where the
+// strategy-side codec work runs, then delegates to FedAvg — or throws, to
+// exercise the restore-on-unwind path.
+class LaneProbeSync : public fl::SyncStrategy {
+ public:
+  explicit LaneProbeSync(bool fail) : fail_(fail) {}
+
+  void init(std::span<const float> initial_params,
+            std::size_t num_clients) override {
+    inner_.init(initial_params, num_clients);
+  }
+  Result synchronize(fl::RoundId round,
+                     std::vector<std::vector<float>>& client_params,
+                     const std::vector<double>& weights) override {
+    lanes_seen.push_back(util::compute_pool().lanes());
+    if (fail_) throw Error("LaneProbeSync: injected failure");
+    return inner_.synchronize(round, client_params, weights);
+  }
+  std::span<const float> global_params() const override {
+    return inner_.global_params();
+  }
+  std::string name() const override { return "LaneProbe"; }
+
+  std::vector<std::size_t> lanes_seen;
+
+ private:
+  fl::FullSync inner_;
+  bool fail_;
+};
+
+TEST(RunnerLaneBudget, StrategyWorkRunsOnTheRunnersLanes) {
+  util::ThreadPool outer(2);
+  const util::ScopedComputePool outer_scope(outer);
+  for (const std::size_t workers : {1u, 3u}) {
+    LaneProbeSync probe(/*fail=*/false);
+    run_with(probe, workers, 1.0);
+    ASSERT_FALSE(probe.lanes_seen.empty());
+    for (const std::size_t lanes : probe.lanes_seen) {
+      EXPECT_EQ(lanes, workers);
+    }
+    // A normal return restores the pool that was installed before run().
+    EXPECT_EQ(&util::compute_pool(), &outer);
+  }
+}
+
+TEST(RunnerLaneBudget, ThrowingRunRestoresTheComputePool) {
+  util::ThreadPool outer(2);
+  const util::ScopedComputePool outer_scope(outer);
+  LaneProbeSync probe(/*fail=*/true);
+  EXPECT_THROW(run_with(probe, 3, 1.0), Error);
+  EXPECT_EQ(probe.lanes_seen, std::vector<std::size_t>{3});
+  EXPECT_EQ(&util::compute_pool(), &outer);
+}
+
+TEST(RunnerLaneBudget, DefaultComputePoolIsRestoredAfterARun) {
+  util::ThreadPool& before = util::compute_pool();
+  LaneProbeSync probe(/*fail=*/false);
+  run_with(probe, 3, 1.0);
+  EXPECT_EQ(&util::compute_pool(), &before);
 }
 
 }  // namespace

@@ -286,10 +286,7 @@ class StreamEqualsBatch
 TEST_P(StreamEqualsBatch, HandDrivenHooksMatchSynchronizeBitForBit) {
   const auto& [c, lanes] = GetParam();
   util::ThreadPool pool(lanes);
-  util::set_compute_pool(&pool);
-  struct Restore {
-    ~Restore() { util::set_compute_pool(nullptr); }
-  } restore;
+  const util::ScopedComputePool compute_scope(pool);
 
   constexpr std::size_t kDim = 24;
   constexpr std::size_t kClients = 4;

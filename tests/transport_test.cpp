@@ -1,17 +1,15 @@
-// Transport layer: NetworkModel validation, the sharded per-client store,
-// streaming aggregation, and the frame bus (docs/TRANSPORT.md).
+// Transport layer: NetworkModel validation, streaming aggregation, and the
+// frame bus (docs/TRANSPORT.md).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "transport/buffered.h"
 #include "transport/bus.h"
-#include "transport/client_store.h"
 #include "transport/frame.h"
 #include "transport/network.h"
 #include "transport/streaming.h"
@@ -26,7 +24,6 @@ using transport::FinishPolicy;
 using transport::Frame;
 using transport::NetworkModel;
 using transport::RoundStats;
-using transport::ShardedClientStore;
 using transport::StreamingAggregator;
 
 // ---------------------------------------------------------------- network --
@@ -56,7 +53,7 @@ TEST(TransportNetwork, ValidateRejectsNonFiniteBandwidthAndBadLatency) {
   net.client_upload_mbps = std::numeric_limits<double>::infinity();
   EXPECT_THROW(net.validate("test"), Error);
   net = NetworkModel{};
-  net.frame_latency_seconds = -1e-3;
+  net.server_bandwidth_mbps = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(net.validate("test"), Error);
 }
 
@@ -71,70 +68,6 @@ TEST(TransportNetwork, ValidateMessageCarriesContextAndField) {
     EXPECT_NE(msg.find("FlConfig::network"), std::string::npos) << msg;
     EXPECT_NE(msg.find("client_upload_mbps"), std::string::npos) << msg;
   }
-}
-
-// ----------------------------------------------------------- client store --
-
-TEST(ShardedClientStore, ObtainIsLazyAndFindSeesOnlyTouched) {
-  ShardedClientStore<int> store(4);
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.find(transport::ClientId(7)), nullptr);
-  store.obtain(transport::ClientId(7)) = 42;
-  EXPECT_EQ(store.size(), 1u);
-  ASSERT_NE(store.find(transport::ClientId(7)), nullptr);
-  EXPECT_EQ(*store.find(transport::ClientId(7)), 42);
-  EXPECT_EQ(store.find(transport::ClientId(8)), nullptr);
-}
-
-TEST(ShardedClientStore, ForEachOrderedVisitsAscendingAcrossShards) {
-  // Ids chosen to land in different shards; iteration must still be global
-  // ascending order — that order is the determinism guarantee.
-  ShardedClientStore<int> store(3);
-  const std::vector<std::uint64_t> ids = {901, 5, 44, 1000000, 17, 2};
-  for (std::uint64_t id : ids) {
-    store.obtain(transport::ClientId(id)) = static_cast<int>(id % 97);
-  }
-  std::vector<transport::ClientId> seen;
-  store.for_each_ordered([&](transport::ClientId id, const int& v) {
-    EXPECT_EQ(v, static_cast<int>(id.value() % 97));
-    seen.push_back(id);
-  });
-  using transport::ClientId;
-  EXPECT_EQ(seen,
-            (std::vector<ClientId>{ClientId(2), ClientId(5), ClientId(17),
-                                   ClientId(44), ClientId(901),
-                                   ClientId(1000000)}));
-  EXPECT_EQ(store.sorted_ids(), seen);
-}
-
-TEST(ShardedClientStore, ConcurrentObtainOnDistinctClients) {
-  ShardedClientStore<std::uint64_t> store;
-  constexpr std::uint64_t kClients = 512;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&, t] {
-      for (std::uint64_t id = static_cast<std::uint64_t>(t); id < kClients;
-           id += 4) {
-        store.obtain(transport::ClientId(id)) = id * 3;
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(store.size(), kClients);
-  std::uint64_t expect = 0;
-  store.for_each_ordered([&](transport::ClientId id, const std::uint64_t& v) {
-    EXPECT_EQ(id.value(), expect++);
-    EXPECT_EQ(v, id.value() * 3);
-  });
-}
-
-TEST(ShardedClientStore, ClearForgetsEverything) {
-  ShardedClientStore<int> store(2);
-  store.obtain(transport::ClientId(1)) = 1;
-  store.obtain(transport::ClientId(2)) = 2;
-  store.clear();
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.find(transport::ClientId(1)), nullptr);
 }
 
 // ------------------------------------------------------------- aggregator --
@@ -272,27 +205,14 @@ TEST(TransportBus, PricesLinkTotalsWithLegacyArithmetic) {
   (void)bus.take_pulls(transport::ClientId(0));
   const RoundStats stats = bus.finish_round();
   // Per-link totals priced once per direction — exactly the pre-bus formula.
-  const double link0 =
-      net.client_upload_seconds(1500) + net.client_download_seconds(2000);
-  const double link1 = net.client_upload_seconds(100);
-  EXPECT_DOUBLE_EQ(stats.max_client_comm_seconds, std::max(link0, link1));
-  EXPECT_DOUBLE_EQ(stats.server_seconds, net.server_seconds(3600));
-}
-
-TEST(TransportBus, FrameLatencyChargesPerFrameWhenConfigured) {
-  NetworkModel net;
-  net.frame_latency_seconds = 0.25;
-  Bus bus(net);
-  bus.begin_round(transport::RoundId(1));
-  bus.push(transport::ClientId(3), Frame::Kind::kStrategy, payload_of(8, 0));
-  bus.deliver(transport::ClientId(3), Frame::Kind::kStrategy, payload_of(8, 0));
-  bus.deliver(transport::ClientId(3), Frame::Kind::kAuxiliary, payload_of(8, 0));
-  (void)bus.take_pushes();
-  (void)bus.take_pulls(transport::ClientId(3));
-  const RoundStats stats = bus.finish_round();
-  const double wire =
-      net.client_upload_seconds(8) + net.client_download_seconds(16);
-  EXPECT_DOUBLE_EQ(stats.max_client_comm_seconds, wire + 0.25 * 3);
+  using transport::ByteCount;
+  const double link0 = net.client_upload_seconds(ByteCount(1500)) +
+                       net.client_download_seconds(ByteCount(2000));
+  const double link1 = net.client_upload_seconds(ByteCount(100));
+  ASSERT_EQ(stats.link_comm_seconds.size(), 2u);
+  EXPECT_EQ(stats.link_comm_seconds[0].second, link0);
+  EXPECT_EQ(stats.link_comm_seconds[1].second, link1);
+  EXPECT_EQ(stats.server_seconds, net.server_seconds(ByteCount(3600)));
 }
 
 TEST(TransportBus, UntakenFrameIsARoutingBug) {
@@ -363,31 +283,6 @@ TEST(TransportBus, QueuedBytesTracksInFlightWindowAndPeak) {
   EXPECT_EQ(bus.peak_queued_bytes(), transport::ByteCount(150));
 }
 
-TEST(TransportBus, ConcurrentPushesOnDistinctLinksAreSafe) {
-  Bus bus(NetworkModel{});
-  bus.begin_round(transport::RoundId(1));
-  constexpr std::uint64_t kClients = 256;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&, t] {
-      for (std::uint64_t c = static_cast<std::uint64_t>(t); c < kClients;
-           c += 4) {
-        bus.push(transport::ClientId(c), Frame::Kind::kStrategy,
-                 payload_of(static_cast<std::size_t>(c % 7 + 1), 0));
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const std::vector<Frame> pushes = bus.take_pushes();
-  ASSERT_EQ(pushes.size(), kClients);
-  for (std::uint64_t c = 0; c < kClients; ++c) {
-    EXPECT_EQ(pushes[c].client, transport::ClientId(c));
-    EXPECT_EQ(pushes[c].payload.size(), c % 7 + 1);
-  }
-  const RoundStats stats = bus.finish_round();
-  EXPECT_EQ(stats.frames_up, kClients);
-}
-
 TEST(TransportBus, ReportsPerLinkCommSecondsInAscendingOrder) {
   NetworkModel net;
   Bus bus(net);
@@ -402,15 +297,36 @@ TEST(TransportBus, ReportsPerLinkCommSecondsInAscendingOrder) {
   ASSERT_EQ(stats.link_comm_seconds.size(), 2u);
   EXPECT_EQ(stats.link_comm_seconds[0].first, transport::ClientId(2));
   EXPECT_DOUBLE_EQ(stats.link_comm_seconds[0].second,
-                   net.client_upload_seconds(100.0) +
-                       net.client_download_seconds(40.0));
+                   net.client_upload_seconds(transport::ByteCount(100)) +
+                       net.client_download_seconds(transport::ByteCount(40)));
   EXPECT_EQ(stats.link_comm_seconds[1].first, transport::ClientId(9));
   EXPECT_DOUBLE_EQ(stats.link_comm_seconds[1].second,
-                   net.client_upload_seconds(300.0));
-  // max_client_comm_seconds is the max over exactly these per-link figures.
-  EXPECT_DOUBLE_EQ(stats.max_client_comm_seconds,
-                   std::max(stats.link_comm_seconds[0].second,
-                            stats.link_comm_seconds[1].second));
+                   net.client_upload_seconds(transport::ByteCount(300)));
+}
+
+TEST(TransportBus, OpenLinkPriceEqualsItsFinishRoundEntry) {
+  // One pricing function: the query on an open link and finish_round()'s
+  // per-link entry are the same double, bit for bit.
+  Bus bus(NetworkModel{});
+  bus.begin_round(transport::RoundId(1));
+  EXPECT_EQ(bus.link_comm_seconds(transport::ClientId(6)), 0.0);  // untouched
+  bus.deliver(transport::ClientId(6), Frame::Kind::kStrategy,
+              payload_of(4097, 0));
+  (void)bus.take_pulls(transport::ClientId(6));
+  bus.push(transport::ClientId(6), Frame::Kind::kStrategy, payload_of(333, 0));
+  bus.push(transport::ClientId(1), Frame::Kind::kAuxiliary, payload_of(77, 0));
+  const double open6 = bus.link_comm_seconds(transport::ClientId(6));
+  const double open1 = bus.link_comm_seconds(transport::ClientId(1));
+  EXPECT_GT(open6, open1);
+  (void)bus.take_pushes();
+  const RoundStats stats = bus.finish_round();
+  ASSERT_EQ(stats.link_comm_seconds.size(), 2u);
+  EXPECT_EQ(stats.link_comm_seconds[0].first, transport::ClientId(1));
+  EXPECT_EQ(stats.link_comm_seconds[0].second, open1);
+  EXPECT_EQ(stats.link_comm_seconds[1].first, transport::ClientId(6));
+  EXPECT_EQ(stats.link_comm_seconds[1].second, open6);
+  // A closed round leaves nothing to price.
+  EXPECT_EQ(bus.link_comm_seconds(transport::ClientId(6)), 0.0);
 }
 
 // ------------------------------------------------- async: carry-over bus --
