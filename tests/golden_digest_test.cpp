@@ -254,11 +254,17 @@ fl::SimulationResult run_mlp_async(std::size_t worker_threads) {
   return runner.run();
 }
 
-/// Two stacked LSTMs plus a linear head on synthetic sequences, synchronous
-/// FullSync, evaluated every round: the recurrent forward, BPTT backward and
-/// eval-mode forward paths. Hidden size 5 makes the 4H = 20 gate rows and
-/// the 4-class head end in partial 8-row panels of matmul_nt.
-fl::SimulationResult run_lstm_sync(std::size_t worker_threads) {
+/// A 2-layer recurrent KWS model (hidden 5, 4 classes over 6 features).
+using RecurrentMaker = std::unique_ptr<nn::Sequential> (*)(
+    Rng&, std::size_t, std::size_t, std::size_t);
+
+/// Two stacked recurrent layers plus a linear head on synthetic sequences,
+/// synchronous FullSync, evaluated every round: the recurrent forward, BPTT
+/// backward and eval-mode forward paths. Hidden size 5 makes the 4H = 20
+/// (LSTM) and 3H = 15 (GRU) gate rows and the 4-class head end in partial
+/// 8-row panels of matmul_nt.
+fl::SimulationResult run_recurrent_sync(RecurrentMaker make,
+                                        std::size_t worker_threads) {
   data::SyntheticSequenceSpec spec;
   spec.num_classes = 4;
   spec.time_steps = 5;
@@ -278,12 +284,20 @@ fl::SimulationResult run_lstm_sync(std::size_t worker_threads) {
   fl::FullSync strategy;
   fl::FederatedRunner runner(
       config, train, partition, test,
-      [] {
+      [make] {
         Rng rng(909);
-        return nn::make_kws_lstm(rng, 6, 5, 4);
+        return make(rng, 6, 5, 4);
       },
       sgd(0.1), strategy);
   return runner.run();
+}
+
+fl::SimulationResult run_lstm_sync(std::size_t worker_threads) {
+  return run_recurrent_sync(nn::make_kws_lstm, worker_threads);
+}
+
+fl::SimulationResult run_gru_sync(std::size_t worker_threads) {
+  return run_recurrent_sync(nn::make_kws_gru, worker_threads);
 }
 
 /// Biased 3x3 stem conv, then a stride-2 BasicBlock with its 1x1 projection,
@@ -433,6 +447,8 @@ std::vector<GoldenCase> golden_cases() {
       {"AsyncFullSyncCarryOver", run_mlp_async, 0x7770f97c8b8a117cULL});
   cases.push_back({"LstmFullSyncEvalEveryRound", run_lstm_sync,
                    0xd9dba394f823481fULL});
+  cases.push_back({"GruFullSyncEvalEveryRound", run_gru_sync,
+                   0x162408e9d16447bbULL});
   cases.push_back({"ResNetQuantizedApfEvalEveryTwo", run_resnet_quantized_apf,
                    0xbc9cbe27172132bfULL});
   return cases;
@@ -482,9 +498,11 @@ TEST(GoldenDigestPremise, CasesExerciseTheirFeatures) {
   EXPECT_TRUE(carried_over);
   EXPECT_TRUE(short_commit);
 
-  // Every LSTM round runs the eval-mode forward.
+  // Every LSTM and GRU round runs the eval-mode forward.
   const fl::SimulationResult lstm = run_lstm_sync(1);
   for (const auto& r : lstm.rounds) EXPECT_GE(r.test_accuracy, 0.0);
+  const fl::SimulationResult gru = run_gru_sync(1);
+  for (const auto& r : gru.rounds) EXPECT_GE(r.test_accuracy, 0.0);
 
   // The ResNet case evaluates the conv stack and APF freezes some of it.
   const fl::SimulationResult resnet = run_resnet_quantized_apf(1);
