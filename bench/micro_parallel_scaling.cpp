@@ -1,12 +1,13 @@
 // Parallel-scaling micro-bench for the thread-pool runtime.
 //
-// Measures (a) the matmul-family and Conv2d kernel throughput and (b)
+// Measures (a) the matmul-family, Conv2d and tanh kernel throughput and (b)
 // federated-round wall time as a function of the worker count, and emits
 // machine-readable JSON so CI can archive the perf trajectory:
 //
 //   BENCH_kernels.json  — per kernel x size x thread count: seconds/call,
 //                         GFLOP/s, speedup vs the 1-thread (seed) kernel;
-//                         conv2d_* rows time a ResNet stage-1 Conv2d
+//                         conv2d_* rows time a ResNet stage-1 Conv2d,
+//                         tanh_span the span activation kernel
 //   BENCH_runner.json   — per thread count: wall seconds for a small LeNet
 //                         federated run, seconds/round, speedup vs 1 thread,
 //                         and the measured per-round bytes_per_client column
@@ -35,6 +36,7 @@
 
 #include "common.h"
 #include "nn/conv_layers.h"
+#include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -153,6 +155,18 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
              [&] { return conv.forward(x)[0]; }, results);
   bench_rows("conv2d_backward", gm, gk, gn, 2.0 * conv_flops, threads, reps,
              [&] { return conv.backward(g)[0]; }, results);
+  // apf::tanh over 4096 gate pre-activations, counted as one flop per
+  // element. The kernel is serial, so its rows only show call-to-call noise
+  // across thread counts; a call is microseconds, hence the extra reps.
+  constexpr std::size_t kTanhElems = 4096;
+  const Tensor pre = Tensor::uniform({kTanhElems}, rng, -4.f, 4.f);
+  Tensor act({kTanhElems});
+  bench_rows("tanh_span", 1, 1, kTanhElems, kTanhElems, threads, 256 * reps,
+             [&] {
+               apf::tanh(pre.data(), act.data());
+               return act[0];
+             },
+             results);
   return results;
 }
 

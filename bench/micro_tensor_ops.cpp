@@ -1,14 +1,19 @@
 // Micro-benchmarks for the tensor / NN substrate hot paths
-// (google-benchmark): matmul kernels, im2col convolution, LSTM step, the
+// (google-benchmark): matmul kernels, im2col convolution, the LSTM training
+// and kws evaluation forwards, libm tanhf against the span tanh, the
 // APF building blocks (EMA perturbation fold, bitmap ops) and the masked
 // fp16 sync path (masked pack/unpack, pin_masked, fp16 round trip).
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "core/perturbation.h"
 #include "fl/flat_view.h"
 #include "nn/conv_layers.h"
 #include "nn/lstm.h"
 #include "nn/models.h"
+#include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/bitmap.h"
 #include "util/rng.h"
@@ -114,6 +119,50 @@ void BM_LstmForward(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(lstm.forward(x));
   }
+}
+
+// The kws evaluation forward of perfbench's kws-lstm-async-eval: the
+// 2-layer LSTM (8 features, hidden 32, 10 classes) in eval mode on a
+// batch of 128 sequences of 16 steps.
+void BM_LstmEvalForward(benchmark::State& state) {
+  Rng rng(5);
+  auto net = nn::make_kws_lstm(rng, 8, 32, 10);
+  net->set_training(false);
+  Tensor x = Tensor::uniform({128, 16, 8}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net->forward(x));
+  }
+}
+
+// libm's scalar tanhf against the span kernel that reproduces it, on 4096
+// gate pre-activations.
+std::vector<float> tanh_inputs() {
+  Rng rng(11);
+  std::vector<float> x(4096);
+  for (float& v : x) v = static_cast<float>(rng.uniform(-4.0, 4.0));
+  return x;
+}
+
+void BM_TanhLibm(benchmark::State& state) {
+  const std::vector<float> x = tanh_inputs();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); ++i) y[i] = std::tanh(x[i]);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+
+void BM_TanhSpan(benchmark::State& state) {
+  const std::vector<float> x = tanh_inputs();
+  std::vector<float> y(x.size());
+  for (auto _ : state) {
+    apf::tanh(x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.size());
 }
 
 void BM_LeNetTrainingStep(benchmark::State& state) {
@@ -240,6 +289,9 @@ BENCHMARK(BM_Conv2dForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv2dEvalForward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Conv2dBackward)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LstmForward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LstmEvalForward)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TanhLibm);
+BENCHMARK(BM_TanhSpan);
 BENCHMARK(BM_LeNetTrainingStep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EmaPerturbationFold)->Arg(62006)->Arg(1 << 20);
 BENCHMARK(BM_BitmapCount)->Arg(62006)->Arg(1 << 20);

@@ -1,25 +1,14 @@
 #include "nn/gru.h"
 
 #include <cmath>
+#include <span>
 
+#include "nn/recurrent.h"
+#include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 
 namespace apf::nn {
-
-namespace {
-inline float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
-
-Tensor time_slice(const Tensor& seq, std::size_t t) {
-  const std::size_t n = seq.dim(0), time = seq.dim(1), f = seq.dim(2);
-  Tensor out({n, f});
-  for (std::size_t s = 0; s < n; ++s) {
-    const float* src = seq.raw() + (s * time + t) * f;
-    std::copy(src, src + f, out.raw() + s * f);
-  }
-  return out;
-}
-}  // namespace
 
 GRU::GRU(std::size_t input_size, std::size_t hidden_size, Rng& rng)
     : input_size_(input_size),
@@ -65,15 +54,19 @@ Tensor GRU::forward(const Tensor& input) {
       float* girow = gi.raw() + s * 3 * hidden_;
       const float* ghrow = gh.raw() + s * 3 * hidden_;
       for (std::size_t j = 0; j < hidden_; ++j) {
-        const std::size_t idx = s * hidden_ + j;
         const float r = sigmoidf(girow[j] + ghrow[j]);
         const float z = sigmoidf(girow[hidden_ + j] + ghrow[hidden_ + j]);
         const float hn_lin = ghrow[2 * hidden_ + j];
-        const float n = std::tanh(girow[2 * hidden_ + j] + r * hn_lin);
         girow[j] = r;
         girow[hidden_ + j] = z;
-        girow[2 * hidden_ + j] = n;
-        const float hv = (1.f - z) * n + z * h[idx];
+        girow[2 * hidden_ + j] += r * hn_lin;
+      }
+      const std::span<float> n_gate(girow + 2 * hidden_, hidden_);
+      apf::tanh(n_gate, n_gate);
+      for (std::size_t j = 0; j < hidden_; ++j) {
+        const std::size_t idx = s * hidden_ + j;
+        const float z = girow[hidden_ + j];
+        const float hv = (1.f - z) * n_gate[j] + z * h[idx];
         h[idx] = hv;
         out[(s * time_ + t) * hidden_ + j] = hv;
       }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 
@@ -78,8 +79,7 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 Tensor Tanh::forward(const Tensor& input) {
   output_ = input;
-  for (std::size_t i = 0; i < output_.numel(); ++i)
-    output_[i] = std::tanh(output_[i]);
+  apf::tanh(output_.data(), output_.data());
   return output_;
 }
 

@@ -1,26 +1,15 @@
 #include "nn/lstm.h"
 
 #include <cmath>
+#include <span>
+#include <vector>
 
+#include "nn/recurrent.h"
+#include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 
 namespace apf::nn {
-
-namespace {
-inline float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
-
-/// Extracts time slice t of a (N, T, F) tensor as (N, F).
-Tensor time_slice(const Tensor& seq, std::size_t t) {
-  const std::size_t n = seq.dim(0), time = seq.dim(1), f = seq.dim(2);
-  Tensor out({n, f});
-  for (std::size_t s = 0; s < n; ++s) {
-    const float* src = seq.raw() + (s * time + t) * f;
-    std::copy(src, src + f, out.raw() + s * f);
-  }
-  return out;
-}
-}  // namespace
 
 LSTM::LSTM(std::size_t input_size, std::size_t hidden_size, Rng& rng)
     : input_size_(input_size),
@@ -51,6 +40,8 @@ Tensor LSTM::forward(const Tensor& input) {
   Tensor h({batch_, hidden_});
   Tensor c({batch_, hidden_});
   Tensor out({batch_, time_, hidden_});
+  // tanh(c) of one row when no cache keeps it.
+  std::vector<float> tanh_row(keep_caches ? 0 : hidden_);
   for (std::size_t t = 0; t < time_; ++t) {
     Tensor x = time_slice(input, t);
     // gates (N, 4H) = x W_ih^T + h W_hh^T + b, activated in place below.
@@ -65,20 +56,25 @@ Tensor LSTM::forward(const Tensor& input) {
     }
     for (std::size_t s = 0; s < batch_; ++s) {
       float* grow = gates.raw() + s * 4 * hidden_;
+      const std::span<float> g_gate(grow + 2 * hidden_, hidden_);
+      apf::tanh(g_gate, g_gate);
+      float* crow = c.raw() + s * hidden_;
       for (std::size_t j = 0; j < hidden_; ++j) {
         const float iv = sigmoidf(grow[j]);
         const float fv = sigmoidf(grow[hidden_ + j]);
-        const float gv = std::tanh(grow[2 * hidden_ + j]);
+        const float gv = grow[2 * hidden_ + j];
         const float ov = sigmoidf(grow[3 * hidden_ + j]);
         grow[j] = iv;
         grow[hidden_ + j] = fv;
-        grow[2 * hidden_ + j] = gv;
         grow[3 * hidden_ + j] = ov;
-        const float cv = fv * c[s * hidden_ + j] + iv * gv;
-        c[s * hidden_ + j] = cv;
-        const float tc = std::tanh(cv);
-        if (keep_caches) cache.tanh_c[s * hidden_ + j] = tc;
-        const float hv = ov * tc;
+        crow[j] = fv * crow[j] + iv * gv;
+      }
+      float* tc = keep_caches ? cache.tanh_c.raw() + s * hidden_
+                              : tanh_row.data();
+      apf::tanh(std::span<const float>(crow, hidden_),
+                std::span<float>(tc, hidden_));
+      for (std::size_t j = 0; j < hidden_; ++j) {
+        const float hv = grow[3 * hidden_ + j] * tc[j];
         h[s * hidden_ + j] = hv;
         out[(s * time_ + t) * hidden_ + j] = hv;
       }
@@ -154,7 +150,9 @@ void LSTM::collect_params(const std::string& prefix,
 }
 
 Tensor LastTimeStep::forward(const Tensor& input) {
-  APF_CHECK(input.rank() == 3);
+  APF_CHECK_MSG(input.rank() == 3 && input.dim(1) > 0,
+                "LastTimeStep expects (N,T,H) with T > 0, got "
+                    << shape_str(input.shape()));
   input_shape_ = input.shape();
   const std::size_t n = input.dim(0), t = input.dim(1), h = input.dim(2);
   Tensor out({n, h});
@@ -166,6 +164,8 @@ Tensor LastTimeStep::forward(const Tensor& input) {
 }
 
 Tensor LastTimeStep::backward(const Tensor& grad_output) {
+  APF_CHECK_MSG(input_shape_.size() == 3,
+                "LastTimeStep::backward needs a forward first");
   const std::size_t n = input_shape_[0], t = input_shape_[1],
                     h = input_shape_[2];
   APF_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == n &&

@@ -449,6 +449,18 @@ TEST(LastTimeStep, SlicesAndPads) {
   EXPECT_EQ(g[4], 1.f);
 }
 
+TEST(LastTimeStep, RejectsZeroStepsAndKeepsItsShape) {
+  LastTimeStep last;
+  EXPECT_THROW(last.backward(Tensor({1, 2})), Error);  // no forward yet
+  last.forward(Tensor({1, 3, 2}));
+  EXPECT_THROW(last.forward(Tensor({1, 0, 2})), Error);
+  // The rejected forward left the (1, 3, 2) input shape in place.
+  Tensor g = last.backward(Tensor({1, 2}, 1.f));
+  EXPECT_EQ(g.shape(), (Shape{1, 3, 2}));
+  EXPECT_EQ(g[4], 1.f);
+  EXPECT_EQ(g[5], 1.f);
+}
+
 TEST(BasicBlock, IdentityShapePreserved) {
   Rng rng(22);
   BasicBlock block(4, 4, 1, rng);

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <vector>
 
+#include "tensor/activations.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -462,6 +467,95 @@ TEST(Conv, Col2imFromWithLeadingDimensionIsAdjoint) {
   col2im(block, g, via_tensor.data());
   EXPECT_EQ(std::memcmp(back.data(), via_tensor.data(), image * sizeof(float)),
             0);
+}
+
+// apf::tanh must equal libm's tanhf bit for bit (NaN: any NaN). The full
+// 2^32 sweep is activations_sweep_test (label slow); this one runs in every
+// preset and covers a stride of all patterns plus every branch edge.
+void expect_tanh_matches_libm(const std::vector<std::uint32_t>& patterns) {
+  std::vector<float> x(patterns.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::bit_cast<float>(patterns[i]);
+  std::vector<float> y(x.size());
+  apf::tanh(x, y);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const float want = std::tanh(x[i]);
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(y[i])) << std::hex << patterns[i];
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+                std::bit_cast<std::uint32_t>(want))
+          << "x bits 0x" << std::hex << patterns[i];
+    }
+  }
+}
+
+TEST(TanhKernel, MatchesLibmOnAStrideOfAllPatterns) {
+  std::vector<std::uint32_t> patterns;
+  for (std::uint64_t b = 0; b <= 0xffffffffULL; b += 65537)
+    patterns.push_back(static_cast<std::uint32_t>(b));
+  expect_tanh_matches_libm(patterns);
+}
+
+TEST(TanhKernel, MatchesLibmAroundEveryBranchThreshold) {
+  // tanhf's |x| cut points (2^-55, 1, 22), then expm1f's on its argument
+  // 2|x| (2^-25, 0.5 ln2, 1.5 ln2, 27 ln2), each halved into |x| bits.
+  const std::uint32_t thresholds[] = {
+      0x24000000, 0x3f800000, 0x41b00000, 0x33000000 - 0x00800000,
+      0x3eb17218 - 0x00800000, 0x3f851592 - 0x00800000,
+      0x4195b844 - 0x00800000};
+  std::vector<std::uint32_t> patterns;
+  for (const std::uint32_t t : thresholds) {
+    for (std::uint32_t d = 0; d <= 16; ++d) {
+      patterns.push_back(t - 8 + d);
+      patterns.push_back((t - 8 + d) | 0x80000000u);
+    }
+  }
+  expect_tanh_matches_libm(patterns);
+}
+
+TEST(TanhKernel, SpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> x = {0.f, -0.f, inf, -inf,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          -std::numeric_limits<float>::quiet_NaN(), 1e30f,
+                          -1e30f};
+  std::vector<float> y(x.size());
+  apf::tanh(x, y);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(y[0]), 0x00000000u);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(y[1]), 0x80000000u);
+  EXPECT_EQ(y[2], 1.f);
+  EXPECT_EQ(y[3], -1.f);
+  EXPECT_TRUE(std::isnan(y[4]));
+  EXPECT_TRUE(std::isnan(y[5]));
+  EXPECT_EQ(y[6], 1.f);
+  EXPECT_EQ(y[7], -1.f);
+}
+
+TEST(TanhKernel, AnyLengthOffsetAndInPlace) {
+  Rng rng(77);
+  std::vector<float> src(16);
+  for (float& v : src) v = static_cast<float>(rng.uniform(-4.0, 4.0));
+  for (std::size_t n = 0; n <= 9; ++n) {
+    // Offset 1 leaves the spans off any 16-byte boundary.
+    for (std::size_t offset : {0, 1}) {
+      const std::span<const float> x(src.data() + offset, n);
+      std::vector<float> out(n + 2, 7.f);
+      apf::tanh(x, std::span<float>(out.data() + 1, n));
+      EXPECT_EQ(out.front(), 7.f) << n;
+      EXPECT_EQ(out.back(), 7.f) << n;
+      std::vector<float> in_place(x.begin(), x.end());
+      apf::tanh(in_place, in_place);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t want =
+            std::bit_cast<std::uint32_t>(std::tanh(x[i]));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i + 1]), want) << n;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(in_place[i]), want) << n;
+      }
+    }
+  }
+  std::vector<float> three(3);
+  EXPECT_THROW(apf::tanh(src, three), Error);
 }
 
 }  // namespace

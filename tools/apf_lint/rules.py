@@ -33,6 +33,8 @@ RULE_SCOPES = {
     "test-include": lambda f: f.top == "src",
     "concurrency-hygiene": lambda f: f.top == "src" and
     not f.name.startswith("thread_pool."),
+    "libm-tanh": lambda f: f.top == "src" and
+    f.rel != "src/tensor/activations.cpp",
     "unordered-iteration": lambda f: f.rel.count("/") == 2 and
     f.under("src/core", "src/fl", "src/compress"),
     "capability-raw-mutex": lambda f: f.name != "annotations.h",
@@ -69,6 +71,11 @@ CONCURRENCY = [
     (re.compile(r"\bstd::thread\b"), "std::thread"),
     (re.compile(r"\bstd::async\b"), "std::async"),
     (re.compile(r"\.\s*detach\s*\("), ".detach()"),
+]
+LIBM_TANH = [
+    (re.compile(r"\bstd::tanhf?\b"), "std::tanh"),
+    (re.compile(r"(?<![\w:])::tanhf?\b"), "::tanh"),
+    (re.compile(r"(?<![\w:])tanhf\b"), "tanhf"),
 ]
 TEST_INCLUDE = re.compile(
     r'#\s*include\s+["<](?:tests/|gtest|gmock|[^">]*_test\.h)')
@@ -380,6 +387,9 @@ CHECKS = (
         CONCURRENCY, "'{}' outside src/util/thread_pool.*; use the "
         "deterministic ThreadPool (ad-hoc threads reintroduce thread-count-"
         "dependent results)", first_only=True)),
+    ("libm-tanh", line_rule(
+        LIBM_TANH, "'{}' calls libm; use apf::tanh (tensor/activations.h), "
+        "which gives the same bits vectorized", first_only=True)),
     ("capability-raw-mutex", raw_mutex),
     ("test-include", test_include),
     ("float-accumulator", float_accumulator),
