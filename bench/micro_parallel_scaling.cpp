@@ -5,7 +5,9 @@
 // machine-readable JSON so CI can archive the perf trajectory:
 //
 //   BENCH_kernels.json  — per kernel x size x thread count: seconds/call,
-//                         GFLOP/s, speedup vs the 1-thread (seed) kernel;
+//                         GFLOP/s, speedup vs the 1-thread (seed) kernel,
+//                         and the GEMM tile set that ran (simd);
+//                         matmul_nt also at the kws LSTM gate shapes,
 //                         conv2d_* rows time a ResNet stage-1 Conv2d,
 //                         tanh_span the span activation kernel
 //   BENCH_runner.json   — per thread count: wall seconds for a small LeNet
@@ -137,6 +139,19 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
                  [&] { return spec.fn(a, b)[0]; }, results);
     }
   }
+  // The LSTM gate GEMMs of kws-lstm-async-eval: batch 16 (training) or 128
+  // (evaluation) rows against W_ih (k = 8 features) or W_hh (k = 32 hidden),
+  // 4 x 32 = 128 gate rows each.
+  for (const std::size_t m : {16u, 128u}) {
+    for (const std::size_t k : {8u, 32u}) {
+      constexpr std::size_t kGates = 128;
+      Rng rng(3);
+      const Tensor x = Tensor::uniform({m, k}, rng);
+      const Tensor w = Tensor::uniform({kGates, k}, rng);
+      bench_rows("matmul_nt", m, k, kGates, 2.0 * m * k * kGates, threads,
+                 8 * reps, [&] { return matmul_nt(x, w)[0]; }, results);
+    }
+  }
   // ResNet-18 stage 1 of resnet-apfq-train: batch 16, 6 -> 6 channels,
   // 16x16, 3x3 pad 1. m, k, n are the GEMM the layer lowers to: out
   // channels, C*k*k and N*oh*ow. Backward does two such products (dW and
@@ -218,7 +233,8 @@ void write_kernels_json(const std::string& path,
     const KernelResult& r = results[i];
     out << "    {\"kernel\": \"" << r.kernel << "\", \"m\": " << r.m
         << ", \"k\": " << r.k << ", \"n\": " << r.n
-        << ", \"threads\": " << r.threads
+        << ", \"threads\": " << r.threads << ", \"simd\": \""
+        << gemm_simd_path() << "\""
         << ", \"seconds_per_call\": " << r.seconds_per_call
         << ", \"gflops\": " << r.gflops
         << ", \"speedup_vs_1t\": " << r.speedup_vs_1t << "}"

@@ -62,6 +62,9 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
       }
     }
   } else {
+    // Eval mode keeps no cache, so backward() after it throws.
+    xhat_ = Tensor();
+    invstd_ = Tensor();
     for (std::size_t c = 0; c < channels_; ++c) {
       const float m = running_mean_[c];
       const float inv = 1.f / std::sqrt(running_var_[c] + eps_);
@@ -79,6 +82,8 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   APF_CHECK(training_);
+  APF_CHECK_MSG(xhat_.rank() == 4 && xhat_.shape() == input_shape_,
+                "BatchNorm2d::backward needs a training-mode forward first");
   APF_CHECK(grad_output.shape() == input_shape_);
   const std::size_t n = input_shape_[0], h = input_shape_[2],
                     w = input_shape_[3];

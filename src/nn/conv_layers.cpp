@@ -190,6 +190,8 @@ Tensor GlobalAvgPool::forward(const Tensor& input) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
+  APF_CHECK_MSG(input_shape_.size() == 4,
+                "GlobalAvgPool::backward needs a forward first");
   const std::size_t n = input_shape_[0], c = input_shape_[1],
                     hw = input_shape_[2] * input_shape_[3];
   APF_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == n &&
@@ -238,6 +240,8 @@ Tensor AvgPool2d::forward(const Tensor& input) {
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_output) {
+  APF_CHECK_MSG(input_shape_.size() == 4,
+                "AvgPool2d::backward needs a forward first");
   const std::size_t n = input_shape_[0], c = input_shape_[1],
                     h = input_shape_[2], w = input_shape_[3];
   const std::size_t oh = h / kernel_, ow = w / kernel_;

@@ -3,10 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/error.h"
 #include "util/thread_pool.h"
+
+// The AVX2 tiles are compiled on x86-64 when glibc can say whether the CPU
+// and the OS let a process use AVX2; elsewhere only the baseline exists.
+#if defined(__x86_64__) && __has_include(<sys/platform/x86.h>)
+#include <sys/platform/x86.h>
+#define APF_OPS_AVX2 1
+#endif
+
+// Tile helpers are forced inline, so each is compiled for the instruction
+// set of the entry that calls it, and no vector crosses a call boundary.
+#define APF_TILE [[gnu::always_inline]] inline
 
 namespace apf {
 
@@ -20,25 +32,35 @@ constexpr std::size_t kParallelFlopThreshold = std::size_t{1} << 18;
 
 // Output columns one packed panel of B carries, in both kernel families.
 constexpr std::size_t kPanel = 8;
-// Rows of A per register tile: 4 x 8 floats for gemm, 2 x 8 doubles for
-// the matmul_nt family (8 and 8 SSE registers of accumulators).
-constexpr std::size_t kGemmRows = 4;
-constexpr std::size_t kNtRows = 2;
 // Rows of A the matmul_nt family widens to doubles at a time.
 constexpr std::size_t kWideRows = 64;
 // Packed B a block keeps at once, in floats (16 KiB, L1 resident).
 constexpr std::size_t kPackedFloats = std::size_t{1} << 12;
 
-typedef float f32x4 __attribute__((vector_size(16)));
 typedef float f32x2 __attribute__((vector_size(8)));
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef float f32x8 __attribute__((vector_size(32)));
 typedef double f64x2 __attribute__((vector_size(16)));
+typedef double f64x4 __attribute__((vector_size(32)));
 
-// Unaligned vector load.
-template <typename Vec, typename T>
-Vec load(const T* p) {
-  Vec v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+template <typename V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(std::declval<V&>()[0]);
+
+// Unaligned vector load and store. They copy through a local, so the
+// caller's accumulator arrays never have their address taken and stay in
+// registers. (A 32-byte vector is never returned by value: the baseline
+// ABI returns it differently.)
+template <typename V, typename T>
+APF_TILE void load(const T* p, V& v) {
+  V x;
+  std::memcpy(&x, p, sizeof x);
+  v = x;
+}
+
+template <typename V, typename T>
+APF_TILE void store(T* p, const V& v) {
+  const V x = v;
+  std::memcpy(p, &x, sizeof x);
 }
 
 bool use_pool(std::size_t flops) {
@@ -74,45 +96,254 @@ void run_blocks(std::size_t row_tiles, std::size_t panels, std::size_t flops,
       });
 }
 
+// One C row of a tile: the first `width` floats, zero-padded to a panel.
+template <typename F>
+APF_TILE void load_row(const float* c, std::size_t width,
+                       F (&row)[kPanel / kLanes<F>]) {
+  float buf[kPanel] = {};
+  if (width < kPanel) std::copy(c, c + width, buf);
+  const float* src = width == kPanel ? c : buf;
+  for (std::size_t v = 0; v < kPanel / kLanes<F>; ++v)
+    load(src + v * kLanes<F>, row[v]);
+}
+
+template <typename F>
+APF_TILE void store_row(float* c, std::size_t width,
+                        const F (&row)[kPanel / kLanes<F>]) {
+  float buf[kPanel];
+  float* dst = width == kPanel ? c : buf;
+  for (std::size_t v = 0; v < kPanel / kLanes<F>; ++v)
+    store(dst + v * kLanes<F>, row[v]);
+  if (width < kPanel) std::copy(buf, buf + width, c);
+}
+
+// Rounds two vectors of double sums to one vector of floats, lane by lane.
+APF_TILE void narrow(const f64x2& lo, const f64x2& hi, f32x4& out) {
+  const f32x2 x = __builtin_convertvector(lo, f32x2);
+  const f32x2 y = __builtin_convertvector(hi, f32x2);
+  out = f32x4{x[0], x[1], y[0], y[1]};
+}
+
+APF_TILE void narrow(const f64x4& lo, const f64x4& hi, f32x8& out) {
+  const f32x4 x = __builtin_convertvector(lo, f32x4);
+  const f32x4 y = __builtin_convertvector(hi, f32x4);
+  out = __builtin_shufflevector(x, y, 0, 1, 2, 3, 4, 5, 6, 7);
+}
+
 // One float register tile: rows [0, R) of op(A) times one packed panel,
 // written over the first `width` columns of C. p ascends, so each output
 // gets the scalar ikj loop's float additions in the same order.
-template <std::size_t R>
-void gemm_tile(const float* a, std::size_t a_row, std::size_t a_col,
-               const float* panel, std::size_t k, float* c, std::size_t ldc,
-               std::size_t width) {
-  f32x4 lo[R] = {}, hi[R] = {};
+template <typename F, std::size_t R>
+APF_TILE void gemm_tile(const float* a, std::size_t a_row, std::size_t a_col,
+                        const float* panel, std::size_t k, float* c,
+                        std::size_t ldc, std::size_t width) {
+  constexpr std::size_t kVecs = kPanel / kLanes<F>;
+  F acc[R][kVecs] = {};
   for (std::size_t p = 0; p < k; ++p) {
-    const f32x4 b_lo = load<f32x4>(panel + p * kPanel);
-    const f32x4 b_hi = load<f32x4>(panel + p * kPanel + 4);
+    F b[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v)
+      load(panel + p * kPanel + v * kLanes<F>, b[v]);
     for (std::size_t r = 0; r < R; ++r) {
       const float av = a[r * a_row + p * a_col];
-      lo[r] += av * b_lo;
-      hi[r] += av * b_hi;
+      for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += av * b[v];
     }
   }
-  for (std::size_t r = 0; r < R; ++r) {
-    float row[kPanel];
-    std::memcpy(row, &lo[r], sizeof lo[r]);
-    std::memcpy(row + 4, &hi[r], sizeof hi[r]);
-    if (width == kPanel) {
-      std::memcpy(c + r * ldc, row, sizeof row);
-    } else {
-      std::copy(row, row + width, c + r * ldc);
+  for (std::size_t r = 0; r < R; ++r) store_row(c + r * ldc, width, acc[r]);
+}
+
+// The tile of `rows` (1..R) rows.
+template <typename F, std::size_t R>
+APF_TILE void gemm_rows(std::size_t rows, const float* a, std::size_t a_row,
+                        std::size_t a_col, const float* panel, std::size_t k,
+                        float* c, std::size_t ldc, std::size_t width) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      gemm_rows<F, R - 1>(rows, a, a_row, a_col, panel, k, c, ldc, width);
+      return;
     }
   }
+  gemm_tile<F, R>(a, a_row, a_col, panel, k, c, ldc, width);
+}
+
+// Row tiles [t0, t1) of gemm over the packed panels [p0, p1): panel p sits
+// at packed + (p - p0) * k * kPanel.
+struct GemmSweep {
+  const float* a;
+  std::size_t a_row, a_col;
+  const float* packed;
+  float* c;
+  std::size_t m, k, n, t0, t1, p0, p1;
+};
+
+template <typename Isa>
+APF_TILE void gemm_sweep(const GemmSweep& args) {
+  const GemmSweep s = args;  // a local copy: stores to C cannot alias it
+  constexpr std::size_t kRows = Isa::kGemmRows;
+  for (std::size_t t = s.t0; t < s.t1; ++t) {
+    const std::size_t i0 = t * kRows;
+    for (std::size_t p = s.p0; p < s.p1; ++p) {
+      const std::size_t j0 = p * kPanel;
+      gemm_rows<typename Isa::Floats, kRows>(
+          std::min(kRows, s.m - i0), s.a + i0 * s.a_row, s.a_row, s.a_col,
+          s.packed + (p - s.p0) * s.k * kPanel, s.k, s.c + i0 * s.n + j0, s.n,
+          std::min(kPanel, s.n - j0));
+    }
+  }
+}
+
+// One double register tile of the matmul_nt family: rows [0, R) of A
+// against one 8-column panel, for segments [s0, s1). `a` points at row 0
+// of segment 0 of the widened rows (segment stride m * len, row stride
+// len); `panel` holds the segments' packed B columns, len rows of kPanel
+// doubles each. Per segment, each dot product sums its exact float*float
+// products in ascending q, then rounds to float and is added to the C tile
+// (kFold) or stored over it (one segment, !kFold). The C tile stays in
+// registers across the segments.
+template <typename Isa, std::size_t R, bool kFold>
+APF_TILE void nt_tile(const typename Isa::WideA* a, std::size_t m,
+                      std::size_t len, const double* panel, std::size_t s0,
+                      std::size_t s1, float* c, std::size_t ldc,
+                      std::size_t width) {
+  using F = typename Isa::Floats;
+  using D = typename Isa::Doubles;
+  constexpr std::size_t kFloatVecs = kPanel / kLanes<F>;
+  constexpr std::size_t kVecs = kPanel / kLanes<D>;
+  static_assert(kVecs == 2 * kFloatVecs);
+  F ct[R][kFloatVecs] = {};
+  if (kFold) {
+    for (std::size_t r = 0; r < R; ++r) load_row(c + r * ldc, width, ct[r]);
+  }
+  for (std::size_t s = s0; s < s1; ++s) {
+    D acc[R][kVecs] = {};
+    const typename Isa::WideA* as = a + s * m * len;
+    const double* ps = panel + (s - s0) * len * kPanel;
+    for (std::size_t q = 0; q < len; ++q) {
+      D b[kVecs];
+      for (std::size_t v = 0; v < kVecs; ++v)
+        load(ps + q * kPanel + v * kLanes<D>, b[v]);
+      for (std::size_t r = 0; r < R; ++r) {
+        const typename Isa::WideA av = as[r * len + q];
+        for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += av * b[v];
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t v = 0; v < kFloatVecs; ++v) {
+        F part;
+        narrow(acc[r][2 * v], acc[r][2 * v + 1], part);
+        ct[r][v] = kFold ? ct[r][v] + part : part;
+      }
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) store_row(c + r * ldc, width, ct[r]);
+}
+
+template <typename Isa, std::size_t R, bool kFold>
+APF_TILE void nt_rows(std::size_t rows, const typename Isa::WideA* a,
+                      std::size_t m, std::size_t len, const double* panel,
+                      std::size_t s0, std::size_t s1, float* c,
+                      std::size_t ldc, std::size_t width) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      nt_rows<Isa, R - 1, kFold>(rows, a, m, len, panel, s0, s1, c, ldc,
+                                 width);
+      return;
+    }
+  }
+  nt_tile<Isa, R, kFold>(a, m, len, panel, s0, s1, c, ldc, width);
+}
+
+// Row tiles [t0, t1) of one chunk of `m` widened rows against one packed
+// panel, for segments [s0, s1); c points at the panel's first column of the
+// chunk's first row.
+template <typename WideA>
+struct NtSweep {
+  const WideA* a;
+  const double* panel;
+  float* c;
+  std::size_t m, len, s0, s1, ldc, width, t0, t1;
+};
+
+template <typename Isa, bool kFold>
+APF_TILE void nt_sweep(const NtSweep<typename Isa::WideA>& args) {
+  const NtSweep<typename Isa::WideA> s = args;
+  constexpr std::size_t kRows = Isa::kNtRows;
+  for (std::size_t t = s.t0; t < s.t1; ++t) {
+    const std::size_t i0 = t * kRows;
+    nt_rows<Isa, kRows, kFold>(std::min(kRows, s.m - i0), s.a + i0 * s.len,
+                               s.m, s.len, s.panel, s.s0, s.s1,
+                               s.c + i0 * s.ldc, s.ldc, s.width);
+  }
+}
+
+// The baseline tiles, 16-byte vectors (SSE2 on x86-64): 4 x 8 floats, and
+// 2 x 8 doubles against A widened into both lanes of a vector, so a tile
+// row reads its operand with one plain load.
+struct Sse2 {
+  using Floats = f32x4;
+  using Doubles = f64x2;
+  using WideA = f64x2;
+  static constexpr std::size_t kGemmRows = 4, kNtRows = 2;
+  static constexpr const char* kName = "sse2";
+  static void widen(float x, WideA& out) { out = WideA{x, x}; }
+  static void gemm(const GemmSweep& s) { gemm_sweep<Sse2>(s); }
+  template <bool kFold>
+  static void nt(const NtSweep<WideA>& s) {
+    nt_sweep<Sse2, kFold>(s);
+  }
+};
+
+#ifdef APF_OPS_AVX2
+// The AVX2 tiles, 32-byte vectors: 8 x 8 floats, and 4 x 8 doubles against
+// A widened to plain doubles, read through broadcast loads. Each tile keeps
+// eight vector accumulators, as the baseline does. FMA stays off: a fused
+// multiply-add would round the float tile differently.
+struct Avx2 {
+  using Floats = f32x8;
+  using Doubles = f64x4;
+  using WideA = double;
+  static constexpr std::size_t kGemmRows = 8, kNtRows = 4;
+  static constexpr const char* kName = "avx2";
+  static void widen(float x, WideA& out) { out = x; }
+  __attribute__((target("avx2"))) static void gemm(const GemmSweep& s) {
+    gemm_sweep<Avx2>(s);
+  }
+  template <bool kFold>
+  __attribute__((target("avx2"))) static void nt(const NtSweep<WideA>& s) {
+    nt_sweep<Avx2, kFold>(s);
+  }
+};
+
+// glibc's active bit: the CPU has AVX2, the OS saves its registers, and
+// GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 has not masked it.
+bool avx2_active() {
+  static const bool active = CPU_FEATURE_ACTIVE(AVX2);
+  return active;
+}
+#endif
+
+// Calls fn(Isa{}) for the tile set this process uses, chosen once.
+template <typename Fn>
+void with_isa(const Fn& fn) {
+#ifdef APF_OPS_AVX2
+  if (avx2_active()) {
+    fn(Avx2{});
+    return;
+  }
+#endif
+  fn(Sse2{});
 }
 
 // C(m x n) = op(A) * B with op(A)[i][p] = a[i * a_row + p * a_col] and B
 // row-major (k x n), written over c (row stride n). Each block packs its
 // panels in runs that fit in cache and sweeps the row tiles over a run, so
 // C fills row by row.
+template <typename Isa>
 void gemm(const float* a, std::size_t a_row, std::size_t a_col,
           const float* b, float* c, std::size_t m, std::size_t k,
           std::size_t n) {
   const std::size_t run = std::max<std::size_t>(
       1, kPackedFloats / (std::max<std::size_t>(k, 1) * kPanel));
-  run_blocks(ceil_div(m, kGemmRows), ceil_div(n, kPanel), 2 * m * k * n,
+  run_blocks(ceil_div(m, Isa::kGemmRows), ceil_div(n, kPanel), 2 * m * k * n,
              [&](std::size_t t0, std::size_t t1, std::size_t p0,
                  std::size_t p1) {
     std::vector<float> packed(std::min(run, p1 - p0) * k * kPanel);
@@ -134,118 +365,40 @@ void gemm(const float* a, std::size_t a_row, std::size_t a_col,
           }
         }
       }
-      for (std::size_t t = t0; t < t1; ++t) {
-        const std::size_t i0 = t * kGemmRows;
-        const float* at = a + i0 * a_row;
-        for (std::size_t p = r0; p < r1; ++p) {
-          const std::size_t j0 = p * kPanel;
-          const std::size_t width = std::min(kPanel, n - j0);
-          const float* panel = packed.data() + (p - r0) * k * kPanel;
-          float* ct = c + i0 * n + j0;
-          switch (std::min(kGemmRows, m - i0)) {
-            case 4: gemm_tile<4>(at, a_row, a_col, panel, k, ct, n, width); break;
-            case 3: gemm_tile<3>(at, a_row, a_col, panel, k, ct, n, width); break;
-            case 2: gemm_tile<2>(at, a_row, a_col, panel, k, ct, n, width); break;
-            default: gemm_tile<1>(at, a_row, a_col, panel, k, ct, n, width); break;
-          }
-        }
-      }
+      Isa::gemm({a, a_row, a_col, packed.data(), c, m, k, n, t0, t1, r0, r1});
     }
   });
 }
 
-// Loads the first `width` floats of a C row into two 4-lane halves
-// (zero-padded), and stores them back.
-void load_row(const float* c, std::size_t width, f32x4& lo, f32x4& hi) {
-  float row[kPanel] = {};
-  std::copy(c, c + width, row);
-  lo = load<f32x4>(row);
-  hi = load<f32x4>(row + 4);
-}
-
-void store_row(float* c, std::size_t width, f32x4 lo, f32x4 hi) {
-  float row[kPanel];
-  std::memcpy(row, &lo, sizeof lo);
-  std::memcpy(row + 4, &hi, sizeof hi);
-  std::copy(row, row + width, c);
-}
-
-// One double register tile of the matmul_nt family: rows [0, R) of A
-// against one 8-column panel, for segments [s0, s1). `a` points at row 0
-// of segment 0 of the widened rows (segment stride m * len, row stride
-// len); `panel` holds the segments' packed B columns, len k-major rows
-// each. Per segment, each dot product sums its exact
-// float*float products in ascending q, then rounds to float and is added
-// to the C tile (kFold) or stored over it (one segment, !kFold). The C tile
-// stays in registers across the segments.
-template <std::size_t R, bool kFold>
-void nt_tile(const f64x2* a, std::size_t m, std::size_t len,
-             const f64x2* panel, std::size_t s0, std::size_t s1, float* c,
-             std::size_t ldc, std::size_t width) {
-  f32x4 lo[R] = {}, hi[R] = {};
-  if (kFold) {
-    for (std::size_t r = 0; r < R; ++r)
-      load_row(c + r * ldc, width, lo[r], hi[r]);
-  }
-  for (std::size_t s = s0; s < s1; ++s) {
-    f64x2 acc[R][kPanel / 2] = {};
-    const f64x2* as = a + s * m * len;
-    const f64x2* ps = panel + (s - s0) * len * (kPanel / 2);
-    for (std::size_t q = 0; q < len; ++q) {
-      const f64x2* bq = ps + q * (kPanel / 2);
-      for (std::size_t r = 0; r < R; ++r) {
-        const f64x2 av = as[r * len + q];
-        acc[r][0] += av * bq[0];
-        acc[r][1] += av * bq[1];
-        acc[r][2] += av * bq[2];
-        acc[r][3] += av * bq[3];
-      }
-    }
-    for (std::size_t r = 0; r < R; ++r) {
-      const f32x2 x0 = __builtin_convertvector(acc[r][0], f32x2);
-      const f32x2 x1 = __builtin_convertvector(acc[r][1], f32x2);
-      const f32x2 x2 = __builtin_convertvector(acc[r][2], f32x2);
-      const f32x2 x3 = __builtin_convertvector(acc[r][3], f32x2);
-      const f32x4 part_lo = {x0[0], x0[1], x1[0], x1[1]};
-      const f32x4 part_hi = {x2[0], x2[1], x3[0], x3[1]};
-      lo[r] = kFold ? lo[r] + part_lo : part_lo;
-      hi[r] = kFold ? hi[r] + part_hi : part_hi;
-    }
-  }
-  for (std::size_t r = 0; r < R; ++r) store_row(c + r * ldc, width, lo[r], hi[r]);
-}
-
 // The matmul_nt family (see ops.h): per segment s, A_s is the (m x len)
 // slab at a + s * m * len and B_s columns [s * len, (s + 1) * len) of the
-// (r x segments * len) matrix b. A is widened to doubles, each element in
-// both lanes, so a tile row reads its broadcast operand with one load; rows
-// go kWideRows at a time, which bounds that copy (each chunk repacks B, at
-// most 1/kWideRows of the arithmetic). Blocks walk their panels, pack runs
-// of segments that fit in L1 and sweep the row tiles over each run, so
-// every C element folds its segments in ascending order.
-template <bool kFold>
+// (r x segments * len) matrix b. A is widened to doubles (Isa::widen) in
+// chunks of kWideRows rows, which bounds that copy (each chunk repacks B,
+// at most 1/kWideRows of the arithmetic). Blocks walk their panels, pack
+// runs of segments that fit in L1 and sweep the row tiles over each run,
+// so every C element folds its segments in ascending order.
+template <typename Isa, bool kFold>
 void nt_segments(const float* a, const float* b, std::size_t m,
                  std::size_t r, std::size_t segments, std::size_t len,
                  float* c) {
+  using WideA = typename Isa::WideA;
   const std::size_t ldb = segments * len;
   const std::size_t run = std::max<std::size_t>(
       1, kPackedFloats / (2 * kPanel * std::max<std::size_t>(len, 1)));
   for (std::size_t base = 0; base < m; base += kWideRows) {
     const std::size_t rows = std::min(kWideRows, m - base);
-    std::vector<f64x2> wide(segments * rows * len);
+    std::vector<WideA> wide(segments * rows * len);
     for (std::size_t s = 0; s < segments; ++s) {
       const float* src = a + (s * m + base) * len;
-      f64x2* dst = wide.data() + s * rows * len;
-      for (std::size_t i = 0; i < rows * len; ++i)
-        dst[i] = f64x2{src[i], src[i]};
+      WideA* dst = wide.data() + s * rows * len;
+      for (std::size_t i = 0; i < rows * len; ++i) Isa::widen(src[i], dst[i]);
     }
     float* c_rows = c + base * r;
-    run_blocks(ceil_div(rows, kNtRows), ceil_div(r, kPanel),
+    run_blocks(ceil_div(rows, Isa::kNtRows), ceil_div(r, kPanel),
                2 * rows * r * ldb,
                [&](std::size_t t0, std::size_t t1, std::size_t p0,
                    std::size_t p1) {
-      constexpr std::size_t kVecs = kPanel / 2;  // f64x2 per packed row
-      std::vector<f64x2> panel(std::min(run, segments) * len * kVecs);
+      std::vector<double> panel(std::min(run, segments) * len * kPanel);
       for (std::size_t p = p0; p < p1; ++p) {
         const std::size_t j0 = p * kPanel;
         const std::size_t width = std::min(kPanel, r - j0);
@@ -253,30 +406,20 @@ void nt_segments(const float* a, const float* b, std::size_t m,
           const std::size_t s1 = std::min(segments, s0 + run);
           // Row q of segment s holds B_s[j0 + jj][q] in lane jj (padded).
           for (std::size_t s = s0; s < s1; ++s) {
-            f64x2* dst = panel.data() + (s - s0) * len * kVecs;
+            double* dst = panel.data() + (s - s0) * len * kPanel;
             for (std::size_t jj = 0; jj < kPanel; ++jj) {
               if (jj >= width) {
                 for (std::size_t q = 0; q < len; ++q)
-                  dst[q * kVecs + jj / 2][jj % 2] = 0.0;
+                  dst[q * kPanel + jj] = 0.0;
                 continue;
               }
               const float* brow = b + (j0 + jj) * ldb + s * len;
               for (std::size_t q = 0; q < len; ++q)
-                dst[q * kVecs + jj / 2][jj % 2] = brow[q];
+                dst[q * kPanel + jj] = brow[q];
             }
           }
-          for (std::size_t t = t0; t < t1; ++t) {
-            const std::size_t i0 = t * kNtRows;
-            const f64x2* at = wide.data() + i0 * len;
-            float* ct = c_rows + i0 * r + j0;
-            if (rows - i0 >= 2) {
-              nt_tile<2, kFold>(at, rows, len, panel.data(), s0, s1, ct, r,
-                                width);
-            } else {
-              nt_tile<1, kFold>(at, rows, len, panel.data(), s0, s1, ct, r,
-                                width);
-            }
-          }
+          Isa::template nt<kFold>({wide.data(), panel.data(), c_rows + j0,
+                                   rows, len, s0, s1, r, width, t0, t1});
         }
       }
     });
@@ -289,7 +432,9 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   APF_CHECK_MSG(b.dim(0) == k, "matmul inner dims " << k << " vs " << b.dim(0));
   Tensor c({m, n});
-  gemm(a.raw(), k, 1, b.raw(), c.raw(), m, k, n);
+  with_isa([&](auto isa) {
+    gemm<decltype(isa)>(a.raw(), k, 1, b.raw(), c.raw(), m, k, n);
+  });
   return c;
 }
 
@@ -300,7 +445,9 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   APF_CHECK(b.dim(0) == m);
   Tensor c({k, n});
-  gemm(a.raw(), 1, k, b.raw(), c.raw(), k, m, n);
+  with_isa([&](auto isa) {
+    gemm<decltype(isa)>(a.raw(), 1, k, b.raw(), c.raw(), k, m, n);
+  });
   return c;
 }
 
@@ -310,14 +457,24 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), r = b.dim(0);
   APF_CHECK(b.dim(1) == k);
   Tensor c({m, r});
-  nt_segments<false>(a.raw(), b.raw(), m, r, 1, k, c.raw());
+  with_isa([&](auto isa) {
+    nt_segments<decltype(isa), false>(a.raw(), b.raw(), m, r, 1, k, c.raw());
+  });
   return c;
 }
 
 void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
                              std::size_t r, std::size_t segments,
                              std::size_t len, float* c) {
-  nt_segments<true>(a, b, m, r, segments, len, c);
+  with_isa([&](auto isa) {
+    nt_segments<decltype(isa), true>(a, b, m, r, segments, len, c);
+  });
+}
+
+const char* gemm_simd_path() {
+  const char* name = nullptr;
+  with_isa([&](auto isa) { name = decltype(isa)::kName; });
+  return name;
 }
 
 Tensor transpose(const Tensor& a) {
@@ -332,6 +489,7 @@ Tensor transpose(const Tensor& a) {
 Tensor softmax_rows(const Tensor& logits) {
   APF_CHECK(logits.rank() == 2);
   const std::size_t m = logits.dim(0), n = logits.dim(1);
+  APF_CHECK(n > 0);
   Tensor out({m, n});
   for (std::size_t i = 0; i < m; ++i) {
     const float* row = logits.raw() + i * n;

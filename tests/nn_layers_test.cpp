@@ -294,6 +294,11 @@ TEST(AvgPool2d, GradCheck) {
   test::check_gradients(pool, Tensor::uniform({2, 2, 4, 4}, rng), rng);
 }
 
+TEST(AvgPool2d, BackwardWithoutForwardThrows) {
+  AvgPool2d pool(2);
+  EXPECT_THROW(pool.backward(Tensor({1, 1, 1, 1}, 1.f)), Error);
+}
+
 TEST(GlobalAvgPool, ForwardShapeAndValue) {
   GlobalAvgPool gap;
   Tensor x({1, 2, 2, 2}, std::vector<float>{1, 2, 3, 4, 10, 10, 10, 10});
@@ -307,6 +312,11 @@ TEST(GlobalAvgPool, GradCheck) {
   Rng rng(15);
   GlobalAvgPool gap;
   test::check_gradients(gap, Tensor::uniform({2, 3, 4, 4}, rng), rng);
+}
+
+TEST(GlobalAvgPool, BackwardWithoutForwardThrows) {
+  GlobalAvgPool gap;
+  EXPECT_THROW(gap.backward(Tensor({1, 2}, 1.f)), Error);
 }
 
 TEST(BatchNorm2d, NormalizesBatchStatistics) {
@@ -352,6 +362,36 @@ TEST(BatchNorm2d, GradCheck) {
   BatchNorm2d bn(2);
   test::check_gradients(bn, Tensor::uniform({3, 2, 3, 3}, rng), rng,
                         {.eps = 1e-2, .rel_tol = 5e-2, .abs_tol = 5e-3});
+}
+
+// An eval-mode forward drops the training caches: a backward after it
+// (here at the eval batch size, 8, against caches of batch 2) must throw
+// before it touches the parameter gradients.
+TEST(BatchNorm2d, BackwardAfterEvalForwardThrows) {
+  Rng rng(19);
+  BatchNorm2d bn(2);
+  EXPECT_THROW(bn.backward(Tensor({2, 2, 3, 3}, 1.f)), Error);
+  const Tensor x2 = Tensor::uniform({2, 2, 3, 3}, rng);
+  const Tensor g2 = Tensor::uniform({2, 2, 3, 3}, rng);
+  const Tensor g8 = Tensor::uniform({8, 2, 3, 3}, rng);
+  bn.forward(x2);
+  bn.backward(g2);
+  std::vector<Tensor> grads;
+  for (const auto& ref : bn.parameters()) grads.push_back(ref.param->grad);
+  bn.set_training(false);
+  bn.forward(Tensor::uniform({8, 2, 3, 3}, rng));
+  bn.set_training(true);
+  EXPECT_THROW(bn.backward(g8), Error);
+  EXPECT_THROW(bn.backward(g2), Error);
+  const auto params = bn.parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_EQ(std::memcmp(params[i].param->grad.raw(), grads[i].raw(),
+                          grads[i].numel() * sizeof(float)),
+              0)
+        << params[i].name;
+  }
+  bn.forward(x2);
+  EXPECT_EQ(bn.backward(g2).shape(), x2.shape());
 }
 
 TEST(BatchNorm2d, HasBuffers) {

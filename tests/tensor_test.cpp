@@ -3,8 +3,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/activations.h"
@@ -13,6 +15,7 @@
 #include "tensor/tensor.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace apf {
 namespace {
@@ -197,59 +200,106 @@ bool bitwise_equal(const Tensor& x, const Tensor& y) {
          std::memcmp(x.raw(), y.raw(), x.numel() * sizeof(float)) == 0;
 }
 
-TEST(Ops, MatmulAndMatmulTnBitwiseMatchScalarReference) {
-  // Output rows and columns that are not multiples of the 4 x 8 tile,
-  // n < 8, k = 1, and a reduction long enough to round differently if
-  // reassociated.
-  Rng rng(3);
-  for (const std::size_t m : {1u, 3u, 4u, 5u, 7u, 9u, 13u}) {
-    for (const std::size_t n : {1u, 3u, 7u, 8u, 9u, 17u, 30u}) {
-      for (const std::size_t k : {1u, 2u, 9u, 100u}) {
-        const Tensor a = signed_with_zeros({m, k}, rng);
-        const Tensor b = Tensor::uniform({k, n}, rng, -3.f, 3.f);
-        EXPECT_TRUE(bitwise_equal(matmul(a, b), matmul_scalar_reference(a, b)))
-            << "matmul m=" << m << " k=" << k << " n=" << n;
-        // matmul_tn reads A (k x m here) transposed: C is (m x n).
-        const Tensor at = signed_with_zeros({k, m}, rng);
-        const Tensor bt = Tensor::uniform({k, n}, rng, -3.f, 3.f);
-        EXPECT_TRUE(bitwise_equal(matmul_tn(at, bt),
-                                  matmul_tn_scalar_reference(at, bt)))
-            << "matmul_tn m=" << m << " k=" << k << " n=" << n;
+// Every shape the kernel sweeps compare: m, k and n over 1..19, which
+// covers each row remainder of either tile shape (4 or 8 rows for floats,
+// 2 or 4 for doubles) and each panel width, then 63, 64, 65 and 128 (the
+// edges of matmul_nt's 64-row widening chunks, large enough to split over
+// pool lanes) against a spread of small partners, and among themselves.
+struct GemmShape {
+  std::size_t m, k, n;
+};
+
+std::vector<GemmShape> kernel_shapes() {
+  std::vector<GemmShape> shapes;
+  for (std::size_t m = 1; m <= 19; ++m)
+    for (std::size_t k = 1; k <= 19; ++k)
+      for (std::size_t n = 1; n <= 19; ++n) shapes.push_back({m, k, n});
+  const std::size_t big[] = {63, 64, 65, 128};
+  const std::size_t partners[] = {1, 3, 4, 5, 8, 9, 17, 19};
+  for (const std::size_t b : big) {
+    for (const std::size_t x : partners) {
+      for (const std::size_t y : partners) {
+        shapes.push_back({b, x, y});
+        shapes.push_back({x, b, y});
+        shapes.push_back({x, y, b});
       }
     }
+    for (const std::size_t c : big)
+      for (const std::size_t d : big) shapes.push_back({b, c, d});
   }
+  return shapes;
+}
+
+// Runs fn() on a compute pool of 1 and of 4 lanes.
+template <typename Fn>
+void on_1_and_4_lanes(const Fn& fn) {
+  for (const std::size_t lanes : {1u, 4u}) {
+    util::ThreadPool pool(lanes);
+    const util::ScopedComputePool scope(pool);
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    fn();
+  }
+}
+
+TEST(Ops, MatmulAndMatmulTnBitwiseMatchScalarReference) {
+  // A carries exact +0 and -0; the reductions round differently if
+  // reassociated.
+  const std::vector<GemmShape> shapes = kernel_shapes();
+  on_1_and_4_lanes([&] {
+    Rng rng(3);
+    for (const auto& [m, k, n] : shapes) {
+      const Tensor a = signed_with_zeros({m, k}, rng);
+      const Tensor b = Tensor::uniform({k, n}, rng, -3.f, 3.f);
+      ASSERT_TRUE(bitwise_equal(matmul(a, b), matmul_scalar_reference(a, b)))
+          << "matmul m=" << m << " k=" << k << " n=" << n;
+      // matmul_tn reads A (k x m here) transposed: C is (m x n).
+      const Tensor at = signed_with_zeros({k, m}, rng);
+      ASSERT_TRUE(bitwise_equal(matmul_tn(at, b),
+                                matmul_tn_scalar_reference(at, b)))
+          << "matmul_tn m=" << m << " k=" << k << " n=" << n;
+    }
+  });
 }
 
 TEST(Ops, MatmulNtFoldSegmentsMatchesPerSegmentScalarFold) {
   // C += float(double dot over each segment), segments folded in order,
-  // onto a non-zero C; r and m end in partial tiles.
-  Rng rng(11);
-  for (const std::size_t len : {1u, 4u, 9u}) {
-    for (const std::size_t segments : {1u, 5u}) {
-      const std::size_t m = 5, r = 11;
-      const Tensor a = signed_with_zeros({segments, m, len}, rng);
-      const Tensor b = Tensor::uniform({r, segments * len}, rng, -3.f, 3.f);
-      const Tensor c0 = Tensor::uniform({m, r}, rng);
-      Tensor expect = c0;
-      for (std::size_t s = 0; s < segments; ++s) {
-        for (std::size_t i = 0; i < m; ++i) {
-          for (std::size_t j = 0; j < r; ++j) {
-            double acc = 0.0;
-            for (std::size_t q = 0; q < len; ++q) {
-              acc += static_cast<double>(a[(s * m + i) * len + q]) *
-                     b[j * segments * len + s * len + q];
+  // onto a non-zero C; m and r end in partial tiles and panels, and m = 65
+  // spans two widening chunks.
+  on_1_and_4_lanes([] {
+    Rng rng(11);
+    for (std::size_t segments = 1; segments <= 17; ++segments) {
+      for (const std::size_t len : {1u, 4u, 16u, 256u}) {
+        for (const std::size_t m : {1u, 3u, 5u, 8u, 65u}) {
+          if (m == 65 && len == 256) continue;  // keeps the sweep quick
+          for (const std::size_t r : {1u, 7u, 8u, 17u}) {
+            const Tensor a = signed_with_zeros({segments, m, len}, rng);
+            const Tensor b =
+                Tensor::uniform({r, segments * len}, rng, -3.f, 3.f);
+            const Tensor c0 = Tensor::uniform({m, r}, rng);
+            Tensor expect = c0;
+            for (std::size_t s = 0; s < segments; ++s) {
+              for (std::size_t i = 0; i < m; ++i) {
+                for (std::size_t j = 0; j < r; ++j) {
+                  double acc = 0.0;
+                  for (std::size_t q = 0; q < len; ++q) {
+                    acc += static_cast<double>(a[(s * m + i) * len + q]) *
+                           b[j * segments * len + s * len + q];
+                  }
+                  expect[i * r + j] += static_cast<float>(acc);
+                }
+              }
             }
-            expect[i * r + j] += static_cast<float>(acc);
+            Tensor got = c0;
+            matmul_nt_fold_segments(a.raw(), b.raw(), m, r, segments, len,
+                                    got.raw());
+            ASSERT_TRUE(bitwise_equal(got, expect))
+                << "segments=" << segments << " len=" << len << " m=" << m
+                << " r=" << r;
           }
         }
       }
-      Tensor got = c0;
-      matmul_nt_fold_segments(a.raw(), b.raw(), m, r, segments, len,
-                              got.raw());
-      EXPECT_TRUE(bitwise_equal(got, expect))
-          << "len=" << len << " segments=" << segments;
     }
-  }
+  });
 }
 
 // The scalar double-accumulator loop matmul_nt must reproduce bit for bit:
@@ -271,27 +321,30 @@ Tensor matmul_nt_scalar_reference(const Tensor& a, const Tensor& b) {
 }
 
 TEST(Ops, MatmulNtBitwiseMatchesScalarReference) {
-  // r covers single, partial and multiple 8-row panels; k = 0 is the empty
-  // reduction; m = 67 widens A in a full and a ragged chunk of rows.
-  std::vector<std::size_t> rows;
-  for (std::size_t r = 1; r <= 17; ++r) rows.push_back(r);
-  rows.push_back(27);
-  rows.push_back(128);
-  Rng rng(4);
-  for (const std::size_t r : rows) {
-    for (const std::size_t k : {0u, 1u, 8u, 256u}) {
-      for (const std::size_t m : {1u, 16u, 67u}) {
-        const Tensor a = Tensor::uniform({m, k}, rng, -3.f, 3.f);
-        const Tensor b = Tensor::uniform({r, k}, rng, -3.f, 3.f);
-        const Tensor expect = matmul_nt_scalar_reference(a, b);
-        const Tensor got = matmul_nt(a, b);
-        ASSERT_EQ(got.shape(), expect.shape());
-        EXPECT_EQ(std::memcmp(got.raw(), expect.raw(),
-                              got.numel() * sizeof(float)),
-                  0)
-            << "m=" << m << " k=" << k << " r=" << r;
-      }
+  // C is (m x n) with B (n x k); k = 0 is the empty reduction.
+  std::vector<GemmShape> shapes = kernel_shapes();
+  for (const std::size_t n : {1u, 9u, 128u}) shapes.push_back({16, 0, n});
+  on_1_and_4_lanes([&] {
+    Rng rng(4);
+    for (const auto& [m, k, n] : shapes) {
+      const Tensor a = signed_with_zeros({m, k}, rng);
+      const Tensor b = Tensor::uniform({n, k}, rng, -3.f, 3.f);
+      ASSERT_TRUE(bitwise_equal(matmul_nt(a, b),
+                                matmul_nt_scalar_reference(a, b)))
+          << "m=" << m << " k=" << k << " n=" << n;
     }
+  });
+}
+
+// The tile set follows glibc's AVX2 bit, so the tunable that masks it (the
+// release CI job's second run) selects the baseline tiles.
+TEST(Ops, GemmSimdPathFollowsGlibcTunable) {
+  const std::string path = gemm_simd_path();
+  EXPECT_TRUE(path == "avx2" || path == "sse2") << path;
+  const char* tunables = std::getenv("GLIBC_TUNABLES");
+  if (tunables != nullptr &&
+      std::string(tunables).find("-AVX2") != std::string::npos) {
+    EXPECT_EQ(path, "sse2");
   }
 }
 
@@ -320,6 +373,10 @@ TEST(Ops, SoftmaxNumericallyStable) {
   Tensor logits({1, 3}, std::vector<float>{1000.f, 1000.f, 1000.f});
   Tensor p = softmax_rows(logits);
   for (std::size_t j = 0; j < 3; ++j) EXPECT_NEAR(p[j], 1.f / 3.f, 1e-5f);
+}
+
+TEST(Ops, SoftmaxRowsRejectsEmptyRows) {
+  EXPECT_THROW(softmax_rows(Tensor({3, 0})), Error);
 }
 
 TEST(Ops, ArgmaxRows) {

@@ -35,6 +35,7 @@ RULE_SCOPES = {
     not f.name.startswith("thread_pool."),
     "libm-tanh": lambda f: f.top == "src" and
     f.rel != "src/tensor/activations.cpp",
+    "isa-dispatch": lambda f: f.rel != "src/tensor/ops.cpp",
     "unordered-iteration": lambda f: f.rel.count("/") == 2 and
     f.under("src/core", "src/fl", "src/compress"),
     "capability-raw-mutex": lambda f: f.name != "annotations.h",
@@ -76,6 +77,17 @@ LIBM_TANH = [
     (re.compile(r"\bstd::tanhf?\b"), "std::tanh"),
     (re.compile(r"(?<![\w:])::tanhf?\b"), "::tanh"),
     (re.compile(r"(?<![\w:])tanhf\b"), "tanhf"),
+]
+# A function-level instruction-set choice: a target or target_clones
+# attribute (or pragma), a CPU-feature query, or an intrinsics header.
+ISA_DISPATCH = [
+    (re.compile(r'(?:(?<![\w.>:])|(?<=gnu::))(?:__)?target(?:_clones)?(?:__)?'
+                r'\s*\(\s*"'), "target(...)"),
+    (re.compile(r"\b__builtin_cpu_\w+"), "__builtin_cpu_*"),
+    (re.compile(r"\bCPU_FEATURE_\w+"), "CPU_FEATURE_*"),
+    (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "<*intrin.h>"),
+    (re.compile(r"#\s*include\s*<sys/platform/x86\.h>"),
+     "<sys/platform/x86.h>"),
 ]
 TEST_INCLUDE = re.compile(
     r'#\s*include\s+["<](?:tests/|gtest|gmock|[^">]*_test\.h)')
@@ -390,6 +402,10 @@ CHECKS = (
     ("libm-tanh", line_rule(
         LIBM_TANH, "'{}' calls libm; use apf::tanh (tensor/activations.h), "
         "which gives the same bits vectorized", first_only=True)),
+    ("isa-dispatch", line_rule(
+        ISA_DISPATCH, "'{}' outside src/tensor/ops.cpp; the GEMM tiles are the "
+        "one place that picks an instruction set, once per process",
+        first_only=True)),
     ("capability-raw-mutex", raw_mutex),
     ("test-include", test_include),
     ("float-accumulator", float_accumulator),
