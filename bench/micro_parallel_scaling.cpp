@@ -4,15 +4,18 @@
 // federated-round wall time as a function of the worker count, and emits
 // machine-readable JSON so CI can archive the perf trajectory:
 //
-//   BENCH_kernels.json  — per kernel x size x thread count: seconds/call,
+//   BENCH_kernels.json  — per kernel x size x thread count: seconds/call
+//                         (the median of individually timed calls),
 //                         GFLOP/s, speedup vs the 1-thread (seed) kernel,
-//                         and the GEMM tile set that ran (simd);
+//                         and the instruction set that ran (simd);
 //                         matmul_nt also at the kws LSTM gate shapes,
 //                         conv2d_* rows time a ResNet stage-1 Conv2d,
-//                         tanh_span the span activation kernel
+//                         tanh_span and sigmoid_span the span activation
+//                         kernels
 //   BENCH_runner.json   — per thread count: wall seconds for a small LeNet
-//                         federated run, seconds/round, speedup vs 1 thread,
-//                         and the measured per-round bytes_per_client column
+//                         federated run (the median of a few runs),
+//                         seconds/round, speedup vs 1 thread, and the
+//                         measured per-round bytes_per_client column
 //                         (bit-identical across thread counts; CI diffs it)
 //
 // The schema is documented in docs/PARALLELISM.md. Results are wall-clock
@@ -74,17 +77,29 @@ struct RunnerResult {
   std::vector<double> bytes_per_client_per_round;
 };
 
-// Seconds per call of `fn` (which returns a value to keep live), after one
-// warm-up call.
+// Median of `samples` (reordered in place).
+double median(std::vector<double>& samples) {
+  const auto mid = samples.begin() + samples.size() / 2;
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
+
+// Seconds per call of `fn` (which returns a value to keep live): the median
+// of `reps` individually timed calls, after one warm-up call. On a shared
+// host a few calls are descheduled or lose their caches; a mean charges
+// those to the whole row, the median does not.
 template <typename Fn>
 double time_calls(const Fn& fn, std::size_t reps) {
   volatile float sink = 0.f;  // keep the result live
   sink = sink + fn();
-  const double start = now_seconds();
-  for (std::size_t r = 0; r < reps; ++r) sink = sink + fn();
-  const double elapsed = now_seconds() - start;
+  std::vector<double> seconds(reps);
+  for (double& t : seconds) {
+    const double start = now_seconds();
+    sink = sink + fn();
+    t = now_seconds() - start;
+  }
   (void)sink;
-  return elapsed / static_cast<double>(reps);
+  return median(seconds);
 }
 
 // Times `fn` once per thread count on a pool of that size and appends one
@@ -173,12 +188,20 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
   // apf::tanh over 4096 gate pre-activations, counted as one flop per
   // element. The kernel is serial, so its rows only show call-to-call noise
   // across thread counts; a call is microseconds, hence the extra reps.
-  constexpr std::size_t kTanhElems = 4096;
-  const Tensor pre = Tensor::uniform({kTanhElems}, rng, -4.f, 4.f);
-  Tensor act({kTanhElems});
-  bench_rows("tanh_span", 1, 1, kTanhElems, kTanhElems, threads, 256 * reps,
+  // sigmoid_span times apf::sigmoid the same way.
+  constexpr std::size_t kSpanElems = 4096;
+  const Tensor pre = Tensor::uniform({kSpanElems}, rng, -4.f, 4.f);
+  Tensor act({kSpanElems});
+  bench_rows("tanh_span", 1, 1, kSpanElems, kSpanElems, threads, 256 * reps,
              [&] {
                apf::tanh(pre.data(), act.data());
+               return act[0];
+             },
+             results);
+  bench_rows("sigmoid_span", 1, 1, kSpanElems, kSpanElems, threads,
+             256 * reps,
+             [&] {
+               apf::sigmoid(pre.data(), act.data());
                return act[0];
              },
              results);
@@ -186,7 +209,7 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
 }
 
 std::vector<RunnerResult> bench_runner(const std::vector<std::size_t>& threads,
-                                       bool quick) {
+                                       bool quick, std::size_t reps) {
   bench::TaskOptions topt;
   topt.num_clients = 4;
   topt.rounds = quick ? 2 : 4;
@@ -198,17 +221,24 @@ std::vector<RunnerResult> bench_runner(const std::vector<std::size_t>& threads,
   std::vector<RunnerResult> results;
   double base_seconds = 0.0;
   for (const std::size_t t : threads) {
-    bench::TaskBundle task = bench::lenet_task(topt);
-    task.config.worker_threads = t;
-    fl::FullSync strategy;
-    fl::FederatedRunner runner(task.config, *task.train, task.partition,
-                               *task.test, task.model, task.optimizer,
-                               strategy);
-    const double start = now_seconds();
-    const fl::SimulationResult sim = runner.run();
+    // The median wall time of `reps` identical runs; every run measures the
+    // same bytes (the determinism contract), so the last one's are kept.
     RunnerResult r;
     r.threads = t;
-    r.wall_seconds = now_seconds() - start;
+    std::vector<double> walls;
+    fl::SimulationResult sim;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      bench::TaskBundle task = bench::lenet_task(topt);
+      task.config.worker_threads = t;
+      fl::FullSync strategy;
+      fl::FederatedRunner runner(task.config, *task.train, task.partition,
+                                 *task.test, task.model, task.optimizer,
+                                 strategy);
+      const double start = now_seconds();
+      sim = runner.run();
+      walls.push_back(now_seconds() - start);
+    }
+    r.wall_seconds = median(walls);
     r.seconds_per_round =
         r.wall_seconds / static_cast<double>(sim.rounds.size());
     for (const fl::RoundRecord& rec : sim.rounds) {
@@ -310,12 +340,12 @@ int main(int argc, char** argv) {
 
   const std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{128} : std::vector<std::size_t>{128, 256};
-  const std::size_t reps = quick ? 5 : 20;
+  const std::size_t reps = quick ? 11 : 21;  // odd: the median is one call
 
   std::cout << "=== micro_parallel_scaling: kernel throughput ===\n";
   const auto kernels = bench_kernels(threads, sizes, reps);
   std::cout << "=== micro_parallel_scaling: federated round wall time ===\n";
-  const auto runner = bench_runner(threads, quick);
+  const auto runner = bench_runner(threads, quick, quick ? 3 : 5);
 
   std::filesystem::create_directories(json_dir);
   const std::string kernels_path = json_dir + "/BENCH_kernels.json";

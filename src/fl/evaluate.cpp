@@ -10,16 +10,9 @@
 namespace apf::fl {
 
 namespace {
-/// Evaluation order is the identity permutation chopped into consecutive
-/// batches; batch b covers indices [b * batch_size, ...).
-std::size_t num_batches(const data::Dataset& dataset, std::size_t batch_size) {
-  return (dataset.size() + batch_size - 1) / batch_size;
-}
-
-data::Batch nth_batch(const data::Dataset& dataset, std::size_t batch_size,
-                      std::size_t b) {
-  const std::size_t start = b * batch_size;
-  const std::size_t end = std::min(start + batch_size, dataset.size());
+/// The batch of samples [start, end), in index order.
+data::Batch batch_of(const data::Dataset& dataset, std::size_t start,
+                     std::size_t end) {
   std::vector<std::size_t> idx(end - start);
   std::iota(idx.begin(), idx.end(), start);
   return dataset.get_batch(idx);
@@ -38,14 +31,14 @@ std::size_t batch_correct(const Tensor& logits,
   return correct;
 }
 
+/// Calls fn on consecutive batches of at most batch_size samples that cover
+/// [start, end) in index order.
 template <typename Fn>
-void for_each_batch(const data::Dataset& dataset, std::size_t batch_size,
-                    Fn&& fn) {
+void for_each_batch(const data::Dataset& dataset, std::size_t start,
+                    std::size_t end, std::size_t batch_size, Fn&& fn) {
   APF_CHECK(batch_size > 0);
-  const std::size_t batches = num_batches(dataset, batch_size);
-  for (std::size_t b = 0; b < batches; ++b) {
-    fn(nth_batch(dataset, batch_size, b));
-  }
+  for (; start < end; start += batch_size)
+    fn(batch_of(dataset, start, std::min(end, start + batch_size)));
 }
 }  // namespace
 
@@ -55,9 +48,9 @@ std::size_t count_correct(nn::Module& module, const data::Dataset& dataset,
   const bool was_training = module.training();
   module.set_training(false);
   std::size_t correct = 0;
-  for_each_batch(dataset, batch_size, [&](const data::Batch& batch) {
-    const Tensor logits = module.forward(batch.inputs);
-    correct += batch_correct(logits, batch.labels);
+  for_each_batch(dataset, 0, dataset.size(), batch_size,
+                 [&](const data::Batch& batch) {
+    correct += batch_correct(module.forward(batch.inputs), batch.labels);
   });
   module.set_training(was_training);
   return correct;
@@ -78,7 +71,8 @@ double evaluate_loss(nn::Module& module, const data::Dataset& dataset,
   const bool was_training = module.training();
   module.set_training(false);
   double total = 0.0;
-  for_each_batch(dataset, batch_size, [&](const data::Batch& batch) {
+  for_each_batch(dataset, 0, dataset.size(), batch_size,
+                 [&](const data::Batch& batch) {
     const Tensor logits = module.forward(batch.inputs);
     const auto result = nn::softmax_cross_entropy(logits, batch.labels);
     total += static_cast<double>(result.loss) *
@@ -97,33 +91,22 @@ EvalSums evaluate_sums_parallel(std::span<nn::Module* const> replicas,
   APF_CHECK(batch_size > 0 && !replicas.empty());
   for (nn::Module* replica : replicas) APF_CHECK(replica != nullptr);
   EvalSums sums;
-  if (dataset.size() == 0) return sums;
-  const std::size_t batches = num_batches(dataset, batch_size);
-  // Replica r walks batches r, r + R, ...; per-batch results land in
-  // batch-indexed slots and are folded in batch order below, so the sums are
-  // bit-identical for any replica count (replicas hold identical state).
-  const std::size_t lanes = std::min(replicas.size(), batches);
-  std::vector<EvalSums> per_batch(batches);
+  const std::size_t samples = dataset.size();
+  if (samples == 0) return sums;
+  const std::size_t lanes = std::min(replicas.size(), samples);
+  std::vector<std::size_t> correct(lanes, 0);
   pool.parallel_for(lanes, [&](std::size_t r) {
     nn::Module& module = *replicas[r];
     const bool was_training = module.training();
     module.set_training(false);
-    for (std::size_t b = r; b < batches; b += lanes) {
-      const data::Batch batch = nth_batch(dataset, batch_size, b);
-      const Tensor logits = module.forward(batch.inputs);
-      const auto result = nn::softmax_cross_entropy(logits, batch.labels);
-      per_batch[b].correct = batch_correct(logits, batch.labels);
-      per_batch[b].loss_sum = static_cast<double>(result.loss) *
-                              static_cast<double>(batch.size());
-      per_batch[b].total = batch.size();
-    }
+    for_each_batch(dataset, r * samples / lanes, (r + 1) * samples / lanes,
+                   batch_size, [&](const data::Batch& batch) {
+      correct[r] += batch_correct(module.forward(batch.inputs), batch.labels);
+    });
     module.set_training(was_training);
   });
-  for (const EvalSums& b : per_batch) {
-    sums.correct += b.correct;
-    sums.loss_sum += b.loss_sum;
-    sums.total += b.total;
-  }
+  for (const std::size_t c : correct) sums.correct += c;
+  sums.total = samples;
   return sums;
 }
 

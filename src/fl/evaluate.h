@@ -28,19 +28,21 @@ double evaluate_accuracy(nn::Module& module, const data::Dataset& dataset,
 double evaluate_loss(nn::Module& module, const data::Dataset& dataset,
                      std::size_t batch_size = 128);
 
-/// Correct-count and loss sums accumulated over the dataset in one pass.
+/// Correct and total counts of one evaluation pass.
 struct EvalSums {
-  std::size_t correct = 0;   // exact argmax matches
-  double loss_sum = 0.0;     // sum over samples of per-sample mean-batch loss
-  std::size_t total = 0;     // samples seen
+  std::size_t correct = 0;  // exact argmax matches
+  std::size_t total = 0;    // samples seen
 };
 
 /// Parallel single-pass evaluation over `replicas`, which must be
-/// bit-identical copies of the model (same params and buffers); replica r
-/// processes batches r, r + R, r + 2R, ... so no module is shared between
-/// lanes. Per-batch results are recombined in batch-index order — correct
-/// counts are integers and the loss reduction is ordered — so the result is
-/// bit-identical for any replica count, including 1.
+/// bit-identical copies of the model (same params and buffers), one pool
+/// task per replica. With R = min(replicas, samples), replica r evaluates
+/// the contiguous samples [r * S / R, (r + 1) * S / R) in batches of at most
+/// `batch_size`, so the lanes get equal shares and no module is shared
+/// between them. A sample's logits do not depend on the batch it runs in
+/// (every kernel computes each output row alone) and the counts are
+/// integers, so the result is bit-identical for any replica count,
+/// including 1.
 EvalSums evaluate_sums_parallel(std::span<nn::Module* const> replicas,
                                 const data::Dataset& dataset,
                                 std::size_t batch_size,

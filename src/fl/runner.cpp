@@ -167,13 +167,11 @@ SimulationResult FederatedRunner::run() {
   const util::ScopedComputePool compute_scope(pool);
 
   // Evaluation replicas (each receives the global params before each eval);
-  // one per pool lane, capped by the number of evaluation batches so small
-  // test sets don't pay for idle copies.
+  // one per pool lane, capped by the test set size so tiny test sets don't
+  // pay for idle copies.
   const std::size_t eval_batch_size = 128;
-  const std::size_t eval_batches =
-      (test_.size() + eval_batch_size - 1) / eval_batch_size;
   const std::size_t eval_replica_count =
-      std::max<std::size_t>(1, std::min(pool.lanes(), eval_batches));
+      std::max<std::size_t>(1, std::min(pool.lanes(), test_.size()));
   std::vector<std::unique_ptr<nn::Module>> eval_models;
   std::vector<std::unique_ptr<FlatParamView>> eval_views;
   for (std::size_t r = 0; r < eval_replica_count; ++r) {
@@ -654,9 +652,9 @@ SimulationResult FederatedRunner::run() {
     record.cumulative_seconds = cum_seconds;
     if (round % config_.eval_every == 0 || round == config_.rounds) {
       // Evaluate the server-side global model on the pool: every replica
-      // receives the identical global state, batches are interleaved across
-      // replicas, and counts recombine in batch order, so the accuracy is
-      // bit-identical for any worker count.
+      // receives the identical global state and evaluates an equal
+      // contiguous share of the test set, and the counts are integers, so
+      // the accuracy is bit-identical for any worker count.
       std::vector<nn::Module*> replicas;
       replicas.reserve(eval_models.size());
       for (std::size_t r = 0; r < eval_models.size(); ++r) {

@@ -53,14 +53,11 @@ Tensor GRU::forward(const Tensor& input) {
     for (std::size_t s = 0; s < batch_; ++s) {
       float* girow = gi.raw() + s * 3 * hidden_;
       const float* ghrow = gh.raw() + s * 3 * hidden_;
-      for (std::size_t j = 0; j < hidden_; ++j) {
-        const float r = sigmoidf(girow[j] + ghrow[j]);
-        const float z = sigmoidf(girow[hidden_ + j] + ghrow[hidden_ + j]);
-        const float hn_lin = ghrow[2 * hidden_ + j];
-        girow[j] = r;
-        girow[hidden_ + j] = z;
-        girow[2 * hidden_ + j] += r * hn_lin;
-      }
+      for (std::size_t j = 0; j < 2 * hidden_; ++j) girow[j] += ghrow[j];
+      const std::span<float> rz_gates(girow, 2 * hidden_);
+      apf::sigmoid(rz_gates, rz_gates);
+      for (std::size_t j = 0; j < hidden_; ++j)
+        girow[2 * hidden_ + j] += girow[j] * ghrow[2 * hidden_ + j];
       const std::span<float> n_gate(girow + 2 * hidden_, hidden_);
       apf::tanh(n_gate, n_gate);
       for (std::size_t j = 0; j < hidden_; ++j) {

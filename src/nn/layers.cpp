@@ -93,8 +93,7 @@ Tensor Tanh::backward(const Tensor& grad_output) {
 
 Tensor Sigmoid::forward(const Tensor& input) {
   output_ = input;
-  for (std::size_t i = 0; i < output_.numel(); ++i)
-    output_[i] = 1.f / (1.f + std::exp(-output_[i]));
+  apf::sigmoid(output_.data(), output_.data());
   return output_;
 }
 

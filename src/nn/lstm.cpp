@@ -56,17 +56,17 @@ Tensor LSTM::forward(const Tensor& input) {
     }
     for (std::size_t s = 0; s < batch_; ++s) {
       float* grow = gates.raw() + s * 4 * hidden_;
+      const std::span<float> if_gates(grow, 2 * hidden_);
       const std::span<float> g_gate(grow + 2 * hidden_, hidden_);
+      const std::span<float> o_gate(grow + 3 * hidden_, hidden_);
+      apf::sigmoid(if_gates, if_gates);
       apf::tanh(g_gate, g_gate);
+      apf::sigmoid(o_gate, o_gate);
       float* crow = c.raw() + s * hidden_;
       for (std::size_t j = 0; j < hidden_; ++j) {
-        const float iv = sigmoidf(grow[j]);
-        const float fv = sigmoidf(grow[hidden_ + j]);
+        const float iv = grow[j];
+        const float fv = grow[hidden_ + j];
         const float gv = grow[2 * hidden_ + j];
-        const float ov = sigmoidf(grow[3 * hidden_ + j]);
-        grow[j] = iv;
-        grow[hidden_ + j] = fv;
-        grow[3 * hidden_ + j] = ov;
         crow[j] = fv * crow[j] + iv * gv;
       }
       float* tc = keep_caches ? cache.tanh_c.raw() + s * hidden_

@@ -2,16 +2,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 
 #include "tensor/tensor.h"
 
 namespace apf::nn {
-
-/// Logistic sigmoid of one gate pre-activation. It still calls libm expf;
-/// tensor/activations.h says why.
-inline float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
 
 /// Extracts time slice t of a (N, T, F) tensor as (N, F).
 inline Tensor time_slice(const Tensor& seq, std::size_t t) {

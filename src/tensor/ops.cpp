@@ -1,24 +1,15 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "tensor/activations.h"
+#include "tensor/simd.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
-
-// The AVX2 tiles are compiled on x86-64 when glibc can say whether the CPU
-// and the OS let a process use AVX2; elsewhere only the baseline exists.
-#if defined(__x86_64__) && __has_include(<sys/platform/x86.h>)
-#include <sys/platform/x86.h>
-#define APF_OPS_AVX2 1
-#endif
-
-// Tile helpers are forced inline, so each is compiled for the instruction
-// set of the entry that calls it, and no vector crosses a call boundary.
-#define APF_TILE [[gnu::always_inline]] inline
 
 namespace apf {
 
@@ -37,31 +28,14 @@ constexpr std::size_t kWideRows = 64;
 // Packed B a block keeps at once, in floats (16 KiB, L1 resident).
 constexpr std::size_t kPackedFloats = std::size_t{1} << 12;
 
-typedef float f32x2 __attribute__((vector_size(8)));
-typedef float f32x4 __attribute__((vector_size(16)));
-typedef float f32x8 __attribute__((vector_size(32)));
-typedef double f64x2 __attribute__((vector_size(16)));
-typedef double f64x4 __attribute__((vector_size(32)));
-
-template <typename V>
-constexpr std::size_t kLanes = sizeof(V) / sizeof(std::declval<V&>()[0]);
-
-// Unaligned vector load and store. They copy through a local, so the
-// caller's accumulator arrays never have their address taken and stay in
-// registers. (A 32-byte vector is never returned by value: the baseline
-// ABI returns it differently.)
-template <typename V, typename T>
-APF_TILE void load(const T* p, V& v) {
-  V x;
-  std::memcpy(&x, p, sizeof x);
-  v = x;
-}
-
-template <typename V, typename T>
-APF_TILE void store(T* p, const V& v) {
-  const V x = v;
-  std::memcpy(p, &x, sizeof x);
-}
+using simd::f32x2;
+using simd::f32x4;
+using simd::f32x8;
+using simd::f64x2;
+using simd::f64x4;
+using simd::kLanes;
+using simd::load;
+using simd::store;
 
 bool use_pool(std::size_t flops) {
   if (flops < kParallelFlopThreshold) return false;
@@ -275,63 +249,44 @@ APF_TILE void nt_sweep(const NtSweep<typename Isa::WideA>& args) {
   }
 }
 
-// The baseline tiles, 16-byte vectors (SSE2 on x86-64): 4 x 8 floats, and
-// 2 x 8 doubles against A widened into both lanes of a vector, so a tile
-// row reads its operand with one plain load.
-struct Sse2 {
-  using Floats = f32x4;
-  using Doubles = f64x2;
+// The GEMM entry points of each instruction set (tensor/simd.h).
+template <typename Isa>
+struct Tiles;
+
+// The baseline tiles: 4 x 8 floats, and 2 x 8 doubles against A widened
+// into both lanes of a vector, so a tile row reads its operand with one
+// plain load.
+template <>
+struct Tiles<simd::Sse2> : simd::Sse2 {
   using WideA = f64x2;
   static constexpr std::size_t kGemmRows = 4, kNtRows = 2;
-  static constexpr const char* kName = "sse2";
   static void widen(float x, WideA& out) { out = WideA{x, x}; }
-  static void gemm(const GemmSweep& s) { gemm_sweep<Sse2>(s); }
+  static void gemm(const GemmSweep& s) { gemm_sweep<Tiles>(s); }
   template <bool kFold>
   static void nt(const NtSweep<WideA>& s) {
-    nt_sweep<Sse2, kFold>(s);
+    nt_sweep<Tiles, kFold>(s);
   }
 };
 
-#ifdef APF_OPS_AVX2
-// The AVX2 tiles, 32-byte vectors: 8 x 8 floats, and 4 x 8 doubles against
-// A widened to plain doubles, read through broadcast loads. Each tile keeps
-// eight vector accumulators, as the baseline does. FMA stays off: a fused
-// multiply-add would round the float tile differently.
-struct Avx2 {
-  using Floats = f32x8;
-  using Doubles = f64x4;
+#ifdef APF_SIMD_AVX2
+// The AVX2 tiles: 8 x 8 floats, and 4 x 8 doubles against A widened to
+// plain doubles, read through broadcast loads. Each tile keeps eight vector
+// accumulators, as the baseline does. FMA stays off: a fused multiply-add
+// would round the float tile differently.
+template <>
+struct Tiles<simd::Avx2> : simd::Avx2 {
   using WideA = double;
   static constexpr std::size_t kGemmRows = 8, kNtRows = 4;
-  static constexpr const char* kName = "avx2";
   static void widen(float x, WideA& out) { out = x; }
   __attribute__((target("avx2"))) static void gemm(const GemmSweep& s) {
-    gemm_sweep<Avx2>(s);
+    gemm_sweep<Tiles>(s);
   }
   template <bool kFold>
   __attribute__((target("avx2"))) static void nt(const NtSweep<WideA>& s) {
-    nt_sweep<Avx2, kFold>(s);
+    nt_sweep<Tiles, kFold>(s);
   }
 };
-
-// glibc's active bit: the CPU has AVX2, the OS saves its registers, and
-// GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 has not masked it.
-bool avx2_active() {
-  static const bool active = CPU_FEATURE_ACTIVE(AVX2);
-  return active;
-}
 #endif
-
-// Calls fn(Isa{}) for the tile set this process uses, chosen once.
-template <typename Fn>
-void with_isa(const Fn& fn) {
-#ifdef APF_OPS_AVX2
-  if (avx2_active()) {
-    fn(Avx2{});
-    return;
-  }
-#endif
-  fn(Sse2{});
-}
 
 // C(m x n) = op(A) * B with op(A)[i][p] = a[i * a_row + p * a_col] and B
 // row-major (k x n), written over c (row stride n). Each block packs its
@@ -432,7 +387,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   APF_CHECK_MSG(b.dim(0) == k, "matmul inner dims " << k << " vs " << b.dim(0));
   Tensor c({m, n});
-  with_isa([&](auto isa) {
+  simd::with_isa<Tiles>([&](auto isa) {
     gemm<decltype(isa)>(a.raw(), k, 1, b.raw(), c.raw(), m, k, n);
   });
   return c;
@@ -445,7 +400,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   APF_CHECK(b.dim(0) == m);
   Tensor c({k, n});
-  with_isa([&](auto isa) {
+  simd::with_isa<Tiles>([&](auto isa) {
     gemm<decltype(isa)>(a.raw(), 1, k, b.raw(), c.raw(), k, m, n);
   });
   return c;
@@ -457,7 +412,7 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), r = b.dim(0);
   APF_CHECK(b.dim(1) == k);
   Tensor c({m, r});
-  with_isa([&](auto isa) {
+  simd::with_isa<Tiles>([&](auto isa) {
     nt_segments<decltype(isa), false>(a.raw(), b.raw(), m, r, 1, k, c.raw());
   });
   return c;
@@ -466,14 +421,14 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
                              std::size_t r, std::size_t segments,
                              std::size_t len, float* c) {
-  with_isa([&](auto isa) {
+  simd::with_isa<Tiles>([&](auto isa) {
     nt_segments<decltype(isa), true>(a, b, m, r, segments, len, c);
   });
 }
 
 const char* gemm_simd_path() {
   const char* name = nullptr;
-  with_isa([&](auto isa) { name = decltype(isa)::kName; });
+  simd::with_isa<Tiles>([&](auto isa) { name = decltype(isa)::kName; });
   return name;
 }
 
@@ -495,12 +450,12 @@ Tensor softmax_rows(const Tensor& logits) {
     const float* row = logits.raw() + i * n;
     float mx = row[0];
     for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-    double sum = 0.0;
     float* orow = out.raw() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      orow[j] = std::exp(row[j] - mx);
-      sum += orow[j];
-    }
+    for (std::size_t j = 0; j < n; ++j) orow[j] = row[j] - mx;
+    const std::span<float> e(orow, n);
+    apf::exp(e, e);
+    double sum = 0.0;
+    for (std::size_t j = 0; j < n; ++j) sum += orow[j];
     const float inv = static_cast<float>(1.0 / sum);
     for (std::size_t j = 0; j < n; ++j) orow[j] *= inv;
   }

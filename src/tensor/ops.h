@@ -29,10 +29,11 @@
 // (16-byte vectors, SSE2 on x86-64) keeps 4 x 8 floats and 2 x 8 doubles;
 // the AVX2 tiles keep 8 x 8 floats and 4 x 8 doubles. A tile only decides
 // how many outputs run side by side, so both give the same bits. The
-// process picks one once, from glibc's CPU_FEATURE_ACTIVE(AVX2) on x86-64:
-// GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 selects the baseline on an AVX2
-// host. Other targets compile only the baseline. Neither enables FMA, and
-// ops.cpp is built with -ffp-contract=off.
+// instruction set, the vector types and the load/store helpers come from
+// tensor/simd.h, which picks one set per process for these tiles and the
+// activation kernels alike (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 selects
+// the baseline on an AVX2 host). Neither set enables FMA, and ops.cpp is
+// built with -ffp-contract=off.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -58,15 +59,17 @@ void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
                              std::size_t r, std::size_t segments,
                              std::size_t len, float* c);
 
-/// The register tiles the matmul family runs in this process: "avx2" when
-/// glibc reports AVX2 active on x86-64, else "sse2" (the baseline tiles).
-/// Both give the same bits; the name is for benchmark reports.
+/// The instruction set the matmul family and the activation kernels run in
+/// this process: "avx2" when glibc reports AVX2 active on x86-64, else
+/// "sse2" (the baseline). Both give the same bits; the name is for
+/// benchmark reports.
 const char* gemm_simd_path();
 
 /// 2-D transpose.
 Tensor transpose(const Tensor& a);
 
-/// Row-wise softmax of a 2-D tensor (numerically stabilized).
+/// Row-wise softmax of a 2-D tensor (numerically stabilized); its exp is
+/// apf::exp (tensor/activations.h).
 Tensor softmax_rows(const Tensor& logits);
 
 /// Row-wise argmax of a 2-D tensor.

@@ -1,14 +1,17 @@
-// Exhaustive check of apf::tanh: every one of the 2^32 float bit patterns
-// must give libm's tanhf bit for bit (any NaN for a NaN). The patterns are
-// split into blocks across the compute pool's lanes; each lane counts its
-// own mismatches. About 40 s on 4 lanes of a 2 GHz x86-64 core in a release
-// build, so ctest labels it `slow`; CI also runs it with glibc's non-FMA
-// variants (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA).
+// Exhaustive checks of the span activation kernels: for every one of the
+// 2^32 float bit patterns, apf::tanh must give libm's tanhf, apf::exp
+// libm's expf and apf::sigmoid 1.f / (1.f + expf(-x)), bit for bit (any NaN
+// for a NaN). The patterns are split into blocks across the compute pool's
+// lanes; each lane counts its own mismatches. Tens of seconds per kernel on
+// 4 lanes of a 2 GHz x86-64 core in a release build, so ctest labels it
+// `slow`; CI also runs it with glibc's non-FMA expf and the baseline
+// vectors (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/activations.h"
@@ -20,7 +23,10 @@ namespace {
 constexpr std::uint64_t kPatterns = std::uint64_t{1} << 32;
 constexpr std::uint64_t kBlock = std::uint64_t{1} << 16;
 
-TEST(TanhSweep, AllFloatsMatchLibmBitForBit) {
+// Runs kernel over all 2^32 float bit patterns and expects ref's bits for
+// each (any NaN for a NaN).
+template <typename Kernel, typename Ref>
+void expect_all_floats_match(const Kernel& kernel, const Ref& ref) {
   constexpr std::uint64_t blocks = kPatterns / kBlock;
   std::vector<std::uint64_t> mismatches(blocks, 0);
   std::vector<std::uint32_t> first_bad(blocks, 0);
@@ -28,9 +34,9 @@ TEST(TanhSweep, AllFloatsMatchLibmBitForBit) {
     std::vector<float> x(kBlock), y(kBlock);
     for (std::uint64_t i = 0; i < kBlock; ++i)
       x[i] = std::bit_cast<float>(static_cast<std::uint32_t>(b * kBlock + i));
-    apf::tanh(x, y);
+    kernel(x, y);
     for (std::uint64_t i = 0; i < kBlock; ++i) {
-      const float want = std::tanh(x[i]);
+      const float want = ref(x[i]);
       const bool same =
           std::isnan(want)
               ? std::isnan(y[i])
@@ -49,6 +55,24 @@ TEST(TanhSweep, AllFloatsMatchLibmBitForBit) {
     total += mismatches[b];
   }
   EXPECT_EQ(total, 0u);
+}
+
+TEST(TanhSweep, AllFloatsMatchLibmBitForBit) {
+  expect_all_floats_match(
+      [](std::span<const float> x, std::span<float> y) { apf::tanh(x, y); },
+      [](float x) { return std::tanh(x); });
+}
+
+TEST(ExpSweep, AllFloatsMatchLibmBitForBit) {
+  expect_all_floats_match(
+      [](std::span<const float> x, std::span<float> y) { apf::exp(x, y); },
+      [](float x) { return std::exp(x); });
+}
+
+TEST(SigmoidSweep, AllFloatsMatchLibmFormulaBitForBit) {
+  expect_all_floats_match(
+      [](std::span<const float> x, std::span<float> y) { apf::sigmoid(x, y); },
+      [](float x) { return 1.f / (1.f + std::exp(-x)); });
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // lint-place: src/nn/
 //
 // A layer that picks its own instruction set: a second dispatch point the
-// GEMM kernels would not know about. Calls named like the attribute
+// kernels would not know about. Calls named like the attribute
 // (find_target, probe.target) stay clean.
 #include <immintrin.h>  // lint-expect: isa-dispatch
 #include <x86intrin.h>  // lint-expect: isa-dispatch

@@ -425,34 +425,86 @@ TEST(Evaluate, AccuracyIsExactIntegerCountOverDataset) {
   }
 }
 
+fl::EvalSums sums_with_replicas(const data::Dataset& dataset,
+                                std::size_t replica_count) {
+  std::vector<std::unique_ptr<nn::Module>> replicas;
+  std::vector<nn::Module*> ptrs;
+  for (std::size_t r = 0; r < replica_count; ++r) {
+    replicas.push_back(EvalFixture::make_model());
+    ptrs.push_back(replicas.back().get());
+  }
+  util::ThreadPool pool(replica_count);
+  return fl::evaluate_sums_parallel(ptrs, dataset, 16, pool);
+}
+
 TEST(Evaluate, ParallelSumsBitIdenticalForAnyReplicaCount) {
-  EvalFixture fx(97, 13);  // prime sample count: ragged last batch
-  const double serial_acc = fl::evaluate_accuracy(*fx.model, fx.dataset, 16);
-  const double serial_loss = fl::evaluate_loss(*fx.model, fx.dataset, 16);
-  fl::EvalSums baseline;
-  for (std::size_t replica_count : {1u, 2u, 5u}) {
-    std::vector<std::unique_ptr<nn::Module>> replicas;
-    std::vector<nn::Module*> ptrs;
-    for (std::size_t r = 0; r < replica_count; ++r) {
-      replicas.push_back(EvalFixture::make_model());
-      ptrs.push_back(replicas.back().get());
-    }
-    util::ThreadPool pool(replica_count);
-    const fl::EvalSums sums =
-        fl::evaluate_sums_parallel(ptrs, fx.dataset, 16, pool);
-    EXPECT_EQ(sums.total, fx.dataset.size());
-    EXPECT_DOUBLE_EQ(
-        static_cast<double>(sums.correct) / static_cast<double>(sums.total),
-        serial_acc)
-        << "replicas=" << replica_count;
-    EXPECT_DOUBLE_EQ(sums.loss_sum / static_cast<double>(sums.total),
-                     serial_loss)
-        << "replicas=" << replica_count;
-    if (replica_count == 1) {
-      baseline = sums;
-    } else {
-      EXPECT_EQ(sums.correct, baseline.correct);
-      EXPECT_EQ(sums.loss_sum, baseline.loss_sum);  // bit-identical double
+  EvalFixture fx(97, 13);  // prime sample count: ragged shares and batches
+  const std::size_t serial = fl::count_correct(*fx.model, fx.dataset, 16);
+  for (std::size_t replica_count = 1; replica_count <= 5; ++replica_count) {
+    const fl::EvalSums sums = sums_with_replicas(fx.dataset, replica_count);
+    EXPECT_EQ(sums.total, fx.dataset.size()) << "replicas=" << replica_count;
+    EXPECT_EQ(sums.correct, serial) << "replicas=" << replica_count;
+  }
+}
+
+TEST(Evaluate, ParallelSumsWithMoreReplicasThanSamples) {
+  EvalFixture fx(3, 13);
+  const std::size_t serial = fl::count_correct(*fx.model, fx.dataset, 16);
+  const fl::EvalSums sums = sums_with_replicas(fx.dataset, 5);
+  EXPECT_EQ(sums.total, 3u);
+  EXPECT_EQ(sums.correct, serial);
+}
+
+// Rows [begin, end) of a batch, as a batch of their own.
+Tensor batch_rows(const Tensor& t, std::size_t begin, std::size_t end) {
+  Shape shape = t.shape();
+  const std::size_t row = t.numel() / shape[0];
+  shape[0] = end - begin;
+  Tensor out(shape);
+  std::memcpy(out.raw(), t.raw() + begin * row, (end - begin) * row *
+                                                    sizeof(float));
+  return out;
+}
+
+// evaluate_sums_parallel splits the test set by replica count, so a sample
+// runs in a different batch for different worker counts. That keeps the
+// accuracy bit-identical only because a sample's logits do not depend on
+// its batch: 13 rows as one batch, as 5 + 8 and one at a time give the
+// same bits on every model family the runner evaluates.
+TEST(Evaluate, PerSampleLogitsIndependentOfBatch) {
+  Rng rng(5);
+  struct Case {
+    const char* name;
+    std::unique_ptr<nn::Module> model;
+    Shape sample;
+  };
+  Case cases[] = {
+      {"lenet", nn::make_lenet5(rng, 1, 16, 10, 0.5), {1, 16, 16}},
+      {"resnet18", nn::make_resnet18(rng, 3, 10, 4), {3, 8, 8}},
+      {"kws_lstm", nn::make_kws_lstm(rng, 8, 16, 10), {12, 8}},
+      {"kws_gru", nn::make_kws_gru(rng, 8, 16, 10), {12, 8}},
+  };
+  constexpr std::size_t kRows = 13;
+  for (Case& c : cases) {
+    Shape shape = {kRows};
+    shape.insert(shape.end(), c.sample.begin(), c.sample.end());
+    const Tensor x = Tensor::uniform(shape, rng);
+    // Moves BatchNorm's running statistics off their initial values.
+    c.model->set_training(true);
+    c.model->forward(x);
+    c.model->set_training(false);
+    const Tensor whole = c.model->forward(x);
+    const std::size_t classes = whole.numel() / kRows;
+    std::vector<std::pair<std::size_t, std::size_t>> splits = {{0, 5},
+                                                               {5, kRows}};
+    for (std::size_t i = 0; i < kRows; ++i) splits.push_back({i, i + 1});
+    for (const auto& [begin, end] : splits) {
+      const Tensor part = c.model->forward(batch_rows(x, begin, end));
+      ASSERT_EQ(part.numel(), (end - begin) * classes) << c.name;
+      EXPECT_EQ(std::memcmp(part.raw(), whole.raw() + begin * classes,
+                            part.numel() * sizeof(float)),
+                0)
+          << c.name << " rows [" << begin << ", " << end << ")";
     }
   }
 }

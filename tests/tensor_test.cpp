@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -526,17 +528,25 @@ TEST(Conv, Col2imFromWithLeadingDimensionIsAdjoint) {
             0);
 }
 
-// apf::tanh must equal libm's tanhf bit for bit (NaN: any NaN). The full
-// 2^32 sweep is activations_sweep_test (label slow); this one runs in every
-// preset and covers a stride of all patterns plus every branch edge.
-void expect_tanh_matches_libm(const std::vector<std::uint32_t>& patterns) {
+// The span kernels must equal libm bit for bit (NaN: any NaN): apf::tanh
+// libm's tanhf, apf::exp its expf and apf::sigmoid 1.f / (1.f + expf(-x)).
+// The full 2^32 sweeps are activations_sweep_test (label slow); these run
+// in every preset and cover a stride of all patterns plus every edge.
+using SpanKernel = void (*)(std::span<const float>, std::span<float>);
+
+float libm_tanh(float x) { return std::tanh(x); }
+float libm_exp(float x) { return std::exp(x); }
+float libm_sigmoid(float x) { return 1.f / (1.f + std::exp(-x)); }
+
+void expect_matches_libm(SpanKernel kernel, float (*reference)(float),
+                         const std::vector<std::uint32_t>& patterns) {
   std::vector<float> x(patterns.size());
   for (std::size_t i = 0; i < x.size(); ++i)
     x[i] = std::bit_cast<float>(patterns[i]);
   std::vector<float> y(x.size());
-  apf::tanh(x, y);
+  kernel(x, y);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const float want = std::tanh(x[i]);
+    const float want = reference(x[i]);
     if (std::isnan(want)) {
       EXPECT_TRUE(std::isnan(y[i])) << std::hex << patterns[i];
     } else {
@@ -547,28 +557,67 @@ void expect_tanh_matches_libm(const std::vector<std::uint32_t>& patterns) {
   }
 }
 
-TEST(TanhKernel, MatchesLibmOnAStrideOfAllPatterns) {
+std::vector<std::uint32_t> stride_of_all_patterns() {
   std::vector<std::uint32_t> patterns;
   for (std::uint64_t b = 0; b <= 0xffffffffULL; b += 65537)
     patterns.push_back(static_cast<std::uint32_t>(b));
-  expect_tanh_matches_libm(patterns);
+  return patterns;
 }
 
-TEST(TanhKernel, MatchesLibmAroundEveryBranchThreshold) {
-  // tanhf's |x| cut points (2^-55, 1, 22), then expm1f's on its argument
-  // 2|x| (2^-25, 0.5 ln2, 1.5 ln2, 27 ln2), each halved into |x| bits.
-  const std::uint32_t thresholds[] = {
-      0x24000000, 0x3f800000, 0x41b00000, 0x33000000 - 0x00800000,
-      0x3eb17218 - 0x00800000, 0x3f851592 - 0x00800000,
-      0x4195b844 - 0x00800000};
+// The 17 patterns centred on each |x| bit pattern, with both signs.
+std::vector<std::uint32_t> around(std::initializer_list<std::uint32_t> edges) {
   std::vector<std::uint32_t> patterns;
-  for (const std::uint32_t t : thresholds) {
+  for (const std::uint32_t t : edges) {
     for (std::uint32_t d = 0; d <= 16; ++d) {
       patterns.push_back(t - 8 + d);
       patterns.push_back((t - 8 + d) | 0x80000000u);
     }
   }
-  expect_tanh_matches_libm(patterns);
+  return patterns;
+}
+
+// Lengths 0..17, 33 and 130 cross every vector, block and chunk edge of both
+// lane counts; offset 1 leaves the spans off any vector boundary, and each
+// length also runs in place.
+void expect_any_length_offset_and_in_place(SpanKernel kernel,
+                                           float (*reference)(float)) {
+  Rng rng(77);
+  std::vector<float> src(131);
+  for (float& v : src) v = static_cast<float>(rng.uniform(-24.0, 24.0));
+  std::vector<std::size_t> lengths = {33, 130};
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    for (std::size_t offset : {0, 1}) {
+      const std::span<const float> x(src.data() + offset, n);
+      std::vector<float> out(n + 2, 7.f);
+      kernel(x, std::span<float>(out.data() + 1, n));
+      EXPECT_EQ(out.front(), 7.f) << n;
+      EXPECT_EQ(out.back(), 7.f) << n;
+      std::vector<float> in_place(x.begin(), x.end());
+      kernel(in_place, in_place);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t want = std::bit_cast<std::uint32_t>(reference(x[i]));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i + 1]), want) << n;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(in_place[i]), want) << n;
+      }
+    }
+  }
+  std::vector<float> three(3);
+  EXPECT_THROW(kernel(src, three), Error);
+}
+
+TEST(TanhKernel, MatchesLibmOnAStrideOfAllPatterns) {
+  expect_matches_libm(apf::tanh, libm_tanh, stride_of_all_patterns());
+}
+
+TEST(TanhKernel, MatchesLibmAroundEveryBranchThreshold) {
+  // tanhf's |x| cut points (2^-55, 1, 22), then expm1f's on its argument
+  // 2|x| (2^-25, 0.5 ln2, 1.5 ln2, 27 ln2), each halved into |x| bits.
+  expect_matches_libm(
+      apf::tanh, libm_tanh,
+      around({0x24000000, 0x3f800000, 0x41b00000, 0x33000000 - 0x00800000,
+              0x3eb17218 - 0x00800000, 0x3f851592 - 0x00800000,
+              0x4195b844 - 0x00800000}));
 }
 
 TEST(TanhKernel, SpecialValues) {
@@ -590,29 +639,41 @@ TEST(TanhKernel, SpecialValues) {
 }
 
 TEST(TanhKernel, AnyLengthOffsetAndInPlace) {
-  Rng rng(77);
-  std::vector<float> src(16);
-  for (float& v : src) v = static_cast<float>(rng.uniform(-4.0, 4.0));
-  for (std::size_t n = 0; n <= 9; ++n) {
-    // Offset 1 leaves the spans off any 16-byte boundary.
-    for (std::size_t offset : {0, 1}) {
-      const std::span<const float> x(src.data() + offset, n);
-      std::vector<float> out(n + 2, 7.f);
-      apf::tanh(x, std::span<float>(out.data() + 1, n));
-      EXPECT_EQ(out.front(), 7.f) << n;
-      EXPECT_EQ(out.back(), 7.f) << n;
-      std::vector<float> in_place(x.begin(), x.end());
-      apf::tanh(in_place, in_place);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t want =
-            std::bit_cast<std::uint32_t>(std::tanh(x[i]));
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i + 1]), want) << n;
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(in_place[i]), want) << n;
-      }
-    }
-  }
-  std::vector<float> three(3);
-  EXPECT_THROW(apf::tanh(src, three), Error);
+  expect_any_length_offset_and_in_place(apf::tanh, libm_tanh);
+}
+
+// expf's edges: the |x| = 20 hand-off to libm, +-0 with the smallest
+// denormals, the largest denormals, the largest float with +-inf, the quiet
+// NaNs, overflow past log(2^128) = 88.72 and underflow below
+// log(2^-149) = -103.28 and log(2^-150) = -103.97 (each with both signs).
+const std::vector<std::uint32_t> kExpEdges = around(
+    {0x41a00000, 0x00000008, 0x007ffff8, 0x7f800000 - 8, 0x7fc00000,
+     std::bit_cast<std::uint32_t>(0x1.62e42ep6f),
+     std::bit_cast<std::uint32_t>(0x1.9d1d9ep6f),
+     std::bit_cast<std::uint32_t>(0x1.9fe368p6f)});
+
+TEST(ExpKernel, MatchesLibmOnAStrideOfAllPatterns) {
+  expect_matches_libm(apf::exp, libm_exp, stride_of_all_patterns());
+}
+
+TEST(ExpKernel, MatchesLibmAtEveryEdge) {
+  expect_matches_libm(apf::exp, libm_exp, kExpEdges);
+}
+
+TEST(ExpKernel, AnyLengthOffsetAndInPlace) {
+  expect_any_length_offset_and_in_place(apf::exp, libm_exp);
+}
+
+TEST(SigmoidKernel, MatchesLibmFormulaOnAStrideOfAllPatterns) {
+  expect_matches_libm(apf::sigmoid, libm_sigmoid, stride_of_all_patterns());
+}
+
+TEST(SigmoidKernel, MatchesLibmFormulaAtEveryEdge) {
+  expect_matches_libm(apf::sigmoid, libm_sigmoid, kExpEdges);
+}
+
+TEST(SigmoidKernel, AnyLengthOffsetAndInPlace) {
+  expect_any_length_offset_and_in_place(apf::sigmoid, libm_sigmoid);
 }
 
 }  // namespace

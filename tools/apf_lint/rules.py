@@ -35,7 +35,9 @@ RULE_SCOPES = {
     not f.name.startswith("thread_pool."),
     "libm-tanh": lambda f: f.top == "src" and
     f.rel != "src/tensor/activations.cpp",
-    "isa-dispatch": lambda f: f.rel != "src/tensor/ops.cpp",
+    "libm-exp": lambda f: f.top == "src" and
+    f.rel != "src/tensor/activations.cpp",
+    "isa-dispatch": lambda f: True,
     "unordered-iteration": lambda f: f.rel.count("/") == 2 and
     f.under("src/core", "src/fl", "src/compress"),
     "capability-raw-mutex": lambda f: f.name != "annotations.h",
@@ -78,16 +80,25 @@ LIBM_TANH = [
     (re.compile(r"(?<![\w:])::tanhf?\b"), "::tanh"),
     (re.compile(r"(?<![\w:])tanhf\b"), "tanhf"),
 ]
-# A function-level instruction-set choice: a target or target_clones
-# attribute (or pragma), a CPU-feature query, or an intrinsics header.
+LIBM_EXP = [
+    (re.compile(r"\bstd::expf?\b"), "std::exp"),
+    (re.compile(r"(?<![\w:])::expf?\b"), "::exp"),
+    (re.compile(r"(?<![\w:])expf\b"), "expf"),
+]
+# isa-dispatch: each group of shapes of an instruction-set choice, and the
+# only files that may hold it. The CPU-feature query sits in simd.h; the
+# per-set code (a target or target_clones attribute or pragma, an
+# intrinsics header) in the kernel files that dispatch through it.
 ISA_DISPATCH = [
-    (re.compile(r'(?:(?<![\w.>:])|(?<=gnu::))(?:__)?target(?:_clones)?(?:__)?'
-                r'\s*\(\s*"'), "target(...)"),
-    (re.compile(r"\b__builtin_cpu_\w+"), "__builtin_cpu_*"),
-    (re.compile(r"\bCPU_FEATURE_\w+"), "CPU_FEATURE_*"),
-    (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "<*intrin.h>"),
-    (re.compile(r"#\s*include\s*<sys/platform/x86\.h>"),
-     "<sys/platform/x86.h>"),
+    ([(re.compile(r"\b__builtin_cpu_\w+"), "__builtin_cpu_*"),
+      (re.compile(r"\bCPU_FEATURE_\w+"), "CPU_FEATURE_*"),
+      (re.compile(r"#\s*include\s*<sys/platform/x86\.h>"),
+       "<sys/platform/x86.h>")],
+     ("src/tensor/simd.h",)),
+    ([(re.compile(r'(?:(?<![\w.>:])|(?<=gnu::))(?:__)?target(?:_clones)?'
+                  r'(?:__)?\s*\(\s*"'), "target(...)"),
+      (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "<*intrin.h>")],
+     ("src/tensor/ops.cpp", "src/tensor/activations.cpp")),
 ]
 TEST_INCLUDE = re.compile(
     r'#\s*include\s+["<](?:tests/|gtest|gmock|[^">]*_test\.h)')
@@ -180,6 +191,21 @@ def line_rule(patterns, message, first_only=False):
                     if first_only:
                         break
     return check
+
+
+def isa_dispatch(tree, f):
+    for line, text in enumerate(f.code_lines, 1):
+        for patterns, homes in ISA_DISPATCH:
+            if f.rel in homes:
+                continue
+            label = next((label for pattern, label in patterns
+                          if pattern.search(text)), None)
+            if label:
+                yield line, (f"'{label}' outside {' and '.join(homes)}; "
+                             "src/tensor/simd.h picks the instruction set "
+                             "once per process for the GEMM and activation "
+                             "kernels")
+                break
 
 
 def raw_mutex(tree, f):
@@ -402,10 +428,11 @@ CHECKS = (
     ("libm-tanh", line_rule(
         LIBM_TANH, "'{}' calls libm; use apf::tanh (tensor/activations.h), "
         "which gives the same bits vectorized", first_only=True)),
-    ("isa-dispatch", line_rule(
-        ISA_DISPATCH, "'{}' outside src/tensor/ops.cpp; the GEMM tiles are the "
-        "one place that picks an instruction set, once per process",
+    ("libm-exp", line_rule(
+        LIBM_EXP, "'{}' calls libm; use apf::exp or apf::sigmoid "
+        "(tensor/activations.h), which give the same bits vectorized",
         first_only=True)),
+    ("isa-dispatch", isa_dispatch),
     ("capability-raw-mutex", raw_mutex),
     ("test-include", test_include),
     ("float-accumulator", float_accumulator),
