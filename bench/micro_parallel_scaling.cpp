@@ -5,7 +5,8 @@
 // machine-readable JSON so CI can archive the perf trajectory:
 //
 //   BENCH_kernels.json  — per kernel x size x thread count: seconds/call
-//                         (the median of individually timed calls),
+//                         (the median of individually timed calls, the
+//                         thread counts taking turns),
 //                         GFLOP/s, speedup vs the 1-thread (seed) kernel,
 //                         and the instruction set that ran (simd);
 //                         matmul_nt also at the kws LSTM gate shapes,
@@ -35,6 +36,7 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -84,50 +86,47 @@ double median(std::vector<double>& samples) {
   return *mid;
 }
 
-// Seconds per call of `fn` (which returns a value to keep live): the median
-// of `reps` individually timed calls, after one warm-up call. On a shared
-// host a few calls are descheduled or lose their caches; a mean charges
-// those to the whole row, the median does not.
-template <typename Fn>
-double time_calls(const Fn& fn, std::size_t reps) {
-  volatile float sink = 0.f;  // keep the result live
-  sink = sink + fn();
-  std::vector<double> seconds(reps);
-  for (double& t : seconds) {
-    const double start = now_seconds();
-    sink = sink + fn();
-    t = now_seconds() - start;
-  }
-  (void)sink;
-  return median(seconds);
-}
-
-// Times `fn` once per thread count on a pool of that size and appends one
-// row per count; `flops` is the arithmetic of one call.
+// Times `fn` (which returns a value to keep live) on a pool of each thread
+// count and appends one row per count; `flops` is the arithmetic of one
+// call. The counts take turns call by call, after one warm-up call each,
+// and a row reports the median of its `reps` calls. So host drift slows
+// every count alike, and a descheduled call does not read as a slowdown.
 template <typename Fn>
 void bench_rows(const char* name, std::size_t m, std::size_t k, std::size_t n,
                 double flops, const std::vector<std::size_t>& threads,
                 std::size_t reps, const Fn& fn,
                 std::vector<KernelResult>& results) {
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  for (const std::size_t t : threads)
+    pools.push_back(std::make_unique<util::ThreadPool>(t));
+  std::vector<std::vector<double>> seconds(threads.size());
+  volatile float sink = 0.f;
+  for (std::size_t rep = 0; rep <= reps; ++rep) {
+    for (std::size_t i = 0; i < threads.size(); ++i) {
+      const util::ScopedComputePool compute_scope(*pools[i]);
+      const double start = now_seconds();
+      sink = sink + fn();
+      if (rep > 0) seconds[i].push_back(now_seconds() - start);
+    }
+  }
+  (void)sink;
   double base_seconds = 0.0;
-  for (const std::size_t t : threads) {
-    util::ThreadPool pool(t);
-    const util::ScopedComputePool compute_scope(pool);
+  for (std::size_t i = 0; i < threads.size(); ++i) {
     KernelResult r;
     r.kernel = name;
     r.m = m;
     r.k = k;
     r.n = n;
-    r.threads = t;
-    r.seconds_per_call = time_calls(fn, reps);
+    r.threads = threads[i];
+    r.seconds_per_call = median(seconds[i]);
     r.gflops = flops / r.seconds_per_call / 1e9;
-    if (t == 1) base_seconds = r.seconds_per_call;
+    if (r.threads == 1) base_seconds = r.seconds_per_call;
     r.speedup_vs_1t =
         base_seconds > 0.0 ? base_seconds / r.seconds_per_call : 1.0;
     results.push_back(r);
     std::cout << "  " << r.kernel << " " << m << "x" << k << "x" << n
-              << " threads=" << t << "  " << r.gflops << " GFLOP/s  (x"
-              << r.speedup_vs_1t << ")\n";
+              << " threads=" << r.threads << "  " << r.gflops
+              << " GFLOP/s  (x" << r.speedup_vs_1t << ")\n";
   }
 }
 
@@ -218,38 +217,42 @@ std::vector<RunnerResult> bench_runner(const std::vector<std::size_t>& threads,
   topt.train_samples = quick ? 128 : 256;
   topt.test_samples = quick ? 64 : 128;
   topt.eval_every = topt.rounds;
-  std::vector<RunnerResult> results;
-  double base_seconds = 0.0;
-  for (const std::size_t t : threads) {
-    // The median wall time of `reps` identical runs; every run measures the
-    // same bytes (the determinism contract), so the last one's are kept.
-    RunnerResult r;
-    r.threads = t;
-    std::vector<double> walls;
-    fl::SimulationResult sim;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
+  // The thread counts take turns run by run, and each row keeps the median
+  // wall time of its `reps` runs. Every run measures the same bytes (the
+  // determinism contract), so each row keeps its last run's.
+  std::vector<std::vector<double>> walls(threads.size());
+  std::vector<fl::SimulationResult> sims(threads.size());
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    for (std::size_t i = 0; i < threads.size(); ++i) {
       bench::TaskBundle task = bench::lenet_task(topt);
-      task.config.worker_threads = t;
+      task.config.worker_threads = threads[i];
       fl::FullSync strategy;
       fl::FederatedRunner runner(task.config, *task.train, task.partition,
                                  *task.test, task.model, task.optimizer,
                                  strategy);
       const double start = now_seconds();
-      sim = runner.run();
-      walls.push_back(now_seconds() - start);
+      sims[i] = runner.run();
+      walls[i].push_back(now_seconds() - start);
     }
-    r.wall_seconds = median(walls);
+  }
+  std::vector<RunnerResult> results;
+  double base_seconds = 0.0;
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    RunnerResult r;
+    r.threads = threads[i];
+    r.wall_seconds = median(walls[i]);
     r.seconds_per_round =
-        r.wall_seconds / static_cast<double>(sim.rounds.size());
-    for (const fl::RoundRecord& rec : sim.rounds) {
+        r.wall_seconds / static_cast<double>(sims[i].rounds.size());
+    for (const fl::RoundRecord& rec : sims[i].rounds) {
       r.bytes_per_client_per_round.push_back(rec.bytes_per_client);
     }
-    if (t == 1) base_seconds = r.wall_seconds;
+    if (r.threads == 1) base_seconds = r.wall_seconds;
     r.speedup_vs_1t =
         base_seconds > 0.0 ? base_seconds / r.wall_seconds : 1.0;
     results.push_back(r);
-    std::cout << "  runner threads=" << t << "  " << r.seconds_per_round
-              << " s/round  (x" << r.speedup_vs_1t << ")\n";
+    std::cout << "  runner threads=" << r.threads << "  "
+              << r.seconds_per_round << " s/round  (x" << r.speedup_vs_1t
+              << ")\n";
   }
   return results;
 }

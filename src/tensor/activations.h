@@ -38,7 +38,8 @@
 // 2^(k/32) from glibc's 32-entry table plus k in the exponent, and the
 // degree-3 polynomial in r, then one rounding to float. glibc ships two
 // builds of that code, chosen by CPU: an FMA one and a plain one, and they
-// round differently for 20 <= |x| <= 88.8. The kernel does the plain one's
+// can round differently for 20 <= |x| <= 88.8 (with glibc 2.36 they differ
+// at two inputs, 32.5646 and -63.0995). The kernel does the plain one's
 // operations (no FMA). Measured over every float input with glibc 2.36, it
 // equals the FMA build for all |x| < 20 and the plain build for all
 // |x| < 89. So a lane with |x| >= 20, +-inf or NaN is handed to scalar

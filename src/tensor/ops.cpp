@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "tensor/activations.h"

@@ -642,12 +642,16 @@ TEST(TanhKernel, AnyLengthOffsetAndInPlace) {
   expect_any_length_offset_and_in_place(apf::tanh, libm_tanh);
 }
 
-// expf's edges: the |x| = 20 hand-off to libm, +-0 with the smallest
-// denormals, the largest denormals, the largest float with +-inf, the quiet
-// NaNs, overflow past log(2^128) = 88.72 and underflow below
-// log(2^-149) = -103.28 and log(2^-150) = -103.97 (each with both signs).
+// expf's edges: the |x| = 20 hand-off to libm, the two inputs in
+// 20 <= |x| < 89 at which glibc 2.36's FMA and non-FMA expf differ (32.56
+// and -63.10, found by sweeping; a lane there must go to libm), +-0 with
+// the smallest denormals, the largest denormals, the largest float with
+// +-inf, the quiet NaNs, overflow past log(2^128) = 88.72 and underflow
+// below log(2^-149) = -103.28 and log(2^-150) = -103.97 (each with both
+// signs).
 const std::vector<std::uint32_t> kExpEdges = around(
-    {0x41a00000, 0x00000008, 0x007ffff8, 0x7f800000 - 8, 0x7fc00000,
+    {0x41a00000, 0x4202422f, 0x427c65d9, 0x00000008, 0x007ffff8,
+     0x7f800000 - 8, 0x7fc00000,
      std::bit_cast<std::uint32_t>(0x1.62e42ep6f),
      std::bit_cast<std::uint32_t>(0x1.9d1d9ep6f),
      std::bit_cast<std::uint32_t>(0x1.9fe368p6f)});
