@@ -78,8 +78,8 @@ APF_TILE void reduce(TanhBlock<Isa>& b, std::size_t j) {
   const F u = u0 < kExpm1Max ? u0 : kExpm1Max;
   const I hu = __builtin_bit_cast(I, u) & ~kSign;
   // +-0.5 with u's sign.
-  const F half = __builtin_bit_cast(
-      F, (__builtin_bit_cast(I, u) & kSign) | std::bit_cast<std::int32_t>(0.5f));
+  const F half = __builtin_bit_cast(F, (__builtin_bit_cast(I, u) & kSign) |
+                                           std::bit_cast<std::int32_t>(0.5f));
   const I k_round = __builtin_convertvector(kInvLn2 * u + half, I);
   const I reduced = hu > 0x3eb17218;
   const I k_minus_one = reduced & (hu < 0x3f851592);  // all ones

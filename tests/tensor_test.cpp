@@ -596,7 +596,7 @@ void expect_any_length_offset_and_in_place(SpanKernel kernel,
       std::vector<float> in_place(x.begin(), x.end());
       kernel(in_place, in_place);
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t want = std::bit_cast<std::uint32_t>(reference(x[i]));
+        const auto want = std::bit_cast<std::uint32_t>(reference(x[i]));
         EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i + 1]), want) << n;
         EXPECT_EQ(std::bit_cast<std::uint32_t>(in_place[i]), want) << n;
       }
