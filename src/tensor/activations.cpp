@@ -218,34 +218,11 @@ constexpr double kC2 = 0x1.62e42ff0c52d6p-1 / kExp2N;
 // Lanes at or above |x| = 20 (and inf, NaN), by bit pattern, go to libm.
 constexpr std::int32_t kExpFastLimit = 0x41a00000;  // 20.0f
 
-// Floats whose libm lanes are found and set aside at once.
-constexpr std::size_t kChunk = 64;
-
 bool needs_libm(float x) {
   return (std::bit_cast<std::int32_t>(x) & ~kSign) >= kExpFastLimit;
 }
 
-// Whether any of x[0, count) has |x| >= 20, inf or NaN.
-template <typename Isa>
-APF_TILE bool any_needs_libm(const float* x, std::size_t count) {
-  using F = typename Isa::Floats;
-  using I = typename Isa::Ints;
-  constexpr std::size_t kL = kLanes<F>;
-  I slow = {};
-  std::size_t i = 0;
-  for (; i + kL <= count; i += kL) {
-    F v;
-    load(x + i, v);
-    slow |= (__builtin_bit_cast(I, v) & ~kSign) >= kExpFastLimit;
-  }
-  bool any = false;
-  for (std::size_t l = 0; l < kL; ++l) any |= slow[l] != 0;
-  for (; i < count; ++i) any |= needs_libm(x[i]);
-  return any;
-}
-
-// One double vector's worth of floats: e = expf(x) in each lane with
-// |x| < 20 (other lanes get a value that is never used), then, for
+// One double vector's worth of floats: e = expf(x) in each lane, then, for
 // sigmoid, 1.f / (1.f + e) in float.
 //
 // Each lane runs glibc's expf in its order: x * N / ln2 = k + r by the
@@ -253,7 +230,8 @@ APF_TILE bool any_needs_libm(const float* x, std::size_t count) {
 // in r, one multiply and one rounding to float. The file is compiled with
 // -ffp-contract=off, so each operation rounds as glibc's non-FMA build
 // does. That build equals libm's for |x| < 89, and the FMA build for
-// |x| < 20.
+// |x| < 20; lanes with |x| >= 20, inf or NaN are redone with libm. out may
+// be x: x is read before out is written.
 template <typename Isa, bool kSigmoid>
 APF_TILE void exp_lanes(const typename Isa::Halves& x,
                         typename Isa::Halves& out) {
@@ -274,48 +252,37 @@ APF_TILE void exp_lanes(const typename Isa::Halves& x,
   D y = kC2 * r + 1.0;
   y = p * r2 + y;
   y = y * s;
-  const H e = __builtin_convertvector(y, H);
-  out = kSigmoid ? 1.f / (1.f + e) : e;
+  H e = __builtin_convertvector(y, H);
+  if constexpr (kSigmoid) e = 1.f / (1.f + e);
+  for (std::size_t l = 0; l < kLanes<D>; ++l) {
+    if (needs_libm(x[l])) [[unlikely]] {
+      e[l] = kSigmoid ? 1.f / (1.f + std::exp(-x[l])) : std::exp(x[l]);
+    }
+  }
+  out = e;
 }
 
-// y = exp(x) or sigmoid(x) over a span, a double vector at a time. Lanes
-// with |x| >= 20, inf or NaN are computed by libm, before their chunk of y
-// is written (y may be x), and put in place after it.
+// y = exp(x) or sigmoid(x) over a span, a double vector at a time (y may
+// be x).
 template <typename Isa, bool kSigmoid>
 APF_TILE void exp_span(const float* x, float* y, std::size_t n) {
   using H = typename Isa::Halves;
   constexpr std::size_t kD = kLanes<H>;
-  for (std::size_t i = 0; i < n; i += kChunk) {
-    const std::size_t count = std::min(kChunk, n - i);
-    float libm[kChunk];
-    std::size_t libm_at[kChunk];
-    std::size_t libm_count = 0;
-    if (any_needs_libm<Isa>(x + i, count)) {
-      for (std::size_t j = 0; j < count; ++j) {
-        const float v = x[i + j];
-        if (!needs_libm(v)) continue;
-        libm_at[libm_count] = j;
-        libm[libm_count++] =
-            kSigmoid ? 1.f / (1.f + std::exp(-v)) : std::exp(v);
-      }
-    }
-    std::size_t j = 0;
-    for (; j + kD <= count; j += kD) {
-      H v;
-      load(x + i + j, v);
-      exp_lanes<Isa, kSigmoid>(v, v);
-      store(y + i + j, v);
-    }
-    if (j < count) {  // the last, zero-padded vector
-      float buf[kD] = {};
-      std::memcpy(buf, x + i + j, (count - j) * sizeof(float));
-      H v;
-      load(buf, v);
-      exp_lanes<Isa, kSigmoid>(v, v);
-      store(buf, v);
-      std::memcpy(y + i + j, buf, (count - j) * sizeof(float));
-    }
-    for (std::size_t k = 0; k < libm_count; ++k) y[i + libm_at[k]] = libm[k];
+  std::size_t i = 0;
+  for (; i + kD <= n; i += kD) {
+    H v;
+    load(x + i, v);
+    exp_lanes<Isa, kSigmoid>(v, v);
+    store(y + i, v);
+  }
+  if (i < n) {  // the last, zero-padded vector
+    float buf[kD] = {};
+    std::memcpy(buf, x + i, (n - i) * sizeof(float));
+    H v;
+    load(buf, v);
+    exp_lanes<Isa, kSigmoid>(v, v);
+    store(buf, v);
+    std::memcpy(y + i, buf, (n - i) * sizeof(float));
   }
 }
 
