@@ -41,12 +41,18 @@ Tensor GRU::forward(const Tensor& input) {
   if (keep_caches) steps_.reserve(time_);
   Tensor h({batch_, hidden_});
   Tensor out({batch_, time_, hidden_});
+  // The weights change only between forwards: pack each once for all steps.
+  const NtPacked w_ih(w_ih_.value);
+  const NtPacked w_hh(w_hh_.value);
   for (std::size_t t = 0; t < time_; ++t) {
-    Tensor x = time_slice(input, t);
-    // gi (N, 3H) = x W_ih^T + b_ih, activated in place to [r, z, n] below.
-    Tensor gi = matmul_nt(x, w_ih_.value);
+    // gi (N, 3H) = x W_ih^T + b_ih, activated in place to [r, z, n] below;
+    // x is step t of the input, read in place.
+    Tensor gi({batch_, 3 * hidden_});
+    matmul_nt(input.raw() + t * input_size_, time_ * input_size_, batch_,
+              w_ih, gi.raw(), false);
     add_bias_rows(gi, bias_ih_.value);
-    Tensor gh = matmul_nt(h, w_hh_.value);        // (N, 3H)
+    Tensor gh({batch_, 3 * hidden_});
+    matmul_nt(h.raw(), hidden_, batch_, w_hh, gh.raw(), false);
     add_bias_rows(gh, bias_hh_.value);
     StepCache cache;
     if (keep_caches) cache.h_prev = h;
@@ -69,7 +75,7 @@ Tensor GRU::forward(const Tensor& input) {
       }
     }
     if (keep_caches) {
-      cache.x = std::move(x);
+      cache.x = time_slice(input, t);
       cache.gates = std::move(gi);
       cache.gh = std::move(gh);
       steps_.push_back(std::move(cache));

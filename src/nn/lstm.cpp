@@ -42,11 +42,17 @@ Tensor LSTM::forward(const Tensor& input) {
   Tensor out({batch_, time_, hidden_});
   // tanh(c) of one row when no cache keeps it.
   std::vector<float> tanh_row(keep_caches ? 0 : hidden_);
+  // The weights change only between forwards: pack each once for all steps.
+  const NtPacked w_ih(w_ih_.value);
+  const NtPacked w_hh(w_hh_.value);
   for (std::size_t t = 0; t < time_; ++t) {
-    Tensor x = time_slice(input, t);
-    // gates (N, 4H) = x W_ih^T + h W_hh^T + b, activated in place below.
-    Tensor gates = matmul_nt(x, w_ih_.value);
-    gates += matmul_nt(h, w_hh_.value);
+    // gates (N, 4H) = x W_ih^T + h W_hh^T + b, activated in place below;
+    // x is step t of the input, read in place. The h fold runs at t = 0 too,
+    // where h is zero: adding +0 turns a -0 gate into +0.
+    Tensor gates({batch_, 4 * hidden_});
+    matmul_nt(input.raw() + t * input_size_, time_ * input_size_, batch_,
+              w_ih, gates.raw(), false);
+    matmul_nt(h.raw(), hidden_, batch_, w_hh, gates.raw(), true);
     add_bias_rows(gates, bias_.value);
     StepCache cache;
     if (keep_caches) {
@@ -80,7 +86,7 @@ Tensor LSTM::forward(const Tensor& input) {
       }
     }
     if (keep_caches) {
-      cache.x = std::move(x);
+      cache.x = time_slice(input, t);
       cache.gates = std::move(gates);
       steps_.push_back(std::move(cache));
     }

@@ -169,9 +169,9 @@ APF_TILE void gemm_sweep(const GemmSweep& args) {
 // of segment 0 of the widened rows (segment stride m * len, row stride
 // len); `panel` holds the segments' packed B columns, len rows of kPanel
 // doubles each. Per segment, each dot product sums its exact float*float
-// products in ascending q, then rounds to float and is added to the C tile
-// (kFold) or stored over it (one segment, !kFold). The C tile stays in
-// registers across the segments.
+// products in ascending q (Isa::madd), then rounds to float and is added to
+// the C tile (kFold) or stored over it (one segment, !kFold). The C tile
+// stays in registers across the segments.
 template <typename Isa, std::size_t R, bool kFold>
 APF_TILE void nt_tile(const typename Isa::WideA* a, std::size_t m,
                       std::size_t len, const double* panel, std::size_t s0,
@@ -196,7 +196,7 @@ APF_TILE void nt_tile(const typename Isa::WideA* a, std::size_t m,
         load(ps + q * kPanel + v * kLanes<D>, b[v]);
       for (std::size_t r = 0; r < R; ++r) {
         const typename Isa::WideA av = as[r * len + q];
-        for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += av * b[v];
+        for (std::size_t v = 0; v < kVecs; ++v) Isa::madd(acc[r][v], av, b[v]);
       }
     }
     for (std::size_t r = 0; r < R; ++r) {
@@ -260,6 +260,9 @@ struct Tiles<simd::Sse2> : simd::Sse2 {
   using WideA = f64x2;
   static constexpr std::size_t kGemmRows = 4, kNtRows = 2;
   static void widen(float x, WideA& out) { out = WideA{x, x}; }
+  APF_TILE static void madd(f64x2& acc, const WideA& a, const f64x2& b) {
+    acc += a * b;
+  }
   static void gemm(const GemmSweep& s) { gemm_sweep<Tiles>(s); }
   template <bool kFold>
   static void nt(const NtSweep<WideA>& s) {
@@ -270,18 +273,25 @@ struct Tiles<simd::Sse2> : simd::Sse2 {
 #ifdef APF_SIMD_AVX2
 // The AVX2 tiles: 8 x 8 floats, and 4 x 8 doubles against A widened to
 // plain doubles, read through broadcast loads. Each tile keeps eight vector
-// accumulators, as the baseline does. FMA stays off: a fused multiply-add
-// would round the float tile differently.
+// accumulators, as the baseline does. The double tile adds its exact
+// products with FMA (ops.h says why that keeps every bit); the float tile
+// does not, because its products round.
 template <>
 struct Tiles<simd::Avx2> : simd::Avx2 {
   using WideA = double;
   static constexpr std::size_t kGemmRows = 8, kNtRows = 4;
   static void widen(float x, WideA& out) { out = x; }
+  // One vfmadd231pd inside the avx2,fma entry.
+  APF_TILE static void madd(f64x4& acc, WideA a, const f64x4& b) {
+    acc = f64x4{__builtin_fma(a, b[0], acc[0]), __builtin_fma(a, b[1], acc[1]),
+                __builtin_fma(a, b[2], acc[2]), __builtin_fma(a, b[3], acc[3])};
+  }
   __attribute__((target("avx2"))) static void gemm(const GemmSweep& s) {
     gemm_sweep<Tiles>(s);
   }
   template <bool kFold>
-  __attribute__((target("avx2"))) static void nt(const NtSweep<WideA>& s) {
+  __attribute__((target("avx2,fma"))) static void nt(
+      const NtSweep<WideA>& s) {
     nt_sweep<Tiles, kFold>(s);
   }
 };
@@ -324,28 +334,78 @@ void gemm(const float* a, std::size_t a_row, std::size_t a_col,
   });
 }
 
-// The matmul_nt family (see ops.h): per segment s, A_s is the (m x len)
-// slab at a + s * m * len and B_s columns [s * len, (s + 1) * len) of the
-// (r x segments * len) matrix b. A is widened to doubles (Isa::widen) in
-// chunks of kWideRows rows, which bounds that copy (each chunk repacks B,
-// at most 1/kWideRows of the arithmetic). Blocks walk their panels, pack
-// runs of segments that fit in L1 and sweep the row tiles over each run,
-// so every C element folds its segments in ascending order.
+// One kPanel-column panel of B^T for the matmul_nt family: row q holds
+// b[jj * ldb + q] in lane jj for the first `width` lanes, zeros past them,
+// for q in [0, len).
+void pack_nt_panel(const float* b, std::size_t ldb, std::size_t len,
+                   std::size_t width, double* dst) {
+  for (std::size_t jj = 0; jj < kPanel; ++jj) {
+    if (jj >= width) {
+      for (std::size_t q = 0; q < len; ++q) dst[q * kPanel + jj] = 0.0;
+      continue;
+    }
+    const float* brow = b + jj * ldb;
+    for (std::size_t q = 0; q < len; ++q) dst[q * kPanel + jj] = brow[q];
+  }
+}
+
+// Widens `rows` rows of `len` floats, row i at a + i * lda, into dst (row
+// stride len).
+template <typename Isa>
+void widen_rows(const float* a, std::size_t lda, std::size_t rows,
+                std::size_t len, typename Isa::WideA* dst) {
+  for (std::size_t i = 0; i < rows; ++i)
+    for (std::size_t q = 0; q < len; ++q)
+      Isa::widen(a[i * lda + q], dst[i * len + q]);
+}
+
+// matmul_nt over packed B (see ops.h): the r columns of C in ceil(r /
+// kPanel) panels of k rows each, panel p at panels + p * k * kPanel. A is
+// widened to doubles (Isa::widen) in chunks of kWideRows rows, which bounds
+// that copy; blocks sweep their row tiles over each of their panels.
 template <typename Isa, bool kFold>
+void nt_packed(const float* a, std::size_t lda, std::size_t m,
+               const double* panels, std::size_t r, std::size_t k, float* c) {
+  std::vector<typename Isa::WideA> wide(std::min(kWideRows, m) * k);
+  for (std::size_t base = 0; base < m; base += kWideRows) {
+    const std::size_t rows = std::min(kWideRows, m - base);
+    widen_rows<Isa>(a + base * lda, lda, rows, k, wide.data());
+    float* c_rows = c + base * r;
+    run_blocks(ceil_div(rows, Isa::kNtRows), ceil_div(r, kPanel),
+               2 * rows * r * k,
+               [&](std::size_t t0, std::size_t t1, std::size_t p0,
+                   std::size_t p1) {
+      for (std::size_t p = p0; p < p1; ++p) {
+        const std::size_t j0 = p * kPanel;
+        Isa::template nt<kFold>({wide.data(), panels + p * k * kPanel,
+                                 c_rows + j0, rows, k, 0, 1, r,
+                                 std::min(kPanel, r - j0), t0, t1});
+      }
+    });
+  }
+}
+
+// matmul_nt_fold_segments (see ops.h): per segment s, A_s is the (m x len)
+// slab at a + s * m * len and B_s columns [s * len, (s + 1) * len) of the
+// (r x segments * len) matrix b. A is widened in chunks of kWideRows rows
+// (each chunk packs B again, at most 1/kWideRows of the arithmetic).
+// Blocks walk their panels, pack runs of segments that fit in L1 and sweep
+// the row tiles over each run, so every C element folds its segments in
+// ascending order.
+template <typename Isa>
 void nt_segments(const float* a, const float* b, std::size_t m,
                  std::size_t r, std::size_t segments, std::size_t len,
                  float* c) {
-  using WideA = typename Isa::WideA;
   const std::size_t ldb = segments * len;
   const std::size_t run = std::max<std::size_t>(
       1, kPackedFloats / (2 * kPanel * std::max<std::size_t>(len, 1)));
+  std::vector<typename Isa::WideA> wide(segments * std::min(kWideRows, m) *
+                                        len);
   for (std::size_t base = 0; base < m; base += kWideRows) {
     const std::size_t rows = std::min(kWideRows, m - base);
-    std::vector<WideA> wide(segments * rows * len);
     for (std::size_t s = 0; s < segments; ++s) {
-      const float* src = a + (s * m + base) * len;
-      WideA* dst = wide.data() + s * rows * len;
-      for (std::size_t i = 0; i < rows * len; ++i) Isa::widen(src[i], dst[i]);
+      widen_rows<Isa>(a + (s * m + base) * len, len, rows, len,
+                      wide.data() + s * rows * len);
     }
     float* c_rows = c + base * r;
     run_blocks(ceil_div(rows, Isa::kNtRows), ceil_div(r, kPanel),
@@ -358,22 +418,12 @@ void nt_segments(const float* a, const float* b, std::size_t m,
         const std::size_t width = std::min(kPanel, r - j0);
         for (std::size_t s0 = 0; s0 < segments; s0 += run) {
           const std::size_t s1 = std::min(segments, s0 + run);
-          // Row q of segment s holds B_s[j0 + jj][q] in lane jj (padded).
           for (std::size_t s = s0; s < s1; ++s) {
-            double* dst = panel.data() + (s - s0) * len * kPanel;
-            for (std::size_t jj = 0; jj < kPanel; ++jj) {
-              if (jj >= width) {
-                for (std::size_t q = 0; q < len; ++q)
-                  dst[q * kPanel + jj] = 0.0;
-                continue;
-              }
-              const float* brow = b + (j0 + jj) * ldb + s * len;
-              for (std::size_t q = 0; q < len; ++q)
-                dst[q * kPanel + jj] = brow[q];
-            }
+            pack_nt_panel(b + j0 * ldb + s * len, ldb, len, width,
+                          panel.data() + (s - s0) * len * kPanel);
           }
-          Isa::template nt<kFold>({wide.data(), panel.data(), c_rows + j0,
-                                   rows, len, s0, s1, r, width, t0, t1});
+          Isa::template nt<true>({wide.data(), panel.data(), c_rows + j0,
+                                  rows, len, s0, s1, r, width, t0, t1});
         }
       }
     });
@@ -405,15 +455,38 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+NtPacked::NtPacked(const Tensor& b) {
+  APF_CHECK(b.rank() == 2);
+  rows_ = b.dim(0);
+  cols_ = b.dim(1);
+  panels_.resize(ceil_div(rows_, kPanel) * cols_ * kPanel);
+  for (std::size_t j0 = 0; j0 < rows_; j0 += kPanel) {
+    pack_nt_panel(b.raw() + j0 * cols_, cols_, cols_,
+                  std::min(kPanel, rows_ - j0), panels_.data() + j0 * cols_);
+  }
+}
+
+void matmul_nt(const float* a, std::size_t lda, std::size_t m,
+               const NtPacked& b, float* c, bool fold) {
+  const std::size_t r = b.rows_, k = b.cols_;
+  APF_CHECK_MSG(lda >= k, "matmul_nt row stride " << lda << " < " << k);
+  simd::with_isa<Tiles>([&](auto isa) {
+    using Isa = decltype(isa);
+    if (fold) {
+      nt_packed<Isa, true>(a, lda, m, b.panels_.data(), r, k, c);
+    } else {
+      nt_packed<Isa, false>(a, lda, m, b.panels_.data(), r, k, c);
+    }
+  });
+}
+
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  // C(m x r) = A * B^T where A is (m x k), B is (r x k): one segment.
+  // C(m x r) = A * B^T where A is (m x k), B is (r x k).
   APF_CHECK(a.rank() == 2 && b.rank() == 2);
   const std::size_t m = a.dim(0), k = a.dim(1), r = b.dim(0);
   APF_CHECK(b.dim(1) == k);
   Tensor c({m, r});
-  simd::with_isa<Tiles>([&](auto isa) {
-    nt_segments<decltype(isa), false>(a.raw(), b.raw(), m, r, 1, k, c.raw());
-  });
+  matmul_nt(a.raw(), k, m, NtPacked(b), c.raw(), false);
   return c;
 }
 
@@ -421,7 +494,7 @@ void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
                              std::size_t r, std::size_t segments,
                              std::size_t len, float* c) {
   simd::with_isa<Tiles>([&](auto isa) {
-    nt_segments<decltype(isa), true>(a, b, m, r, segments, len, c);
+    nt_segments<decltype(isa)>(a, b, m, r, segments, len, c);
   });
 }
 

@@ -17,13 +17,14 @@
 // against an inf or NaN in B gives a different (NaN) output than a skip.
 //
 // matmul_nt and matmul_nt_fold_segments pack B^T into the same 8-column
-// panels as doubles, widen A to doubles once, and keep a tile of double
-// accumulators with the reduction ascending: the scalar double dot
-// product, bit for bit (a float*float product is exact in double, so FMA
-// contraction cannot change it either). Pool runs partition output tiles
-// (row tiles x column blocks), never a reduction. Besides their output the
-// kernels allocate one packed panel run per block and, for the matmul_nt
-// family, the widened copy of A.
+// panels as doubles, widen A to doubles in chunks of 64 rows, and keep a
+// tile of double accumulators with the reduction ascending: the scalar
+// double dot product, bit for bit. Pool runs partition output tiles (row
+// tiles x column blocks), never a reduction. matmul_nt reads B through an
+// NtPacked handle, packed once for any number of A (a recurrent layer packs
+// each weight once per forward); matmul_nt_fold_segments packs runs of its
+// segments per column block. Besides their output the kernels allocate the
+// widened copy of A and, for the fold, one packed panel run per block.
 //
 // Two tile shapes exist, each with eight vector accumulators. The baseline
 // (16-byte vectors, SSE2 on x86-64) keeps 4 x 8 floats and 2 x 8 doubles;
@@ -31,10 +32,21 @@
 // how many outputs run side by side, so both give the same bits. The
 // instruction set, the vector types and the load/store helpers come from
 // tensor/simd.h, which picks one set per process for these tiles and the
-// activation kernels alike (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 selects
-// the baseline on an AVX2 host). Neither set enables FMA, and ops.cpp is
-// built with -ffp-contract=off.
+// activation kernels alike (GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 or -FMA
+// selects the baseline on an AVX2 host).
+//
+// The AVX2 double tile adds each product with a fused multiply-add, and
+// that changes no bit: a float has a 24-bit significand, so a float*float
+// product has at most 48 and is exact in double (its exponent stays far
+// inside double's range, subnormal floats included). The separate multiply
+// therefore never rounds, and for finite inputs fma(a, b, acc) rounds once,
+// exactly where the add after it would. The float tiles keep a separate
+// multiply and add, since a float product rounds, and the baseline has no
+// FMA; ops.cpp is built with -ffp-contract=off and writes the FMA out.
 #pragma once
+
+#include <cstddef>
+#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -46,8 +58,33 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// C = A^T(m x k -> k x m) * B ... computed without materializing A^T.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
-/// C = A * B^T, without materializing B^T.
+/// C = A * B^T, without materializing B^T: packs B, then runs the pointer
+/// form below.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
+
+/// B (r x k) of matmul_nt packed once, as the double panels the matmul_nt
+/// tile reads, for any number of products A * B^T. The handle holds a copy:
+/// it goes stale when B changes, and nothing invalidates it, so pack a
+/// weight where it is used (LSTM and GRU pack theirs once per forward).
+class NtPacked {
+ public:
+  explicit NtPacked(const Tensor& b);
+
+ private:
+  friend void matmul_nt(const float* a, std::size_t lda, std::size_t m,
+                        const NtPacked& b, float* c, bool fold);
+  std::size_t rows_ = 0;  // r: the columns of C
+  std::size_t cols_ = 0;  // k: the reduction length
+  std::vector<double> panels_;
+};
+
+/// C(m x r) = A * B^T with B packed in b (r x k). Row i of A is the k floats
+/// at a + i * lda (lda >= k), so a step of a (N, T, F) sequence is read in
+/// place; C is row-major with row stride r. Each output is the double dot
+/// product rounded to float; it is stored over C, or with fold added to C
+/// with one float add, bit for bit C += matmul_nt(A, B).
+void matmul_nt(const float* a, std::size_t lda, std::size_t m,
+               const NtPacked& b, float* c, bool fold);
 
 /// C(m x r) += A_s * B_s^T for s = 0..segments-1, folded into C in segment
 /// order. A_s is the row-major (m x len) slab at a + s * m * len (so A is
@@ -60,8 +97,8 @@ void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
                              std::size_t len, float* c);
 
 /// The instruction set the matmul family and the activation kernels run in
-/// this process: "avx2" when glibc reports AVX2 active on x86-64, else
-/// "sse2" (the baseline). Both give the same bits; the name is for
+/// this process: "avx2" when glibc reports AVX2 and FMA active on x86-64,
+/// else "sse2" (the baseline). Both give the same bits; the name is for
 /// benchmark reports.
 const char* gemm_simd_path();
 

@@ -3,14 +3,17 @@
 // activation kernels (activations.cpp).
 //
 // The kernels use GCC vector extensions, no intrinsics. Two instruction
-// sets exist: the baseline (16-byte vectors, SSE2 on x86-64) and AVX2
-// (32-byte vectors). The process picks one once, from glibc's
-// CPU_FEATURE_ACTIVE(AVX2) on x86-64, so GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2
-// selects the baseline on an AVX2 host for every kernel at once. Other
-// targets compile only the baseline. A kernel file maps each set to its
-// entry points (a `Tiles<Isa>` specialization whose AVX2 entries carry
-// __attribute__((target("avx2")))) and calls them through with_isa.
-// Neither set enables FMA.
+// sets exist: the baseline (16-byte vectors, SSE2 on x86-64) and AVX2 with
+// FMA (32-byte vectors). The process picks one once, from glibc's
+// CPU_FEATURE_ACTIVE(AVX2) and CPU_FEATURE_ACTIVE(FMA) on x86-64, so
+// GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 or -FMA selects the baseline on an
+// AVX2 host for every kernel at once. Other targets compile only the
+// baseline. A kernel file maps each set to its entry points (a
+// `Tiles<Isa>` specialization whose AVX2 entries carry
+// __attribute__((target("avx2"))), or target("avx2,fma") where a kernel
+// writes out an exact fused multiply-add) and calls them through with_isa.
+// No kernel lets the compiler contract a multiply and an add (both kernel
+// files are built with -ffp-contract=off).
 #pragma once
 
 #include <cstddef>
@@ -86,10 +89,13 @@ struct Avx2 {
   static constexpr const char* kName = "avx2";
 };
 
-// glibc's active bit: the CPU has AVX2, the OS saves its registers, and
-// GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2 has not masked it.
+// glibc's active bits for AVX2 and FMA: the CPU has both, the OS saves
+// their registers, and GLIBC_TUNABLES=glibc.cpu.hwcaps has masked neither
+// (-AVX2 or -FMA alone selects the baseline). The AVX2 set requires FMA
+// because the matmul_nt tile uses it.
 inline bool avx2_active() {
-  static const bool active = CPU_FEATURE_ACTIVE(AVX2);
+  static const bool active =
+      CPU_FEATURE_ACTIVE(AVX2) && CPU_FEATURE_ACTIVE(FMA);
   return active;
 }
 #endif

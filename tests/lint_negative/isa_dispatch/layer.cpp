@@ -22,6 +22,16 @@ __attribute__((target_clones("avx2", "default"))) void gates(float* c) {  // lin
 
 #pragma GCC target("fma")  // lint-expect: isa-dispatch
 
+typedef double v4d __attribute__((vector_size(32)));
+
+// A raw x86 builtin is per-instruction-set code too, without any attribute
+// or header to give it away.
+v4d gates_fma(v4d a, v4d b, v4d c) {
+  return __builtin_ia32_vfmaddpd256(a, b, c);  // lint-expect: isa-dispatch
+}
+
+unsigned gates_crc(unsigned crc, unsigned x) { return __builtin_ia32_crc32si(crc, x); }  // lint-expect: isa-dispatch
+
 bool fast() {
   return __builtin_cpu_supports("avx2");  // lint-expect: isa-dispatch
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -338,16 +339,169 @@ TEST(Ops, MatmulNtBitwiseMatchesScalarReference) {
   });
 }
 
-// The tile set follows glibc's AVX2 bit, so the tunable that masks it (the
-// release CI job's second run) selects the baseline tiles.
+// C = A * B^T through one packed handle, store or fold, with A's rows lda
+// floats apart: each output is the scalar double dot product rounded to
+// float, stored over C or added to it with one float add.
+Tensor matmul_nt_packed_reference(const float* a, std::size_t lda,
+                                  std::size_t m, const Tensor& b,
+                                  const Tensor& c0, bool fold) {
+  const std::size_t k = b.dim(1), r = b.dim(0);
+  Tensor c = c0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < r; ++j) {
+      double acc = 0.0;
+      for (std::size_t kk = 0; kk < k; ++kk)
+        acc += static_cast<double>(a[i * lda + kk]) * b.raw()[j * k + kk];
+      const float dot = static_cast<float>(acc);
+      c.raw()[i * r + j] = fold ? c.raw()[i * r + j] + dot : dot;
+    }
+  }
+  return c;
+}
+
+TEST(Ops, MatmulNtPackedMatchesScalarReference) {
+  // m covers every row remainder of both double tiles and the edges of the
+  // 64-row widening chunks; r every panel remainder. A's rows sit lda = k + 3
+  // floats apart with NaN in the gap, so a read past k would show. One
+  // handle serves three A, in store mode and in fold mode onto a C holding
+  // signed values and zeros.
+  std::vector<std::size_t> ms = {63, 64, 65, 130};
+  for (std::size_t m = 1; m <= 9; ++m) ms.push_back(m);
+  on_1_and_4_lanes([&] {
+    Rng rng(29);
+    for (const std::size_t m : ms) {
+      for (const std::size_t r : {1u, 7u, 8u, 9u, 33u, 128u}) {
+        for (const std::size_t k : {0u, 1u, 8u, 32u, 33u}) {
+          const Tensor b = Tensor::uniform({r, k}, rng, -3.f, 3.f);
+          const NtPacked packed(b);
+          const std::size_t lda = k + 3;
+          for (int use = 0; use < 3; ++use) {
+            Tensor a = signed_with_zeros({m, lda}, rng);
+            for (std::size_t i = 0; i < m; ++i)
+              for (std::size_t q = k; q < lda; ++q)
+                a[i * lda + q] = std::numeric_limits<float>::quiet_NaN();
+            const Tensor c0 = signed_with_zeros({m, r}, rng);
+            for (const bool fold : {false, true}) {
+              Tensor got = c0;
+              matmul_nt(a.raw(), lda, m, packed, got.raw(), fold);
+              ASSERT_TRUE(bitwise_equal(
+                  got, matmul_nt_packed_reference(a.raw(), lda, m, b, c0,
+                                                  fold)))
+                  << "m=" << m << " r=" << r << " k=" << k << " use=" << use
+                  << " fold=" << fold;
+            }
+          }
+        }
+      }
+    }
+  });
+}
+
+// Floats of every magnitude class that stresses an fma against a separate
+// multiply and add: near +-FLT_MAX (a float product would overflow),
+// 2^-126 and below (it would underflow or go subnormal), subnormals, and
+// full 24-bit significands (it would round), with random signs.
+float extreme_float(Rng& rng) {
+  static const int kExponents[] = {127, 126, 100, 1, 0, -1, -60,
+                                   -125, -126, -130, -140, -149};
+  const int e = kExponents[rng.uniform_int(std::size(kExponents))];
+  const float significand =
+      std::min(rng.uniform_float(1.f, 2.f), std::nextafter(2.f, 1.f));
+  const float x = std::ldexp(significand, e);
+  return rng.uniform() < 0.5 ? -x : x;
+}
+
+TEST(Ops, MatmulNtExactUnderFma) {
+  // Extreme exponents in A and B, and products that cancel to zero: each
+  // row of A is followed by its copy, and column q + 1 of B negates column
+  // q at odd q, so pairs of products cancel exactly. Whichever tile runs,
+  // matmul_nt and the segment fold must equal the scalar loop (a separate
+  // multiply and add) bit for bit.
+  on_1_and_4_lanes([] {
+    Rng rng(31);
+    for (const std::size_t k : {2u, 6u, 17u, 64u}) {
+      for (const std::size_t m : {1u, 5u, 12u}) {
+        for (const std::size_t r : {3u, 8u, 19u}) {
+          Tensor a({m, k});
+          Tensor b({r, k});
+          for (std::size_t i = 0; i < a.numel(); ++i) a[i] = extreme_float(rng);
+          for (std::size_t i = 0; i < b.numel(); ++i) b[i] = extreme_float(rng);
+          for (std::size_t i = 0; i < m; ++i) {
+            for (std::size_t q = 1; q + 1 < k; q += 2) {
+              a[i * k + q + 1] = a[i * k + q];
+            }
+          }
+          for (std::size_t j = 0; j < r; ++j) {
+            for (std::size_t q = 1; q + 1 < k; q += 2) {
+              b[j * k + q + 1] = -b[j * k + q];
+            }
+            if (j % 3 == 0) b[j * k] = 0.f;  // row j may cancel to +0
+          }
+          ASSERT_TRUE(bitwise_equal(matmul_nt(a, b),
+                                    matmul_nt_scalar_reference(a, b)))
+              << "matmul_nt m=" << m << " k=" << k << " r=" << r;
+          // The first 2 * len columns as two segments of len, folded onto
+          // a C with -0 in every other element.
+          const std::size_t len = k / 2;
+          Tensor slabs({2, m, len});
+          Tensor bs({r, 2 * len});
+          for (std::size_t s = 0; s < 2; ++s)
+            for (std::size_t i = 0; i < m; ++i)
+              for (std::size_t q = 0; q < len; ++q)
+                slabs[(s * m + i) * len + q] = a[i * k + s * len + q];
+          for (std::size_t j = 0; j < r; ++j)
+            for (std::size_t q = 0; q < 2 * len; ++q)
+              bs[j * 2 * len + q] = b[j * k + q];
+          Tensor c0({m, r});
+          for (std::size_t i = 0; i < c0.numel(); ++i)
+            c0[i] = i % 2 == 0 ? -0.f : extreme_float(rng);
+          Tensor expect = c0;
+          for (std::size_t s = 0; s < 2; ++s) {
+            for (std::size_t i = 0; i < m; ++i) {
+              for (std::size_t j = 0; j < r; ++j) {
+                double acc = 0.0;
+                for (std::size_t q = 0; q < len; ++q) {
+                  acc += static_cast<double>(slabs[(s * m + i) * len + q]) *
+                         bs[j * 2 * len + s * len + q];
+                }
+                expect[i * r + j] += static_cast<float>(acc);
+              }
+            }
+          }
+          Tensor got = c0;
+          matmul_nt_fold_segments(slabs.raw(), bs.raw(), m, r, 2, len,
+                                  got.raw());
+          ASSERT_TRUE(bitwise_equal(got, expect))
+              << "fold m=" << m << " k=" << k << " r=" << r;
+        }
+      }
+    }
+  });
+}
+
+// True when GLIBC_TUNABLES masks the CPU feature `name` ("-NAME" in the
+// hwcaps list).
+bool tunables_mask(const std::string& name) {
+  const char* tunables = std::getenv("GLIBC_TUNABLES");
+  if (tunables == nullptr) return false;
+  const std::string text(tunables);
+  const std::string item = "-" + name;
+  for (std::size_t at = text.find(item); at != std::string::npos;
+       at = text.find(item, at + 1)) {
+    const std::size_t end = at + item.size();
+    const bool starts = at > 0 && (text[at - 1] == '=' || text[at - 1] == ',');
+    if (starts && (end == text.size() || text[end] == ',' || text[end] == ':'))
+      return true;
+  }
+  return false;
+}
+
+// The tile set follows glibc's AVX2 and FMA bits, so a tunable that masks
+// either (the release CI job's later runs) selects the baseline tiles.
 TEST(Ops, GemmSimdPathFollowsGlibcTunable) {
   const std::string path = gemm_simd_path();
   EXPECT_TRUE(path == "avx2" || path == "sse2") << path;
-  const char* tunables = std::getenv("GLIBC_TUNABLES");
-  if (tunables != nullptr &&
-      std::string(tunables).find("-AVX2") != std::string::npos) {
-    EXPECT_EQ(path, "sse2");
-  }
+  if (tunables_mask("AVX2") || tunables_mask("FMA")) EXPECT_EQ(path, "sse2");
 }
 
 TEST(Ops, TransposeInvolution) {

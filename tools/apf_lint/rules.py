@@ -88,7 +88,8 @@ LIBM_EXP = [
 # isa-dispatch: each group of shapes of an instruction-set choice, and the
 # only files that may hold it. The CPU-feature query sits in simd.h; the
 # per-set code (a target or target_clones attribute or pragma, an
-# intrinsics header) in the kernel files that dispatch through it.
+# intrinsics header, a raw x86 builtin) in the kernel files that dispatch
+# through it.
 ISA_DISPATCH = [
     ([(re.compile(r"\b__builtin_cpu_\w+"), "__builtin_cpu_*"),
       (re.compile(r"\bCPU_FEATURE_\w+"), "CPU_FEATURE_*"),
@@ -97,7 +98,8 @@ ISA_DISPATCH = [
      ("src/tensor/simd.h",)),
     ([(re.compile(r'(?:(?<![\w.>:])|(?<=gnu::))(?:__)?target(?:_clones)?'
                   r'(?:__)?\s*\(\s*"'), "target(...)"),
-      (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "<*intrin.h>")],
+      (re.compile(r"#\s*include\s*<\w*intrin\.h>"), "<*intrin.h>"),
+      (re.compile(r"\b__builtin_ia32_\w+"), "__builtin_ia32_*")],
      ("src/tensor/ops.cpp", "src/tensor/activations.cpp")),
 ]
 TEST_INCLUDE = re.compile(
