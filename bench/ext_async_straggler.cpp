@@ -17,17 +17,15 @@
 // every --threads value (the runner's lane-invariance contract extends to
 // the async path), so the JSON is reproducible byte-for-byte.
 //
-// Flags (mirrors ext_million_clients):
+// Flags (bench/harness.h):
 //   --json-dir DIR   directory for BENCH_async_straggler.json (default ".")
 //   --threads LIST   comma-separated worker_threads values (default: 1,4)
 //   --quick          fewer rounds / smaller task for CI smoke runs
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,6 +33,7 @@
 #include "data/synthetic_images.h"
 #include "fl/runner.h"
 #include "fl/sync_strategy.h"
+#include "harness.h"
 #include "nn/layers.h"
 #include "nn/models.h"
 #include "optim/optimizer.h"
@@ -176,38 +175,11 @@ void write_json(const std::string& path,
   out << "  ]\n}\n";
 }
 
-std::vector<std::size_t> parse_thread_list(const std::string& arg) {
-  std::vector<std::size_t> threads;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const long v = std::stol(item);
-    APF_CHECK_MSG(v > 0, "bad thread count " << item);
-    threads.push_back(static_cast<std::size_t>(v));
-  }
-  APF_CHECK(!threads.empty());
-  return threads;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir = ".";
-  std::vector<std::size_t> threads = {1, 4};
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-dir") == 0 && i + 1 < argc) {
-      json_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_thread_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--json-dir DIR] [--threads 1,4] [--quick]\n";
-      return 2;
-    }
-  }
+  const auto [json_dir, threads, quick] =
+      bench::parse_json_bench_args(argc, argv, {1, 4});
   const std::size_t num_clients = 10;
   const std::size_t rounds = quick ? 16 : 48;
   const double target = 0.5;

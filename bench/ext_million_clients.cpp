@@ -23,13 +23,11 @@
 //   - peak queued bytes stay O(chunk window), not O(universe),
 //   - aggregator memory stays O(model), independent of fan-in.
 //
-// Flags (mirrors micro_parallel_scaling):
+// Flags (bench/harness.h):
 //   --json-dir DIR   directory for BENCH_million_clients.json (default ".")
 //   --threads LIST   comma-separated encode thread counts (default: 1,4)
 //   --quick          fewer rounds / smaller model for CI smoke runs
 #include <algorithm>
-#include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -37,12 +35,12 @@
 #include <map>
 #include <set>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/apf_manager.h"
 #include "fl/sync_strategy.h"
+#include "harness.h"
 #include "transport/bus.h"
 #include "transport/frame.h"
 #include "transport/network.h"
@@ -57,12 +55,6 @@ namespace {
 
 constexpr std::uint64_t kClientUniverse = 1u << 20;  // 1,048,576 >= 1e6
 constexpr std::size_t kChunk = 128;  // participants encoded per bus window
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct RoundReport {
   std::size_t round = 0;
@@ -134,7 +126,7 @@ StrategyReport run_strategy(fl::SyncStrategy& strategy, const char* name,
   // window can hold at most a chunk of them in either direction.
   const std::size_t max_frame_bytes = dim * sizeof(float) + 64;
   for (std::size_t round = 1; round <= rounds; ++round) {
-    const double start = now_seconds();
+    const double start = bench::now_seconds();
     const std::vector<std::uint64_t> active =
         sample_participants(sample_rng, kClientUniverse,
                             participants_per_round);
@@ -208,7 +200,7 @@ StrategyReport run_strategy(fl::SyncStrategy& strategy, const char* name,
     // whole server-side aggregation footprint, independent of fan-in.
     r.aggregate_memory_bytes =
         transport::StreamingAggregator(dim).memory_bytes();
-    r.wall_seconds = now_seconds() - start;
+    r.wall_seconds = bench::now_seconds() - start;
     report.rounds.push_back(r);
     std::cout << "  " << name << " threads=" << threads << " round=" << round
               << "  bytes=" << std::setprecision(17) << r.total_bytes
@@ -253,38 +245,11 @@ void write_json(const std::string& path,
   out << "  ]\n}\n";
 }
 
-std::vector<std::size_t> parse_thread_list(const std::string& arg) {
-  std::vector<std::size_t> threads;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const long v = std::stol(item);
-    APF_CHECK_MSG(v > 0, "bad thread count " << item);
-    threads.push_back(static_cast<std::size_t>(v));
-  }
-  APF_CHECK(!threads.empty());
-  return threads;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir = ".";
-  std::vector<std::size_t> threads = {1, 4};
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-dir") == 0 && i + 1 < argc) {
-      json_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_thread_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--json-dir DIR] [--threads 1,4] [--quick]\n";
-      return 2;
-    }
-  }
+  const auto [json_dir, threads, quick] =
+      bench::parse_json_bench_args(argc, argv, {1, 4});
   const std::size_t rounds = quick ? 2 : 3;
   const std::size_t dim = quick ? 1024 : 4096;
   const std::size_t participants = quick ? 512 : 1024;

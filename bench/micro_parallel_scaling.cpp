@@ -1,8 +1,8 @@
 // Parallel-scaling micro-bench for the thread-pool runtime.
 //
-// Measures (a) the matmul-family, Conv2d and tanh kernel throughput and (b)
-// federated-round wall time as a function of the worker count, and emits
-// machine-readable JSON so CI can archive the perf trajectory:
+// Measures (a) kernel, layer and sync-path throughput and (b) federated-round
+// wall time as a function of the worker count, and emits machine-readable
+// JSON so CI can archive the perf trajectory:
 //
 //   BENCH_kernels.json  — per kernel x size x thread count: seconds/call
 //                         (the median of individually timed calls, the
@@ -10,9 +10,11 @@
 //                         GFLOP/s, speedup vs the 1-thread (seed) kernel,
 //                         and the instruction set that ran (simd);
 //                         matmul_nt also at the kws LSTM gate shapes,
-//                         conv2d_* rows time a ResNet stage-1 Conv2d,
-//                         tanh_span and sigmoid_span the span activation
-//                         kernels
+//                         conv2d_* rows time a ResNet stage-1 Conv2d, the
+//                         lstm/lenet rows whole layers and models, the
+//                         *_span rows the span activation kernels (tanh_libm
+//                         the libm loop they reproduce), and the rest the
+//                         APF bookkeeping and the masked fp16 sync path
 //   BENCH_runner.json   — per thread count: wall seconds for a small LeNet
 //                         federated run (the median of a few runs),
 //                         seconds/round, speedup vs 1 thread, and the
@@ -24,40 +26,41 @@
 // bit-identical for every thread count (that is the pool's contract, and
 // tests/parallel_test.cpp asserts it).
 //
-// Flags:
+// Flags (bench/harness.h):
 //   --json-dir DIR   directory for BENCH_*.json (default: ".")
 //   --threads LIST   comma-separated thread counts (default: 1,2,4)
-//   --quick          smaller sizes / fewer reps for CI smoke runs
+//   --quick          fewer reps / a shorter runner for CI smoke runs
 #include <algorithm>
-#include <chrono>
-#include <cstring>
+#include <cmath>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common.h"
+#include "core/perturbation.h"
+#include "fl/flat_view.h"
+#include "harness.h"
 #include "nn/conv_layers.h"
+#include "nn/lstm.h"
+#include "nn/models.h"
 #include "tensor/activations.h"
 #include "tensor/ops.h"
+#include "util/bitmap.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "wire/masked.h"
+#include "wire/wire.h"
 
 using namespace apf;
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct KernelResult {
   std::string kernel;
@@ -79,37 +82,24 @@ struct RunnerResult {
   std::vector<double> bytes_per_client_per_round;
 };
 
-// Median of `samples` (reordered in place).
-double median(std::vector<double>& samples) {
-  const auto mid = samples.begin() + samples.size() / 2;
-  std::nth_element(samples.begin(), mid, samples.end());
-  return *mid;
-}
-
 // Times `fn` (which returns a value to keep live) on a pool of each thread
-// count and appends one row per count; `flops` is the arithmetic of one
-// call. The counts take turns call by call, after one warm-up call each,
-// and a row reports the median of its `reps` calls. So host drift slows
-// every count alike, and a descheduled call does not read as a slowdown.
+// count with bench::median_seconds, the counts taking turns call by call,
+// and appends one row per count; `flops` is the arithmetic of one call.
 template <typename Fn>
 void bench_rows(const char* name, std::size_t m, std::size_t k, std::size_t n,
                 double flops, const std::vector<std::size_t>& threads,
                 std::size_t reps, const Fn& fn,
                 std::vector<KernelResult>& results) {
   std::vector<std::unique_ptr<util::ThreadPool>> pools;
-  for (const std::size_t t : threads)
+  std::vector<std::function<float()>> variants;
+  for (const std::size_t t : threads) {
     pools.push_back(std::make_unique<util::ThreadPool>(t));
-  std::vector<std::vector<double>> seconds(threads.size());
-  volatile float sink = 0.f;
-  for (std::size_t rep = 0; rep <= reps; ++rep) {
-    for (std::size_t i = 0; i < threads.size(); ++i) {
-      const util::ScopedComputePool compute_scope(*pools[i]);
-      const double start = now_seconds();
-      sink = sink + fn();
-      if (rep > 0) seconds[i].push_back(now_seconds() - start);
-    }
+    variants.push_back([&fn, &pool = *pools.back()] {
+      const util::ScopedComputePool compute_scope(pool);
+      return static_cast<float>(fn());
+    });
   }
-  (void)sink;
+  const std::vector<double> seconds = bench::median_seconds(variants, reps);
   double base_seconds = 0.0;
   for (std::size_t i = 0; i < threads.size(); ++i) {
     KernelResult r;
@@ -118,7 +108,7 @@ void bench_rows(const char* name, std::size_t m, std::size_t k, std::size_t n,
     r.k = k;
     r.n = n;
     r.threads = threads[i];
-    r.seconds_per_call = median(seconds[i]);
+    r.seconds_per_call = seconds[i];
     r.gflops = flops / r.seconds_per_call / 1e9;
     if (r.threads == 1) base_seconds = r.seconds_per_call;
     r.speedup_vs_1t =
@@ -131,7 +121,6 @@ void bench_rows(const char* name, std::size_t m, std::size_t k, std::size_t n,
 }
 
 std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
-                                        const std::vector<std::size_t>& sizes,
                                         std::size_t reps) {
   using KernelFn = Tensor (*)(const Tensor&, const Tensor&);
   struct Spec {
@@ -142,7 +131,7 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
       {"matmul", &matmul}, {"matmul_tn", &matmul_tn}, {"matmul_nt", &matmul_nt}};
   std::vector<KernelResult> results;
   for (const Spec& spec : specs) {
-    for (const std::size_t size : sizes) {
+    for (const std::size_t size : {64u, 128u, 256u}) {
       Rng rng(1);
       const Tensor a = Tensor::uniform({size, size}, rng);
       const Tensor b = Tensor::uniform({size, size}, rng);
@@ -155,21 +144,23 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
   }
   // The LSTM gate GEMMs of kws-lstm-async-eval: batch 16 (training) or 128
   // (evaluation) rows against W_ih (k = 8 features) or W_hh (k = 32 hidden),
-  // 4 x 32 = 128 gate rows each.
-  for (const std::size_t m : {16u, 128u}) {
-    for (const std::size_t k : {8u, 32u}) {
-      constexpr std::size_t kGates = 128;
-      Rng rng(3);
-      const Tensor x = Tensor::uniform({m, k}, rng);
-      const Tensor w = Tensor::uniform({kGates, k}, rng);
-      bench_rows("matmul_nt", m, k, kGates, 2.0 * m * k * kGates, threads,
-                 8 * reps, [&] { return matmul_nt(x, w)[0]; }, results);
-    }
+  // 4 x 32 = 128 gate rows each; then the ResNet stem's dW (6 x 256 x 27).
+  struct NtShape {
+    std::size_t m, k, n;
+  };
+  for (const NtShape s : {NtShape{16, 8, 128}, NtShape{16, 32, 128},
+                          NtShape{128, 8, 128}, NtShape{128, 32, 128},
+                          NtShape{6, 256, 27}}) {
+    Rng rng(3);
+    const Tensor x = Tensor::uniform({s.m, s.k}, rng);
+    const Tensor w = Tensor::uniform({s.n, s.k}, rng);
+    bench_rows("matmul_nt", s.m, s.k, s.n, 2.0 * s.m * s.k * s.n, threads,
+               8 * reps, [&] { return matmul_nt(x, w)[0]; }, results);
   }
   // ResNet-18 stage 1 of resnet-apfq-train: batch 16, 6 -> 6 channels,
   // 16x16, 3x3 pad 1. m, k, n are the GEMM the layer lowers to: out
   // channels, C*k*k and N*oh*ow. Backward does two such products (dW and
-  // the input gradient).
+  // the input gradient). The eval forward keeps no backward caches.
   constexpr std::size_t kBatch = 16, kChannels = 6, kSize = 16;
   const std::size_t gm = kChannels, gk = kChannels * 9,
                     gn = kBatch * kSize * kSize;
@@ -184,10 +175,53 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
              [&] { return conv.forward(x)[0]; }, results);
   bench_rows("conv2d_backward", gm, gk, gn, 2.0 * conv_flops, threads, reps,
              [&] { return conv.backward(g)[0]; }, results);
-  // apf::tanh over 4096 gate pre-activations, counted as one flop per
-  // element. The kernel is serial, so its rows only show call-to-call noise
-  // across thread counts; a call is microseconds, hence the extra reps.
-  // sigmoid_span times apf::sigmoid the same way.
+  conv.set_training(false);
+  bench_rows("conv2d_eval_forward", gm, gk, gn, conv_flops, threads, reps,
+             [&] { return conv.forward(x)[0]; }, results);
+  // Recurrent forwards over 16 steps, counted as their gate GEMMs; m, k, n
+  // are one step's (batch, input + hidden summed over layers, 4 x hidden).
+  // lstm_forward is one LSTM(8, 64) layer in training mode on a batch of
+  // 16; kws_lstm_eval_forward is kws-lstm-async-eval's evaluation forward,
+  // the 2-layer LSTM (8 features, hidden 32, 10 classes) on a batch of 128.
+  constexpr std::size_t kSteps = 16;
+  nn::LSTM lstm(8, 64, rng);
+  const Tensor seq = Tensor::uniform({16, kSteps, 8}, rng);
+  bench_rows("lstm_forward", 16, 8 + 64, 4 * 64,
+             2.0 * 16 * (8 + 64) * 4 * 64 * kSteps, threads, reps,
+             [&] { return lstm.forward(seq)[0]; }, results);
+  auto kws = nn::make_kws_lstm(rng, 8, 32, 10);
+  kws->set_training(false);
+  const Tensor kws_seq = Tensor::uniform({128, kSteps, 8}, rng);
+  bench_rows("kws_lstm_eval_forward", 128, (8 + 32) + (32 + 32), 4 * 32,
+             2.0 * 128 * ((8 + 32) + (32 + 32)) * 4 * 32 * kSteps, threads,
+             reps, [&] { return kws->forward(kws_seq)[0]; }, results);
+  // One LeNet-5 training step (forward and backward) on a batch of 16
+  // 3x32x32 images: m, k, n are batch, input scalars per sample and
+  // classes. Its flops are three times the forward GEMMs (forward, dW and
+  // the input gradient): conv1 6x75x12544, conv2 16x150x1600 and the
+  // 400-120-84-10 head.
+  auto lenet = nn::make_lenet5(rng, 3, 32, 10, 1.0);
+  const Tensor images = Tensor::uniform({16, 3, 32, 32}, rng);
+  const Tensor logits_grad({16, 10}, 0.1f);
+  const double lenet_flops =
+      3.0 * 2.0 *
+      (6.0 * 75 * 12544 + 16.0 * 150 * 1600 +
+       16.0 * (400 * 120 + 120 * 84 + 84 * 10));
+  bench_rows("lenet_train_step", 16, 3 * 32 * 32, 10, lenet_flops, threads,
+             reps,
+             [&] {
+               lenet->zero_grad();
+               lenet->forward(images);
+               return lenet->backward(logits_grad)[0];
+             },
+             results);
+  // The rows below count one operation per element or scalar (n of them,
+  // m = k = 1), so their gflops column is G elements/s. The kernels are
+  // serial, so their thread rows differ only by noise; the shorter a call,
+  // the more reps it gets.
+  //
+  // apf::tanh and apf::sigmoid over 4096 gate pre-activations, and the
+  // libm tanhf loop that apf::tanh reproduces bit for bit.
   constexpr std::size_t kSpanElems = 4096;
   const Tensor pre = Tensor::uniform({kSpanElems}, rng, -4.f, 4.f);
   Tensor act({kSpanElems});
@@ -197,11 +231,80 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
                return act[0];
              },
              results);
+  bench_rows("tanh_libm", 1, 1, kSpanElems, kSpanElems, threads, 32 * reps,
+             [&] {
+               for (std::size_t i = 0; i < kSpanElems; ++i) {
+                 act[i] = std::tanh(pre[i]);
+               }
+               return act[0];
+             },
+             results);
   bench_rows("sigmoid_span", 1, 1, kSpanElems, kSpanElems, threads,
              256 * reps,
              [&] {
                apf::sigmoid(pre.data(), act.data());
                return act[0];
+             },
+             results);
+  // APF's per-check bookkeeping at LeNet-5's dimension and at 2^20: the EMA
+  // perturbation fold and the frozen-mask popcount.
+  for (const std::size_t dim : {std::size_t{62006}, std::size_t{1} << 20}) {
+    core::EmaPerturbation ema(dim, 0.99);
+    std::vector<float> delta(dim);
+    for (float& v : delta) v = rng.uniform_float(-0.1f, 0.1f);
+    bench_rows("ema_fold", 1, 1, dim, static_cast<double>(dim), threads, reps,
+               [&] {
+                 ema.update(delta);
+                 return static_cast<float>(ema.value(0));
+               },
+               results);
+    Bitmap mask(dim, false);
+    for (std::size_t i = 0; i < dim / 3; ++i) {
+      mask.set(rng.uniform_int(std::uint64_t{dim}), true);
+    }
+    bench_rows("bitmap_count", 1, 1, dim, static_cast<double>(dim), threads,
+               16 * reps,
+               [&] { return static_cast<float>(mask.count()); }, results);
+  }
+  // The resnet-apfq-train sync path: make_resnet18 at base width 6 has
+  // 99,616 scalars, and the workload's freezing mask sits near 39% frozen.
+  // masked_pack and masked_unpack move the unfrozen scalars, pin_masked
+  // resets the frozen ones in the live model, and fp16_round_trip is one
+  // QuantizedSync push (pack, fp16 encode, decode, unpack).
+  auto resnet = nn::make_resnet18(rng, 3, 10, /*base_width=*/6);
+  fl::FlatParamView view(*resnet);
+  const std::size_t dim = view.dim();
+  const Tensor& first_weights = resnet->parameters().front().param->value;
+  Bitmap frozen(dim, false);
+  for (std::size_t j = 0; j < dim; ++j) frozen.set(j, rng.bernoulli(0.39));
+  std::vector<float> params(dim);
+  for (float& v : params) v = rng.uniform_float(-1.f, 1.f);
+  const std::vector<float> payload = wire::pack_unfrozen(params, frozen);
+  bench_rows("masked_pack", 1, 1, dim, static_cast<double>(dim), threads,
+             8 * reps,
+             [&] { return wire::pack_unfrozen(params, frozen)[0]; }, results);
+  bench_rows("masked_unpack", 1, 1, dim, static_cast<double>(dim), threads,
+             8 * reps,
+             [&] {
+               wire::unpack_unfrozen(payload, frozen, params);
+               return params[0];
+             },
+             results);
+  bench_rows("pin_masked", 1, 1, dim, static_cast<double>(dim), threads,
+             8 * reps,
+             [&] {
+               view.pin_masked(frozen, params);
+               return first_weights[0];
+             },
+             results);
+  bench_rows("fp16_round_trip", 1, 1, dim, static_cast<double>(dim),
+             threads, 8 * reps,
+             [&] {
+               const std::vector<std::uint8_t> frame = wire::encode_fp16_payload(
+                   wire::pack_unfrozen(params, frozen));
+               wire::unpack_unfrozen(wire::decode_fp16_payload(frame), frozen,
+                                     params);
+               return params[0];
              },
              results);
   return results;
@@ -230,9 +333,9 @@ std::vector<RunnerResult> bench_runner(const std::vector<std::size_t>& threads,
       fl::FederatedRunner runner(task.config, *task.train, task.partition,
                                  *task.test, task.model, task.optimizer,
                                  strategy);
-      const double start = now_seconds();
+      const double start = bench::now_seconds();
       sims[i] = runner.run();
-      walls[i].push_back(now_seconds() - start);
+      walls[i].push_back(bench::now_seconds() - start);
     }
   }
   std::vector<RunnerResult> results;
@@ -240,7 +343,7 @@ std::vector<RunnerResult> bench_runner(const std::vector<std::size_t>& threads,
   for (std::size_t i = 0; i < threads.size(); ++i) {
     RunnerResult r;
     r.threads = threads[i];
-    r.wall_seconds = median(walls[i]);
+    r.wall_seconds = bench::median(walls[i]);
     r.seconds_per_round =
         r.wall_seconds / static_cast<double>(sims[i].rounds.size());
     for (const fl::RoundRecord& rec : sims[i].rounds) {
@@ -301,38 +404,11 @@ void write_runner_json(const std::string& path,
   out << "  ]\n}\n";
 }
 
-std::vector<std::size_t> parse_thread_list(const std::string& arg) {
-  std::vector<std::size_t> threads;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const long v = std::stol(item);
-    APF_CHECK_MSG(v > 0, "bad thread count " << item);
-    threads.push_back(static_cast<std::size_t>(v));
-  }
-  APF_CHECK(!threads.empty());
-  return threads;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_dir = ".";
-  std::vector<std::size_t> threads = {1, 2, 4};
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-dir") == 0 && i + 1 < argc) {
-      json_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = parse_thread_list(argv[++i]);
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else {
-      std::cerr << "usage: " << argv[0]
-                << " [--json-dir DIR] [--threads 1,2,4] [--quick]\n";
-      return 2;
-    }
-  }
+  auto [json_dir, threads, quick] =
+      bench::parse_json_bench_args(argc, argv, {1, 2, 4});
   // The 1-thread column is the speedup baseline; make sure it is present
   // and measured first.
   if (std::find(threads.begin(), threads.end(), std::size_t{1}) ==
@@ -341,12 +417,10 @@ int main(int argc, char** argv) {
   }
   std::sort(threads.begin(), threads.end());
 
-  const std::vector<std::size_t> sizes =
-      quick ? std::vector<std::size_t>{128} : std::vector<std::size_t>{128, 256};
   const std::size_t reps = quick ? 11 : 21;  // odd: the median is one call
 
   std::cout << "=== micro_parallel_scaling: kernel throughput ===\n";
-  const auto kernels = bench_kernels(threads, sizes, reps);
+  const auto kernels = bench_kernels(threads, reps);
   std::cout << "=== micro_parallel_scaling: federated round wall time ===\n";
   const auto runner = bench_runner(threads, quick, quick ? 3 : 5);
 
