@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -89,8 +90,11 @@ struct JsonBenchArgs {
 };
 
 /// Parses `--json-dir DIR` (default "."), `--threads LIST` (default
-/// `default_threads`) and `--quick`. Anything else, a malformed thread list
-/// included, prints the usage line and exits 2.
+/// `default_threads`) and `--quick`, then creates DIR (and its parents) if
+/// it does not exist, so a bench fails before it times anything rather than
+/// when it writes its JSON. Anything else, a malformed thread list
+/// included, prints the usage line and exits 2; a directory that cannot be
+/// created prints why and exits 2.
 inline JsonBenchArgs parse_json_bench_args(
     int argc, char** argv, std::vector<std::size_t> default_threads) {
   JsonBenchArgs args;
@@ -114,6 +118,13 @@ inline JsonBenchArgs parse_json_bench_args(
     } else {
       usage();
     }
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(args.json_dir, ec);
+  if (ec) {
+    std::cerr << argv[0] << ": cannot create --json-dir " << args.json_dir
+              << ": " << ec.message() << "\n";
+    std::exit(2);
   }
   return args;
 }

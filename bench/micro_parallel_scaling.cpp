@@ -32,7 +32,6 @@
 //   --quick          fewer reps / a shorter runner for CI smoke runs
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <functional>
 #include <fstream>
 #include <iomanip>
@@ -213,6 +212,34 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
                lenet->zero_grad();
                lenet->forward(images);
                return lenet->backward(logits_grad)[0];
+             },
+             results);
+  // One resnet-apfq-train training step: width-6 ResNet-18 forward and
+  // backward on a batch of 16 3x16x16 images, m, k, n as for LeNet. Timed
+  // inside the whole model, whose caches keep the heap at its working size
+  // (a lone conv layer timed in a loop measures glibc returning and
+  // faulting in its temporaries instead). Its flops are three times the
+  // forward GEMMs: the stem, per stage a first 3x3 conv (stride 2 from
+  // stage 2, with a 1x1 projection), three more 3x3 convs, and the head.
+  Rng resnet_rng(4);
+  auto resnet_step = nn::make_resnet18(resnet_rng, 3, 10, /*base_width=*/6);
+  const Tensor resnet_images = Tensor::uniform({16, 3, 16, 16}, resnet_rng);
+  double resnet_flops = 2.0 * 6 * 27 * 16 * 16 * 16;
+  for (std::size_t stage = 0, in_c = 6, side = 16; stage < 4; ++stage) {
+    const std::size_t out_c = std::size_t{6} << stage;
+    side = stage == 0 ? side : side / 2;
+    const double positions = 16.0 * side * side;
+    resnet_flops += 2.0 * out_c * positions *
+                    (in_c * 9 + 3 * out_c * 9 + (stage == 0 ? 0 : in_c));
+    in_c = out_c;
+  }
+  resnet_flops = 3.0 * (resnet_flops + 2.0 * 16 * 48 * 10);
+  bench_rows("resnet_train_step", 16, 3 * 16 * 16, 10, resnet_flops, threads,
+             reps,
+             [&] {
+               resnet_step->zero_grad();
+               resnet_step->forward(resnet_images);
+               return resnet_step->backward(logits_grad)[0];
              },
              results);
   // The rows below count one operation per element or scalar (n of them,
@@ -424,7 +451,6 @@ int main(int argc, char** argv) {
   std::cout << "=== micro_parallel_scaling: federated round wall time ===\n";
   const auto runner = bench_runner(threads, quick, quick ? 3 : 5);
 
-  std::filesystem::create_directories(json_dir);
   const std::string kernels_path = json_dir + "/BENCH_kernels.json";
   const std::string runner_path = json_dir + "/BENCH_runner.json";
   write_kernels_json(kernels_path, kernels);

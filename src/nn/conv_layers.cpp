@@ -4,9 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "tensor/ops.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace apf::nn {
 
@@ -37,56 +35,41 @@ Tensor Conv2d::forward(const Tensor& input) {
   APF_CHECK_MSG(input.rank() == 4 && input.dim(1) == in_channels_,
                 "Conv2d expects (N," << in_channels_ << ",H,W), got "
                                      << shape_str(input.shape()));
+  const ConvGeom geom{in_channels_, input.dim(2), input.dim(3), kernel_,
+                      stride_, pad_};
+  if (!(geom == taps_.geom)) taps_ = ConvTaps(geom);
   const std::size_t n = input.dim(0);
-  geom_ = ConvGeom{in_channels_, input.dim(2), input.dim(3), kernel_, stride_,
-                   pad_};
-  APF_CHECK(geom_.in_h + 2 * pad_ >= kernel_ && geom_.in_w + 2 * pad_ >= kernel_);
-  const std::size_t plane = geom_.out_h() * geom_.out_w();
-  const std::size_t width = n * plane;
-  const std::size_t image_elems = in_channels_ * geom_.in_h * geom_.in_w;
-  batch_ = n;
-  // One (C*k*k) x (N*oh*ow) column matrix and one GEMM for the batch. The
-  // per-sample layout steps (im2col, col2im, copies) write disjoint slices,
-  // so they fan out over the pool (inline inside a pool task).
-  Tensor cols({in_channels_ * kernel_ * kernel_, width});
-  util::compute_pool().parallel_for(n, [&](std::size_t s) {
-    im2col_into(input.raw() + s * image_elems, geom_, cols.raw() + s * plane,
-                width);
-  });
-  const Tensor y = matmul(weight_.value, cols);  // (out_c, N*oh*ow)
-  Tensor out({n, out_channels_, geom_.out_h(), geom_.out_w()});
-  util::compute_pool().parallel_for(n, [&](std::size_t s) {
-    for (std::size_t c = 0; c < out_channels_; ++c) {
-      const float* src = y.raw() + c * width + s * plane;
-      float* dst = out.raw() + (s * out_channels_ + c) * plane;
-      if (has_bias_) {
-        const float b = bias_.value[c];
-        for (std::size_t i = 0; i < plane; ++i) dst[i] = src[i] + b;
-      } else {
-        std::copy(src, src + plane, dst);
-      }
-    }
-  });
-  // Eval mode keeps no cache, so backward() after it throws.
-  cols_ = training() ? std::move(cols) : Tensor();
+  // A training forward pads into the buffer it keeps for backward(), so
+  // the buffer is reused; eval mode keeps none, and backward() after it
+  // throws.
+  const Shape padded_shape{n, in_channels_, taps_.padded_h, taps_.padded_w};
+  Tensor padded = training() && padded_.shape() == padded_shape
+                      ? std::move(padded_)
+                      : Tensor(padded_shape);
+  padded_ = Tensor();
+  conv2d_pad(input.raw(), n, taps_, padded.raw());
+  Tensor out({n, out_channels_, geom.out_h(), geom.out_w()});
+  conv2d_forward(weight_.value.raw(), out_channels_,
+                 has_bias_ ? bias_.value.raw() : nullptr, padded.raw(), n,
+                 taps_, out.raw());
+  if (training()) padded_ = std::move(padded);
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  APF_CHECK_MSG(cols_.rank() == 2,
+  APF_CHECK_MSG(padded_.rank() == 4,
                 "Conv2d::backward needs a training-mode forward first");
-  const std::size_t n = batch_;
-  const std::size_t plane = geom_.out_h() * geom_.out_w();
-  const std::size_t width = n * plane;
-  const std::size_t fan_in = in_channels_ * kernel_ * kernel_;
+  const ConvGeom& geom = taps_.geom;
+  const std::size_t n = padded_.dim(0);
+  const std::size_t plane = geom.out_h() * geom.out_w();
   APF_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == n &&
             grad_output.dim(1) == out_channels_ &&
-            grad_output.dim(2) == geom_.out_h() &&
-            grad_output.dim(3) == geom_.out_w());
-  // dW += gy_s * cols_s^T per sample, each a double dot product rounded to
+            grad_output.dim(2) == geom.out_h() &&
+            grad_output.dim(3) == geom.out_w());
+  // dW += gy_s * P_s^T per sample, each a double dot product rounded to
   // float and folded in sample order; the bias gradient likewise.
-  matmul_nt_fold_segments(grad_output.raw(), cols_.raw(), out_channels_,
-                          fan_in, n, plane, weight_.grad.raw());
+  conv2d_weight_grad(grad_output.raw(), out_channels_, padded_.raw(), n,
+                     taps_, weight_.grad.raw());
   if (has_bias_) {
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t c = 0; c < out_channels_; ++c) {
@@ -97,21 +80,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
     }
   }
-  // grad_cols = W^T * gy over the batch, scattered back through col2im.
-  Tensor gy({out_channels_, width});
-  util::compute_pool().parallel_for(n, [&](std::size_t s) {
-    for (std::size_t c = 0; c < out_channels_; ++c) {
-      const float* src = grad_output.raw() + (s * out_channels_ + c) * plane;
-      std::copy(src, src + plane, gy.raw() + c * width + s * plane);
-    }
-  });
-  const Tensor grad_cols = matmul_tn(weight_.value, gy);
-  Tensor grad_input({n, in_channels_, geom_.in_h, geom_.in_w});
-  const std::size_t image_elems = in_channels_ * geom_.in_h * geom_.in_w;
-  util::compute_pool().parallel_for(n, [&](std::size_t s) {
-    col2im_from(grad_cols.raw() + s * plane, width, geom_,
-                grad_input.raw() + s * image_elems);
-  });
+  Tensor grad_input({n, in_channels_, geom.in_h, geom.in_w});
+  conv2d_input_grad(weight_.value.raw(), out_channels_, grad_output.raw(), n,
+                    taps_, grad_input.raw());
   return grad_input;
 }
 

@@ -9,11 +9,12 @@
 
 namespace apf::nn {
 
-/// 2-D convolution (square kernel), lowered to matmul via im2col. The whole
-/// minibatch unfolds into one (C*k*k) x (N*oh*ow) matrix: forward is one
-/// GEMM, backward one matmul_tn for the input gradient plus a per-sample
-/// dW fold. Eval mode keeps no im2col cache; backward() after an eval-mode
-/// forward throws.
+/// 2-D convolution (square kernel) over the whole minibatch as implicit
+/// GEMMs (tensor/conv.h): the forward, the per-sample dW fold and the input
+/// gradient pack their panels straight from the images or the output
+/// gradient, and no patch matrix is built. A training forward keeps a
+/// zero-padded copy of its input for the dW fold; eval mode keeps none,
+/// and backward() after an eval-mode forward throws.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -30,9 +31,8 @@ class Conv2d : public Module {
   bool has_bias_;
   Parameter weight_;  // (out_c, in_c * k * k)
   Parameter bias_;    // (out_c)
-  ConvGeom geom_;
-  std::size_t batch_ = 0;
-  Tensor cols_;  // (C*k*k) x (N*oh*ow) im2col cache; empty after eval
+  ConvTaps taps_;  // of the last input shape
+  Tensor padded_;  // the last training input, padded; empty after eval
 };
 
 /// Max pooling with square window; window == stride (non-overlapping).

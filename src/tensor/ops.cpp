@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "tensor/activations.h"
+#include "tensor/conv.h"
 #include "tensor/simd.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -104,12 +105,11 @@ APF_TILE void narrow(const f64x4& lo, const f64x4& hi, f32x8& out) {
 }
 
 // One float register tile: rows [0, R) of op(A) times one packed panel,
-// written over the first `width` columns of C. p ascends, so each output
-// gets the scalar ikj loop's float additions in the same order.
-template <typename F, std::size_t R>
+// each finished row r handed to out(r, row). p ascends, so each output gets
+// the scalar ikj loop's float additions in the same order.
+template <typename F, std::size_t R, typename Out>
 APF_TILE void gemm_tile(const float* a, std::size_t a_row, std::size_t a_col,
-                        const float* panel, std::size_t k, float* c,
-                        std::size_t ldc, std::size_t width) {
+                        const float* panel, std::size_t k, const Out& out) {
   constexpr std::size_t kVecs = kPanel / kLanes<F>;
   F acc[R][kVecs] = {};
   for (std::size_t p = 0; p < k; ++p) {
@@ -121,45 +121,55 @@ APF_TILE void gemm_tile(const float* a, std::size_t a_row, std::size_t a_col,
       for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += av * b[v];
     }
   }
-  for (std::size_t r = 0; r < R; ++r) store_row(c + r * ldc, width, acc[r]);
+  for (std::size_t r = 0; r < R; ++r) out(r, acc[r]);
 }
 
 // The tile of `rows` (1..R) rows.
-template <typename F, std::size_t R>
+template <typename F, std::size_t R, typename Out>
 APF_TILE void gemm_rows(std::size_t rows, const float* a, std::size_t a_row,
                         std::size_t a_col, const float* panel, std::size_t k,
-                        float* c, std::size_t ldc, std::size_t width) {
+                        const Out& out) {
   if constexpr (R > 1) {
     if (rows < R) {
-      gemm_rows<F, R - 1>(rows, a, a_row, a_col, panel, k, c, ldc, width);
+      gemm_rows<F, R - 1>(rows, a, a_row, a_col, panel, k, out);
       return;
     }
   }
-  gemm_tile<F, R>(a, a_row, a_col, panel, k, c, ldc, width);
+  gemm_tile<F, R>(a, a_row, a_col, panel, k, out);
 }
 
+// Writes the rows of one tile over C: row r at c + r * ldc, its first
+// `width` columns.
+struct RowStore {
+  float* c;
+  std::size_t ldc, width;
+  template <typename F, std::size_t V>
+  APF_TILE void operator()(std::size_t r, const F (&row)[V]) const {
+    store_row(c + r * ldc, width, row);
+  }
+};
+
 // Row tiles [t0, t1) of gemm over the packed panels [p0, p1): panel p sits
-// at packed + (p - p0) * k * kPanel.
+// at packed + (p - p0) * k * kPanel. The tile of row tile t and panel p
+// goes to dst.tile(t * rows per tile, p), a store like RowStore.
 struct GemmSweep {
   const float* a;
   std::size_t a_row, a_col;
   const float* packed;
-  float* c;
-  std::size_t m, k, n, t0, t1, p0, p1;
+  std::size_t m, k, t0, t1, p0, p1;
 };
 
-template <typename Isa>
-APF_TILE void gemm_sweep(const GemmSweep& args) {
-  const GemmSweep s = args;  // a local copy: stores to C cannot alias it
+template <typename Isa, typename Dst>
+APF_TILE void gemm_sweep(const GemmSweep& args, const Dst& dst_args) {
+  const GemmSweep s = args;  // local copies: stores to C cannot alias them
+  const Dst dst = dst_args;
   constexpr std::size_t kRows = Isa::kGemmRows;
   for (std::size_t t = s.t0; t < s.t1; ++t) {
     const std::size_t i0 = t * kRows;
     for (std::size_t p = s.p0; p < s.p1; ++p) {
-      const std::size_t j0 = p * kPanel;
       gemm_rows<typename Isa::Floats, kRows>(
           std::min(kRows, s.m - i0), s.a + i0 * s.a_row, s.a_row, s.a_col,
-          s.packed + (p - s.p0) * s.k * kPanel, s.k, s.c + i0 * s.n + j0, s.n,
-          std::min(kPanel, s.n - j0));
+          s.packed + (p - s.p0) * s.k * kPanel, s.k, dst.tile(i0, p));
     }
   }
 }
@@ -263,7 +273,10 @@ struct Tiles<simd::Sse2> : simd::Sse2 {
   APF_TILE static void madd(f64x2& acc, const WideA& a, const f64x2& b) {
     acc += a * b;
   }
-  static void gemm(const GemmSweep& s) { gemm_sweep<Tiles>(s); }
+  template <typename Dst>
+  static void gemm(const GemmSweep& s, const Dst& dst) {
+    gemm_sweep<Tiles>(s, dst);
+  }
   template <bool kFold>
   static void nt(const NtSweep<WideA>& s) {
     nt_sweep<Tiles, kFold>(s);
@@ -286,8 +299,10 @@ struct Tiles<simd::Avx2> : simd::Avx2 {
     acc = f64x4{__builtin_fma(a, b[0], acc[0]), __builtin_fma(a, b[1], acc[1]),
                 __builtin_fma(a, b[2], acc[2]), __builtin_fma(a, b[3], acc[3])};
   }
-  __attribute__((target("avx2"))) static void gemm(const GemmSweep& s) {
-    gemm_sweep<Tiles>(s);
+  template <typename Dst>
+  __attribute__((target("avx2"))) static void gemm(const GemmSweep& s,
+                                                   const Dst& dst) {
+    gemm_sweep<Tiles>(s, dst);
   }
   template <bool kFold>
   __attribute__((target("avx2,fma"))) static void nt(
@@ -297,14 +312,15 @@ struct Tiles<simd::Avx2> : simd::Avx2 {
 };
 #endif
 
-// C(m x n) = op(A) * B with op(A)[i][p] = a[i * a_row + p * a_col] and B
-// row-major (k x n), written over c (row stride n). Each block packs its
-// panels in runs that fit in cache and sweeps the row tiles over a run, so
-// C fills row by row.
-template <typename Isa>
-void gemm(const float* a, std::size_t a_row, std::size_t a_col,
-          const float* b, float* c, std::size_t m, std::size_t k,
-          std::size_t n) {
+// C = op(A) * B with op(A)[i][p] = a[i * a_row + p * a_col] (m x k) and B
+// (k x n) read through src: src.pack(p, panel) writes panel p of B (k rows
+// of kPanel floats, zero past column n), and src.tile(i0, p) is the store
+// of the tile at row i0 and panel p. Each block packs its panels in runs
+// that fit in cache and sweeps the row tiles over a run, so C fills row by
+// row.
+template <typename Isa, typename Src>
+void gemm(const float* a, std::size_t a_row, std::size_t a_col, std::size_t m,
+          std::size_t k, std::size_t n, const Src& src) {
   const std::size_t run = std::max<std::size_t>(
       1, kPackedFloats / (std::max<std::size_t>(k, 1) * kPanel));
   run_blocks(ceil_div(m, Isa::kGemmRows), ceil_div(n, kPanel), 2 * m * k * n,
@@ -313,25 +329,45 @@ void gemm(const float* a, std::size_t a_row, std::size_t a_col,
     std::vector<float> packed(std::min(run, p1 - p0) * k * kPanel);
     for (std::size_t r0 = p0; r0 < p1; r0 += run) {
       const std::size_t r1 = std::min(p1, r0 + run);
-      // Columns of B, k-major in zero-padded panels of kPanel.
-      for (std::size_t p = r0; p < r1; ++p) {
-        const std::size_t j0 = p * kPanel;
-        const std::size_t width = std::min(kPanel, n - j0);
-        float* panel = packed.data() + (p - r0) * k * kPanel;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          float* dst = panel + kk * kPanel;
-          const float* src = b + kk * n + j0;
-          if (width == kPanel) {
-            std::memcpy(dst, src, kPanel * sizeof(float));
-          } else {
-            for (std::size_t jj = 0; jj < kPanel; ++jj)
-              dst[jj] = jj < width ? src[jj] : 0.f;
-          }
-        }
-      }
-      Isa::gemm({a, a_row, a_col, packed.data(), c, m, k, n, t0, t1, r0, r1});
+      for (std::size_t p = r0; p < r1; ++p)
+        src.pack(p, packed.data() + (p - r0) * k * kPanel);
+      Isa::gemm({a, a_row, a_col, packed.data(), m, k, t0, t1, r0, r1}, src);
     }
   });
+}
+
+// B of gemm as a row-major (k x n) matrix and C as a row-major (m x n) one.
+struct MatrixOperands {
+  const float* b;
+  float* c;
+  std::size_t k, n;
+
+  // Columns of B, k-major in zero-padded panels of kPanel.
+  void pack(std::size_t p, float* panel) const {
+    const std::size_t j0 = p * kPanel;
+    const std::size_t width = std::min(kPanel, n - j0);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+      float* dst = panel + kk * kPanel;
+      const float* src = b + kk * n + j0;
+      if (width == kPanel) {
+        std::memcpy(dst, src, kPanel * sizeof(float));
+      } else {
+        for (std::size_t jj = 0; jj < kPanel; ++jj)
+          dst[jj] = jj < width ? src[jj] : 0.f;
+      }
+    }
+  }
+  RowStore tile(std::size_t i0, std::size_t p) const {
+    const std::size_t j0 = p * kPanel;
+    return {c + i0 * n + j0, n, std::min(kPanel, n - j0)};
+  }
+};
+
+template <typename Isa>
+void gemm_matrix(const float* a, std::size_t a_row, std::size_t a_col,
+                 const float* b, float* c, std::size_t m, std::size_t k,
+                 std::size_t n) {
+  gemm<Isa>(a, a_row, a_col, m, k, n, MatrixOperands{b, c, k, n});
 }
 
 // One kPanel-column panel of B^T for the matmul_nt family: row q holds
@@ -385,18 +421,18 @@ void nt_packed(const float* a, std::size_t lda, std::size_t m,
   }
 }
 
-// matmul_nt_fold_segments (see ops.h): per segment s, A_s is the (m x len)
-// slab at a + s * m * len and B_s columns [s * len, (s + 1) * len) of the
-// (r x segments * len) matrix b. A is widened in chunks of kWideRows rows
-// (each chunk packs B again, at most 1/kWideRows of the arithmetic).
-// Blocks walk their panels, pack runs of segments that fit in L1 and sweep
-// the row tiles over each run, so every C element folds its segments in
-// ascending order.
-template <typename Isa>
-void nt_segments(const float* a, const float* b, std::size_t m,
-                 std::size_t r, std::size_t segments, std::size_t len,
-                 float* c) {
-  const std::size_t ldb = segments * len;
+// C(m x r) += A_s * B_s^T for segments s in order (matmul_nt_fold_segments
+// in ops.h): A_s is the (m x len) slab at a + s * m * len, and
+// pack(j0, width, s, dst) writes the panel of B_s holding C's columns
+// [j0, j0 + width): row q (of len) holds B_s[j0 + jj][q] in lane jj, zeros
+// past width. A is widened in chunks of kWideRows rows (each chunk packs B
+// again, at most 1/kWideRows of the arithmetic). Blocks walk their panels,
+// pack runs of segments that fit in L1 and sweep the row tiles over each
+// run, so every C element folds its segments in ascending order.
+template <typename Isa, typename Pack>
+void nt_segments(const float* a, std::size_t m, std::size_t r,
+                 std::size_t segments, std::size_t len, float* c,
+                 const Pack& pack) {
   const std::size_t run = std::max<std::size_t>(
       1, kPackedFloats / (2 * kPanel * std::max<std::size_t>(len, 1)));
   std::vector<typename Isa::WideA> wide(segments * std::min(kWideRows, m) *
@@ -409,7 +445,7 @@ void nt_segments(const float* a, const float* b, std::size_t m,
     }
     float* c_rows = c + base * r;
     run_blocks(ceil_div(rows, Isa::kNtRows), ceil_div(r, kPanel),
-               2 * rows * r * ldb,
+               2 * rows * r * segments * len,
                [&](std::size_t t0, std::size_t t1, std::size_t p0,
                    std::size_t p1) {
       std::vector<double> panel(std::min(run, segments) * len * kPanel);
@@ -418,16 +454,307 @@ void nt_segments(const float* a, const float* b, std::size_t m,
         const std::size_t width = std::min(kPanel, r - j0);
         for (std::size_t s0 = 0; s0 < segments; s0 += run) {
           const std::size_t s1 = std::min(segments, s0 + run);
-          for (std::size_t s = s0; s < s1; ++s) {
-            pack_nt_panel(b + j0 * ldb + s * len, ldb, len, width,
-                          panel.data() + (s - s0) * len * kPanel);
-          }
+          for (std::size_t s = s0; s < s1; ++s)
+            pack(j0, width, s, panel.data() + (s - s0) * len * kPanel);
           Isa::template nt<true>({wide.data(), panel.data(), c_rows + j0,
                                   rows, len, s0, s1, r, width, t0, t1});
         }
       }
     });
   }
+}
+
+// ---- Implicit-GEMM convolution (tensor/conv.h) ----
+//
+// The forward GEMM and the weight-gradient fold read the patch matrix from
+// zero-padded images (conv2d_pad): the tap of patch row kk at output
+// (y, x) of sample s is padded[s * padded_image + rows[kk].padded +
+// y * stride * padded_w + x * stride], with no bounds test. Column j of the
+// patch matrix is output position j % plane of sample j / plane.
+
+// Index in the padded batch of patch row 0's tap for the first `width`
+// columns from j0.
+void lane_taps(const ConvTaps& taps, std::size_t j0, std::size_t width,
+               std::size_t (&at)[kPanel]) {
+  const ConvGeom& g = taps.geom;
+  const std::size_t oh = g.out_h(), ow = g.out_w(), plane = oh * ow;
+  const std::size_t image = taps.padded_image();
+  const std::size_t row_step = g.stride * taps.padded_w;
+  std::size_t s = j0 / plane, y = j0 % plane / ow, x = j0 % ow;
+  for (std::size_t l = 0; l < width; ++l) {
+    at[l] = s * image + y * row_step + x * g.stride;
+    if (++x == ow) {
+      x = 0;
+      if (++y == oh) {
+        y = 0;
+        ++s;
+      }
+    }
+  }
+}
+
+// The forward GEMM's B is the patch matrix, packed panel by panel straight
+// from the padded images; C goes straight to the (N x out_c x plane)
+// output, plus the bias.
+struct ConvForwardOperands {
+  const ConvTaps* taps;
+  const float* padded;
+  const float* bias;
+  float* out;
+  std::size_t out_c, n;
+
+  // Panel p: row kk holds the values im2col writes for patch row kk at the
+  // panel's columns, zeros past the last column. Where the panel's taps
+  // are consecutive pixels (stride 1 along one output row), each row is
+  // one copy.
+  void pack(std::size_t p, float* panel) const {
+    const ConvGeom& g = taps->geom;
+    const std::size_t j0 = p * kPanel;
+    const std::size_t width = std::min(kPanel, n * g.out_h() * g.out_w() - j0);
+    std::size_t at[kPanel];
+    lane_taps(*taps, j0, width, at);
+    const bool consecutive =
+        width == kPanel && at[kPanel - 1] - at[0] == kPanel - 1;
+    const std::size_t rows = taps->rows.size();
+    for (std::size_t kk = 0; kk < rows; ++kk) {
+      float* dst = panel + kk * kPanel;
+      const float* src = padded + taps->rows[kk].padded;
+      if (consecutive) {
+        std::memcpy(dst, src + at[0], kPanel * sizeof(float));
+        continue;
+      }
+      for (std::size_t l = 0; l < width; ++l) dst[l] = src[at[l]];
+      for (std::size_t l = width; l < kPanel; ++l) dst[l] = 0.f;
+    }
+  }
+
+  // Row r of the tile at row i0 and panel p is output channel i0 + r at
+  // the panel's columns, which may span samples.
+  struct Store {
+    float* out;
+    const float* bias;
+    std::size_t out_c, plane, s, q, width;
+    template <typename F, std::size_t V>
+    APF_TILE void operator()(std::size_t r, const F (&acc)[V]) const {
+      F row[V];
+      for (std::size_t v = 0; v < V; ++v)
+        row[v] = bias != nullptr ? acc[v] + bias[r] : acc[v];
+      float* dst = out + (s * out_c + r) * plane + q;
+      if (q + width <= plane) {
+        store_row(dst, width, row);
+        return;
+      }
+      float buf[kPanel];
+      store_row(buf, kPanel, row);
+      std::size_t done = plane - q;
+      std::copy(buf, buf + done, dst);
+      for (std::size_t next = s + 1; done < width; ++next) {
+        const std::size_t len = std::min(plane, width - done);
+        std::copy(buf + done, buf + done + len,
+                  out + (next * out_c + r) * plane);
+        done += len;
+      }
+    }
+  };
+  Store tile(std::size_t i0, std::size_t p) const {
+    const ConvGeom& g = taps->geom;
+    const std::size_t plane = g.out_h() * g.out_w();
+    const std::size_t j0 = p * kPanel;
+    return {out + i0 * plane, bias == nullptr ? nullptr : bias + i0, out_c,
+            plane, j0 / plane, j0 % plane,
+            std::min(kPanel, n * plane - j0)};
+  }
+};
+
+// Index of the pixel tap row t reads at output (y, x) of sample s in the
+// unpadded images (valid taps only).
+std::ptrdiff_t tap_index(const ConvTaps::Row& t, std::size_t image,
+                         std::size_t s, std::size_t row_step, std::size_t y,
+                         std::size_t stride, std::size_t x) {
+  return static_cast<std::ptrdiff_t>(s * image + y * row_step + x * stride) +
+         t.origin;
+}
+
+// Panel p of gy, the (out_c x N*plane) matrix whose column s * plane + q
+// is output position q of sample s in the (N x out_c x plane) grad_out:
+// row o holds output channel o at the panel's columns, zeros past the end.
+void pack_grad_panel(const float* grad_out, std::size_t out_c,
+                     std::size_t plane, std::size_t n, std::size_t p,
+                     float* panel) {
+  const std::size_t j0 = p * kPanel;
+  const std::size_t width = std::min(kPanel, n * plane - j0);
+  const std::size_t s = j0 / plane, q = j0 % plane;
+  for (std::size_t o = 0; o < out_c; ++o) {
+    float* dst = panel + o * kPanel;
+    if (width == kPanel && q + kPanel <= plane) {
+      std::memcpy(dst, grad_out + (s * out_c + o) * plane + q,
+                  kPanel * sizeof(float));
+      continue;
+    }
+    for (std::size_t jj = 0; jj < kPanel; ++jj) {
+      const std::size_t j = j0 + jj;
+      dst[jj] = jj < width
+                    ? grad_out[((j / plane) * out_c + o) * plane + j % plane]
+                    : 0.f;
+    }
+  }
+}
+
+// The strip: row r of the tile at panel p goes to strip + r * ld +
+// (p - p0) * kPanel.
+struct StripStore {
+  float* strip;
+  std::size_t ld, p0;
+  RowStore tile(std::size_t /*i0*/, std::size_t p) const {
+    return {strip + (p - p0) * kPanel, ld, kPanel};
+  }
+};
+
+// dst[i] += src[i] for i in [0, count); the two never overlap.
+void add_run(float* __restrict dst, const float* __restrict src,
+             std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) dst[i] += src[i];
+}
+
+// Adds patch row kk of samples [s0, s1) into their images, the row read
+// from src (sample s at src + (s - s0) * plane): col2im's loop for one row.
+// At stride 1 with out_w == in_w a row's valid taps are one run of the
+// image shifted by its origin, so the run is added in one loop; the taps
+// the run passes in the padding (at the row ends) are zeroed in src first.
+// Adding +0 leaves a gradient pixel's bits alone, because the pixels start
+// at +0 and a sum that starts at +0 is never -0.
+void add_patch_row(const ConvTaps& taps, std::size_t kk, float* src,
+                   std::size_t s0, std::size_t s1, float* images) {
+  const ConvGeom& g = taps.geom;
+  const ConvTaps::Row& t = taps.rows[kk];
+  if (t.y_lo >= t.y_hi || t.x_lo >= t.x_hi) return;
+  const std::size_t ow = g.out_w(), stride = g.stride;
+  const std::size_t plane = g.out_h() * ow;
+  const std::size_t image = g.channels * g.in_h * g.in_w;
+  const std::size_t row_step = stride * g.in_w;
+  const bool same_width = stride == 1 && ow == g.in_w;
+  if (same_width) {
+    // The columns whose taps fall in the padding, in every output row of
+    // every sample (the samples' rows are ow floats apart throughout src).
+    const std::size_t lines = (s1 - s0) * g.out_h();
+    const auto zero_column = [&](std::size_t x) {
+      for (std::size_t line = 0; line < lines; ++line) src[line * ow + x] = 0.f;
+    };
+    for (std::size_t x = 0; x < t.x_lo; ++x) zero_column(x);
+    for (std::size_t x = t.x_hi; x < ow; ++x) zero_column(x);
+  }
+  for (std::size_t s = s0; s < s1; ++s) {
+    float* from = src + (s - s0) * plane;
+    if (same_width) {
+      const std::size_t begin = t.y_lo * ow + t.x_lo;
+      add_run(images + tap_index(t, image, s, row_step, t.y_lo, 1, t.x_lo),
+              from + begin, (t.y_hi - 1) * ow + t.x_hi - begin);
+      continue;
+    }
+    for (std::size_t y = t.y_lo; y < t.y_hi; ++y) {
+      const float* row = from + y * ow;
+      float* dst = images + tap_index(t, image, s, row_step, y, stride, t.x_lo);
+      const std::size_t count = t.x_hi - t.x_lo;
+      if (stride == 1) {
+        for (std::size_t x = 0; x < count; ++x) dst[x] += row[t.x_lo + x];
+      } else {
+        for (std::size_t x = 0; x < count; ++x)
+          dst[x * stride] += row[t.x_lo + x];
+      }
+    }
+  }
+}
+
+template <typename Isa>
+void conv_forward(const float* weight, std::size_t out_c, const float* bias,
+                  const float* padded, std::size_t n, const ConvTaps& taps,
+                  float* out) {
+  const std::size_t k = taps.rows.size();
+  const std::size_t plane = taps.geom.out_h() * taps.geom.out_w();
+  gemm<Isa>(weight, k, 1, out_c, k, n * plane,
+            ConvForwardOperands{&taps, padded, bias, out, out_c, n});
+}
+
+// The weight-gradient fold: matmul_nt_fold_segments with B_s the patch
+// rows of sample s, each panel packed straight from the padded image,
+// q-major: row q holds the taps of the panel's patch rows at output q.
+template <typename Isa>
+void conv_weight_grad(const float* grad_out, std::size_t out_c,
+                      const float* padded, std::size_t n,
+                      const ConvTaps& taps, float* grad_weight) {
+  const ConvGeom& g = taps.geom;
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  const std::size_t image = taps.padded_image();
+  const std::size_t stride = g.stride, row_step = stride * taps.padded_w;
+  nt_segments<Isa>(
+      grad_out, out_c, taps.rows.size(), n, oh * ow, grad_weight,
+      [&](std::size_t j0, std::size_t width, std::size_t s, double* dst) {
+        const float* src[kPanel];
+        for (std::size_t l = 0; l < width; ++l)
+          src[l] = padded + s * image + taps.rows[j0 + l].padded;
+        for (std::size_t y = 0; y < oh; ++y) {
+          for (std::size_t x = 0; x < ow; ++x, dst += kPanel) {
+            const std::size_t at = y * row_step + x * stride;
+            if (width == kPanel) {
+              for (std::size_t l = 0; l < kPanel; ++l) dst[l] = src[l][at];
+              continue;
+            }
+            for (std::size_t l = 0; l < kPanel; ++l)
+              dst[l] = l < width ? src[l][at] : 0.0;
+          }
+        }
+      });
+}
+
+// The input gradient's GEMM is W^T (K x out_c) times gy (out_c x N*plane),
+// its B panels packed straight from the (N x out_c x plane) output
+// gradient. It runs in groups of whole samples, for each row tile of K
+// storing the group's tiles into a strip of rows, then adding the strip to
+// the gradient images row by row, as col2im adds patch rows.
+template <typename Isa>
+void conv_input_grad(const float* weight, std::size_t out_c,
+                     const float* grad_out, std::size_t n,
+                     const ConvTaps& taps, float* grad_input) {
+  const ConvGeom& g = taps.geom;
+  const std::size_t k = taps.rows.size();
+  const std::size_t plane = g.out_h() * g.out_w();
+  constexpr std::size_t kRows = Isa::kGemmRows;
+  // Groups of whole samples whose packed panels and strip fit in L1.
+  const std::size_t group = std::max<std::size_t>(
+      1, kPackedFloats / ((out_c + kRows) * plane));
+  // Samples [s0, s1), one group at a time. A panel that straddles two
+  // groups is computed in both; each adds only its own samples' columns.
+  const auto samples = [&](std::size_t s0, std::size_t s1) {
+    const std::size_t most =
+        ceil_div(std::min(group, s1 - s0) * plane, kPanel) + 1;
+    std::vector<float> packed(most * out_c * kPanel);
+    std::vector<float> strip(kRows * most * kPanel);
+    const std::size_t ld = most * kPanel;
+    for (std::size_t g0 = s0; g0 < s1; g0 += group) {
+      const std::size_t g1 = std::min(s1, g0 + group);
+      const std::size_t p0 = g0 * plane / kPanel;
+      const std::size_t p1 = ceil_div(g1 * plane, kPanel);
+      for (std::size_t p = p0; p < p1; ++p)
+        pack_grad_panel(grad_out, out_c, plane, n, p,
+                        packed.data() + (p - p0) * out_c * kPanel);
+      float* first = strip.data() + (g0 * plane - p0 * kPanel);
+      for (std::size_t i0 = 0; i0 < k; i0 += kRows) {
+        Isa::gemm({weight + i0, 1, k, packed.data(), k - i0, out_c, 0, 1, p0,
+                   p1},
+                  StripStore{strip.data(), ld, p0});
+        for (std::size_t r = 0; r < std::min(kRows, k - i0); ++r)
+          add_patch_row(taps, i0 + r, first + r * ld, g0, g1, grad_input);
+      }
+    }
+  };
+  if (!use_pool(2 * k * out_c * n * plane)) {
+    samples(0, n);
+    return;
+  }
+  const std::size_t lanes = std::min(n, util::compute_pool().lanes());
+  util::compute_pool().parallel_for(lanes, [&](std::size_t i) {
+    samples(i * n / lanes, (i + 1) * n / lanes);
+  });
 }
 }  // namespace
 
@@ -437,7 +764,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   APF_CHECK_MSG(b.dim(0) == k, "matmul inner dims " << k << " vs " << b.dim(0));
   Tensor c({m, n});
   simd::with_isa<Tiles>([&](auto isa) {
-    gemm<decltype(isa)>(a.raw(), k, 1, b.raw(), c.raw(), m, k, n);
+    gemm_matrix<decltype(isa)>(a.raw(), k, 1, b.raw(), c.raw(), m, k, n);
   });
   return c;
 }
@@ -450,7 +777,7 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   APF_CHECK(b.dim(0) == m);
   Tensor c({k, n});
   simd::with_isa<Tiles>([&](auto isa) {
-    gemm<decltype(isa)>(a.raw(), 1, k, b.raw(), c.raw(), k, m, n);
+    gemm_matrix<decltype(isa)>(a.raw(), 1, k, b.raw(), c.raw(), k, m, n);
   });
   return c;
 }
@@ -493,8 +820,39 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
                              std::size_t r, std::size_t segments,
                              std::size_t len, float* c) {
+  const std::size_t ldb = segments * len;
   simd::with_isa<Tiles>([&](auto isa) {
-    nt_segments<decltype(isa)>(a, b, m, r, segments, len, c);
+    nt_segments<decltype(isa)>(
+        a, m, r, segments, len, c,
+        [&](std::size_t j0, std::size_t width, std::size_t s, double* dst) {
+          pack_nt_panel(b + j0 * ldb + s * len, ldb, len, width, dst);
+        });
+  });
+}
+
+void conv2d_forward(const float* weight, std::size_t out_c, const float* bias,
+                    const float* padded, std::size_t n, const ConvTaps& taps,
+                    float* out) {
+  simd::with_isa<Tiles>([&](auto isa) {
+    conv_forward<decltype(isa)>(weight, out_c, bias, padded, n, taps, out);
+  });
+}
+
+void conv2d_weight_grad(const float* grad_out, std::size_t out_c,
+                        const float* padded, std::size_t n,
+                        const ConvTaps& taps, float* grad_weight) {
+  simd::with_isa<Tiles>([&](auto isa) {
+    conv_weight_grad<decltype(isa)>(grad_out, out_c, padded, n, taps,
+                                    grad_weight);
+  });
+}
+
+void conv2d_input_grad(const float* weight, std::size_t out_c,
+                       const float* grad_out, std::size_t n,
+                       const ConvTaps& taps, float* grad_input) {
+  simd::with_isa<Tiles>([&](auto isa) {
+    conv_input_grad<decltype(isa)>(weight, out_c, grad_out, n, taps,
+                                   grad_input);
   });
 }
 

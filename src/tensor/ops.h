@@ -26,6 +26,13 @@
 // segments per column block. Besides their output the kernels allocate the
 // widened copy of A and, for the fold, one packed panel run per block.
 //
+// The implicit-GEMM conv kernels (tensor/conv.h) are defined in ops.cpp and
+// run these tiles with other panel sources and stores: the float tile over
+// panels packed from padded images (forward, stored into the NCHW output)
+// and from the output gradient (input gradient, added into the gradient
+// images), and the fold's double tile over panels packed from padded
+// images (weight gradient).
+//
 // Two tile shapes exist, each with eight vector accumulators. The baseline
 // (16-byte vectors, SSE2 on x86-64) keeps 4 x 8 floats and 2 x 8 doubles;
 // the AVX2 tiles keep 8 x 8 floats and 4 x 8 doubles. A tile only decides

@@ -1,7 +1,10 @@
-// The --threads parser and argument loop of bench/harness.h. Parsing only:
-// no test here builds a ThreadPool, so large counts start no threads.
+// The --threads parser, the argument loop and the --json-dir creation of
+// bench/harness.h. No test here builds a ThreadPool, so large counts start
+// no threads; directories go under the gtest temp dir.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,12 +41,13 @@ TEST(BenchHarness, RejectsCountsOutOfRange) {
 }
 
 TEST(BenchHarness, ArgumentLoopReadsEveryFlag) {
-  std::string prog = "bench", dir_flag = "--json-dir", dir = "out",
+  std::string prog = "bench", dir_flag = "--json-dir",
+              dir = testing::TempDir() + "bench_harness_out",
               threads_flag = "--threads", threads = "1,3", quick = "--quick";
   char* argv[] = {prog.data(), dir_flag.data(), dir.data(),
                   threads_flag.data(), threads.data(), quick.data()};
   const auto args = apf::bench::parse_json_bench_args(6, argv, {1, 4});
-  EXPECT_EQ(args.json_dir, "out");
+  EXPECT_EQ(args.json_dir, dir);
   EXPECT_EQ(args.threads, (std::vector<std::size_t>{1, 3}));
   EXPECT_TRUE(args.quick);
 
@@ -53,6 +57,34 @@ TEST(BenchHarness, ArgumentLoopReadsEveryFlag) {
   EXPECT_EQ(defaults.json_dir, ".");
   EXPECT_EQ(defaults.threads, (std::vector<std::size_t>{1, 4}));
   EXPECT_FALSE(defaults.quick);
+}
+
+// A --json-dir that does not exist yet, parents included, exists once the
+// arguments are parsed: the benches write their JSON there only after the
+// whole run.
+TEST(BenchHarness, CreatesMissingJsonDir) {
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "bench_harness_json_dir";
+  std::filesystem::remove_all(root);
+  std::string prog = "bench", flag = "--json-dir",
+              dir = (root / "a" / "b").string();
+  char* argv[] = {prog.data(), flag.data(), dir.data()};
+  const auto args = apf::bench::parse_json_bench_args(3, argv, {1});
+  EXPECT_EQ(args.json_dir, dir);
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
+  std::filesystem::remove_all(root);
+}
+
+TEST(BenchHarnessDeathTest, UncreatableJsonDirExits) {
+  const std::filesystem::path file =
+      std::filesystem::path(testing::TempDir()) / "bench_harness_file";
+  std::ofstream(file) << "not a directory";
+  std::string prog = "bench", flag = "--json-dir",
+              dir = (file / "sub").string();
+  char* argv[] = {prog.data(), flag.data(), dir.data()};
+  EXPECT_EXIT(apf::bench::parse_json_bench_args(3, argv, {1}),
+              testing::ExitedWithCode(2), "cannot create --json-dir");
+  std::filesystem::remove(file);
 }
 
 TEST(BenchHarnessDeathTest, MalformedThreadListExitsWithUsage) {

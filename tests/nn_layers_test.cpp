@@ -14,10 +14,12 @@
 #include "nn/lstm.h"
 #include "nn/module.h"
 #include "nn/resnet.h"
+#include "conv_reference.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace apf {
 namespace {
@@ -37,6 +39,8 @@ using nn::ReLU;
 using nn::Sequential;
 using nn::Sigmoid;
 using nn::Tanh;
+using test::col2im;
+using test::im2col;
 
 TEST(Linear, ForwardHandComputed) {
   Rng rng(1);
@@ -146,9 +150,10 @@ TEST(Conv2d, GradCheckStride2NoBias) {
   test::check_gradients(conv, Tensor::uniform({2, 2, 8, 8}, rng), rng);
 }
 
-// The per-sample lowering Conv2d used before it batched the minibatch:
-// im2col, matmul and matmul_tn per sample, matmul_nt for each sample's dW
-// and bias sums in double, folded into the gradients in sample order.
+// The per-sample lowering whose bits Conv2d's implicit GEMMs reproduce:
+// im2col, matmul and matmul_tn per sample, col2im for the input gradient,
+// matmul_nt for each sample's dW and bias sums in double, folded into the
+// gradients in sample order.
 struct ConvPass {
   Tensor y, grad_input, grad_weight, grad_bias;
 };
@@ -189,39 +194,88 @@ bool bitwise_equal(const Tensor& a, const Tensor& b) {
          std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
 }
 
+struct ConvCase {
+  std::size_t in_c, out_c, kernel, stride, pad, h, w, n;
+  bool bias;
+};
+
+std::string conv_case_name(const ConvCase& c) {
+  return std::to_string(c.in_c) + "->" + std::to_string(c.out_c) +
+         " k=" + std::to_string(c.kernel) + " s=" + std::to_string(c.stride) +
+         " p=" + std::to_string(c.pad) + " " + std::to_string(c.h) + "x" +
+         std::to_string(c.w) + " n=" + std::to_string(c.n) +
+         " bias=" + std::to_string(c.bias);
+}
+
+// Conv2d's forward, input gradient, weight gradient and bias gradient
+// against the per-sample lowering, bit for bit.
+void expect_conv_matches_reference(const ConvCase& c, Rng& rng) {
+  Conv2d conv(c.in_c, c.out_c, c.kernel, rng, c.stride, c.pad, c.bias);
+  const ConvGeom g{c.in_c, c.h, c.w, c.kernel, c.stride, c.pad};
+  const Tensor x = Tensor::uniform({c.n, c.in_c, c.h, c.w}, rng);
+  const Tensor gy =
+      Tensor::uniform({c.n, c.out_c, g.out_h(), g.out_w()}, rng, -0.5f, 0.5f);
+  const auto params = conv.parameters();
+  const ConvPass ref = per_sample_conv_reference(
+      x, params[0].param->value, c.bias ? &params[1].param->value : nullptr,
+      gy, g);
+  const std::string where = conv_case_name(c);
+  EXPECT_TRUE(bitwise_equal(conv.forward(x), ref.y)) << where;
+  EXPECT_TRUE(bitwise_equal(conv.backward(gy), ref.grad_input)) << where;
+  EXPECT_TRUE(bitwise_equal(params[0].param->grad, ref.grad_weight)) << where;
+  if (c.bias) {
+    EXPECT_TRUE(bitwise_equal(params[1].param->grad, ref.grad_bias)) << where;
+  }
+}
+
 TEST(Conv2d, BatchedMatchesPerSampleReferenceBitwise) {
-  Rng rng(13);
+  std::vector<ConvCase> cases;
   for (const std::size_t kernel : {1u, 3u}) {
     for (const std::size_t stride : {1u, 2u}) {
       for (const std::size_t pad : {0u, 1u}) {
         for (const bool bias : {false, true}) {
-          for (const std::size_t n : {1u, 5u}) {
-            Conv2d conv(3, 5, kernel, rng, stride, pad, bias);
-            const ConvGeom g{3, 7, 6, kernel, stride, pad};
-            const Tensor x = Tensor::uniform({n, 3, 7, 6}, rng);
-            const Tensor gy = Tensor::uniform(
-                {n, 5, g.out_h(), g.out_w()}, rng, -0.5f, 0.5f);
-            const auto params = conv.parameters();
-            const ConvPass ref = per_sample_conv_reference(
-                x, params[0].param->value,
-                bias ? &params[1].param->value : nullptr, gy, g);
-            const std::string where =
-                "k=" + std::to_string(kernel) + " s=" + std::to_string(stride) +
-                " p=" + std::to_string(pad) + " bias=" + std::to_string(bias) +
-                " n=" + std::to_string(n);
-            EXPECT_TRUE(bitwise_equal(conv.forward(x), ref.y)) << where;
-            EXPECT_TRUE(bitwise_equal(conv.backward(gy), ref.grad_input))
-                << where;
-            EXPECT_TRUE(bitwise_equal(params[0].param->grad, ref.grad_weight))
-                << where;
-            if (bias) {
-              EXPECT_TRUE(bitwise_equal(params[1].param->grad, ref.grad_bias))
-                  << where;
-            }
-          }
+          for (const std::size_t n : {1u, 5u})
+            cases.push_back({3, 5, kernel, stride, pad, 7, 6, n, bias});
         }
       }
     }
+  }
+  const std::vector<ConvCase> shapes = {
+      // Kernels 5 and 7, with pad 2 and 3.
+      {2, 5, 5, 1, 2, 9, 8, 3, true},
+      {2, 4, 7, 1, 3, 9, 10, 2, false},
+      {3, 5, 7, 2, 3, 11, 8, 2, true},
+      // Stride 2 on odd input sizes.
+      {3, 6, 3, 2, 1, 9, 7, 4, false},
+      {4, 6, 3, 2, 0, 7, 9, 3, true},
+      {3, 6, 5, 2, 2, 11, 9, 3, true},
+      // 6, 12 and 13 output channels: a partial panel and a partial row
+      // tile; 70 needs two chunks of widened rows in the dW fold.
+      {5, 6, 3, 1, 1, 6, 6, 3, false},
+      {5, 12, 3, 1, 1, 6, 6, 3, false},
+      {5, 13, 3, 1, 1, 5, 7, 2, true},
+      {3, 70, 3, 1, 1, 3, 3, 2, true},
+      // 2x2 and 1x1 outputs: one 8-column panel spans two or more samples.
+      {6, 8, 3, 1, 1, 2, 2, 5, false},
+      {4, 13, 3, 1, 1, 1, 1, 11, true},
+      {5, 6, 3, 2, 1, 2, 2, 9, false},
+      {48, 48, 3, 1, 1, 2, 2, 16, false},
+      // Batch 16, the ResNet stage-1 shape and its downsampling 1x1.
+      {3, 6, 3, 1, 1, 8, 8, 16, false},
+      {6, 6, 3, 1, 1, 16, 16, 16, false},
+      {6, 12, 1, 2, 0, 16, 16, 16, false},
+      // Large enough for the pool: the input gradient splits samples over
+      // lanes, and panels straddle samples (9 and 100 output positions).
+      {16, 16, 3, 1, 1, 3, 3, 16, false},
+      {4, 30, 3, 1, 1, 10, 10, 6, true},
+  };
+  cases.insert(cases.end(), shapes.begin(), shapes.end());
+  for (const std::size_t lanes : {1u, 4u}) {
+    util::ThreadPool pool(lanes);
+    const util::ScopedComputePool scope(pool);
+    SCOPED_TRACE("lanes=" + std::to_string(lanes));
+    Rng rng(13);
+    for (const ConvCase& c : cases) expect_conv_matches_reference(c, rng);
   }
 }
 
@@ -234,9 +288,9 @@ TEST(Conv2d, EvalForwardMatchesTrainingForwardBitwise) {
   EXPECT_TRUE(bitwise_equal(conv.forward(x), trained));
 }
 
-// An eval-mode forward keeps no im2col cache and drops the one an earlier
+// An eval-mode forward keeps no input copy and drops the one an earlier
 // training-mode forward left, so backward must refuse rather than pair the
-// new gradient with stale columns.
+// new gradient with a stale input.
 TEST(Conv2d, BackwardAfterEvalForwardThrows) {
   Rng rng(15);
   Conv2d conv(2, 4, 3, rng, 1, 1);

@@ -1,7 +1,7 @@
 // Cross-validation of the optimized kernels against naive reference
 // implementations, swept over geometry (TEST_P). The references are written
 // as directly from the math as possible, so agreement here is strong
-// evidence the im2col/matmul lowering and the recurrent cells are correct.
+// evidence the implicit-GEMM convolutions and the recurrent cells are correct.
 #include <gtest/gtest.h>
 
 #include <cmath>

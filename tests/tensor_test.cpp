@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "tensor/activations.h"
+#include "conv_reference.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -22,6 +23,12 @@
 
 namespace apf {
 namespace {
+
+using test::col2im;
+using test::col2im_from;
+using test::im2col;
+using test::im2col_into;
+
 
 TEST(Shape, NumelAndString) {
   EXPECT_EQ(shape_numel({2, 3, 4}), 24u);
