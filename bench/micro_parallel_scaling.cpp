@@ -194,6 +194,23 @@ std::vector<KernelResult> bench_kernels(const std::vector<std::size_t>& threads,
   bench_rows("kws_lstm_eval_forward", 128, (8 + 32) + (32 + 32), 4 * 32,
              2.0 * 128 * ((8 + 32) + (32 + 32)) * 4 * 32 * kSteps, threads,
              reps, [&] { return kws->forward(kws_seq)[0]; }, results);
+  // One kws-lstm-async-eval training step: the 2-layer LSTM's forward and
+  // backward on a batch of 16, timed inside the model's own heap like
+  // resnet_train_step below. m, k, n as for the forwards above; its flops
+  // are three times the forward gate GEMMs (forward, dW and the input and
+  // recurrent gradients).
+  auto kws_step = nn::make_kws_lstm(rng, 8, 32, 10);
+  const Tensor kws_batch = Tensor::uniform({16, kSteps, 8}, rng);
+  const Tensor kws_logits_grad({16, 10}, 0.1f);
+  bench_rows("kws_lstm_train_step", 16, (8 + 32) + (32 + 32), 4 * 32,
+             3.0 * 2.0 * 16 * ((8 + 32) + (32 + 32)) * 4 * 32 * kSteps,
+             threads, reps,
+             [&] {
+               kws_step->zero_grad();
+               kws_step->forward(kws_batch);
+               return kws_step->backward(kws_logits_grad)[0];
+             },
+             results);
   // One LeNet-5 training step (forward and backward) on a batch of 16
   // 3x32x32 images: m, k, n are batch, input scalars per sample and
   // classes. Its flops are three times the forward GEMMs (forward, dW and

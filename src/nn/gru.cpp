@@ -1,9 +1,10 @@
 #include "nn/gru.h"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
+#include <vector>
 
-#include "nn/recurrent.h"
 #include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -29,6 +30,43 @@ GRU::GRU(std::size_t input_size, std::size_t hidden_size, Rng& rng)
   bias_hh_.grad = Tensor({3 * hidden_});
 }
 
+// Views of cache_: a training forward keeps one slot per step (h one more,
+// for h_0); an eval forward keeps one slot, which every step reuses,
+// reading h before it overwrites it.
+struct GRU::Steps {
+  float* x;        // the input (N, T, in); training only
+  float* h;        // h_t, (N, H) per slot
+  float* gates;    // step t's activated gates, gate-major (3, N, H)
+  float* hn;       // step t's hn_lin (N, H)
+  float* pre_i;    // one step's x W_ih^T (N, 3H), row-major
+  float* pre_h;    // one step's h W_hh^T (N, 3H), row-major
+  std::size_t nh;  // N * H
+  bool per_step;   // one slot per step (training)
+
+  std::size_t slot(std::size_t t) const { return per_step ? t : 0; }
+  float* h_at(std::size_t t) const { return h + slot(t) * nh; }
+  float* gates_at(std::size_t t) const { return gates + slot(t) * 3 * nh; }
+  float* hn_at(std::size_t t) const { return hn + slot(t) * nh; }
+};
+
+GRU::Steps GRU::steps(bool training) {
+  const std::size_t nh = batch_ * hidden_;
+  const std::size_t slots = training ? time_ : 1;
+  const std::size_t states = training ? time_ + 1 : 1;
+  const std::size_t x_size = training ? batch_ * time_ * input_size_ : 0;
+  cache_.resize(x_size + states * nh + 4 * slots * nh + 6 * nh);
+  Steps st{};
+  st.x = cache_.data();
+  st.h = st.x + x_size;
+  st.gates = st.h + states * nh;
+  st.hn = st.gates + 3 * slots * nh;
+  st.pre_i = st.hn + slots * nh;
+  st.pre_h = st.pre_i + 3 * nh;
+  st.nh = nh;
+  st.per_step = training;
+  return st;
+}
+
 Tensor GRU::forward(const Tensor& input) {
   APF_CHECK_MSG(input.rank() == 3 && input.dim(2) == input_size_,
                 "GRU expects (N,T," << input_size_ << "), got "
@@ -37,112 +75,142 @@ Tensor GRU::forward(const Tensor& input) {
   time_ = input.dim(1);
   // Evaluation keeps no BPTT caches; backward then refuses to run.
   const bool keep_caches = training();
-  steps_.clear();
-  if (keep_caches) steps_.reserve(time_);
-  Tensor h({batch_, hidden_});
+  cached_ = false;
+  const Steps st = steps(keep_caches);
+  const std::size_t n = batch_, hid = hidden_, nh = st.nh;
+  if (keep_caches) std::copy(input.raw(), input.raw() + input.numel(), st.x);
+  std::fill(st.h, st.h + nh, 0.f);
   Tensor out({batch_, time_, hidden_});
   // The weights change only between forwards: pack each once for all steps.
   const NtPacked w_ih(w_ih_.value);
   const NtPacked w_hh(w_hh_.value);
+  const float* b_ih = bias_ih_.value.raw();
+  const float* b_hh = bias_hh_.value.raw();
   for (std::size_t t = 0; t < time_; ++t) {
-    // gi (N, 3H) = x W_ih^T + b_ih, activated in place to [r, z, n] below;
-    // x is step t of the input, read in place.
-    Tensor gi({batch_, 3 * hidden_});
-    matmul_nt(input.raw() + t * input_size_, time_ * input_size_, batch_,
-              w_ih, gi.raw(), false);
-    add_bias_rows(gi, bias_ih_.value);
-    Tensor gh({batch_, 3 * hidden_});
-    matmul_nt(h.raw(), hidden_, batch_, w_hh, gh.raw(), false);
-    add_bias_rows(gh, bias_hh_.value);
-    StepCache cache;
-    if (keep_caches) cache.h_prev = h;
-    for (std::size_t s = 0; s < batch_; ++s) {
-      float* girow = gi.raw() + s * 3 * hidden_;
-      const float* ghrow = gh.raw() + s * 3 * hidden_;
-      for (std::size_t j = 0; j < 2 * hidden_; ++j) girow[j] += ghrow[j];
-      const std::span<float> rz_gates(girow, 2 * hidden_);
-      apf::sigmoid(rz_gates, rz_gates);
-      for (std::size_t j = 0; j < hidden_; ++j)
-        girow[2 * hidden_ + j] += girow[j] * ghrow[2 * hidden_ + j];
-      const std::span<float> n_gate(girow + 2 * hidden_, hidden_);
-      apf::tanh(n_gate, n_gate);
-      for (std::size_t j = 0; j < hidden_; ++j) {
-        const std::size_t idx = s * hidden_ + j;
-        const float z = girow[hidden_ + j];
-        const float hv = (1.f - z) * n_gate[j] + z * h[idx];
-        h[idx] = hv;
-        out[(s * time_ + t) * hidden_ + j] = hv;
+    const float* h_prev = st.h_at(t);
+    float* h = st.h_at(t + 1);
+    float* gates = st.gates_at(t);
+    float* hn = st.hn_at(t);
+    // x W_ih^T and h W_hh^T (N, 3H); x is step t of the input, read in
+    // place.
+    matmul_nt(input.raw() + t * input_size_, time_ * input_size_, n, w_ih,
+              st.pre_i, false);
+    matmul_nt(h_prev, hid, n, w_hh, st.pre_h, false);
+    // The gate pre-activations, gate-major, so each activation runs once
+    // per gate over the whole batch: r and z take both biased products, n
+    // its input side (the reset product is added once r is known).
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* gi = st.pre_i + 3 * s * hid;
+      const float* gh = st.pre_h + 3 * s * hid;
+      for (std::size_t q = 0; q < 2; ++q) {
+        float* dst = gates + (q * n + s) * hid;
+        for (std::size_t j = 0; j < hid; ++j) {
+          const std::size_t col = q * hid + j;
+          dst[j] = (gi[col] + b_ih[col]) + (gh[col] + b_hh[col]);
+        }
+      }
+      float* n_row = gates + (2 * n + s) * hid;
+      float* hn_row = hn + s * hid;
+      for (std::size_t j = 0; j < hid; ++j) {
+        const std::size_t col = 2 * hid + j;
+        n_row[j] = gi[col] + b_ih[col];
+        hn_row[j] = gh[col] + b_hh[col];
       }
     }
-    if (keep_caches) {
-      cache.x = time_slice(input, t);
-      cache.gates = std::move(gi);
-      cache.gh = std::move(gh);
-      steps_.push_back(std::move(cache));
+    const std::span<float> rz_gates(gates, 2 * nh);
+    const std::span<float> n_gate(gates + 2 * nh, nh);
+    apf::sigmoid(rz_gates, rz_gates);
+    for (std::size_t i = 0; i < nh; ++i) n_gate[i] += gates[i] * hn[i];
+    apf::tanh(n_gate, n_gate);
+    const float* zg = gates + nh;
+    for (std::size_t s = 0; s < n; ++s) {
+      float* out_row = out.raw() + (s * time_ + t) * hid;
+      for (std::size_t j = 0; j < hid; ++j) {
+        const std::size_t i = s * hid + j;
+        const float z = zg[i];
+        const float hv = (1.f - z) * n_gate[i] + z * h_prev[i];
+        h[i] = hv;
+        out_row[j] = hv;
+      }
     }
   }
+  cached_ = keep_caches;
   return out;
 }
 
 Tensor GRU::backward(const Tensor& grad_output) {
-  APF_CHECK_MSG(steps_.size() == time_,
-                "GRU::backward needs a training-mode forward first");
+  APF_CHECK_MSG(cached_, "GRU::backward needs a training-mode forward first");
   APF_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch_ &&
             grad_output.dim(1) == time_ && grad_output.dim(2) == hidden_);
-  Tensor grad_input({batch_, time_, input_size_});
-  Tensor dh({batch_, hidden_});
+  const Steps st = steps(true);
+  const std::size_t n = batch_, hid = hidden_, nh = st.nh, in = input_size_;
+  Tensor grad_input({batch_, time_, in});
+  // One step's pre-activation gradients of the input-side and hidden-side
+  // products (N, 3H) each, row-major as the GEMMs read them, and the
+  // gradient flowing into h_t from step t + 1 (zero past the last step).
+  std::vector<float> work(7 * nh);
+  float* dgates_ih = work.data();
+  float* dgates_hh = dgates_ih + 3 * nh;
+  float* dh = dgates_hh + 3 * nh;
+  // The weights change only between backwards: pack each once for all
+  // steps.
+  const GemmPacked w_ih(w_ih_.value);
+  const GemmPacked w_hh(w_hh_.value);
+  float* b_ih_grad = bias_ih_.grad.raw();
+  float* b_hh_grad = bias_hh_.grad.raw();
   for (std::size_t t = time_; t-- > 0;) {
-    const StepCache& cache = steps_[t];
-    Tensor dgates_ih({batch_, 3 * hidden_});
-    Tensor dgates_hh({batch_, 3 * hidden_});
-    Tensor dh_prev_direct({batch_, hidden_});
-    for (std::size_t s = 0; s < batch_; ++s) {
-      const float* act = cache.gates.raw() + s * 3 * hidden_;
-      const float* ghrow = cache.gh.raw() + s * 3 * hidden_;
-      for (std::size_t j = 0; j < hidden_; ++j) {
-        const std::size_t idx = s * hidden_ + j;
-        const float dh_total =
-            grad_output[(s * time_ + t) * hidden_ + j] + dh[idx];
-        const float r = act[j];
-        const float z = act[hidden_ + j];
-        const float n = act[2 * hidden_ + j];
-        const float hn_lin = ghrow[2 * hidden_ + j];
-        const float h_prev = cache.h_prev[idx];
-        const float dz = dh_total * (h_prev - n);
+    const float* act = st.gates_at(t);
+    const float* hn = st.hn_at(t);
+    const float* h_prev_t = st.h_at(t);
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* dy = grad_output.raw() + (s * time_ + t) * hid;
+      float* ihrow = dgates_ih + s * 3 * hid;
+      float* hhrow = dgates_hh + s * 3 * hid;
+      for (std::size_t j = 0; j < hid; ++j) {
+        const std::size_t idx = s * hid + j;
+        const float dh_total = dy[j] + dh[idx];
+        const float r = act[idx];
+        const float z = act[nh + idx];
+        const float nv = act[2 * nh + idx];
+        const float hn_lin = hn[idx];
+        const float h_prev = h_prev_t[idx];
+        const float dz = dh_total * (h_prev - nv);
         const float dn = dh_total * (1.f - z);
-        dh_prev_direct[idx] = dh_total * z;
-        const float dn_pre = dn * (1.f - n * n);
+        const float dn_pre = dn * (1.f - nv * nv);
         const float dr = dn_pre * hn_lin;
         const float d_hn_lin = dn_pre * r;
         const float dr_pre = dr * r * (1.f - r);
         const float dz_pre = dz * z * (1.f - z);
-        float* ihrow = dgates_ih.raw() + s * 3 * hidden_;
-        float* hhrow = dgates_hh.raw() + s * 3 * hidden_;
         ihrow[j] = dr_pre;
-        ihrow[hidden_ + j] = dz_pre;
-        ihrow[2 * hidden_ + j] = dn_pre;
+        ihrow[hid + j] = dz_pre;
+        ihrow[2 * hid + j] = dn_pre;
         hhrow[j] = dr_pre;
-        hhrow[hidden_ + j] = dz_pre;
-        hhrow[2 * hidden_ + j] = d_hn_lin;
+        hhrow[hid + j] = dz_pre;
+        hhrow[2 * hid + j] = d_hn_lin;
+        // The direct path into h_{t-1}; the gates' path is folded in below.
+        dh[idx] = dh_total * z;
       }
     }
-    w_ih_.grad += matmul_tn(dgates_ih, cache.x);
-    w_hh_.grad += matmul_tn(dgates_hh, cache.h_prev);
-    for (std::size_t s = 0; s < batch_; ++s) {
-      const float* ihrow = dgates_ih.raw() + s * 3 * hidden_;
-      const float* hhrow = dgates_hh.raw() + s * 3 * hidden_;
-      for (std::size_t j = 0; j < 3 * hidden_; ++j) {
-        bias_ih_.grad[j] += ihrow[j];
-        bias_hh_.grad[j] += hhrow[j];
+    // Parameter gradients, folded in place; x is step t of the input copy.
+    matmul_tn_fold(dgates_ih, n, 3 * hid, st.x + t * in, time_ * in, in,
+                   w_ih_.grad.raw());
+    matmul_tn_fold(dgates_hh, n, 3 * hid, h_prev_t, hid, hid,
+                   w_hh_.grad.raw());
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* ihrow = dgates_ih + s * 3 * hid;
+      const float* hhrow = dgates_hh + s * 3 * hid;
+      for (std::size_t j = 0; j < 3 * hid; ++j) {
+        b_ih_grad[j] += ihrow[j];
+        b_hh_grad[j] += hhrow[j];
       }
     }
-    Tensor dx = matmul(dgates_ih, w_ih_.value);
-    for (std::size_t s = 0; s < batch_; ++s) {
-      std::copy(dx.raw() + s * input_size_, dx.raw() + (s + 1) * input_size_,
-                grad_input.raw() + (s * time_ + t) * input_size_);
-    }
-    dh = matmul(dgates_hh, w_hh_.value);
-    dh += dh_prev_direct;
+    // Input and recurrent gradients: dx goes straight to step t of
+    // grad_input, and dh_{t-1} = direct + dgates_hh W_hh, the sum of
+    // `M + direct` with its operands swapped (float addition commutes).
+    // Step 0 feeds no earlier step.
+    matmul_packed(dgates_ih, 3 * hid, n, w_ih, grad_input.raw() + t * in,
+                  time_ * in, false);
+    if (t > 0) matmul_packed(dgates_hh, 3 * hid, n, w_hh, dh, hid, true);
   }
   return grad_input;
 }

@@ -29,6 +29,10 @@ class GRU : public Module {
   std::size_t hidden_size() const { return hidden_; }
 
  private:
+  // Views of one forward's buffers in cache_ (see forward()).
+  struct Steps;
+  Steps steps(bool training);
+
   std::size_t input_size_;
   std::size_t hidden_;
   Parameter w_ih_;     // (3H, in)
@@ -36,14 +40,14 @@ class GRU : public Module {
   Parameter bias_ih_;  // (3H)
   Parameter bias_hh_;  // (3H)
 
-  // Per-timestep caches for BPTT, filled only by a training-mode forward.
-  struct StepCache {
-    Tensor x;       // (N, in)
-    Tensor h_prev;  // (N, H)
-    Tensor gates;   // activated [r, z, n] (N, 3H)
-    Tensor gh;      // W_hh h + b_hh (N, 3H); its n block is hn_lin
-  };
-  std::vector<StepCache> steps_;
+  // The state of every step in one buffer, sized by a forward and reused by
+  // the next (laid out in gru.cpp). A training-mode forward keeps what BPTT
+  // reads: a copy of the input (N, T, in); h_t for t = 0..T, each (N, H),
+  // with h_0 = 0; each step's activated gates, gate-major (3, N, H) in
+  // [r, z, n] order; and hn_lin = W_hn h + b_hn (N, H). An eval-mode
+  // forward keeps one step of each and updates h in place.
+  std::vector<float> cache_;
+  bool cached_ = false;  // cache_ holds a training-mode forward's steps
   std::size_t batch_ = 0;
   std::size_t time_ = 0;
 };

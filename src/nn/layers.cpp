@@ -40,8 +40,10 @@ Tensor Linear::forward(const Tensor& input) {
 Tensor Linear::backward(const Tensor& grad_output) {
   APF_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_features_);
   APF_CHECK(grad_output.dim(0) == input_.dim(0));
-  // dW (out, in) += gradY^T (out, N) * X (N, in)
-  weight_.grad += matmul_tn(grad_output, input_);
+  // dW (out, in) += gradY^T (out, N) * X (N, in), folded in place
+  matmul_tn_fold(grad_output.raw(), grad_output.dim(0), out_features_,
+                 input_.raw(), in_features_, in_features_,
+                 weight_.grad.raw());
   if (has_bias_) {
     const std::size_t n = grad_output.dim(0);
     for (std::size_t i = 0; i < n; ++i) {

@@ -1,10 +1,10 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
 
-#include "nn/recurrent.h"
 #include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -27,6 +27,44 @@ LSTM::LSTM(std::size_t input_size, std::size_t hidden_size, Rng& rng)
   bias_.grad = Tensor({4 * hidden_});
 }
 
+// Views of cache_: a training forward keeps one slot per step (h and c one
+// more, for h_0 and c_0); an eval forward keeps one slot, which every step
+// reuses, reading h and c before it overwrites them.
+struct LSTM::Steps {
+  float* x;        // the input (N, T, in); training only
+  float* h;        // h_t, (N, H) per slot
+  float* c;        // c_t, (N, H) per slot
+  float* gates;    // step t's activated gates, gate-major (4, N, H)
+  float* tanh_c;   // tanh(c_{t+1}) of step t (N, H)
+  float* pre;      // one step's gate pre-activations (N, 4H), row-major
+  std::size_t nh;  // N * H
+  bool per_step;   // one slot per step (training)
+
+  std::size_t slot(std::size_t t) const { return per_step ? t : 0; }
+  float* h_at(std::size_t t) const { return h + slot(t) * nh; }
+  float* c_at(std::size_t t) const { return c + slot(t) * nh; }
+  float* gates_at(std::size_t t) const { return gates + slot(t) * 4 * nh; }
+  float* tanh_c_at(std::size_t t) const { return tanh_c + slot(t) * nh; }
+};
+
+LSTM::Steps LSTM::steps(bool training) {
+  const std::size_t nh = batch_ * hidden_;
+  const std::size_t slots = training ? time_ : 1;
+  const std::size_t states = training ? time_ + 1 : 1;
+  const std::size_t x_size = training ? batch_ * time_ * input_size_ : 0;
+  cache_.resize(x_size + 2 * states * nh + 5 * slots * nh + 4 * nh);
+  Steps st{};
+  st.x = cache_.data();
+  st.h = st.x + x_size;
+  st.c = st.h + states * nh;
+  st.gates = st.c + states * nh;
+  st.tanh_c = st.gates + 4 * slots * nh;
+  st.pre = st.tanh_c + slots * nh;
+  st.nh = nh;
+  st.per_step = training;
+  return st;
+}
+
 Tensor LSTM::forward(const Tensor& input) {
   APF_CHECK_MSG(input.rank() == 3 && input.dim(2) == input_size_,
                 "LSTM expects (N,T," << input_size_ << "), got "
@@ -35,115 +73,125 @@ Tensor LSTM::forward(const Tensor& input) {
   time_ = input.dim(1);
   // Evaluation keeps no BPTT caches; backward then refuses to run.
   const bool keep_caches = training();
-  steps_.clear();
-  if (keep_caches) steps_.reserve(time_);
-  Tensor h({batch_, hidden_});
-  Tensor c({batch_, hidden_});
+  cached_ = false;
+  const Steps st = steps(keep_caches);
+  const std::size_t n = batch_, hid = hidden_, nh = st.nh;
+  if (keep_caches) std::copy(input.raw(), input.raw() + input.numel(), st.x);
+  std::fill(st.h, st.h + nh, 0.f);
+  std::fill(st.c, st.c + nh, 0.f);
   Tensor out({batch_, time_, hidden_});
-  // tanh(c) of one row when no cache keeps it.
-  std::vector<float> tanh_row(keep_caches ? 0 : hidden_);
   // The weights change only between forwards: pack each once for all steps.
   const NtPacked w_ih(w_ih_.value);
   const NtPacked w_hh(w_hh_.value);
+  const float* bias = bias_.value.raw();
   for (std::size_t t = 0; t < time_; ++t) {
-    // gates (N, 4H) = x W_ih^T + h W_hh^T + b, activated in place below;
-    // x is step t of the input, read in place. The h fold runs at t = 0 too,
-    // where h is zero: adding +0 turns a -0 gate into +0.
-    Tensor gates({batch_, 4 * hidden_});
-    matmul_nt(input.raw() + t * input_size_, time_ * input_size_, batch_,
-              w_ih, gates.raw(), false);
-    matmul_nt(h.raw(), hidden_, batch_, w_hh, gates.raw(), true);
-    add_bias_rows(gates, bias_.value);
-    StepCache cache;
-    if (keep_caches) {
-      cache.h_prev = h;
-      cache.c_prev = c;
-      cache.tanh_c = Tensor({batch_, hidden_});
-    }
-    for (std::size_t s = 0; s < batch_; ++s) {
-      float* grow = gates.raw() + s * 4 * hidden_;
-      const std::span<float> if_gates(grow, 2 * hidden_);
-      const std::span<float> g_gate(grow + 2 * hidden_, hidden_);
-      const std::span<float> o_gate(grow + 3 * hidden_, hidden_);
-      apf::sigmoid(if_gates, if_gates);
-      apf::tanh(g_gate, g_gate);
-      apf::sigmoid(o_gate, o_gate);
-      float* crow = c.raw() + s * hidden_;
-      for (std::size_t j = 0; j < hidden_; ++j) {
-        const float iv = grow[j];
-        const float fv = grow[hidden_ + j];
-        const float gv = grow[2 * hidden_ + j];
-        crow[j] = fv * crow[j] + iv * gv;
-      }
-      float* tc = keep_caches ? cache.tanh_c.raw() + s * hidden_
-                              : tanh_row.data();
-      apf::tanh(std::span<const float>(crow, hidden_),
-                std::span<float>(tc, hidden_));
-      for (std::size_t j = 0; j < hidden_; ++j) {
-        const float hv = grow[3 * hidden_ + j] * tc[j];
-        h[s * hidden_ + j] = hv;
-        out[(s * time_ + t) * hidden_ + j] = hv;
+    const float* h_prev = st.h_at(t);
+    const float* c_prev = st.c_at(t);
+    float* h = st.h_at(t + 1);
+    float* c = st.c_at(t + 1);
+    float* gates = st.gates_at(t);
+    float* tanh_c = st.tanh_c_at(t);
+    // pre (N, 4H) = x W_ih^T + h W_hh^T; x is step t of the input, read in
+    // place. The h fold runs at t = 0 too, where h is zero: adding +0 turns
+    // a -0 gate into +0.
+    matmul_nt(input.raw() + t * input_size_, time_ * input_size_, n, w_ih,
+              st.pre, false);
+    matmul_nt(h_prev, hid, n, w_hh, st.pre, true);
+    // Plus the bias, stored gate-major, so each activation runs once per
+    // gate over the whole batch.
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        const float* src = st.pre + (4 * s + q) * hid;
+        const float* b = bias + q * hid;
+        float* dst = gates + (q * n + s) * hid;
+        for (std::size_t j = 0; j < hid; ++j) dst[j] = src[j] + b[j];
       }
     }
-    if (keep_caches) {
-      cache.x = time_slice(input, t);
-      cache.gates = std::move(gates);
-      steps_.push_back(std::move(cache));
+    const float* ig = gates;
+    const float* fg = gates + nh;
+    const std::span<float> if_gates(gates, 2 * nh);
+    const std::span<float> g_gate(gates + 2 * nh, nh);
+    const std::span<float> o_gate(gates + 3 * nh, nh);
+    apf::sigmoid(if_gates, if_gates);
+    apf::tanh(g_gate, g_gate);
+    apf::sigmoid(o_gate, o_gate);
+    for (std::size_t i = 0; i < nh; ++i)
+      c[i] = fg[i] * c_prev[i] + ig[i] * g_gate[i];
+    apf::tanh(std::span<const float>(c, nh), std::span<float>(tanh_c, nh));
+    for (std::size_t s = 0; s < n; ++s) {
+      float* out_row = out.raw() + (s * time_ + t) * hid;
+      for (std::size_t j = 0; j < hid; ++j) {
+        const std::size_t i = s * hid + j;
+        const float hv = o_gate[i] * tanh_c[i];
+        h[i] = hv;
+        out_row[j] = hv;
+      }
     }
   }
+  cached_ = keep_caches;
   return out;
 }
 
 Tensor LSTM::backward(const Tensor& grad_output) {
-  APF_CHECK_MSG(steps_.size() == time_,
-                "LSTM::backward needs a training-mode forward first");
+  APF_CHECK_MSG(cached_, "LSTM::backward needs a training-mode forward first");
   APF_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch_ &&
             grad_output.dim(1) == time_ && grad_output.dim(2) == hidden_);
-  Tensor grad_input({batch_, time_, input_size_});
-  Tensor dh({batch_, hidden_});  // gradient flowing to h_{t} from t+1
-  Tensor dc({batch_, hidden_});
+  const Steps st = steps(true);
+  const std::size_t n = batch_, hid = hidden_, nh = st.nh, in = input_size_;
+  Tensor grad_input({batch_, time_, in});
+  // One step's pre-activation gate gradients (N, 4H), row-major as the
+  // GEMMs read them, and the gradients flowing into h_t and c_t from step
+  // t + 1 (zero past the last step).
+  std::vector<float> work(6 * nh);
+  float* dgates = work.data();
+  float* dh = dgates + 4 * nh;
+  float* dc = dh + nh;
+  // The weights change only between backwards: pack each once for all
+  // steps.
+  const GemmPacked w_ih(w_ih_.value);
+  const GemmPacked w_hh(w_hh_.value);
+  float* bias_grad = bias_.grad.raw();
   for (std::size_t t = time_; t-- > 0;) {
-    const StepCache& cache = steps_[t];
-    // Pre-activation gate gradients, packed as (N, 4H).
-    Tensor dgates({batch_, 4 * hidden_});
-    for (std::size_t s = 0; s < batch_; ++s) {
-      const float* act = cache.gates.raw() + s * 4 * hidden_;
-      for (std::size_t j = 0; j < hidden_; ++j) {
-        const std::size_t idx = s * hidden_ + j;
-        const float dh_total =
-            grad_output[(s * time_ + t) * hidden_ + j] + dh[idx];
-        const float o = act[3 * hidden_ + j];
-        const float tc = cache.tanh_c[idx];
+    const float* act = st.gates_at(t);
+    const float* tanh_c = st.tanh_c_at(t);
+    const float* c_prev = st.c_at(t);
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* dy = grad_output.raw() + (s * time_ + t) * hid;
+      float* grow = dgates + s * 4 * hid;
+      for (std::size_t j = 0; j < hid; ++j) {
+        const std::size_t idx = s * hid + j;
+        const float dh_total = dy[j] + dh[idx];
+        const float o = act[3 * nh + idx];
+        const float tc = tanh_c[idx];
         const float dct = dh_total * o * (1.f - tc * tc) + dc[idx];
-        const float i = act[j];
-        const float f = act[hidden_ + j];
-        const float g = act[2 * hidden_ + j];
+        const float i = act[idx];
+        const float f = act[nh + idx];
+        const float g = act[2 * nh + idx];
         const float di = dct * g;
-        const float df = dct * cache.c_prev[idx];
+        const float df = dct * c_prev[idx];
         const float dg = dct * i;
         const float do_ = dh_total * tc;
-        float* grow = dgates.raw() + s * 4 * hidden_;
         grow[j] = di * i * (1.f - i);
-        grow[hidden_ + j] = df * f * (1.f - f);
-        grow[2 * hidden_ + j] = dg * (1.f - g * g);
-        grow[3 * hidden_ + j] = do_ * o * (1.f - o);
+        grow[hid + j] = df * f * (1.f - f);
+        grow[2 * hid + j] = dg * (1.f - g * g);
+        grow[3 * hid + j] = do_ * o * (1.f - o);
         dc[idx] = dct * f;
       }
     }
-    // Parameter gradients.
-    w_ih_.grad += matmul_tn(dgates, cache.x);
-    w_hh_.grad += matmul_tn(dgates, cache.h_prev);
-    for (std::size_t s = 0; s < batch_; ++s) {
-      const float* grow = dgates.raw() + s * 4 * hidden_;
-      for (std::size_t j = 0; j < 4 * hidden_; ++j) bias_.grad[j] += grow[j];
+    // Parameter gradients, folded in place; x is step t of the input copy.
+    matmul_tn_fold(dgates, n, 4 * hid, st.x + t * in, time_ * in, in,
+                   w_ih_.grad.raw());
+    matmul_tn_fold(dgates, n, 4 * hid, st.h_at(t), hid, hid,
+                   w_hh_.grad.raw());
+    for (std::size_t s = 0; s < n; ++s) {
+      const float* grow = dgates + s * 4 * hid;
+      for (std::size_t j = 0; j < 4 * hid; ++j) bias_grad[j] += grow[j];
     }
-    // Input and recurrent gradients.
-    Tensor dx = matmul(dgates, w_ih_.value);  // (N, in)
-    for (std::size_t s = 0; s < batch_; ++s) {
-      std::copy(dx.raw() + s * input_size_, dx.raw() + (s + 1) * input_size_,
-                grad_input.raw() + (s * time_ + t) * input_size_);
-    }
-    dh = matmul(dgates, w_hh_.value);  // (N, H)
+    // Input and recurrent gradients: dx goes straight to step t of
+    // grad_input; dh feeds step t - 1, so step 0 needs none.
+    matmul_packed(dgates, 4 * hid, n, w_ih, grad_input.raw() + t * in,
+                  time_ * in, false);
+    if (t > 0) matmul_packed(dgates, 4 * hid, n, w_hh, dh, hid, false);
   }
   return grad_input;
 }

@@ -24,21 +24,24 @@ class LSTM : public Module {
   std::size_t hidden_size() const { return hidden_; }
 
  private:
+  // Views of one forward's buffers in cache_ (see forward()).
+  struct Steps;
+  Steps steps(bool training);
+
   std::size_t input_size_;
   std::size_t hidden_;
   Parameter w_ih_;  // (4H, in)
   Parameter w_hh_;  // (4H, H)
   Parameter bias_;  // (4H)
 
-  // Per-timestep caches for BPTT, filled only by a training-mode forward.
-  struct StepCache {
-    Tensor x;       // (N, in)
-    Tensor h_prev;  // (N, H)
-    Tensor c_prev;  // (N, H)
-    Tensor gates;   // activated [i, f, g, o] (N, 4H)
-    Tensor tanh_c;  // tanh(c_t) (N, H)
-  };
-  std::vector<StepCache> steps_;
+  // The state of every step in one buffer, sized by a forward and reused by
+  // the next (laid out in lstm.cpp). A training-mode forward keeps what
+  // BPTT reads: a copy of the input (N, T, in); h_t and c_t for t = 0..T,
+  // each (N, H), with h_0 = c_0 = 0; each step's activated gates,
+  // gate-major (4, N, H) in [i, f, g, o] order; and tanh(c_t) (N, H). An
+  // eval-mode forward keeps one step of each and updates h and c in place.
+  std::vector<float> cache_;
+  bool cached_ = false;  // cache_ holds a training-mode forward's steps
   std::size_t batch_ = 0;
   std::size_t time_ = 0;
 };

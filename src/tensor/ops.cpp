@@ -138,14 +138,24 @@ APF_TILE void gemm_rows(std::size_t rows, const float* a, std::size_t a_row,
   gemm_tile<F, R>(a, a_row, a_col, panel, k, out);
 }
 
-// Writes the rows of one tile over C: row r at c + r * ldc, its first
-// `width` columns.
+// Writes the rows of one tile to C: row r at c + r * ldc, its first
+// `width` columns, stored over C or (kFold) added to it, C + row with one
+// float add per output.
+template <bool kFold>
 struct RowStore {
   float* c;
   std::size_t ldc, width;
   template <typename F, std::size_t V>
   APF_TILE void operator()(std::size_t r, const F (&row)[V]) const {
-    store_row(c + r * ldc, width, row);
+    float* dst = c + r * ldc;
+    if constexpr (kFold) {
+      F sum[V];
+      load_row(dst, width, sum);
+      for (std::size_t v = 0; v < V; ++v) sum[v] += row[v];
+      store_row(dst, width, sum);
+    } else {
+      store_row(dst, width, row);
+    }
   }
 };
 
@@ -312,6 +322,12 @@ struct Tiles<simd::Avx2> : simd::Avx2 {
 };
 #endif
 
+// Float panels of k rows that fit in kPackedFloats together (at least 1).
+std::size_t panel_run(std::size_t k) {
+  return std::max<std::size_t>(
+      1, kPackedFloats / (std::max<std::size_t>(k, 1) * kPanel));
+}
+
 // C = op(A) * B with op(A)[i][p] = a[i * a_row + p * a_col] (m x k) and B
 // (k x n) read through src: src.pack(p, panel) writes panel p of B (k rows
 // of kPanel floats, zero past column n), and src.tile(i0, p) is the store
@@ -321,8 +337,7 @@ struct Tiles<simd::Avx2> : simd::Avx2 {
 template <typename Isa, typename Src>
 void gemm(const float* a, std::size_t a_row, std::size_t a_col, std::size_t m,
           std::size_t k, std::size_t n, const Src& src) {
-  const std::size_t run = std::max<std::size_t>(
-      1, kPackedFloats / (std::max<std::size_t>(k, 1) * kPanel));
+  const std::size_t run = panel_run(k);
   run_blocks(ceil_div(m, Isa::kGemmRows), ceil_div(n, kPanel), 2 * m * k * n,
              [&](std::size_t t0, std::size_t t1, std::size_t p0,
                  std::size_t p1) {
@@ -336,30 +351,45 @@ void gemm(const float* a, std::size_t a_row, std::size_t a_col, std::size_t m,
   });
 }
 
-// B of gemm as a row-major (k x n) matrix and C as a row-major (m x n) one.
-struct MatrixOperands {
-  const float* b;
-  float* c;
-  std::size_t k, n;
-
-  // Columns of B, k-major in zero-padded panels of kPanel.
-  void pack(std::size_t p, float* panel) const {
-    const std::size_t j0 = p * kPanel;
-    const std::size_t width = std::min(kPanel, n - j0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      float* dst = panel + kk * kPanel;
-      const float* src = b + kk * n + j0;
-      if (width == kPanel) {
-        std::memcpy(dst, src, kPanel * sizeof(float));
-      } else {
-        for (std::size_t jj = 0; jj < kPanel; ++jj)
-          dst[jj] = jj < width ? src[jj] : 0.f;
-      }
+// Panel p of the (k x n) matrix b (row stride ldb): its columns, k-major,
+// zero-padded to kPanel.
+void pack_gemm_panel(const float* b, std::size_t ldb, std::size_t k,
+                     std::size_t n, std::size_t p, float* panel) {
+  const std::size_t j0 = p * kPanel;
+  const std::size_t width = std::min(kPanel, n - j0);
+  for (std::size_t kk = 0; kk < k; ++kk) {
+    float* dst = panel + kk * kPanel;
+    const float* src = b + kk * ldb + j0;
+    if (width == kPanel) {
+      std::memcpy(dst, src, kPanel * sizeof(float));
+    } else {
+      for (std::size_t jj = 0; jj < kPanel; ++jj)
+        dst[jj] = jj < width ? src[jj] : 0.f;
     }
   }
-  RowStore tile(std::size_t i0, std::size_t p) const {
+}
+
+// C as a row-major (m x n) matrix with row stride ldc, the tiles stored
+// over it or (kFold) folded into it.
+template <bool kFold>
+struct MatrixStore {
+  float* c;
+  std::size_t ldc, n;
+
+  RowStore<kFold> tile(std::size_t i0, std::size_t p) const {
     const std::size_t j0 = p * kPanel;
-    return {c + i0 * n + j0, n, std::min(kPanel, n - j0)};
+    return {c + i0 * ldc + j0, ldc, std::min(kPanel, n - j0)};
+  }
+};
+
+// B of gemm as a row-major (k x n) matrix with row stride ldb.
+template <bool kFold>
+struct MatrixOperands : MatrixStore<kFold> {
+  const float* b;
+  std::size_t ldb, k;
+
+  void pack(std::size_t p, float* panel) const {
+    pack_gemm_panel(b, ldb, k, this->n, p, panel);
   }
 };
 
@@ -367,7 +397,27 @@ template <typename Isa>
 void gemm_matrix(const float* a, std::size_t a_row, std::size_t a_col,
                  const float* b, float* c, std::size_t m, std::size_t k,
                  std::size_t n) {
-  gemm<Isa>(a, a_row, a_col, m, k, n, MatrixOperands{b, c, k, n});
+  gemm<Isa>(a, a_row, a_col, m, k, n,
+            MatrixOperands<false>{{c, n, n}, b, n, k});
+}
+
+// matmul over B packed whole (GemmPacked): panel p at panels + p * k *
+// kPanel. Blocks sweep their row tiles over runs of panels that fit in
+// cache, as gemm does over the runs it packs.
+template <typename Isa, typename Dst>
+void gemm_packed(const float* a, std::size_t lda, std::size_t m,
+                 const float* panels, std::size_t k, std::size_t n,
+                 const Dst& dst) {
+  const std::size_t run = panel_run(k);
+  run_blocks(ceil_div(m, Isa::kGemmRows), ceil_div(n, kPanel), 2 * m * k * n,
+             [&](std::size_t t0, std::size_t t1, std::size_t p0,
+                 std::size_t p1) {
+    for (std::size_t r0 = p0; r0 < p1; r0 += run) {
+      Isa::gemm({a, lda, 1, panels + r0 * k * kPanel, m, k, t0, t1, r0,
+                 std::min(p1, r0 + run)},
+                dst);
+    }
+  });
 }
 
 // One kPanel-column panel of B^T for the matmul_nt family: row q holds
@@ -605,7 +655,7 @@ void pack_grad_panel(const float* grad_out, std::size_t out_c,
 struct StripStore {
   float* strip;
   std::size_t ld, p0;
-  RowStore tile(std::size_t /*i0*/, std::size_t p) const {
+  RowStore<false> tile(std::size_t /*i0*/, std::size_t p) const {
     return {strip + (p - p0) * kPanel, ld, kPanel};
   }
 };
@@ -780,6 +830,45 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
     gemm_matrix<decltype(isa)>(a.raw(), 1, k, b.raw(), c.raw(), k, m, n);
   });
   return c;
+}
+
+void matmul_tn_fold(const float* a, std::size_t m, std::size_t k,
+                    const float* b, std::size_t ldb, std::size_t n, float* c) {
+  APF_CHECK_MSG(ldb >= n, "matmul_tn_fold row stride " << ldb << " < " << n);
+  simd::with_isa<Tiles>([&](auto isa) {
+    gemm<decltype(isa)>(a, 1, k, k, m, n,
+                        MatrixOperands<true>{{c, n, n}, b, ldb, m});
+  });
+}
+
+GemmPacked::GemmPacked(const Tensor& b) {
+  APF_CHECK(b.rank() == 2);
+  rows_ = b.dim(0);
+  cols_ = b.dim(1);
+  panels_.resize(ceil_div(cols_, kPanel) * rows_ * kPanel);
+  for (std::size_t p = 0; p < ceil_div(cols_, kPanel); ++p) {
+    pack_gemm_panel(b.raw(), cols_, rows_, cols_, p,
+                    panels_.data() + p * rows_ * kPanel);
+  }
+}
+
+void matmul_packed(const float* a, std::size_t lda, std::size_t m,
+                   const GemmPacked& b, float* c, std::size_t ldc,
+                   bool fold) {
+  const std::size_t k = b.rows_, n = b.cols_;
+  APF_CHECK_MSG(lda >= k && ldc >= n, "matmul_packed row strides "
+                                          << lda << ", " << ldc << " < "
+                                          << k << ", " << n);
+  simd::with_isa<Tiles>([&](auto isa) {
+    using Isa = decltype(isa);
+    if (fold) {
+      gemm_packed<Isa>(a, lda, m, b.panels_.data(), k, n,
+                       MatrixStore<true>{c, ldc, n});
+    } else {
+      gemm_packed<Isa>(a, lda, m, b.panels_.data(), k, n,
+                       MatrixStore<false>{c, ldc, n});
+    }
+  });
 }
 
 NtPacked::NtPacked(const Tensor& b) {

@@ -16,6 +16,15 @@
 // (in round-to-nearest x + y is -0 only when both are -0). Only a zero in A
 // against an inf or NaN in B gives a different (NaN) output than a skip.
 //
+// The same GEMM has two more entry points that allocate no output. A
+// GemmPacked handle holds B packed once, for any number of A (a recurrent
+// backward packs each weight once per call), and matmul_tn_fold adds A^T B
+// into C in place. Both can fold: each finished tile row is added to C with
+// one float add, C + acc, where a Tensor result would have been stored and
+// then added by `C += result`. The tile's acc is that result bit for bit,
+// and float addition commutes, so the fold gives the bits of
+// `C += matmul(A, B)` and of `C = matmul(A, B) + C` alike.
+//
 // matmul_nt and matmul_nt_fold_segments pack B^T into the same 8-column
 // panels as doubles, widen A to doubles in chunks of 64 rows, and keep a
 // tile of double accumulators with the reduction ascending: the scalar
@@ -64,6 +73,39 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 
 /// C = A^T(m x k -> k x m) * B ... computed without materializing A^T.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
+
+/// C(k x n) += A^T * B in place, bit for bit C += matmul_tn(A, B): A is
+/// row-major (m x k), row i of B is the n floats at b + i * ldb (ldb >= n),
+/// and C is row-major with row stride n. Besides its packed panel runs it
+/// allocates nothing.
+void matmul_tn_fold(const float* a, std::size_t m, std::size_t k,
+                    const float* b, std::size_t ldb, std::size_t n, float* c);
+
+/// B (k x n) of matmul packed once, as the k-major 8-column float panels
+/// the matmul tile reads, for any number of products A * B (the float twin
+/// of NtPacked below). The handle holds a copy: it goes stale when B
+/// changes, so pack a weight where it is used (LSTM and GRU pack theirs
+/// once per backward).
+class GemmPacked {
+ public:
+  explicit GemmPacked(const Tensor& b);
+
+ private:
+  friend void matmul_packed(const float* a, std::size_t lda, std::size_t m,
+                            const GemmPacked& b, float* c, std::size_t ldc,
+                            bool fold);
+  std::size_t rows_ = 0;  // k: the reduction length
+  std::size_t cols_ = 0;  // n: the columns of C
+  std::vector<float> panels_;
+};
+
+/// C(m x n) = A * B with B packed in b (k x n). Row i of A is the k floats
+/// at a + i * lda (lda >= k), and row i of C the n floats at c + i * ldc
+/// (ldc >= n), so A and C can be steps of (N, T, F) sequences. Each output
+/// is the float sum of matmul, stored over C, or with fold added to C with
+/// one float add: bit for bit C += matmul(A, B).
+void matmul_packed(const float* a, std::size_t lda, std::size_t m,
+                   const GemmPacked& b, float* c, std::size_t ldc, bool fold);
 
 /// C = A * B^T, without materializing B^T: packs B, then runs the pointer
 /// form below.

@@ -15,6 +15,7 @@
 #include "nn/module.h"
 #include "nn/resnet.h"
 #include "conv_reference.h"
+#include "recurrent_reference.h"
 #include "tensor/conv.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -512,6 +513,70 @@ void expect_backward_after_eval_forward_throws() {
   layer.set_training(true);
   layer.forward(x);
   EXPECT_EQ(layer.backward(g).shape(), x.shape());
+}
+
+// Forward and backward twice, the second pass folding onto the first's
+// parameter gradients, against the per-step reference: output, input
+// gradient and every parameter gradient bit for bit. The shapes cover one
+// sample and one step, in != H, and H of 5 (a partial panel), 8 and 32;
+// the last is large enough for the GEMMs to split over pool lanes.
+template <typename Recurrent, typename Reference>
+void expect_recurrent_matches_reference(const Reference& reference) {
+  struct Case {
+    std::size_t n, t, in, h;
+  };
+  const Case cases[] = {{1, 1, 3, 5},   {1, 4, 7, 8},    {3, 1, 5, 8},
+                        {4, 6, 9, 5},   {2, 3, 8, 32},   {5, 7, 32, 8},
+                        {16, 16, 8, 32}, {64, 3, 40, 32}};
+  for (const std::size_t lanes : {1u, 4u}) {
+    util::ThreadPool pool(lanes);
+    const util::ScopedComputePool scope(pool);
+    Rng rng(31);
+    for (const Case& c : cases) {
+      Recurrent layer(c.in, c.h, rng);
+      for (int pass = 0; pass < 2; ++pass) {
+        const std::string where =
+            "lanes=" + std::to_string(lanes) + " n=" + std::to_string(c.n) +
+            " t=" + std::to_string(c.t) + " in=" + std::to_string(c.in) +
+            " h=" + std::to_string(c.h) + " pass=" + std::to_string(pass);
+        const Tensor x = Tensor::uniform({c.n, c.t, c.in}, rng, -2.f, 2.f);
+        const Tensor gy = Tensor::uniform({c.n, c.t, c.h}, rng);
+        std::vector<Tensor> values, grads;
+        for (const auto& ref : layer.parameters()) {
+          values.push_back(ref.param->value);
+          grads.push_back(ref.param->grad);
+        }
+        const test::RecurrentPass expect =
+            reference(values, x, gy, std::move(grads));
+        EXPECT_TRUE(bitwise_equal(layer.forward(x), expect.out)) << where;
+        EXPECT_TRUE(bitwise_equal(layer.backward(gy), expect.grad_input))
+            << where;
+        const auto params = layer.parameters();
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          EXPECT_TRUE(bitwise_equal(params[i].param->grad, expect.grads[i]))
+              << where << " " << params[i].name;
+        }
+      }
+    }
+  }
+}
+
+TEST(LSTM, MatchesPerStepReferenceBitwise) {
+  expect_recurrent_matches_reference<LSTM>(
+      [](const std::vector<Tensor>& p, const Tensor& x, const Tensor& gy,
+         std::vector<Tensor> grads) {
+        return test::lstm_reference(p[0], p[1], p[2], x, gy,
+                                    std::move(grads));
+      });
+}
+
+TEST(GRU, MatchesPerStepReferenceBitwise) {
+  expect_recurrent_matches_reference<GRU>(
+      [](const std::vector<Tensor>& p, const Tensor& x, const Tensor& gy,
+         std::vector<Tensor> grads) {
+        return test::gru_reference(p[0], p[1], p[2], p[3], x, gy,
+                                   std::move(grads));
+      });
 }
 
 TEST(LSTM, EvalForwardMatchesTrainingForwardBitwise) {

@@ -271,6 +271,90 @@ TEST(Ops, MatmulAndMatmulTnBitwiseMatchScalarReference) {
   });
 }
 
+// A row-major (rows x cols) Tensor copied into a buffer whose rows sit ld
+// floats apart from `offset` on, with NaN in the gaps and before offset: a
+// kernel reading past a row's width would carry NaN into C, and one writing
+// there would overwrite it.
+std::vector<float> strided_copy(const Tensor& t, std::size_t ld,
+                                std::size_t offset) {
+  const std::size_t rows = t.dim(0), cols = t.dim(1);
+  std::vector<float> buf(offset + rows * ld,
+                         std::numeric_limits<float>::quiet_NaN());
+  for (std::size_t i = 0; i < rows; ++i)
+    std::copy(t.raw() + i * cols, t.raw() + (i + 1) * cols,
+              buf.data() + offset + i * ld);
+  return buf;
+}
+
+// The rows back out of strided_copy's layout, or a shape mismatch (which no
+// bitwise comparison accepts) if a gap lost its NaN.
+Tensor unstrided(const std::vector<float>& buf, std::size_t rows,
+                 std::size_t cols, std::size_t ld, std::size_t offset) {
+  for (std::size_t at = 0; at < buf.size(); ++at) {
+    const bool in_row = at >= offset && (at - offset) % ld < cols;
+    if (!in_row && !std::isnan(buf[at])) return Tensor({0});
+  }
+  Tensor t({rows, cols});
+  for (std::size_t i = 0; i < rows; ++i)
+    std::copy(buf.data() + offset + i * ld,
+              buf.data() + offset + i * ld + cols, t.raw() + i * cols);
+  return t;
+}
+
+// C = A * B through one packed handle, stored or folded, against the
+// scalar ikj loop (folded: C0 + the loop's product, one float add). A's
+// rows sit lda = k + 2 floats apart and C's ldc = n + 3 apart from one
+// float past a panel-aligned start, so no C row starts on a panel boundary.
+TEST(Ops, MatmulPackedBitwiseMatchesScalarReference) {
+  const std::vector<GemmShape> shapes = kernel_shapes();
+  on_1_and_4_lanes([&] {
+    Rng rng(37);
+    for (const auto& [m, k, n] : shapes) {
+      const Tensor a = signed_with_zeros({m, k}, rng);
+      const Tensor b = Tensor::uniform({k, n}, rng, -3.f, 3.f);
+      const Tensor c0 = signed_with_zeros({m, n}, rng);
+      const Tensor product = matmul_scalar_reference(a, b);
+      Tensor folded = c0;
+      folded += product;
+      const std::size_t lda = k + 2, ldc = n + 3;
+      const std::vector<float> a_buf = strided_copy(a, lda, 0);
+      const GemmPacked packed(b);
+      for (const bool fold : {false, true}) {
+        std::vector<float> c_buf = strided_copy(c0, ldc, 1);
+        matmul_packed(a_buf.data(), lda, m, packed, c_buf.data() + 1, ldc,
+                      fold);
+        ASSERT_TRUE(bitwise_equal(unstrided(c_buf, m, n, ldc, 1),
+                                  fold ? folded : product))
+            << "m=" << m << " k=" << k << " n=" << n << " fold=" << fold;
+      }
+    }
+  });
+}
+
+// C += A^T * B in place against C0 + the scalar ikj loop's product, with
+// B's rows ldb = n + 2 floats apart and C one float past a panel-aligned
+// start.
+TEST(Ops, MatmulTnFoldBitwiseMatchesScalarReference) {
+  const std::vector<GemmShape> shapes = kernel_shapes();
+  on_1_and_4_lanes([&] {
+    Rng rng(41);
+    for (const auto& [m, k, n] : shapes) {
+      // A is (k x m), read transposed: C is (m x n).
+      const Tensor at = signed_with_zeros({k, m}, rng);
+      const Tensor b = Tensor::uniform({k, n}, rng, -3.f, 3.f);
+      const Tensor c0 = signed_with_zeros({m, n}, rng);
+      Tensor expect = c0;
+      expect += matmul_tn_scalar_reference(at, b);
+      const std::size_t ldb = n + 2;
+      const std::vector<float> b_buf = strided_copy(b, ldb, 0);
+      std::vector<float> c_buf = strided_copy(c0, n, 1);
+      matmul_tn_fold(at.raw(), k, m, b_buf.data(), ldb, n, c_buf.data() + 1);
+      ASSERT_TRUE(bitwise_equal(unstrided(c_buf, m, n, n, 1), expect))
+          << "m=" << m << " k=" << k << " n=" << n;
+    }
+  });
+}
+
 TEST(Ops, MatmulNtFoldSegmentsMatchesPerSegmentScalarFold) {
   // C += float(double dot over each segment), segments folded in order,
   // onto a non-zero C; m and r end in partial tiles and panels, and m = 65
