@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/lane_scratch.h"
 #include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -94,8 +95,8 @@ Tensor GRU::forward(const Tensor& input) {
     // x W_ih^T and h W_hh^T (N, 3H); x is step t of the input, read in
     // place.
     matmul_nt(input.raw() + t * input_size_, time_ * input_size_, n, w_ih,
-              st.pre_i, false);
-    matmul_nt(h_prev, hid, n, w_hh, st.pre_h, false);
+              st.pre_i);
+    matmul_nt(h_prev, hid, n, w_hh, st.pre_h);
     // The gate pre-activations, gate-major, so each activation runs once
     // per gate over the whole batch: r and z take both biased products, n
     // its input side (the reset product is added once r is known).
@@ -145,13 +146,16 @@ Tensor GRU::backward(const Tensor& grad_output) {
   const Steps st = steps(true);
   const std::size_t n = batch_, hid = hidden_, nh = st.nh, in = input_size_;
   Tensor grad_input({batch_, time_, in});
-  // One step's pre-activation gradients of the input-side and hidden-side
-  // products (N, 3H) each, row-major as the GEMMs read them, and the
-  // gradient flowing into h_t from step t + 1 (zero past the last step).
-  std::vector<float> work(7 * nh);
-  float* dgates_ih = work.data();
-  float* dgates_hh = dgates_ih + 3 * nh;
-  float* dh = dgates_hh + 3 * nh;
+  // Lane-local scratch: every step's pre-activation gradients of the
+  // input-side and hidden-side products, each laid out (N, T, 3H) like the
+  // input, so that the GEMMs read step t in place and dW and dx run once
+  // over all steps; then the gradient flowing into h_t from step t + 1
+  // (zero past the last step).
+  const std::size_t cols = 3 * hid, ldg = time_ * cols;
+  float* dgates_ih = lane_scratch(2 * n * ldg + nh);
+  float* dgates_hh = dgates_ih + n * ldg;
+  float* dh = dgates_hh + n * ldg;
+  std::fill(dh, dh + nh, 0.f);
   // The weights change only between backwards: pack each once for all
   // steps.
   const GemmPacked w_ih(w_ih_.value);
@@ -162,10 +166,15 @@ Tensor GRU::backward(const Tensor& grad_output) {
     const float* act = st.gates_at(t);
     const float* hn = st.hn_at(t);
     const float* h_prev_t = st.h_at(t);
+    float* step_ih = dgates_ih + t * cols;
+    float* step_hh = dgates_hh + t * cols;
     for (std::size_t s = 0; s < n; ++s) {
       const float* dy = grad_output.raw() + (s * time_ + t) * hid;
-      float* ihrow = dgates_ih + s * 3 * hid;
-      float* hhrow = dgates_hh + s * 3 * hid;
+      float* ihrow = step_ih + s * ldg;
+      float* hhrow = step_hh + s * ldg;
+      // Every element reads and writes only its own slots (the rows, dh
+      // and the inputs lie in disjoint buffers), so the loop vectorizes.
+#pragma GCC ivdep
       for (std::size_t j = 0; j < hid; ++j) {
         const std::size_t idx = s * hid + j;
         const float dh_total = dy[j] + dh[idx];
@@ -191,27 +200,27 @@ Tensor GRU::backward(const Tensor& grad_output) {
         dh[idx] = dh_total * z;
       }
     }
-    // Parameter gradients, folded in place; x is step t of the input copy.
-    matmul_tn_fold(dgates_ih, n, 3 * hid, st.x + t * in, time_ * in, in,
-                   w_ih_.grad.raw());
-    matmul_tn_fold(dgates_hh, n, 3 * hid, h_prev_t, hid, hid,
-                   w_hh_.grad.raw());
     for (std::size_t s = 0; s < n; ++s) {
-      const float* ihrow = dgates_ih + s * 3 * hid;
-      const float* hhrow = dgates_hh + s * 3 * hid;
-      for (std::size_t j = 0; j < 3 * hid; ++j) {
+      const float* ihrow = step_ih + s * ldg;
+      const float* hhrow = step_hh + s * ldg;
+      for (std::size_t j = 0; j < cols; ++j) {
         b_ih_grad[j] += ihrow[j];
         b_hh_grad[j] += hhrow[j];
       }
     }
-    // Input and recurrent gradients: dx goes straight to step t of
-    // grad_input, and dh_{t-1} = direct + dgates_hh W_hh, the sum of
-    // `M + direct` with its operands swapped (float addition commutes).
-    // Step 0 feeds no earlier step.
-    matmul_packed(dgates_ih, 3 * hid, n, w_ih, grad_input.raw() + t * in,
-                  time_ * in, false);
-    if (t > 0) matmul_packed(dgates_hh, 3 * hid, n, w_hh, dh, hid, true);
+    // dh_{t-1} = direct + dgates_hh W_hh, the sum of `M + direct` with its
+    // operands swapped (float addition commutes). Step 0 feeds no earlier
+    // step.
+    if (t > 0) matmul_packed(step_hh, ldg, n, w_hh, dh, hid, true);
   }
+  // The weight gradients, folded in place over all steps, last step first
+  // (x_t is step t of the input copy, h_t that of the states), and dx, each
+  // (s, t) row of grad_input from the same row of dgates_ih.
+  matmul_tn_fold({dgates_ih, ldg, cols}, {st.x, time_ * in, in}, n, cols, in,
+                 time_, w_ih_.grad.raw());
+  matmul_tn_fold({dgates_hh, ldg, cols}, {st.h, hid, nh}, n, cols, hid, time_,
+                 w_hh_.grad.raw());
+  matmul_packed(dgates_ih, cols, n * time_, w_ih, grad_input.raw(), in, false);
   return grad_input;
 }
 

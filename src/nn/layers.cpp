@@ -41,9 +41,9 @@ Tensor Linear::backward(const Tensor& grad_output) {
   APF_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_features_);
   APF_CHECK(grad_output.dim(0) == input_.dim(0));
   // dW (out, in) += gradY^T (out, N) * X (N, in), folded in place
-  matmul_tn_fold(grad_output.raw(), grad_output.dim(0), out_features_,
-                 input_.raw(), in_features_, in_features_,
-                 weight_.grad.raw());
+  matmul_tn_fold({grad_output.raw(), out_features_, 0},
+                 {input_.raw(), in_features_, 0}, grad_output.dim(0),
+                 out_features_, in_features_, 1, weight_.grad.raw());
   if (has_bias_) {
     const std::size_t n = grad_output.dim(0);
     for (std::size_t i = 0; i < n; ++i) {

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/lane_scratch.h"
 #include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -91,12 +92,11 @@ Tensor LSTM::forward(const Tensor& input) {
     float* c = st.c_at(t + 1);
     float* gates = st.gates_at(t);
     float* tanh_c = st.tanh_c_at(t);
-    // pre (N, 4H) = x W_ih^T + h W_hh^T; x is step t of the input, read in
-    // place. The h fold runs at t = 0 too, where h is zero: adding +0 turns
-    // a -0 gate into +0.
-    matmul_nt(input.raw() + t * input_size_, time_ * input_size_, n, w_ih,
-              st.pre, false);
-    matmul_nt(h_prev, hid, n, w_hh, st.pre, true);
+    // pre (N, 4H) = x W_ih^T + h W_hh^T in one pass; x is step t of the
+    // input, read in place. The h product runs at t = 0 too, where h is
+    // zero: adding +0 turns a -0 gate into +0.
+    matmul_nt_pair(input.raw() + t * input_size_, time_ * input_size_, w_ih,
+                   h_prev, hid, w_hh, n, st.pre);
     // Plus the bias, stored gate-major, so each activation runs once per
     // gate over the whole batch.
     for (std::size_t s = 0; s < n; ++s) {
@@ -139,13 +139,15 @@ Tensor LSTM::backward(const Tensor& grad_output) {
   const Steps st = steps(true);
   const std::size_t n = batch_, hid = hidden_, nh = st.nh, in = input_size_;
   Tensor grad_input({batch_, time_, in});
-  // One step's pre-activation gate gradients (N, 4H), row-major as the
-  // GEMMs read them, and the gradients flowing into h_t and c_t from step
-  // t + 1 (zero past the last step).
-  std::vector<float> work(6 * nh);
-  float* dgates = work.data();
-  float* dh = dgates + 4 * nh;
+  // Lane-local scratch: every step's pre-activation gate gradients, laid
+  // out (N, T, 4H) like the input, so that the GEMMs read step t in place
+  // and dW and dx run once over all steps; then the gradients flowing into
+  // h_t and c_t from step t + 1 (zero past the last step).
+  const std::size_t cols = 4 * hid, ldg = time_ * cols;
+  float* dgates = lane_scratch(n * ldg + 2 * nh);
+  float* dh = dgates + n * ldg;
   float* dc = dh + nh;
+  std::fill(dh, dc + nh, 0.f);
   // The weights change only between backwards: pack each once for all
   // steps.
   const GemmPacked w_ih(w_ih_.value);
@@ -155,9 +157,13 @@ Tensor LSTM::backward(const Tensor& grad_output) {
     const float* act = st.gates_at(t);
     const float* tanh_c = st.tanh_c_at(t);
     const float* c_prev = st.c_at(t);
+    float* step = dgates + t * cols;
     for (std::size_t s = 0; s < n; ++s) {
       const float* dy = grad_output.raw() + (s * time_ + t) * hid;
-      float* grow = dgates + s * 4 * hid;
+      float* grow = step + s * ldg;
+      // Every element reads and writes only its own slots (grow, dc and
+      // the inputs lie in disjoint buffers), so the loop vectorizes.
+#pragma GCC ivdep
       for (std::size_t j = 0; j < hid; ++j) {
         const std::size_t idx = s * hid + j;
         const float dh_total = dy[j] + dh[idx];
@@ -178,21 +184,21 @@ Tensor LSTM::backward(const Tensor& grad_output) {
         dc[idx] = dct * f;
       }
     }
-    // Parameter gradients, folded in place; x is step t of the input copy.
-    matmul_tn_fold(dgates, n, 4 * hid, st.x + t * in, time_ * in, in,
-                   w_ih_.grad.raw());
-    matmul_tn_fold(dgates, n, 4 * hid, st.h_at(t), hid, hid,
-                   w_hh_.grad.raw());
     for (std::size_t s = 0; s < n; ++s) {
-      const float* grow = dgates + s * 4 * hid;
-      for (std::size_t j = 0; j < 4 * hid; ++j) bias_grad[j] += grow[j];
+      const float* grow = step + s * ldg;
+      for (std::size_t j = 0; j < cols; ++j) bias_grad[j] += grow[j];
     }
-    // Input and recurrent gradients: dx goes straight to step t of
-    // grad_input; dh feeds step t - 1, so step 0 needs none.
-    matmul_packed(dgates, 4 * hid, n, w_ih, grad_input.raw() + t * in,
-                  time_ * in, false);
-    if (t > 0) matmul_packed(dgates, 4 * hid, n, w_hh, dh, hid, false);
+    // The recurrent gradient feeds step t - 1, so step 0 needs none.
+    if (t > 0) matmul_packed(step, ldg, n, w_hh, dh, hid, false);
   }
+  // The weight gradients, folded in place over all steps, last step first
+  // (x_t is step t of the input copy, h_t that of the states), and dx, each
+  // (s, t) row of grad_input from the same row of dgates.
+  matmul_tn_fold({dgates, ldg, cols}, {st.x, time_ * in, in}, n, cols, in,
+                 time_, w_ih_.grad.raw());
+  matmul_tn_fold({dgates, ldg, cols}, {st.h, hid, nh}, n, cols, hid, time_,
+                 w_hh_.grad.raw());
+  matmul_packed(dgates, cols, n * time_, w_ih, grad_input.raw(), in, false);
   return grad_input;
 }
 

@@ -5,6 +5,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
+
+#if defined(__x86_64__)
+#include <immintrin.h>  // declares the __builtin_ia32_* used below
+#endif
 
 #include "tensor/simd.h"
 #include "util/error.h"
@@ -165,27 +170,39 @@ APF_TILE void finish(TanhBlock<Isa>& b, std::size_t j,
   b.v[j] = (ix < 0x24000000) | (ix > 0x7f800000) ? v * (1.f + v) : z;
 }
 
+// The three stages over the first `vectors` vectors of b.v, in place.
+template <typename Isa>
+APF_TILE void tanh_block(TanhBlock<Isa>& b, std::size_t vectors) {
+  for (std::size_t j = 0; j < vectors; ++j) reduce(b, j);
+  for (std::size_t j = 0; j < vectors; ++j) approximate(b, j);
+  for (std::size_t j = 0; j < vectors; ++j) {
+    typename Isa::Floats t;
+    reconstruct(b, j, t);
+    finish(b, j, t);
+  }
+}
+
 template <typename Isa>
 APF_TILE void tanh_span(const float* x, float* y, std::size_t n) {
   using F = typename Isa::Floats;
   constexpr std::size_t kL = kLanes<F>;
+  constexpr std::size_t kFull = kBlock * kL;
   // Left uninitialized: each stage reads only the slots j < vectors that
   // an earlier stage wrote, and zeroing the block would cost about a tenth
   // of a 32-element call.
   TanhBlock<Isa> b;
-  for (std::size_t i = 0; i < n; i += kBlock * kL) {
-    // The last vector of the span is zero-padded.
-    const std::size_t count = std::min(kBlock * kL, n - i);
+  std::size_t i = 0;
+  for (; i + kFull <= n; i += kFull) {
+    for (std::size_t j = 0; j < kBlock; ++j) load(x + i + j * kL, b.v[j]);
+    tanh_block(b, kBlock);
+    for (std::size_t j = 0; j < kBlock; ++j) store(y + i + j * kL, b.v[j]);
+  }
+  if (i < n) {  // the tail, its last vector zero-padded
+    const std::size_t count = n - i;
     const std::size_t vectors = (count + kL - 1) / kL;
     b.v[vectors - 1] = F{};
     std::memcpy(b.v, x + i, count * sizeof(float));
-    for (std::size_t j = 0; j < vectors; ++j) reduce(b, j);
-    for (std::size_t j = 0; j < vectors; ++j) approximate(b, j);
-    for (std::size_t j = 0; j < vectors; ++j) {
-      F t;
-      reconstruct(b, j, t);
-      finish(b, j, t);
-    }
+    tanh_block(b, vectors);
     std::memcpy(y + i, b.v, count * sizeof(float));
   }
 }
@@ -196,7 +213,7 @@ APF_TILE void tanh_span(const float* x, float* y, std::size_t n) {
 
 // __exp2f_data (e_exp2f_data.c): tab[i] = bits(2^(i/32)) - (i << 47), so
 // that bits(2^(k/32)) = tab[k % 32] + (k << 47) for an integer k.
-constexpr std::uint64_t kExp2Tab[32] = {
+alignas(64) constexpr std::uint64_t kExp2Tab[32] = {
     0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
     0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
     0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
@@ -222,66 +239,170 @@ bool needs_libm(float x) {
   return (std::bit_cast<std::int32_t>(x) & ~kSign) >= kExpFastLimit;
 }
 
-// One double vector's worth of floats: e = expf(x) in each lane, then, for
-// sigmoid, 1.f / (1.f + e) in float.
+// The instructions the vector extensions do not reach: the AVX2 table
+// gather and the sign-bit movemask. They are raw builtins, which GCC
+// declares with <immintrin.h>; unlike the intrinsics (always_inline
+// functions marked target("avx2")) a builtin may sit in the generic
+// templates that the target("avx2") entries inline. -Wpsabi would warn
+// that a 32-byte vector crosses a call in a function without AVX, but a
+// builtin is no call.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// Whether any lane of a comparison mask (all ones or zero per lane) is
+// set.
+APF_TILE bool any_lane(const simd::i32x4& mask) {
+#if defined(__x86_64__)
+  return __builtin_ia32_movmskps(__builtin_bit_cast(simd::f32x4, mask)) != 0;
+#else
+  return (mask[0] | mask[1] | mask[2] | mask[3]) != 0;
+#endif
+}
+
+#ifdef APF_SIMD_AVX2
+APF_TILE bool any_lane(const simd::i32x8& mask) {
+  return __builtin_ia32_movmskps256(__builtin_bit_cast(simd::f32x8, mask)) !=
+         0;
+}
+#endif
+
+// t[l] = kExp2Tab[ki[l] % 32]: one gather on AVX2, a lane at a time on the
+// baseline.
+template <typename Isa>
+APF_TILE void table_lookup(const typename Isa::Ulongs& ki,
+                           typename Isa::Ulongs& t) {
+#ifdef APF_SIMD_AVX2
+  if constexpr (std::is_same_v<Isa, simd::Avx2>) {
+    typedef long long i64x4 __attribute__((vector_size(32)));
+    const i64x4 index = __builtin_bit_cast(i64x4, ki & 31);
+    t = __builtin_bit_cast(
+        typename Isa::Ulongs,
+        __builtin_ia32_gatherdiv4di(
+            i64x4{}, reinterpret_cast<const long long*>(kExp2Tab), index,
+            ~i64x4{}, sizeof kExp2Tab[0]));
+    return;
+  }
+#endif
+  typename Isa::Ulongs looked;
+  for (std::size_t l = 0; l < kLanes<typename Isa::Ulongs>; ++l)
+    looked[l] = kExp2Tab[ki[l] % 32];
+  t = looked;
+}
+
+#pragma GCC diagnostic pop
+
+// A float vector split into the halves that widen to double vectors, and
+// joined back.
+APF_TILE void split(const simd::f32x4& v, simd::f32x2& lo, simd::f32x2& hi) {
+  lo = __builtin_shufflevector(v, v, 0, 1);
+  hi = __builtin_shufflevector(v, v, 2, 3);
+}
+
+APF_TILE void join(const simd::f32x2& lo, const simd::f32x2& hi,
+                   simd::f32x4& v) {
+  v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3);
+}
+
+#ifdef APF_SIMD_AVX2
+APF_TILE void split(const simd::f32x8& v, simd::f32x4& lo, simd::f32x4& hi) {
+  lo = __builtin_shufflevector(v, v, 0, 1, 2, 3);
+  hi = __builtin_shufflevector(v, v, 4, 5, 6, 7);
+}
+
+APF_TILE void join(const simd::f32x4& lo, const simd::f32x4& hi,
+                   simd::f32x8& v) {
+  v = __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+}
+#endif
+
+// Double vectors per exp block: two float vectors, whose four dependency
+// chains the core overlaps.
+constexpr std::size_t kExpChains = 4;
+
+// One block of exp or sigmoid in place: two float vectors, each lane e =
+// expf(x), then, for sigmoid, 1.f / (1.f + e) in float.
 //
 // Each lane runs glibc's expf in its order: x * N / ln2 = k + r by the
 // shift-constant rounding, 2^(k/N) from the table, the degree-3 polynomial
 // in r, one multiply and one rounding to float. The file is compiled with
 // -ffp-contract=off, so each operation rounds as glibc's non-FMA build
 // does. That build equals libm's for |x| < 89, and the FMA build for
-// |x| < 20; lanes with |x| >= 20, inf or NaN are redone with libm. out may
-// be x: x is read before out is written.
+// |x| < 20; one vector compare finds the lanes with |x| >= 20, inf or NaN,
+// and those are redone with libm.
 template <typename Isa, bool kSigmoid>
-APF_TILE void exp_lanes(const typename Isa::Halves& x,
-                        typename Isa::Halves& out) {
+APF_TILE void exp_lanes(typename Isa::Floats (&v)[2]) {
+  using F = typename Isa::Floats;
+  using I = typename Isa::Ints;
   using D = typename Isa::Doubles;
   using L = typename Isa::Ulongs;
   using H = typename Isa::Halves;
-  const D z = kInvLn2N * __builtin_convertvector(kSigmoid ? -x : x, D);
-  D kd = z + kShift;
-  const L ki = __builtin_bit_cast(L, kd);
-  kd -= kShift;
-  const D r = z - kd;
-  L t;
-  for (std::size_t l = 0; l < kLanes<D>; ++l) t[l] = kExp2Tab[ki[l] % 32];
-  t += ki << 47;
-  const D s = __builtin_bit_cast(D, t);
-  const D p = kC0 * r + kC1;
-  const D r2 = r * r;
-  D y = kC2 * r + 1.0;
-  y = p * r2 + y;
-  y = y * s;
-  H e = __builtin_convertvector(y, H);
-  if constexpr (kSigmoid) e = 1.f / (1.f + e);
-  for (std::size_t l = 0; l < kLanes<D>; ++l) {
-    if (needs_libm(x[l])) [[unlikely]] {
-      e[l] = kSigmoid ? 1.f / (1.f + std::exp(-x[l])) : std::exp(x[l]);
+  H x[kExpChains];
+  split(v[0], x[0], x[1]);
+  split(v[1], x[2], x[3]);
+  D r[kExpChains];
+  L t[kExpChains];
+  for (std::size_t q = 0; q < kExpChains; ++q) {
+    const D z = kInvLn2N * __builtin_convertvector(kSigmoid ? -x[q] : x[q], D);
+    D kd = z + kShift;
+    const L ki = __builtin_bit_cast(L, kd);
+    kd -= kShift;
+    r[q] = z - kd;
+    table_lookup<Isa>(ki, t[q]);
+    t[q] += ki << 47;
+  }
+  H e[kExpChains];
+  for (std::size_t q = 0; q < kExpChains; ++q) {
+    const D s = __builtin_bit_cast(D, t[q]);
+    const D p = kC0 * r[q] + kC1;
+    const D r2 = r[q] * r[q];
+    D y = kC2 * r[q] + 1.0;
+    y = p * r2 + y;
+    y = y * s;
+    e[q] = __builtin_convertvector(y, H);
+    if constexpr (kSigmoid) e[q] = 1.f / (1.f + e[q]);
+  }
+  F out[2];
+  join(e[0], e[1], out[0]);
+  join(e[2], e[3], out[1]);
+  const I big = ((__builtin_bit_cast(I, v[0]) & ~kSign) >= kExpFastLimit) |
+                ((__builtin_bit_cast(I, v[1]) & ~kSign) >= kExpFastLimit);
+  if (any_lane(big)) [[unlikely]] {
+    for (std::size_t j = 0; j < 2; ++j) {
+      for (std::size_t l = 0; l < kLanes<F>; ++l) {
+        const float xl = v[j][l];
+        if (needs_libm(xl)) {
+          out[j][l] = kSigmoid ? 1.f / (1.f + std::exp(-xl)) : std::exp(xl);
+        }
+      }
     }
   }
-  out = e;
+  v[0] = out[0];
+  v[1] = out[1];
 }
 
-// y = exp(x) or sigmoid(x) over a span, a double vector at a time (y may
-// be x).
+// y = exp(x) or sigmoid(x) over a span, a block of two float vectors at a
+// time (y may be x).
 template <typename Isa, bool kSigmoid>
 APF_TILE void exp_span(const float* x, float* y, std::size_t n) {
-  using H = typename Isa::Halves;
-  constexpr std::size_t kD = kLanes<H>;
+  using F = typename Isa::Floats;
+  constexpr std::size_t kL = kLanes<F>;
   std::size_t i = 0;
-  for (; i + kD <= n; i += kD) {
-    H v;
-    load(x + i, v);
-    exp_lanes<Isa, kSigmoid>(v, v);
-    store(y + i, v);
+  F v[2];
+  for (; i + 2 * kL <= n; i += 2 * kL) {
+    load(x + i, v[0]);
+    load(x + i + kL, v[1]);
+    exp_lanes<Isa, kSigmoid>(v);
+    store(y + i, v[0]);
+    store(y + i + kL, v[1]);
   }
-  if (i < n) {  // the last, zero-padded vector
-    float buf[kD] = {};
+  if (i < n) {  // the last, zero-padded block
+    float buf[2 * kL] = {};
     std::memcpy(buf, x + i, (n - i) * sizeof(float));
-    H v;
-    load(buf, v);
-    exp_lanes<Isa, kSigmoid>(v, v);
-    store(buf, v);
+    load(buf, v[0]);
+    load(buf + kL, v[1]);
+    exp_lanes<Isa, kSigmoid>(v);
+    store(buf, v[0]);
+    store(buf + kL, v[1]);
     std::memcpy(y + i, buf, (n - i) * sizeof(float));
   }
 }

@@ -48,15 +48,22 @@
 // apf::sigmoid is 1.f / (1.f + exp(-x)) in float, the operations of the
 // scalar formula it replaces.
 //
-// Vectors. The kernels use GCC vector extensions and no intrinsics, and
-// this file is compiled with -ffp-contract=off, so no multiply-add may be
-// fused. They run on the instruction set tensor/simd.h picks for the
-// process: tanh on 4 float lanes (baseline) or 8 (AVX2), exp and sigmoid on
-// 2 or 4 double lanes. A lane count changes only how many elements run side
-// by side, so both give the same bits. tensor_test checks the edges of each
-// kernel; activations_sweep_test checks all 2^32 inputs of each against
-// libm, and CI runs it again with GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,
-// which selects both glibc's plain expf and the baseline vectors.
+// Vectors. The kernels use GCC vector extensions, and activations.cpp is
+// compiled with -ffp-contract=off, so no multiply-add may be fused. They
+// run on the instruction set tensor/simd.h picks for the process: tanh on
+// 4 float lanes (baseline) or 8 (AVX2), in blocks of eight vectors loaded
+// and stored in place (only a span's tail is staged through a zero-padded
+// copy); exp and sigmoid on 2 or 4 double lanes, in blocks of two float
+// vectors, that is four double vectors side by side. Per block one vector
+// compare and a movemask find the lanes for libm, and on AVX2 the 2^(i/32)
+// table is read with one gather per double vector (raw builtins, as
+// vector extensions reach neither); the baseline looks the table up a lane
+// at a time. A lane count or a block changes only how many elements run
+// side by side, so both sets give the same bits. tensor_test checks the
+// edges of each kernel, every block edge and slot included;
+// activations_sweep_test checks all 2^32 inputs of each against libm, and
+// CI runs both again with GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA, which
+// selects both glibc's plain expf and the baseline vectors.
 #pragma once
 
 #include <span>

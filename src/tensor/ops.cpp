@@ -104,14 +104,14 @@ APF_TILE void narrow(const f64x4& lo, const f64x4& hi, f32x8& out) {
   out = __builtin_shufflevector(x, y, 0, 1, 2, 3, 4, 5, 6, 7);
 }
 
-// One float register tile: rows [0, R) of op(A) times one packed panel,
-// each finished row r handed to out(r, row). p ascends, so each output gets
-// the scalar ikj loop's float additions in the same order.
-template <typename F, std::size_t R, typename Out>
-APF_TILE void gemm_tile(const float* a, std::size_t a_row, std::size_t a_col,
-                        const float* panel, std::size_t k, const Out& out) {
+// Adds rows [0, R) of op(A) times one packed panel to a float register
+// tile. p ascends, so each output gets the scalar ikj loop's float
+// additions in the same order.
+template <typename F, std::size_t R>
+APF_TILE void gemm_acc(const float* a, std::size_t a_row, std::size_t a_col,
+                       const float* panel, std::size_t k,
+                       F (&acc)[R][kPanel / kLanes<F>]) {
   constexpr std::size_t kVecs = kPanel / kLanes<F>;
-  F acc[R][kVecs] = {};
   for (std::size_t p = 0; p < k; ++p) {
     F b[kVecs];
     for (std::size_t v = 0; v < kVecs; ++v)
@@ -121,6 +121,15 @@ APF_TILE void gemm_tile(const float* a, std::size_t a_row, std::size_t a_col,
       for (std::size_t v = 0; v < kVecs; ++v) acc[r][v] += av * b[v];
     }
   }
+}
+
+// One float register tile, starting at +0, each finished row r handed to
+// out(r, row).
+template <typename F, std::size_t R, typename Out>
+APF_TILE void gemm_tile(const float* a, std::size_t a_row, std::size_t a_col,
+                        const float* panel, std::size_t k, const Out& out) {
+  F acc[R][kPanel / kLanes<F>] = {};
+  gemm_acc<F, R>(a, a_row, a_col, panel, k, acc);
   for (std::size_t r = 0; r < R; ++r) out(r, acc[r]);
 }
 
@@ -184,47 +193,126 @@ APF_TILE void gemm_sweep(const GemmSweep& args, const Dst& dst_args) {
   }
 }
 
+// One float tile of the step fold (matmul_tn_fold): the C tile (R rows at
+// c, row stride ldc, its first `width` columns) plus, for t = steps - 1
+// down to 0, rows [0, R) of A_t^T (A_t at a + t * a_step, op(A)[r][p] =
+// a[r + p * a_col]) times panel t (m rows of kPanel floats at panels + t *
+// m * kPanel). Each step's float sum starts at +0 and is added to the C
+// tile with one float add, C + sum, as RowStore<true> adds one step; the C
+// tile stays in registers across the steps.
+template <typename F, std::size_t R>
+APF_TILE void fold_steps_tile(const float* a, std::size_t a_col,
+                              std::size_t a_step, const float* panels,
+                              std::size_t m, std::size_t steps, float* c,
+                              std::size_t ldc, std::size_t width) {
+  constexpr std::size_t kVecs = kPanel / kLanes<F>;
+  F ct[R][kVecs];
+  for (std::size_t r = 0; r < R; ++r) load_row(c + r * ldc, width, ct[r]);
+  for (std::size_t t = steps; t-- > 0;) {
+    F acc[R][kVecs] = {};
+    gemm_acc<F, R>(a + t * a_step, 1, a_col, panels + t * m * kPanel, m, acc);
+    for (std::size_t r = 0; r < R; ++r)
+      for (std::size_t v = 0; v < kVecs; ++v) ct[r][v] += acc[r][v];
+  }
+  for (std::size_t r = 0; r < R; ++r) store_row(c + r * ldc, width, ct[r]);
+}
+
+template <typename F, std::size_t R>
+APF_TILE void fold_steps_rows(std::size_t rows, const float* a,
+                              std::size_t a_col, std::size_t a_step,
+                              const float* panels, std::size_t m,
+                              std::size_t steps, float* c, std::size_t ldc,
+                              std::size_t width) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      fold_steps_rows<F, R - 1>(rows, a, a_col, a_step, panels, m, steps, c,
+                                ldc, width);
+      return;
+    }
+  }
+  fold_steps_tile<F, R>(a, a_col, a_step, panels, m, steps, c, ldc, width);
+}
+
+// Row tiles [t0, t1) of the step fold's (k x n) C over the packed panels
+// [p0, p1): panel p's steps sit at packed + (p - p0) * steps * m * kPanel.
+struct StepSweep {
+  const float* a;
+  std::size_t a_col, a_step;
+  const float* packed;
+  float* c;
+  std::size_t n, m, k, steps, t0, t1, p0, p1;
+};
+
+template <typename Isa>
+APF_TILE void fold_steps_sweep(const StepSweep& args) {
+  const StepSweep s = args;
+  constexpr std::size_t kRows = Isa::kGemmRows;
+  for (std::size_t t = s.t0; t < s.t1; ++t) {
+    const std::size_t i0 = t * kRows;
+    for (std::size_t p = s.p0; p < s.p1; ++p) {
+      const std::size_t j0 = p * kPanel;
+      fold_steps_rows<typename Isa::Floats, kRows>(
+          std::min(kRows, s.k - i0), s.a + i0, s.a_col, s.a_step,
+          s.packed + (p - s.p0) * s.steps * s.m * kPanel, s.m, s.steps,
+          s.c + i0 * s.n + j0, s.n, std::min(kPanel, s.n - j0));
+    }
+  }
+}
+
+// Float vectors per C row of one panel, in the double tiles.
+template <typename Isa>
+constexpr std::size_t kNtVecs = kPanel / kLanes<typename Isa::Floats>;
+
+// The double dot products of rows [0, R) of the widened rows at a (row
+// stride len) against one packed panel (len rows of kPanel doubles): each
+// sums its exact float*float products in ascending q (Isa::madd), then
+// rounds to float.
+template <typename Isa, std::size_t R>
+APF_TILE void nt_dots(const typename Isa::WideA* a, std::size_t len,
+                      const double* panel,
+                      typename Isa::Floats (&out)[R][kNtVecs<Isa>]) {
+  using D = typename Isa::Doubles;
+  constexpr std::size_t kVecs = kPanel / kLanes<D>;
+  static_assert(kVecs == 2 * kNtVecs<Isa>);
+  D acc[R][kVecs] = {};
+  for (std::size_t q = 0; q < len; ++q) {
+    D b[kVecs];
+    for (std::size_t v = 0; v < kVecs; ++v)
+      load(panel + q * kPanel + v * kLanes<D>, b[v]);
+    for (std::size_t r = 0; r < R; ++r) {
+      const typename Isa::WideA av = a[r * len + q];
+      for (std::size_t v = 0; v < kVecs; ++v) Isa::madd(acc[r][v], av, b[v]);
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r)
+    for (std::size_t v = 0; v < kNtVecs<Isa>; ++v)
+      narrow(acc[r][2 * v], acc[r][2 * v + 1], out[r][v]);
+}
+
 // One double register tile of the matmul_nt family: rows [0, R) of A
 // against one 8-column panel, for segments [s0, s1). `a` points at row 0
 // of segment 0 of the widened rows (segment stride m * len, row stride
 // len); `panel` holds the segments' packed B columns, len rows of kPanel
-// doubles each. Per segment, each dot product sums its exact float*float
-// products in ascending q (Isa::madd), then rounds to float and is added to
-// the C tile (kFold) or stored over it (one segment, !kFold). The C tile
-// stays in registers across the segments.
+// doubles each. Per segment, each rounded dot product is added to the C
+// tile (kFold) or stored over it (one segment, !kFold). The C tile stays
+// in registers across the segments.
 template <typename Isa, std::size_t R, bool kFold>
 APF_TILE void nt_tile(const typename Isa::WideA* a, std::size_t m,
                       std::size_t len, const double* panel, std::size_t s0,
                       std::size_t s1, float* c, std::size_t ldc,
                       std::size_t width) {
   using F = typename Isa::Floats;
-  using D = typename Isa::Doubles;
-  constexpr std::size_t kFloatVecs = kPanel / kLanes<F>;
-  constexpr std::size_t kVecs = kPanel / kLanes<D>;
-  static_assert(kVecs == 2 * kFloatVecs);
-  F ct[R][kFloatVecs] = {};
+  F ct[R][kNtVecs<Isa>] = {};
   if (kFold) {
     for (std::size_t r = 0; r < R; ++r) load_row(c + r * ldc, width, ct[r]);
   }
   for (std::size_t s = s0; s < s1; ++s) {
-    D acc[R][kVecs] = {};
-    const typename Isa::WideA* as = a + s * m * len;
-    const double* ps = panel + (s - s0) * len * kPanel;
-    for (std::size_t q = 0; q < len; ++q) {
-      D b[kVecs];
-      for (std::size_t v = 0; v < kVecs; ++v)
-        load(ps + q * kPanel + v * kLanes<D>, b[v]);
-      for (std::size_t r = 0; r < R; ++r) {
-        const typename Isa::WideA av = as[r * len + q];
-        for (std::size_t v = 0; v < kVecs; ++v) Isa::madd(acc[r][v], av, b[v]);
-      }
-    }
+    F part[R][kNtVecs<Isa>];
+    nt_dots<Isa, R>(a + s * m * len, len, panel + (s - s0) * len * kPanel,
+                    part);
     for (std::size_t r = 0; r < R; ++r) {
-      for (std::size_t v = 0; v < kFloatVecs; ++v) {
-        F part;
-        narrow(acc[r][2 * v], acc[r][2 * v + 1], part);
-        ct[r][v] = kFold ? ct[r][v] + part : part;
-      }
+      for (std::size_t v = 0; v < kNtVecs<Isa>; ++v)
+        ct[r][v] = kFold ? ct[r][v] + part[r][v] : part[r][v];
     }
   }
   for (std::size_t r = 0; r < R; ++r) store_row(c + r * ldc, width, ct[r]);
@@ -268,6 +356,72 @@ APF_TILE void nt_sweep(const NtSweep<typename Isa::WideA>& args) {
   }
 }
 
+// One tile of matmul_nt_pair: rows [0, R) of A1 (row stride k1) against
+// panel1 and of A2 (row stride k2) against panel2, one product after the
+// other in the same double registers, each rounded to float, and the two
+// added with one float add in registers before the tile is stored.
+template <typename Isa, std::size_t R>
+APF_TILE void nt_pair_tile(const typename Isa::WideA* a1, std::size_t k1,
+                           const double* panel1,
+                           const typename Isa::WideA* a2, std::size_t k2,
+                           const double* panel2, float* c, std::size_t ldc,
+                           std::size_t width) {
+  using F = typename Isa::Floats;
+  F ct[R][kNtVecs<Isa>];
+  F part[R][kNtVecs<Isa>];
+  nt_dots<Isa, R>(a1, k1, panel1, ct);
+  nt_dots<Isa, R>(a2, k2, panel2, part);
+  for (std::size_t r = 0; r < R; ++r) {
+    for (std::size_t v = 0; v < kNtVecs<Isa>; ++v) ct[r][v] += part[r][v];
+    store_row(c + r * ldc, width, ct[r]);
+  }
+}
+
+template <typename Isa, std::size_t R>
+APF_TILE void nt_pair_rows(std::size_t rows, const typename Isa::WideA* a1,
+                           std::size_t k1, const double* panel1,
+                           const typename Isa::WideA* a2, std::size_t k2,
+                           const double* panel2, float* c, std::size_t ldc,
+                           std::size_t width) {
+  if constexpr (R > 1) {
+    if (rows < R) {
+      nt_pair_rows<Isa, R - 1>(rows, a1, k1, panel1, a2, k2, panel2, c, ldc,
+                               width);
+      return;
+    }
+  }
+  nt_pair_tile<Isa, R>(a1, k1, panel1, a2, k2, panel2, c, ldc, width);
+}
+
+// Every tile of one chunk of `m` widened rows of matmul_nt_pair: A1's rows
+// at a1 (row stride k1), A2's at a2 (row stride k2), the panels of B1 and
+// B2 whole, and c at the chunk's first row (row stride r).
+template <typename WideA>
+struct NtPairSweep {
+  const WideA* a1;
+  const WideA* a2;
+  const double* panels1;
+  const double* panels2;
+  float* c;
+  std::size_t m, k1, k2, r;
+};
+
+template <typename Isa>
+APF_TILE void nt_pair_sweep(const NtPairSweep<typename Isa::WideA>& args) {
+  const NtPairSweep<typename Isa::WideA> s = args;
+  constexpr std::size_t kRows = Isa::kNtRows;
+  for (std::size_t j0 = 0; j0 < s.r; j0 += kPanel) {
+    const double* panel1 = s.panels1 + j0 * s.k1;
+    const double* panel2 = s.panels2 + j0 * s.k2;
+    for (std::size_t i0 = 0; i0 < s.m; i0 += kRows) {
+      nt_pair_rows<Isa, kRows>(std::min(kRows, s.m - i0), s.a1 + i0 * s.k1,
+                               s.k1, panel1, s.a2 + i0 * s.k2, s.k2, panel2,
+                               s.c + i0 * s.r + j0, s.r,
+                               std::min(kPanel, s.r - j0));
+    }
+  }
+}
+
 // The GEMM entry points of each instruction set (tensor/simd.h).
 template <typename Isa>
 struct Tiles;
@@ -287,10 +441,12 @@ struct Tiles<simd::Sse2> : simd::Sse2 {
   static void gemm(const GemmSweep& s, const Dst& dst) {
     gemm_sweep<Tiles>(s, dst);
   }
+  static void fold_steps(const StepSweep& s) { fold_steps_sweep<Tiles>(s); }
   template <bool kFold>
   static void nt(const NtSweep<WideA>& s) {
     nt_sweep<Tiles, kFold>(s);
   }
+  static void nt_pair(const NtPairSweep<WideA>& s) { nt_pair_sweep<Tiles>(s); }
 };
 
 #ifdef APF_SIMD_AVX2
@@ -314,10 +470,18 @@ struct Tiles<simd::Avx2> : simd::Avx2 {
                                                    const Dst& dst) {
     gemm_sweep<Tiles>(s, dst);
   }
+  __attribute__((target("avx2"))) static void fold_steps(
+      const StepSweep& s) {
+    fold_steps_sweep<Tiles>(s);
+  }
   template <bool kFold>
   __attribute__((target("avx2,fma"))) static void nt(
       const NtSweep<WideA>& s) {
     nt_sweep<Tiles, kFold>(s);
+  }
+  __attribute__((target("avx2,fma"))) static void nt_pair(
+      const NtPairSweep<WideA>& s) {
+    nt_pair_sweep<Tiles>(s);
   }
 };
 #endif
@@ -382,9 +546,8 @@ struct MatrixStore {
   }
 };
 
-// B of gemm as a row-major (k x n) matrix with row stride ldb.
-template <bool kFold>
-struct MatrixOperands : MatrixStore<kFold> {
+// B of gemm as a row-major (k x n) matrix with row stride ldb, C stored.
+struct MatrixOperands : MatrixStore<false> {
   const float* b;
   std::size_t ldb, k;
 
@@ -397,27 +560,51 @@ template <typename Isa>
 void gemm_matrix(const float* a, std::size_t a_row, std::size_t a_col,
                  const float* b, float* c, std::size_t m, std::size_t k,
                  std::size_t n) {
-  gemm<Isa>(a, a_row, a_col, m, k, n,
-            MatrixOperands<false>{{c, n, n}, b, n, k});
+  gemm<Isa>(a, a_row, a_col, m, k, n, MatrixOperands{{c, n, n}, b, n, k});
+}
+
+// The step fold (matmul_tn_fold in ops.h): C(k x n) += A_t^T B_t, t
+// descending. Blocks pack every step of a run of panels that fits in cache
+// and sweep the row tiles over the run, each tile folding all the steps.
+template <typename Isa>
+void fold_steps(StepRows a, StepRows b, std::size_t m, std::size_t k,
+                std::size_t n, std::size_t steps, float* c) {
+  const std::size_t run = panel_run(m * steps);
+  run_blocks(ceil_div(k, Isa::kGemmRows), ceil_div(n, kPanel),
+             2 * m * k * n * steps,
+             [&](std::size_t t0, std::size_t t1, std::size_t p0,
+                 std::size_t p1) {
+    const std::size_t panel_floats = steps * m * kPanel;
+    std::vector<float> packed(std::min(run, p1 - p0) * panel_floats);
+    for (std::size_t r0 = p0; r0 < p1; r0 += run) {
+      const std::size_t r1 = std::min(p1, r0 + run);
+      for (std::size_t p = r0; p < r1; ++p) {
+        for (std::size_t t = 0; t < steps; ++t) {
+          pack_gemm_panel(b.data + t * b.step, b.ld, m, n, p,
+                          packed.data() + (p - r0) * panel_floats +
+                              t * m * kPanel);
+        }
+      }
+      Isa::fold_steps({a.data, a.ld, a.step, packed.data(), c, n, m, k, steps,
+                       t0, t1, r0, r1});
+    }
+  });
 }
 
 // matmul over B packed whole (GemmPacked): panel p at panels + p * k *
-// kPanel. Blocks sweep their row tiles over runs of panels that fit in
-// cache, as gemm does over the runs it packs.
+// kPanel. Serial (a recurrent step's product): the row tiles sweep runs of
+// panels that fit in cache, as gemm does over the runs it packs.
 template <typename Isa, typename Dst>
 void gemm_packed(const float* a, std::size_t lda, std::size_t m,
                  const float* panels, std::size_t k, std::size_t n,
                  const Dst& dst) {
   const std::size_t run = panel_run(k);
-  run_blocks(ceil_div(m, Isa::kGemmRows), ceil_div(n, kPanel), 2 * m * k * n,
-             [&](std::size_t t0, std::size_t t1, std::size_t p0,
-                 std::size_t p1) {
-    for (std::size_t r0 = p0; r0 < p1; r0 += run) {
-      Isa::gemm({a, lda, 1, panels + r0 * k * kPanel, m, k, t0, t1, r0,
-                 std::min(p1, r0 + run)},
-                dst);
-    }
-  });
+  const std::size_t count = ceil_div(n, kPanel);
+  for (std::size_t r0 = 0; r0 < count; r0 += run) {
+    Isa::gemm({a, lda, 1, panels + r0 * k * kPanel, m, k, 0,
+               ceil_div(m, Isa::kGemmRows), r0, std::min(count, r0 + run)},
+              dst);
+  }
 }
 
 // One kPanel-column panel of B^T for the matmul_nt family: row q holds
@@ -448,26 +635,48 @@ void widen_rows(const float* a, std::size_t lda, std::size_t rows,
 // matmul_nt over packed B (see ops.h): the r columns of C in ceil(r /
 // kPanel) panels of k rows each, panel p at panels + p * k * kPanel. A is
 // widened to doubles (Isa::widen) in chunks of kWideRows rows, which bounds
-// that copy; blocks sweep their row tiles over each of their panels.
-template <typename Isa, bool kFold>
+// that copy; blocks sweep their row tiles over each of their panels. Only
+// with fan_out may the blocks go to the pool.
+template <typename Isa>
 void nt_packed(const float* a, std::size_t lda, std::size_t m,
-               const double* panels, std::size_t r, std::size_t k, float* c) {
+               const double* panels, std::size_t r, std::size_t k, float* c,
+               bool fan_out) {
   std::vector<typename Isa::WideA> wide(std::min(kWideRows, m) * k);
   for (std::size_t base = 0; base < m; base += kWideRows) {
     const std::size_t rows = std::min(kWideRows, m - base);
     widen_rows<Isa>(a + base * lda, lda, rows, k, wide.data());
     float* c_rows = c + base * r;
+    // 0 flops stays below the pool threshold.
     run_blocks(ceil_div(rows, Isa::kNtRows), ceil_div(r, kPanel),
-               2 * rows * r * k,
+               fan_out ? 2 * rows * r * k : 0,
                [&](std::size_t t0, std::size_t t1, std::size_t p0,
                    std::size_t p1) {
       for (std::size_t p = p0; p < p1; ++p) {
         const std::size_t j0 = p * kPanel;
-        Isa::template nt<kFold>({wide.data(), panels + p * k * kPanel,
+        Isa::template nt<false>({wide.data(), panels + p * k * kPanel,
                                  c_rows + j0, rows, k, 0, 1, r,
                                  std::min(kPanel, r - j0), t0, t1});
       }
     });
+  }
+}
+
+// matmul_nt_pair (see ops.h), serially: per chunk of kWideRows rows, A1
+// and A2 widened side by side, then every tile.
+template <typename Isa>
+void nt_pair(const float* a1, std::size_t lda1, const double* panels1,
+             std::size_t k1, const float* a2, std::size_t lda2,
+             const double* panels2, std::size_t k2, std::size_t m,
+             std::size_t r, float* c) {
+  std::vector<typename Isa::WideA> wide(std::min(kWideRows, m) * (k1 + k2));
+  for (std::size_t base = 0; base < m; base += kWideRows) {
+    const std::size_t rows = std::min(kWideRows, m - base);
+    typename Isa::WideA* wide1 = wide.data();
+    typename Isa::WideA* wide2 = wide1 + rows * k1;
+    widen_rows<Isa>(a1 + base * lda1, lda1, rows, k1, wide1);
+    widen_rows<Isa>(a2 + base * lda2, lda2, rows, k2, wide2);
+    Isa::nt_pair({wide1, wide2, panels1, panels2, c + base * r, rows, k1, k2,
+                  r});
   }
 }
 
@@ -832,12 +1041,13 @@ Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void matmul_tn_fold(const float* a, std::size_t m, std::size_t k,
-                    const float* b, std::size_t ldb, std::size_t n, float* c) {
-  APF_CHECK_MSG(ldb >= n, "matmul_tn_fold row stride " << ldb << " < " << n);
+void matmul_tn_fold(StepRows a, StepRows b, std::size_t m, std::size_t k,
+                    std::size_t n, std::size_t steps, float* c) {
+  APF_CHECK_MSG(a.ld >= k && b.ld >= n, "matmul_tn_fold row strides "
+                                            << a.ld << ", " << b.ld << " < "
+                                            << k << ", " << n);
   simd::with_isa<Tiles>([&](auto isa) {
-    gemm<decltype(isa)>(a, 1, k, k, m, n,
-                        MatrixOperands<true>{{c, n, n}, b, ldb, m});
+    fold_steps<decltype(isa)>(a, b, m, k, n, steps, c);
   });
 }
 
@@ -883,16 +1093,26 @@ NtPacked::NtPacked(const Tensor& b) {
 }
 
 void matmul_nt(const float* a, std::size_t lda, std::size_t m,
-               const NtPacked& b, float* c, bool fold) {
+               const NtPacked& b, float* c) {
   const std::size_t r = b.rows_, k = b.cols_;
   APF_CHECK_MSG(lda >= k, "matmul_nt row stride " << lda << " < " << k);
   simd::with_isa<Tiles>([&](auto isa) {
-    using Isa = decltype(isa);
-    if (fold) {
-      nt_packed<Isa, true>(a, lda, m, b.panels_.data(), r, k, c);
-    } else {
-      nt_packed<Isa, false>(a, lda, m, b.panels_.data(), r, k, c);
-    }
+    nt_packed<decltype(isa)>(a, lda, m, b.panels_.data(), r, k, c, false);
+  });
+}
+
+void matmul_nt_pair(const float* a1, std::size_t lda1, const NtPacked& b1,
+                    const float* a2, std::size_t lda2, const NtPacked& b2,
+                    std::size_t m, float* c) {
+  const std::size_t r = b1.rows_, k1 = b1.cols_, k2 = b2.cols_;
+  APF_CHECK_MSG(b2.rows_ == r, "matmul_nt_pair products have "
+                                   << r << " and " << b2.rows_ << " columns");
+  APF_CHECK_MSG(lda1 >= k1 && lda2 >= k2, "matmul_nt_pair row strides "
+                                              << lda1 << ", " << lda2
+                                              << " < " << k1 << ", " << k2);
+  simd::with_isa<Tiles>([&](auto isa) {
+    nt_pair<decltype(isa)>(a1, lda1, b1.panels_.data(), k1, a2, lda2,
+                           b2.panels_.data(), k2, m, r, c);
   });
 }
 
@@ -902,7 +1122,11 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   const std::size_t m = a.dim(0), k = a.dim(1), r = b.dim(0);
   APF_CHECK(b.dim(1) == k);
   Tensor c({m, r});
-  matmul_nt(a.raw(), k, m, NtPacked(b), c.raw(), false);
+  const NtPacked packed(b);
+  simd::with_isa<Tiles>([&](auto isa) {
+    nt_packed<decltype(isa)>(a.raw(), k, m, packed.panels_.data(), r, k,
+                             c.raw(), true);
+  });
   return c;
 }
 

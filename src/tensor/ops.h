@@ -18,22 +18,34 @@
 //
 // The same GEMM has two more entry points that allocate no output. A
 // GemmPacked handle holds B packed once, for any number of A (a recurrent
-// backward packs each weight once per call), and matmul_tn_fold adds A^T B
-// into C in place. Both can fold: each finished tile row is added to C with
-// one float add, C + acc, where a Tensor result would have been stored and
-// then added by `C += result`. The tile's acc is that result bit for bit,
-// and float addition commutes, so the fold gives the bits of
-// `C += matmul(A, B)` and of `C = matmul(A, B) + C` alike.
+// backward packs each weight once per call); it can fold, adding each
+// finished tile row to C with one float add, C + acc, where a Tensor result
+// would have been stored and then added by `C += result`. The tile's acc is
+// that result bit for bit, and float addition commutes, so the fold gives
+// the bits of `C += matmul(A, B)` and of `C = matmul(A, B) + C` alike.
+// matmul_tn_fold adds A_t^T B_t into C in place for a run of steps t,
+// last step first: its tile keeps C in registers across the steps and adds
+// each step's float sum with one float add, the bits of one `C +=
+// matmul_tn(A_t, B_t)` per step in descending t.
 //
-// matmul_nt and matmul_nt_fold_segments pack B^T into the same 8-column
-// panels as doubles, widen A to doubles in chunks of 64 rows, and keep a
-// tile of double accumulators with the reduction ascending: the scalar
-// double dot product, bit for bit. Pool runs partition output tiles (row
-// tiles x column blocks), never a reduction. matmul_nt reads B through an
-// NtPacked handle, packed once for any number of A (a recurrent layer packs
-// each weight once per forward); matmul_nt_fold_segments packs runs of its
-// segments per column block. Besides their output the kernels allocate the
-// widened copy of A and, for the fold, one packed panel run per block.
+// matmul_nt, matmul_nt_pair and matmul_nt_fold_segments pack B^T into the
+// same 8-column panels as doubles, widen A to doubles in chunks of 64 rows,
+// and keep a tile of double accumulators with the reduction ascending: the
+// scalar double dot product, bit for bit. Pool runs partition output tiles
+// (row tiles x column blocks), never a reduction. matmul_nt reads B
+// through an NtPacked handle, packed once for any number of A (a recurrent
+// layer packs each weight once per forward); matmul_nt_pair runs two such
+// products into one C in one pass, rounding each dot product to float and
+// adding the two with one float add; matmul_nt_fold_segments packs runs of
+// its segments per column block. Besides their output the kernels
+// allocate the widened copy of A and, for the segment fold, one packed
+// panel run per block.
+//
+// The pointer forms of matmul_nt, matmul_nt_pair and GemmPacked are the
+// per-step products of the recurrent layers, at most a few hundred
+// thousand flops each, and run serially on the calling thread: a pool
+// fan-out per step costs more than it saves. The Tensor forms, the step
+// fold and the conv kernels fan out above a flop threshold.
 //
 // The implicit-GEMM conv kernels (tensor/conv.h) are defined in ops.cpp and
 // run these tiles with other panel sources and stores: the float tile over
@@ -74,12 +86,21 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// C = A^T(m x k -> k x m) * B ... computed without materializing A^T.
 Tensor matmul_tn(const Tensor& a, const Tensor& b);
 
-/// C(k x n) += A^T * B in place, bit for bit C += matmul_tn(A, B): A is
-/// row-major (m x k), row i of B is the n floats at b + i * ldb (ldb >= n),
+/// Rows of one operand of matmul_tn_fold: row i of step t is the floats at
+/// data + t * step + i * ld.
+struct StepRows {
+  const float* data;
+  std::size_t ld;    // between the rows of one step
+  std::size_t step;  // between steps (unused for one step)
+};
+
+/// C(k x n) += A_t^T * B_t in place for t = steps - 1 down to 0, bit for
+/// bit one `C += matmul_tn(A_t, B_t)` per step in that order: A_t is an
+/// (m x k) and B_t an (m x n) matrix of StepRows (a.ld >= k, b.ld >= n),
 /// and C is row-major with row stride n. Besides its packed panel runs it
-/// allocates nothing.
-void matmul_tn_fold(const float* a, std::size_t m, std::size_t k,
-                    const float* b, std::size_t ldb, std::size_t n, float* c);
+/// allocates nothing. steps = 1 is the plain fold C += A^T B.
+void matmul_tn_fold(StepRows a, StepRows b, std::size_t m, std::size_t k,
+                    std::size_t n, std::size_t steps, float* c);
 
 /// B (k x n) of matmul packed once, as the k-major 8-column float panels
 /// the matmul tile reads, for any number of products A * B (the float twin
@@ -103,12 +124,13 @@ class GemmPacked {
 /// at a + i * lda (lda >= k), and row i of C the n floats at c + i * ldc
 /// (ldc >= n), so A and C can be steps of (N, T, F) sequences. Each output
 /// is the float sum of matmul, stored over C, or with fold added to C with
-/// one float add: bit for bit C += matmul(A, B).
+/// one float add: bit for bit C += matmul(A, B). Runs on the calling
+/// thread.
 void matmul_packed(const float* a, std::size_t lda, std::size_t m,
                    const GemmPacked& b, float* c, std::size_t ldc, bool fold);
 
-/// C = A * B^T, without materializing B^T: packs B, then runs the pointer
-/// form below.
+/// C = A * B^T, without materializing B^T: packs B, then runs the tiles of
+/// the pointer form below, on the pool above a flop threshold.
 Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// B (r x k) of matmul_nt packed once, as the double panels the matmul_nt
@@ -120,8 +142,13 @@ class NtPacked {
   explicit NtPacked(const Tensor& b);
 
  private:
+  friend Tensor matmul_nt(const Tensor& a, const Tensor& b);
   friend void matmul_nt(const float* a, std::size_t lda, std::size_t m,
-                        const NtPacked& b, float* c, bool fold);
+                        const NtPacked& b, float* c);
+  friend void matmul_nt_pair(const float* a1, std::size_t lda1,
+                             const NtPacked& b1, const float* a2,
+                             std::size_t lda2, const NtPacked& b2,
+                             std::size_t m, float* c);
   std::size_t rows_ = 0;  // r: the columns of C
   std::size_t cols_ = 0;  // k: the reduction length
   std::vector<double> panels_;
@@ -130,10 +157,20 @@ class NtPacked {
 /// C(m x r) = A * B^T with B packed in b (r x k). Row i of A is the k floats
 /// at a + i * lda (lda >= k), so a step of a (N, T, F) sequence is read in
 /// place; C is row-major with row stride r. Each output is the double dot
-/// product rounded to float; it is stored over C, or with fold added to C
-/// with one float add, bit for bit C += matmul_nt(A, B).
+/// product rounded to float, stored over C. Runs on the calling thread.
 void matmul_nt(const float* a, std::size_t lda, std::size_t m,
-               const NtPacked& b, float* c, bool fold);
+               const NtPacked& b, float* c);
+
+/// C(m x r) = A1 * B1^T + A2 * B2^T in one pass, with B1 (r x k1) and B2
+/// (r x k2) packed, A1 and A2 read like matmul_nt's A (lda1 >= k1, lda2 >=
+/// k2) and C row-major with row stride r. Each output is the first double
+/// dot product rounded to float plus the second rounded to float, one
+/// float add: bit for bit matmul_nt(A1, B1) stored, then `C +=
+/// matmul_nt(A2, B2)`. An LSTM step's x W_ih^T + h W_hh^T. Runs on the
+/// calling thread.
+void matmul_nt_pair(const float* a1, std::size_t lda1, const NtPacked& b1,
+                    const float* a2, std::size_t lda2, const NtPacked& b2,
+                    std::size_t m, float* c);
 
 /// C(m x r) += A_s * B_s^T for s = 0..segments-1, folded into C in segment
 /// order. A_s is the row-major (m x len) slab at a + s * m * len (so A is

@@ -62,13 +62,9 @@ inline RecurrentPass lstm_reference(const Tensor& w_ih, const Tensor& w_hh,
   Tensor c({batch, hidden});
   RecurrentPass pass{Tensor({batch, time, hidden}),
                      Tensor({batch, time, in}), std::move(grads)};
-  const NtPacked packed_ih(w_ih);
-  const NtPacked packed_hh(w_hh);
   for (std::size_t t = 0; t < time; ++t) {
-    Tensor gates({batch, 4 * hidden});
-    matmul_nt(input.raw() + t * in, time * in, batch, packed_ih, gates.raw(),
-              false);
-    matmul_nt(h.raw(), hidden, batch, packed_hh, gates.raw(), true);
+    Tensor gates = matmul_nt(time_slice(input, t), w_ih);
+    gates += matmul_nt(h, w_hh);
     add_bias_rows(gates, bias);
     StepCache cache{time_slice(input, t), h, c, Tensor(),
                     Tensor({batch, hidden})};
@@ -152,15 +148,10 @@ inline RecurrentPass gru_reference(const Tensor& w_ih, const Tensor& w_hh,
   Tensor h({batch, hidden});
   RecurrentPass pass{Tensor({batch, time, hidden}),
                      Tensor({batch, time, in}), std::move(grads)};
-  const NtPacked packed_ih(w_ih);
-  const NtPacked packed_hh(w_hh);
   for (std::size_t t = 0; t < time; ++t) {
-    Tensor gi({batch, 3 * hidden});
-    matmul_nt(input.raw() + t * in, time * in, batch, packed_ih, gi.raw(),
-              false);
+    Tensor gi = matmul_nt(time_slice(input, t), w_ih);
     add_bias_rows(gi, b_ih);
-    Tensor gh({batch, 3 * hidden});
-    matmul_nt(h.raw(), hidden, batch, packed_hh, gh.raw(), false);
+    Tensor gh = matmul_nt(h, w_hh);
     add_bias_rows(gh, b_hh);
     StepCache cache{time_slice(input, t), h, Tensor(), Tensor()};
     for (std::size_t s = 0; s < batch; ++s) {

@@ -348,9 +348,76 @@ TEST(Ops, MatmulTnFoldBitwiseMatchesScalarReference) {
       const std::size_t ldb = n + 2;
       const std::vector<float> b_buf = strided_copy(b, ldb, 0);
       std::vector<float> c_buf = strided_copy(c0, n, 1);
-      matmul_tn_fold(at.raw(), k, m, b_buf.data(), ldb, n, c_buf.data() + 1);
+      matmul_tn_fold({at.raw(), m, 0}, {b_buf.data(), ldb, 0}, k, m, n, 1,
+                     c_buf.data() + 1);
       ASSERT_TRUE(bitwise_equal(unstrided(c_buf, m, n, n, 1), expect))
           << "m=" << m << " k=" << k << " n=" << n;
+    }
+  });
+}
+
+// Matrices of several steps laid out like an (N, T, F) sequence: row i of
+// step t at i * ld + t * step, with a one-float gap after each step's row
+// and two after each row of steps, all NaN (as is everything before
+// offset), so a read outside the rows would carry NaN into C.
+struct StepLayout {
+  std::vector<float> buf;
+  std::size_t ld, step;
+};
+
+StepLayout step_layout(const std::vector<Tensor>& steps, std::size_t offset) {
+  const std::size_t rows = steps[0].dim(0), cols = steps[0].dim(1);
+  StepLayout out{{}, steps.size() * (cols + 1) + 2, cols + 1};
+  out.buf.assign(offset + rows * out.ld,
+                 std::numeric_limits<float>::quiet_NaN());
+  for (std::size_t t = 0; t < steps.size(); ++t)
+    for (std::size_t i = 0; i < rows; ++i)
+      std::copy(steps[t].raw() + i * cols, steps[t].raw() + (i + 1) * cols,
+                out.buf.data() + offset + i * out.ld + t * out.step);
+  return out;
+}
+
+// C += A_t^T B_t over steps t, last step first, in one call, against one
+// single-step fold per step in descending t and against C0 plus the scalar
+// ikj loop's product, `+=` step by step. A and B are strided step layouts,
+// and C starts one float past a panel-aligned start.
+TEST(Ops, MatmulTnFoldStepsMatchesPerStepFoldsInDescendingOrder) {
+  on_1_and_4_lanes([] {
+    Rng rng(47);
+    for (std::size_t steps = 1; steps <= 17; ++steps) {
+      for (const std::size_t m : {1u, 5u, 16u}) {
+        for (const std::size_t k : {1u, 7u, 9u, 33u, 128u}) {
+          for (const std::size_t n : {1u, 8u, 9u, 33u}) {
+            std::vector<Tensor> as, bs;
+            for (std::size_t t = 0; t < steps; ++t) {
+              as.push_back(signed_with_zeros({m, k}, rng));
+              bs.push_back(Tensor::uniform({m, n}, rng, -3.f, 3.f));
+            }
+            const StepLayout a = step_layout(as, 0);
+            const StepLayout b = step_layout(bs, 3);
+            const Tensor c0 = signed_with_zeros({k, n}, rng);
+            Tensor expect = c0;
+            std::vector<float> single = strided_copy(c0, n, 1);
+            for (std::size_t t = steps; t-- > 0;) {
+              expect += matmul_tn_scalar_reference(as[t], bs[t]);
+              matmul_tn_fold({a.buf.data() + t * a.step, a.ld, 0},
+                             {b.buf.data() + 3 + t * b.step, b.ld, 0}, m, k,
+                             n, 1, single.data() + 1);
+            }
+            std::vector<float> got = strided_copy(c0, n, 1);
+            matmul_tn_fold({a.buf.data(), a.ld, a.step},
+                           {b.buf.data() + 3, b.ld, b.step}, m, k, n, steps,
+                           got.data() + 1);
+            const Tensor got_t = unstrided(got, k, n, n, 1);
+            ASSERT_TRUE(bitwise_equal(got_t, unstrided(single, k, n, n, 1)))
+                << "steps=" << steps << " m=" << m << " k=" << k
+                << " n=" << n;
+            ASSERT_TRUE(bitwise_equal(got_t, expect))
+                << "steps=" << steps << " m=" << m << " k=" << k
+                << " n=" << n;
+          }
+        }
+      }
     }
   });
 }
@@ -430,57 +497,91 @@ TEST(Ops, MatmulNtBitwiseMatchesScalarReference) {
   });
 }
 
-// C = A * B^T through one packed handle, store or fold, with A's rows lda
-// floats apart: each output is the scalar double dot product rounded to
-// float, stored over C or added to it with one float add.
+// C = A * B^T through one packed handle, with A's rows lda floats apart:
+// each output is the scalar double dot product rounded to float.
 Tensor matmul_nt_packed_reference(const float* a, std::size_t lda,
-                                  std::size_t m, const Tensor& b,
-                                  const Tensor& c0, bool fold) {
+                                  std::size_t m, const Tensor& b) {
   const std::size_t k = b.dim(1), r = b.dim(0);
-  Tensor c = c0;
+  Tensor c({m, r});
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < r; ++j) {
       double acc = 0.0;
       for (std::size_t kk = 0; kk < k; ++kk)
         acc += static_cast<double>(a[i * lda + kk]) * b.raw()[j * k + kk];
-      const float dot = static_cast<float>(acc);
-      c.raw()[i * r + j] = fold ? c.raw()[i * r + j] + dot : dot;
+      c.raw()[i * r + j] = static_cast<float>(acc);
     }
   }
   return c;
 }
 
-TEST(Ops, MatmulNtPackedMatchesScalarReference) {
-  // m covers every row remainder of both double tiles and the edges of the
-  // 64-row widening chunks; r every panel remainder. A's rows sit lda = k + 3
-  // floats apart with NaN in the gap, so a read past k would show. One
-  // handle serves three A, in store mode and in fold mode onto a C holding
-  // signed values and zeros.
+// m covers every row remainder of both double tiles and the edges of the
+// 64-row widening chunks; r every panel remainder; k includes the empty
+// reduction.
+std::vector<std::size_t> nt_rows_sweep() {
   std::vector<std::size_t> ms = {63, 64, 65, 130};
   for (std::size_t m = 1; m <= 9; ++m) ms.push_back(m);
+  return ms;
+}
+constexpr std::size_t kNtCols[] = {1, 7, 8, 9, 33, 128};
+constexpr std::size_t kNtDepths[] = {0, 1, 8, 32, 33};
+
+// A (m x k) with its rows lda floats apart and NaN in the gap, so a read
+// past k would show.
+Tensor nan_gapped(std::size_t m, std::size_t k, std::size_t lda, Rng& rng) {
+  Tensor a = signed_with_zeros({m, lda}, rng);
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t q = k; q < lda; ++q)
+      a[i * lda + q] = std::numeric_limits<float>::quiet_NaN();
+  return a;
+}
+
+TEST(Ops, MatmulNtPackedMatchesScalarReference) {
+  // A's rows sit lda = k + 3 floats apart; one handle serves three A, each
+  // over a C holding signed values and zeros.
   on_1_and_4_lanes([&] {
     Rng rng(29);
-    for (const std::size_t m : ms) {
-      for (const std::size_t r : {1u, 7u, 8u, 9u, 33u, 128u}) {
-        for (const std::size_t k : {0u, 1u, 8u, 32u, 33u}) {
+    for (const std::size_t m : nt_rows_sweep()) {
+      for (const std::size_t r : kNtCols) {
+        for (const std::size_t k : kNtDepths) {
           const Tensor b = Tensor::uniform({r, k}, rng, -3.f, 3.f);
           const NtPacked packed(b);
           const std::size_t lda = k + 3;
           for (int use = 0; use < 3; ++use) {
-            Tensor a = signed_with_zeros({m, lda}, rng);
-            for (std::size_t i = 0; i < m; ++i)
-              for (std::size_t q = k; q < lda; ++q)
-                a[i * lda + q] = std::numeric_limits<float>::quiet_NaN();
-            const Tensor c0 = signed_with_zeros({m, r}, rng);
-            for (const bool fold : {false, true}) {
-              Tensor got = c0;
-              matmul_nt(a.raw(), lda, m, packed, got.raw(), fold);
-              ASSERT_TRUE(bitwise_equal(
-                  got, matmul_nt_packed_reference(a.raw(), lda, m, b, c0,
-                                                  fold)))
-                  << "m=" << m << " r=" << r << " k=" << k << " use=" << use
-                  << " fold=" << fold;
-            }
+            const Tensor a = nan_gapped(m, k, lda, rng);
+            Tensor got = signed_with_zeros({m, r}, rng);
+            matmul_nt(a.raw(), lda, m, packed, got.raw());
+            ASSERT_TRUE(bitwise_equal(
+                got, matmul_nt_packed_reference(a.raw(), lda, m, b)))
+                << "m=" << m << " r=" << r << " k=" << k << " use=" << use;
+          }
+        }
+      }
+    }
+  });
+}
+
+// The pair kernel against its definition: matmul_nt(A1, B1) stored, then
+// `+=` matmul_nt(A2, B2) as a Tensor, one float add per output. A1 and A2
+// sit in one buffer with NaN gaps, as an LSTM step reads x_t and h.
+TEST(Ops, MatmulNtPairMatchesStorePlusTensorAdd) {
+  on_1_and_4_lanes([&] {
+    Rng rng(43);
+    for (const std::size_t m : nt_rows_sweep()) {
+      for (const std::size_t r : kNtCols) {
+        for (const std::size_t k1 : kNtDepths) {
+          for (const std::size_t k2 : kNtDepths) {
+            const Tensor b1 = Tensor::uniform({r, k1}, rng, -3.f, 3.f);
+            const Tensor b2 = Tensor::uniform({r, k2}, rng, -3.f, 3.f);
+            const std::size_t lda1 = k1 + 2, lda2 = k2 + 5;
+            const Tensor a1 = nan_gapped(m, k1, lda1, rng);
+            const Tensor a2 = nan_gapped(m, k2, lda2, rng);
+            Tensor expect = matmul_nt_packed_reference(a1.raw(), lda1, m, b1);
+            expect += matmul_nt_packed_reference(a2.raw(), lda2, m, b2);
+            Tensor got = signed_with_zeros({m, r}, rng);
+            matmul_nt_pair(a1.raw(), lda1, NtPacked(b1), a2.raw(), lda2,
+                           NtPacked(b2), m, got.raw());
+            ASSERT_TRUE(bitwise_equal(got, expect))
+                << "m=" << m << " r=" << r << " k1=" << k1 << " k2=" << k2;
           }
         }
       }
@@ -821,18 +922,19 @@ std::vector<std::uint32_t> around(std::initializer_list<std::uint32_t> edges) {
   return patterns;
 }
 
-// Lengths 0..17, 33 and 130 cross every vector, block and chunk edge of both
-// lane counts; offset 1 leaves the spans off any vector boundary, and each
+// Lengths 0..40, 63..65 and 130 cross every vector and block edge of both
+// lane counts (exp and sigmoid run blocks of 8 or 16 floats, tanh of 32 or
+// 64); offsets 1..3 leave the spans off any vector boundary, and each
 // length also runs in place.
 void expect_any_length_offset_and_in_place(SpanKernel kernel,
                                            float (*reference)(float)) {
   Rng rng(77);
-  std::vector<float> src(131);
+  std::vector<float> src(133);
   for (float& v : src) v = static_cast<float>(rng.uniform(-24.0, 24.0));
-  std::vector<std::size_t> lengths = {33, 130};
-  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  std::vector<std::size_t> lengths = {63, 64, 65, 130};
+  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
   for (const std::size_t n : lengths) {
-    for (std::size_t offset : {0, 1}) {
+    for (std::size_t offset = 0; offset <= 3; ++offset) {
       const std::span<const float> x(src.data() + offset, n);
       std::vector<float> out(n + 2, 7.f);
       kernel(x, std::span<float>(out.data() + 1, n));
@@ -913,6 +1015,80 @@ TEST(ExpKernel, AnyLengthOffsetAndInPlace) {
   expect_any_length_offset_and_in_place(apf::exp, libm_exp);
 }
 
+// Each of the 32 entries of the 2^(i/32) table, in each slot of a
+// 16-float block (a whole AVX2 block, two baseline blocks): x near
+// (32c + i) ln2 / 32, whose rounded x * 32 / ln2 has i = k % 32, for c of
+// both signs, the slot's neighbours drawn from [-8, 8].
+std::vector<std::uint32_t> every_table_index_in_every_slot() {
+  Rng rng(53);
+  std::vector<std::uint32_t> patterns;
+  for (std::size_t slot = 0; slot < 16; ++slot) {
+    for (int i = 0; i < 32; ++i) {
+      for (const int c : {-3, 0, 2}) {
+        for (std::size_t l = 0; l < 16; ++l) {
+          float x = static_cast<float>(rng.uniform(-8.0, 8.0));
+          if (l == slot) {
+            x = static_cast<float>((32 * c + i + rng.uniform(-0.4, 0.4)) *
+                                   0.6931471805599453 / 32);
+          }
+          patterns.push_back(std::bit_cast<std::uint32_t>(x));
+        }
+      }
+    }
+  }
+  return patterns;
+}
+
+// A lane that libm must redo (|x| >= 20 either side of the hand-off, the
+// two inputs where glibc's expf builds differ, overflow, underflow, +-inf
+// and NaN) in each slot of a 16-float block of ordinary inputs, then in
+// each slot of a zero-padded tail.
+void expect_libm_lane_in_every_slot(SpanKernel kernel,
+                                    float (*reference)(float)) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {20.f,
+                            -20.f,
+                            std::nextafter(20.f, 0.f),
+                            std::bit_cast<float>(0x4202422fu),
+                            std::bit_cast<float>(0xc27c65d9u),
+                            100.f,
+                            -120.f,
+                            inf,
+                            -inf,
+                            std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(59);
+  for (const float special : specials) {
+    for (std::size_t slot = 0; slot < 16; ++slot) {
+      for (const std::size_t n : {std::size_t{16}, 16 + slot + 1}) {
+        std::vector<float> x(n);
+        for (float& v : x) v = static_cast<float>(rng.uniform(-8.0, 8.0));
+        x[n == 16 ? slot : 16 + slot] = special;
+        std::vector<float> y(n);
+        kernel(x, y);
+        for (std::size_t i = 0; i < n; ++i) {
+          const float want = reference(x[i]);
+          if (std::isnan(want)) {
+            EXPECT_TRUE(std::isnan(y[i])) << "slot " << slot << " n " << n;
+          } else {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(y[i]),
+                      std::bit_cast<std::uint32_t>(want))
+                << "x " << x[i] << " at " << i << ", special " << special
+                << " in slot " << slot << ", n " << n;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExpKernel, EveryTableIndexInEverySlot) {
+  expect_matches_libm(apf::exp, libm_exp, every_table_index_in_every_slot());
+}
+
+TEST(ExpKernel, LibmLaneInEverySlot) {
+  expect_libm_lane_in_every_slot(apf::exp, libm_exp);
+}
+
 TEST(SigmoidKernel, MatchesLibmFormulaOnAStrideOfAllPatterns) {
   expect_matches_libm(apf::sigmoid, libm_sigmoid, stride_of_all_patterns());
 }
@@ -923,6 +1099,16 @@ TEST(SigmoidKernel, MatchesLibmFormulaAtEveryEdge) {
 
 TEST(SigmoidKernel, AnyLengthOffsetAndInPlace) {
   expect_any_length_offset_and_in_place(apf::sigmoid, libm_sigmoid);
+}
+
+TEST(SigmoidKernel, EveryTableIndexInEverySlot) {
+  // sigmoid looks up exp(-x): the same indices, mirrored.
+  expect_matches_libm(apf::sigmoid, libm_sigmoid,
+                      every_table_index_in_every_slot());
+}
+
+TEST(SigmoidKernel, LibmLaneInEverySlot) {
+  expect_libm_lane_in_every_slot(apf::sigmoid, libm_sigmoid);
 }
 
 }  // namespace
