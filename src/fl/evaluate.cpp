@@ -84,30 +84,33 @@ double evaluate_loss(nn::Module& module, const data::Dataset& dataset,
              : total / static_cast<double>(dataset.size());
 }
 
-EvalSums evaluate_sums_parallel(std::span<nn::Module* const> replicas,
-                                const data::Dataset& dataset,
-                                std::size_t batch_size,
-                                util::ThreadPool& pool) {
-  APF_CHECK(batch_size > 0 && !replicas.empty());
+std::size_t eval_shard_count(std::size_t lanes, std::size_t samples) {
+  APF_CHECK(lanes > 0);
+  const std::size_t by_size =
+      (samples + kEvalShardSamples - 1) / kEvalShardSamples;
+  return std::min(samples, std::max(4 * lanes, by_size));
+}
+
+void post_evaluation(std::span<nn::Module* const> replicas,
+                     const data::Dataset& dataset, util::ThreadPool& pool,
+                     std::vector<std::size_t>& correct) {
+  APF_CHECK(replicas.size() == pool.lanes());
   for (nn::Module* replica : replicas) APF_CHECK(replica != nullptr);
-  EvalSums sums;
   const std::size_t samples = dataset.size();
-  if (samples == 0) return sums;
-  const std::size_t lanes = std::min(replicas.size(), samples);
-  std::vector<std::size_t> correct(lanes, 0);
-  pool.parallel_for(lanes, [&](std::size_t r) {
-    nn::Module& module = *replicas[r];
-    const bool was_training = module.training();
-    module.set_training(false);
-    for_each_batch(dataset, r * samples / lanes, (r + 1) * samples / lanes,
-                   batch_size, [&](const data::Batch& batch) {
-      correct[r] += batch_correct(module.forward(batch.inputs), batch.labels);
+  const std::size_t shards = eval_shard_count(pool.lanes(), samples);
+  correct.assign(shards, 0);
+  for (std::size_t s = 0; s < shards; ++s) {
+    pool.post([replicas, &dataset, &correct, s, shards, samples] {
+      const std::size_t lane = util::ThreadPool::current_lane();
+      APF_CHECK(lane < replicas.size());
+      nn::Module& module = *replicas[lane];
+      module.set_training(false);
+      const data::Batch batch = batch_of(dataset, s * samples / shards,
+                                         (s + 1) * samples / shards);
+      correct[s] = batch_correct(module.forward(batch.inputs), batch.labels);
+      module.set_training(true);
     });
-    module.set_training(was_training);
-  });
-  for (const std::size_t c : correct) sums.correct += c;
-  sums.total = samples;
-  return sums;
+  }
 }
 
 }  // namespace apf::fl

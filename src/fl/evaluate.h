@@ -28,24 +28,31 @@ double evaluate_accuracy(nn::Module& module, const data::Dataset& dataset,
 double evaluate_loss(nn::Module& module, const data::Dataset& dataset,
                      std::size_t batch_size = 128);
 
-/// Correct and total counts of one evaluation pass.
-struct EvalSums {
-  std::size_t correct = 0;  // exact argmax matches
-  std::size_t total = 0;    // samples seen
-};
+/// Samples per evaluation shard at most; a shard runs as one forward batch.
+inline constexpr std::size_t kEvalShardSamples = 32;
 
-/// Parallel single-pass evaluation over `replicas`, which must be
-/// bit-identical copies of the model (same params and buffers), one pool
-/// task per replica. With R = min(replicas, samples), replica r evaluates
-/// the contiguous samples [r * S / R, (r + 1) * S / R) in batches of at most
-/// `batch_size`, so the lanes get equal shares and no module is shared
-/// between them. A sample's logits do not depend on the batch it runs in
-/// (every kernel computes each output row alone) and the counts are
-/// integers, so the result is bit-identical for any replica count,
-/// including 1.
-EvalSums evaluate_sums_parallel(std::span<nn::Module* const> replicas,
-                                const data::Dataset& dataset,
-                                std::size_t batch_size,
-                                util::ThreadPool& pool);
+/// Shards of a background evaluation of `samples` samples on `lanes` lanes:
+/// about four per lane, so lanes left idle by serial work pick up the rest,
+/// and enough that none holds more than kEvalShardSamples. Never more shards
+/// than samples; 0 for an empty dataset.
+std::size_t eval_shard_count(std::size_t lanes, std::size_t samples);
+
+/// Posts the evaluation of `dataset` to `pool` as eval_shard_count(
+/// pool.lanes(), S) tasks and sizes `correct` to one slot per shard. Shard s
+/// takes the contiguous samples [s * S / K, (s + 1) * S / K) as one batch,
+/// runs them on replicas[ThreadPool::current_lane()] between
+/// set_training(false) and set_training(true), and writes its exact argmax
+/// match count to correct[s]. `replicas` holds one bit-identical copy of the
+/// model (same params and buffers) per pool lane, so no two lanes share a
+/// module. A sample's logits do not depend on the batch it runs in (every
+/// kernel computes each output row alone) and the counts are integers, so
+/// the sum of `correct` is the same for any lane count.
+///
+/// Nothing here waits: `replicas`, `dataset` and `correct` must stay alive
+/// and untouched until pool.drain() returns, which also rethrows a shard's
+/// failure.
+void post_evaluation(std::span<nn::Module* const> replicas,
+                     const data::Dataset& dataset, util::ThreadPool& pool,
+                     std::vector<std::size_t>& correct);
 
 }  // namespace apf::fl

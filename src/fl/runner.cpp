@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <optional>
 
@@ -25,6 +26,29 @@
 #include "wire/wire.h"
 
 namespace apf::fl {
+
+namespace {
+/// Drains a pool when the scope ends. A failure found there is logged: it
+/// can only surface while another exception unwinds, because the normal
+/// path drains (and rethrows) first.
+class DrainOnExit {
+ public:
+  explicit DrainOnExit(util::ThreadPool& pool) : pool_(pool) {}
+  ~DrainOnExit() {
+    try {
+      pool_.drain();
+    } catch (const std::exception& e) {
+      APF_WARN("evaluation failed while run() unwound: " << e.what());
+    }
+  }
+
+  DrainOnExit(const DrainOnExit&) = delete;
+  DrainOnExit& operator=(const DrainOnExit&) = delete;
+
+ private:
+  util::ThreadPool& pool_;
+};
+}  // namespace
 
 std::vector<double> SimulationResult::accuracy_series() const {
   std::vector<double> out;
@@ -121,6 +145,14 @@ FederatedRunner::FederatedRunner(FlConfig config, const data::Dataset& train,
 //     bytes charged once at push time) into the next window, where their
 //     staleness has grown by one.
 //
+// Evaluation runs one round behind. At an evaluation round the replicas
+// receive the global state and the evaluation is posted to the pool in
+// shards (post_evaluation); idle lanes run them during the next round's
+// serial work and whenever no training chunk waits, and the next evaluation
+// point (or the end of run()) drains the pool and fills the record's
+// accuracy. The observer still fires at the end of each round's exchange, so
+// the accuracy of the round it sees may be pending.
+//
 // Everything timing-related is derived from deterministic simulated values,
 // and training is one per-client bit-identical kernel, so the full
 // SimulationResult is bit-identical for any worker_threads in both modes —
@@ -166,18 +198,21 @@ SimulationResult FederatedRunner::run() {
   util::ThreadPool pool(config_.worker_threads);
   const util::ScopedComputePool compute_scope(pool);
 
-  // Evaluation replicas (each receives the global params before each eval);
-  // one per pool lane, capped by the test set size so tiny test sets don't
-  // pay for idle copies.
-  const std::size_t eval_batch_size = 128;
-  const std::size_t eval_replica_count =
-      std::max<std::size_t>(1, std::min(pool.lanes(), test_.size()));
+  // Evaluation replicas, one per pool lane: an evaluation shard runs on the
+  // replica of the lane that runs it (post_evaluation), and each replica
+  // receives the global params and buffers before its evaluation is posted.
   std::vector<std::unique_ptr<nn::Module>> eval_models;
   std::vector<std::unique_ptr<FlatParamView>> eval_views;
-  for (std::size_t r = 0; r < eval_replica_count; ++r) {
+  std::vector<nn::Module*> eval_replicas;
+  for (std::size_t r = 0; r < pool.lanes(); ++r) {
     eval_models.push_back(model_factory_());
     eval_views.push_back(std::make_unique<FlatParamView>(*eval_models[r]));
+    eval_replicas.push_back(eval_models[r].get());
   }
+  std::vector<std::size_t> eval_correct;  // per-shard counts, set by shards
+  // Every way out of run() drains the pool before the replicas, the counts
+  // and the pool go, so no shard outlives them.
+  const DrainOnExit drain_on_exit(pool);
 
   const std::size_t dim = clients[0].view->dim();
   std::vector<float> init_params;
@@ -270,6 +305,29 @@ SimulationResult FederatedRunner::run() {
   };
   std::vector<std::optional<Pending>> pending(n);
   double now = 0.0;
+
+  // The record whose evaluation is posted, finished at the next evaluation
+  // point or at the end of the run: once the pool is drained, its shard
+  // counts fill the record, the best and final accuracy, and the log line.
+  std::optional<std::size_t> evaluating;
+  auto finish_evaluation = [&] {
+    pool.drain();
+    if (!evaluating.has_value()) return;
+    RoundRecord& record = result.rounds[*evaluating];
+    evaluating.reset();
+    std::size_t correct = 0;
+    for (const std::size_t c : eval_correct) correct += c;
+    record.test_accuracy =
+        test_.size() == 0 ? 0.0
+                          : static_cast<double>(correct) /
+                                static_cast<double>(test_.size());
+    result.best_accuracy = std::max(result.best_accuracy, record.test_accuracy);
+    result.final_accuracy = record.test_accuracy;
+    APF_INFO("round " << record.round << " acc=" << record.test_accuracy
+                      << " frozen=" << record.frozen_fraction
+                      << " participants=" << record.participants
+                      << " loss=" << record.train_loss);
+  };
 
   for (std::size_t round = 1; round <= config_.rounds; ++round) {
     if (lr_schedule_ != nullptr) {
@@ -651,37 +709,24 @@ SimulationResult FederatedRunner::run() {
                   static_cast<double>(record.participants);
     record.cumulative_seconds = cum_seconds;
     if (round % config_.eval_every == 0 || round == config_.rounds) {
-      // Evaluate the server-side global model on the pool: every replica
-      // receives the identical global state and evaluates an equal
-      // contiguous share of the test set, and the counts are integers, so
-      // the accuracy is bit-identical for any worker count.
-      std::vector<nn::Module*> replicas;
-      replicas.reserve(eval_models.size());
-      for (std::size_t r = 0; r < eval_models.size(); ++r) {
-        eval_views[r]->scatter(global());
-        if (buffer_dim > 0) {
-          nn::load_buffers(*eval_models[r], global_buffers);
+      // The previous evaluation is finished before its replicas are
+      // rewritten; this one runs behind, on lanes the next round's serial
+      // work leaves idle.
+      finish_evaluation();
+      for (auto& view : eval_views) view->scatter(global());
+      if (buffer_dim > 0) {
+        for (auto& model : eval_models) {
+          nn::load_buffers(*model, global_buffers);
         }
-        replicas.push_back(eval_models[r].get());
       }
-      const EvalSums eval =
-          evaluate_sums_parallel(replicas, test_, eval_batch_size, pool);
-      record.test_accuracy =
-          eval.total == 0 ? 0.0
-                          : static_cast<double>(eval.correct) /
-                                static_cast<double>(eval.total);
-      result.best_accuracy =
-          std::max(result.best_accuracy, record.test_accuracy);
-      result.final_accuracy = record.test_accuracy;
-      APF_INFO("round " << round << " acc=" << record.test_accuracy
-                        << " frozen=" << record.frozen_fraction
-                        << " participants=" << record.participants
-                        << " loss=" << record.train_loss);
+      post_evaluation(eval_replicas, test_, pool, eval_correct);
+      evaluating = result.rounds.size();
     }
     result.rounds.push_back(record);
     if (observer_) observer_(RoundId(round), global(), client_params);
   }
 
+  finish_evaluation();
   result.total_bytes_per_client = cum_bytes;
   result.total_seconds = cum_seconds;
   result.mean_frozen_fraction = frozen_stat.mean();

@@ -171,7 +171,10 @@ using ModelFactory = std::function<std::unique_ptr<nn::Module>()>;
 using OptimizerFactory =
     std::function<std::unique_ptr<optim::Optimizer>(nn::Module&)>;
 
-/// Optional per-round observer (round id, global params, client params).
+/// Optional per-round observer (round id, global params, client params),
+/// called at the end of each round's exchange. Evaluation runs one round
+/// behind, so the evaluated round's accuracy may still be pending when its
+/// observer runs; it is final in the SimulationResult run() returns.
 using RoundObserver = std::function<void(
     RoundId round, std::span<const float> global_params,
     const std::vector<std::vector<float>>& client_params)>;
@@ -192,9 +195,12 @@ class FederatedRunner {
     lr_schedule_ = schedule;
   }
 
-  /// Optional observer invoked after every synchronization.
+  /// Optional observer invoked after every synchronization, before that
+  /// round's evaluation (if any) has finished; see RoundObserver.
   void set_observer(RoundObserver observer) { observer_ = std::move(observer); }
 
+  /// Runs the simulation. Not from inside a util::ThreadPool task: the run
+  /// drains its own pool's posted evaluation, which a pool task may not do.
   SimulationResult run();
 
  private:

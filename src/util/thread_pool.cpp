@@ -10,6 +10,8 @@ namespace {
 // Set while a thread executes chunks of any pool's job; nested parallel
 // regions check it and run inline instead of re-entering a pool.
 thread_local bool t_in_worker = false;
+// The lane a pool worker runs as (0 on every thread no pool spawned).
+thread_local std::size_t t_lane = 0;
 
 struct InWorkerScope {
   bool previous = t_in_worker;
@@ -22,13 +24,15 @@ struct InWorkerScope {
 
 bool ThreadPool::in_worker() { return t_in_worker; }
 
+std::size_t ThreadPool::current_lane() { return t_lane; }
+
 ThreadPool::ThreadPool(std::size_t lanes) {
   if (lanes == 0) {
     lanes = std::max(1u, std::thread::hardware_concurrency());
   }
   workers_.reserve(lanes - 1);
-  for (std::size_t t = 0; t + 1 < lanes; ++t) {
-    workers_.emplace_back([this] { worker_loop(); });
+  for (std::size_t t = 1; t < lanes; ++t) {
+    workers_.emplace_back([this, t] { worker_loop(t); });
   }
 }
 
@@ -41,28 +45,42 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t lane) {
+  t_lane = lane;
   std::uint64_t seen_seq = 0;
   for (;;) {
     Job* job = nullptr;
+    std::function<void()> task;
     {
       MutexLock lock(mutex_);
       // Explicit while-loop (not a predicate lambda) so the analysis sees
       // the guarded reads happen with mutex_ held.
-      while (!stop_ && !(job_ != nullptr && job_seq_ != seen_seq)) {
+      while (!stop_ && !(job_ != nullptr && job_seq_ != seen_seq) &&
+             posted_.empty()) {
         wake_cv_.wait(mutex_);
       }
       if (stop_) return;
-      seen_seq = job_seq_;
-      job = job_;
-      ++active_;
+      // A region this lane has not joined yet comes before posted tasks.
+      if (job_ != nullptr && job_seq_ != seen_seq) {
+        seen_seq = job_seq_;
+        job = job_;
+        ++active_;
+      } else {
+        task = std::move(posted_.front());
+        posted_.pop_front();
+        ++posted_running_;
+      }
     }
-    run_chunks(*job);
-    {
-      MutexLock lock(mutex_);
-      --active_;
+    if (job != nullptr) {
+      run_chunks(*job);
+      {
+        MutexLock lock(mutex_);
+        --active_;
+      }
+      done_cv_.notify_all();
+    } else {
+      run_posted(std::move(task));
     }
-    done_cv_.notify_one();
   }
 }
 
@@ -122,6 +140,59 @@ void ThreadPool::parallel_for(std::size_t n,
     job_ = nullptr;
     error = error_;
     error_ = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::post(std::function<void()> fn) {
+  {
+    MutexLock lock(mutex_);
+    posted_.push_back(std::move(fn));
+  }
+  wake_cv_.notify_one();
+}
+
+void ThreadPool::run_posted(std::function<void()> task) {
+  std::exception_ptr error;
+  {
+    InWorkerScope scope;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    task = nullptr;  // the closure goes before drain() can return
+  }
+  bool last = false;
+  {
+    MutexLock lock(mutex_);
+    if (error && !posted_error_) posted_error_ = error;
+    last = --posted_running_ == 0;
+  }
+  // Only drain() waits for posted tasks, and only for the last one.
+  if (last) done_cv_.notify_all();
+}
+
+void ThreadPool::drain() {
+  // A task waiting for the running tasks could be waiting for itself.
+  APF_CHECK_MSG(!t_in_worker, "ThreadPool::drain() called from a pool task");
+  for (;;) {
+    std::function<void()> task;
+    {
+      MutexLock lock(mutex_);
+      if (posted_.empty()) break;
+      task = std::move(posted_.front());
+      posted_.pop_front();
+      ++posted_running_;
+    }
+    run_posted(std::move(task));
+  }
+  std::exception_ptr error;
+  {
+    MutexLock lock(mutex_);
+    while (posted_running_ > 0) done_cv_.wait(mutex_);
+    error = posted_error_;
+    posted_error_ = nullptr;
   }
   if (error) std::rethrow_exception(error);
 }

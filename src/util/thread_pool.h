@@ -12,6 +12,14 @@
 //  - ordered_reduce(n, init, produce, combine): that per-slot-then-serial
 //    pattern packaged as one call. Floating-point summation order is a
 //    function of n alone, never of the worker count or scheduling.
+//  - post(fn) / drain(): background work. post queues fn; a worker runs it
+//    only when no parallel_for chunk is waiting, so regions keep priority
+//    and posted tasks fill lanes that would otherwise sit idle. drain()
+//    runs what is still queued on the caller, waits for the rest and
+//    rethrows the first failure. FederatedRunner evaluates one round behind
+//    this way (docs/PARALLELISM.md, "Posted tasks").
+//  - current_lane(): the lane the calling thread runs as, so a task can pick
+//    lane-local state (an evaluation replica) no other lane touches.
 //
 // One pool instance owns `lanes - 1` persistent worker threads; the caller of
 // parallel_for is the extra lane. Nested parallel_for calls (a task that
@@ -22,6 +30,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <thread>
@@ -53,6 +62,22 @@ class ThreadPool {
 
   /// True when the current thread is executing a ThreadPool task (any pool).
   static bool in_worker();
+
+  /// Queues fn to run once on a worker, after every waiting parallel_for
+  /// chunk. A pool with one lane runs it only at drain(). Nested regions
+  /// inside fn run inline. Whatever fn touches must stay alive until drain()
+  /// returns; a pool destroyed with tasks still queued drops them.
+  void post(std::function<void()> fn) APF_EXCLUDES(mutex_);
+
+  /// Runs the posted tasks still queued on the caller, waits for those
+  /// already running on workers, then rethrows the first failure among them
+  /// (the others have finished). Calling it from a pool task is an error.
+  void drain() APF_EXCLUDES(mutex_);
+
+  /// Lane of the calling thread: k + 1 on a pool's worker k, 0 on any other
+  /// thread (the caller lane). Distinct threads of one pool never share a
+  /// lane, and drain() runs its tasks on the caller lane.
+  static std::size_t current_lane();
 
   /// Deterministic reduction: partials[i] = produce(i) in parallel, then
   /// acc = combine(acc, partials[i]) serially for i = 0..n-1. The combine
@@ -89,14 +114,16 @@ class ThreadPool {
     std::atomic<std::size_t> done{0};
   };
 
-  void worker_loop() APF_EXCLUDES(mutex_);
+  void worker_loop(std::size_t lane) APF_EXCLUDES(mutex_);
   void run_chunks(Job& job) APF_EXCLUDES(mutex_);
+  // Runs one posted task taken off the queue and records its failure.
+  void run_posted(std::function<void()> task) APF_EXCLUDES(mutex_);
 
   // lint-apf: allow-capability-unguarded-member(set in ctor, joined in dtor)
   std::vector<std::thread> workers_;
   Mutex mutex_;
-  CondVar wake_cv_;  // workers wait here for a job
-  CondVar done_cv_;  // the submitter waits here
+  CondVar wake_cv_;  // workers wait here for a job or a posted task
+  CondVar done_cv_;  // the submitter and drain() wait here
   // Serializes concurrent parallel_for calls; always taken before mutex_
   // (the declared ordering edge makes an inversion a compile error).
   Mutex submit_mutex_ APF_ACQUIRED_BEFORE(mutex_);
@@ -105,6 +132,11 @@ class ThreadPool {
   bool stop_ APF_GUARDED_BY(mutex_) = false;
   int active_ APF_GUARDED_BY(mutex_) = 0;    // lanes inside run_chunks
   std::exception_ptr error_ APF_GUARDED_BY(mutex_);  // first failure
+  // Posted tasks: queued, running (on a worker or in drain()), and the
+  // first failure among them, kept until drain() rethrows it.
+  std::deque<std::function<void()>> posted_ APF_GUARDED_BY(mutex_);
+  std::size_t posted_running_ APF_GUARDED_BY(mutex_) = 0;
+  std::exception_ptr posted_error_ APF_GUARDED_BY(mutex_);
 };
 
 /// Pool used by the library's internal hot paths (tensor kernels, strategy

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "compress/gaia.h"
 #include "compress/randk.h"
@@ -811,6 +816,187 @@ TEST(Runner, AsyncProbeRejectsSparsePushFormatsWithoutSideEffects) {
                Error);
   EXPECT_EQ(topk.residuals(),
             std::vector<std::vector<float>>(2, std::vector<float>(8, 0.f)));
+}
+
+// ---- Evaluation one round behind ------------------------------------------
+
+// The tiny MLP, counting its eval-mode forwards; each one takes a
+// millisecond, so a posted evaluation is still in flight when the round's
+// observer runs, and it throws when `throw_in_eval` is set.
+struct EvalProbeState {
+  std::atomic<int> eval_forwards{0};
+  bool throw_in_eval = false;
+};
+
+class EvalProbe : public nn::Sequential {
+ public:
+  explicit EvalProbe(EvalProbeState& state) : state_(state) {}
+
+  Tensor forward(const Tensor& input) override {
+    if (!training()) {
+      state_.eval_forwards.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (state_.throw_in_eval) throw Error("eval forward failed");
+    }
+    return nn::Sequential::forward(input);
+  }
+
+ private:
+  EvalProbeState& state_;
+};
+
+fl::ModelFactory eval_probe_factory(EvalProbeState& state) {
+  return [&state] {
+    Rng rng(4242);
+    auto net = std::make_unique<EvalProbe>(state);
+    net->add(std::make_unique<nn::Flatten>(), "flatten");
+    net->add(nn::make_mlp(rng, 64, 16, 1, 4), "mlp");
+    return net;
+  };
+}
+
+fl::FlConfig eval_probe_config(std::size_t rounds,
+                               std::size_t worker_threads) {
+  fl::FlConfig config;
+  config.num_clients = 2;
+  config.rounds = rounds;
+  config.local_iters = 1;
+  config.batch_size = 8;
+  config.eval_every = 1;
+  config.worker_threads = worker_threads;
+  return config;
+}
+
+TEST(RunnerEvaluation, ObserverThrowWhileEvaluationIsPostedDrainsFirst) {
+  SyntheticImageDataset train(tiny_spec(), 32, 1);
+  SyntheticImageDataset test(tiny_spec(), 40, 2);
+  Rng prng(21);
+  const auto partition = data::iid_partition(train.size(), 2, prng);
+  EvalProbeState state;
+  fl::FullSync strategy;
+  fl::FederatedRunner runner(
+      eval_probe_config(3, 4), train, partition, test,
+      eval_probe_factory(state),
+      [](nn::Module& m) {
+        return std::make_unique<optim::Sgd>(m.parameters(), 0.05);
+      },
+      strategy);
+  runner.set_observer([](fl::RoundId round, std::span<const float>,
+                         const std::vector<std::vector<float>>&) {
+    if (round == fl::RoundId(1)) throw std::runtime_error("observer failed");
+  });
+  std::string message;
+  try {
+    runner.run();
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(message, "observer failed");
+  // Round 1's shards all ran before run() returned (one forward each), and
+  // none runs afterwards.
+  const int after_return = state.eval_forwards.load();
+  EXPECT_EQ(after_return,
+            static_cast<int>(fl::eval_shard_count(4, test.size())));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(state.eval_forwards.load(), after_return);
+}
+
+TEST(RunnerEvaluation, ThrowingEvalForwardFailsTheRun) {
+  SyntheticImageDataset train(tiny_spec(), 32, 1);
+  SyntheticImageDataset test(tiny_spec(), 40, 2);
+  Rng prng(22);
+  const auto partition = data::iid_partition(train.size(), 2, prng);
+  // One round drains at the end of run(), three at the next evaluation.
+  for (const std::size_t rounds : {1u, 3u}) {
+    for (const std::size_t workers : {1u, 4u}) {
+      EvalProbeState state;
+      state.throw_in_eval = true;
+      fl::FullSync strategy;
+      fl::FederatedRunner runner(
+          eval_probe_config(rounds, workers), train, partition, test,
+          eval_probe_factory(state),
+          [](nn::Module& m) {
+            return std::make_unique<optim::Sgd>(m.parameters(), 0.05);
+          },
+          strategy);
+      EXPECT_THROW(runner.run(), Error)
+          << "rounds=" << rounds << " workers=" << workers;
+    }
+  }
+}
+
+// Every field of two results, compared bit for bit.
+void expect_same_result(const fl::SimulationResult& a,
+                        const fl::SimulationResult& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.rounds.size(), b.rounds.size()) << label;
+  for (std::size_t r = 0; r < a.rounds.size(); ++r) {
+    const fl::RoundRecord& x = a.rounds[r];
+    const fl::RoundRecord& y = b.rounds[r];
+    EXPECT_TRUE(x.round == y.round && x.test_accuracy == y.test_accuracy &&
+                x.train_loss == y.train_loss &&
+                x.bytes_per_client == y.bytes_per_client &&
+                x.cumulative_bytes_per_client ==
+                    y.cumulative_bytes_per_client &&
+                x.participants == y.participants &&
+                x.bytes_per_participant == y.bytes_per_participant &&
+                x.frozen_fraction == y.frozen_fraction &&
+                x.round_seconds == y.round_seconds &&
+                x.cumulative_seconds == y.cumulative_seconds &&
+                x.staleness == y.staleness)
+        << label << " round " << r + 1;
+    EXPECT_GE(x.test_accuracy, 0.0) << label << " round " << r + 1;
+  }
+  EXPECT_EQ(a.best_accuracy, b.best_accuracy) << label;
+  EXPECT_EQ(a.final_accuracy, b.final_accuracy) << label;
+  EXPECT_EQ(a.total_bytes_per_client, b.total_bytes_per_client) << label;
+  EXPECT_EQ(a.total_seconds, b.total_seconds) << label;
+  EXPECT_EQ(a.mean_frozen_fraction, b.mean_frozen_fraction) << label;
+  EXPECT_EQ(a.final_global_params, b.final_global_params) << label;
+}
+
+TEST(RunnerEvaluation, EveryRoundSameResultForAnyLaneCountAndTestSize) {
+  SyntheticImageDataset train(tiny_spec(), 64, 1);
+  // Fewer samples than lanes, and more than 4 x 8 lanes x 32.
+  SyntheticImageDataset small_test(tiny_spec(), 3, 2);
+  SyntheticImageDataset large_test(tiny_spec(), 1100, 3);
+  Rng prng(23);
+  const auto partition = data::iid_partition(train.size(), 4, prng);
+  for (const fl::AggregationMode mode :
+       {fl::AggregationMode::kSynchronous,
+        fl::AggregationMode::kAsyncBuffered}) {
+    for (const SyntheticImageDataset* test : {&small_test, &large_test}) {
+      auto run_at = [&](std::size_t workers) {
+        fl::FlConfig config;
+        config.num_clients = 4;
+        config.rounds = 3;
+        config.local_iters = 2;
+        config.batch_size = 8;
+        config.eval_every = 1;
+        config.aggregation_mode = mode;
+        config.async_goal_k = 2;
+        config.compute_multiplier = {1.0, 2.0, 1.0, 3.0};
+        config.worker_threads = workers;
+        fl::FullSync strategy;
+        fl::FederatedRunner runner(
+            config, train, partition, *test, tiny_mlp_factory(64, 4),
+            [](nn::Module& m) {
+              return std::make_unique<optim::Sgd>(m.parameters(), 0.05);
+            },
+            strategy);
+        return runner.run();
+      };
+      const fl::SimulationResult one = run_at(1);
+      for (const std::size_t workers : {2u, 4u, 8u}) {
+        expect_same_result(
+            one, run_at(workers),
+            std::string(mode == fl::AggregationMode::kSynchronous ? "sync"
+                                                                  : "async") +
+                " test=" + std::to_string(test->size()) +
+                " workers=" + std::to_string(workers));
+      }
+    }
+  }
 }
 
 TEST(FullSyncStream, ApplyPullRejectsWrongDimAtomically) {

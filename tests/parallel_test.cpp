@@ -5,12 +5,16 @@
 // also run under the tsan preset in CI so pool/runner races fail the build.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -120,6 +124,141 @@ TEST(ThreadPool, SingleLanePoolSpawnsNoThreadsAndRunsInline) {
   std::size_t sum = 0;  // no atomics needed: everything runs on this thread
   pool.parallel_for(100, [&](std::size_t i) { sum += i; });
   EXPECT_EQ(sum, 4950u);
+}
+
+// ---- Posted tasks: post() and drain() ---------------------------------------
+
+constexpr std::size_t kPostLanes[] = {1, 2, 4, 8};
+
+TEST(ThreadPool, PostedTasksRunOnceWhileParallelForRegionsRun) {
+  for (const std::size_t lanes : kPostLanes) {
+    util::ThreadPool pool(lanes);
+    constexpr std::size_t kTasks = 200;
+    std::vector<std::atomic<int>> posted(kTasks);
+    std::vector<std::atomic<int>> bad_lane(kTasks);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      pool.post([&, t] {
+        if (util::ThreadPool::current_lane() >= lanes) bad_lane[t] = 1;
+        // A nested region inside a posted task runs inline.
+        int inner = 0;
+        pool.parallel_for(3, [&](std::size_t) { ++inner; });
+        posted[t].fetch_add(inner == 3 ? 1 : 100, std::memory_order_relaxed);
+      });
+    }
+    EXPECT_EQ(util::ThreadPool::current_lane(), 0u);
+    for (int region = 0; region < 20; ++region) {
+      std::vector<std::atomic<int>> hits(64);
+      pool.parallel_for(hits.size(), [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "lanes=" << lanes << " index " << i;
+      }
+    }
+    pool.drain();
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      EXPECT_EQ(posted[t].load(), 1) << "lanes=" << lanes << " task " << t;
+      EXPECT_EQ(bad_lane[t].load(), 0) << "lanes=" << lanes << " task " << t;
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForCompletesWhileEveryWorkerRunsAPostedTask) {
+  for (const std::size_t lanes : kPostLanes) {
+    util::ThreadPool pool(lanes);
+    std::atomic<std::size_t> started{0};
+    std::atomic<bool> release{false};
+    for (std::size_t w = 0; w + 1 < lanes; ++w) {
+      pool.post([&] {
+        started.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      });
+    }
+    while (started.load() + 1 < lanes) std::this_thread::yield();
+    // Every worker is held inside a posted task: the caller runs the whole
+    // region itself.
+    std::vector<std::atomic<int>> hits(100);
+    pool.parallel_for(hits.size(), [&](std::size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "lanes=" << lanes << " index " << i;
+    }
+    release = true;
+    pool.drain();
+    EXPECT_EQ(started.load() + 1, lanes);
+  }
+}
+
+TEST(ThreadPool, DrainRethrowsTheFirstFailureAfterTheOthersFinish) {
+  for (const std::size_t lanes : kPostLanes) {
+    util::ThreadPool pool(lanes);
+    constexpr std::size_t kTasks = 24;
+    std::vector<std::atomic<int>> finished(kTasks);
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      pool.post([&, t] {
+        if (t == 3 || t == 17) {
+          throw std::runtime_error("task " + std::to_string(t));
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        finished[t] = 1;
+      });
+    }
+    std::string message;
+    try {
+      pool.drain();
+    } catch (const std::runtime_error& e) {
+      message = e.what();
+    }
+    EXPECT_TRUE(message == "task 3" || message == "task 17")
+        << "lanes=" << lanes << " rethrew '" << message << "'";
+    for (std::size_t t = 0; t < kTasks; ++t) {
+      if (t == 3 || t == 17) continue;
+      EXPECT_EQ(finished[t].load(), 1) << "lanes=" << lanes << " task " << t;
+    }
+    // The failure is reported once; the pool stays usable.
+    EXPECT_NO_THROW(pool.drain());
+    std::atomic<int> again{0};
+    pool.post([&] { again = 1; });
+    pool.drain();
+    EXPECT_EQ(again.load(), 1);
+  }
+}
+
+TEST(ThreadPool, DrainFromAPoolTaskIsAnError) {
+  for (const std::size_t lanes : kPostLanes) {
+    util::ThreadPool pool(lanes);
+    std::atomic<int> rejected{0};
+    pool.post([&] {
+      try {
+        pool.drain();
+      } catch (const Error&) {
+        rejected = 1;
+      }
+    });
+    pool.drain();
+    EXPECT_EQ(rejected.load(), 1) << "lanes=" << lanes;
+    pool.parallel_for(4, [&](std::size_t) {
+      EXPECT_THROW(pool.drain(), Error);
+    });
+  }
+}
+
+TEST(ThreadPool, DrainedPoolDestructsCleanly) {
+  for (const std::size_t lanes : kPostLanes) {
+    std::atomic<int> ran{0};
+    {
+      util::ThreadPool pool(lanes);
+      for (int t = 0; t < 50; ++t) {
+        pool.post([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+      }
+      pool.drain();
+      EXPECT_EQ(ran.load(), 50) << "lanes=" << lanes;
+    }
+    EXPECT_EQ(ran.load(), 50) << "lanes=" << lanes;
+    util::ThreadPool idle(lanes);
+    idle.drain();  // nothing posted: returns at once
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -425,34 +564,59 @@ TEST(Evaluate, AccuracyIsExactIntegerCountOverDataset) {
   }
 }
 
-fl::EvalSums sums_with_replicas(const data::Dataset& dataset,
-                                std::size_t replica_count) {
+// Correct count of one posted evaluation on a pool of `lanes` lanes, one
+// replica per lane; checks the shard plan and that every replica is back in
+// training mode.
+std::size_t posted_correct(const data::Dataset& dataset, std::size_t lanes) {
   std::vector<std::unique_ptr<nn::Module>> replicas;
   std::vector<nn::Module*> ptrs;
-  for (std::size_t r = 0; r < replica_count; ++r) {
+  for (std::size_t r = 0; r < lanes; ++r) {
     replicas.push_back(EvalFixture::make_model());
     ptrs.push_back(replicas.back().get());
   }
-  util::ThreadPool pool(replica_count);
-  return fl::evaluate_sums_parallel(ptrs, dataset, 16, pool);
+  util::ThreadPool pool(lanes);
+  std::vector<std::size_t> correct;
+  fl::post_evaluation(ptrs, dataset, pool, correct);
+  pool.drain();
+  EXPECT_EQ(correct.size(), fl::eval_shard_count(lanes, dataset.size()));
+  for (const auto& replica : replicas) EXPECT_TRUE(replica->training());
+  return std::accumulate(correct.begin(), correct.end(), std::size_t{0});
 }
 
 TEST(Evaluate, ParallelSumsBitIdenticalForAnyReplicaCount) {
-  EvalFixture fx(97, 13);  // prime sample count: ragged shares and batches
-  const std::size_t serial = fl::count_correct(*fx.model, fx.dataset, 16);
-  for (std::size_t replica_count = 1; replica_count <= 5; ++replica_count) {
-    const fl::EvalSums sums = sums_with_replicas(fx.dataset, replica_count);
-    EXPECT_EQ(sums.total, fx.dataset.size()) << "replicas=" << replica_count;
-    EXPECT_EQ(sums.correct, serial) << "replicas=" << replica_count;
+  // 97 samples: ragged shards. 300 samples: more than 4 x lanes x 32 at
+  // two lanes, so the shard size, not the lane count, sets the shards.
+  for (const std::size_t samples : {97u, 300u}) {
+    EvalFixture fx(samples, 13);
+    const std::size_t serial = fl::count_correct(*fx.model, fx.dataset, 16);
+    for (std::size_t lanes = 1; lanes <= 5; ++lanes) {
+      EXPECT_EQ(posted_correct(fx.dataset, lanes), serial)
+          << "samples=" << samples << " lanes=" << lanes;
+    }
   }
 }
 
 TEST(Evaluate, ParallelSumsWithMoreReplicasThanSamples) {
   EvalFixture fx(3, 13);
   const std::size_t serial = fl::count_correct(*fx.model, fx.dataset, 16);
-  const fl::EvalSums sums = sums_with_replicas(fx.dataset, 5);
-  EXPECT_EQ(sums.total, 3u);
-  EXPECT_EQ(sums.correct, serial);
+  EXPECT_EQ(posted_correct(fx.dataset, 5), serial);
+}
+
+TEST(Evaluate, ShardsCoverEveryLaneAndHoldAtMost32Samples) {
+  EXPECT_EQ(fl::eval_shard_count(4, 0), 0u);
+  EXPECT_EQ(fl::eval_shard_count(4, 3), 3u);
+  EXPECT_EQ(fl::eval_shard_count(4, 400), 16u);   // 25 samples each
+  EXPECT_EQ(fl::eval_shard_count(4, 1000), 32u);  // 31 or 32 samples each
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    for (const std::size_t samples : {1u, 5u, 31u, 32u, 33u, 400u, 1025u}) {
+      const std::size_t shards = fl::eval_shard_count(lanes, samples);
+      EXPECT_LE(shards, samples);
+      EXPECT_GE(shards, std::min(samples, 4 * lanes));
+      // The largest shard, ceil(S / K), fits one 32-sample batch.
+      EXPECT_LE((samples + shards - 1) / shards, fl::kEvalShardSamples)
+          << "lanes=" << lanes << " samples=" << samples;
+    }
+  }
 }
 
 // Rows [begin, end) of a batch, as a batch of their own.
@@ -466,8 +630,8 @@ Tensor batch_rows(const Tensor& t, std::size_t begin, std::size_t end) {
   return out;
 }
 
-// evaluate_sums_parallel splits the test set by replica count, so a sample
-// runs in a different batch for different worker counts. That keeps the
+// post_evaluation splits the test set by lane count, so a sample runs in a
+// different batch for different worker counts. That keeps the
 // accuracy bit-identical only because a sample's logits do not depend on
 // its batch: 13 rows as one batch, as 5 + 8 and one at a time give the
 // same bits on every model family the runner evaluates.
