@@ -107,10 +107,4 @@ fl::SyncStrategy::Result CmflSync::synchronize(fl::RoundId round, std::vector<st
   return result;
 }
 
-double CmflSync::acceptance_rate() const {
-  return considered_ == 0 ? 0.0
-                          : static_cast<double>(accepted_) /
-                                static_cast<double>(considered_);
-}
-
 }  // namespace apf::compress

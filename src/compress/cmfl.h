@@ -33,9 +33,6 @@ class CmflSync : public fl::SyncStrategy {
   std::span<const float> global_params() const override { return global_; }
   std::string name() const override { return "CMFL"; }
 
-  /// Fraction of client uploads accepted so far (diagnostics).
-  double acceptance_rate() const;
-
   /// Persistent state exposed for the fuzz state oracle.
   const std::vector<float>& prev_update() const {
     return prev_global_update_;

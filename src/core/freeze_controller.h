@@ -84,7 +84,6 @@ class FreezeController {
 
   const Bitmap& mask() const { return mask_; }
   bool frozen(std::size_t j) const { return remaining_[j] > 0; }
-  std::uint32_t period(std::size_t j) const { return period_[j]; }
   std::uint32_t remaining(std::size_t j) const { return remaining_[j]; }
   double frozen_fraction() const { return mask_.fraction(); }
   std::size_t dim() const { return period_.size(); }

@@ -67,8 +67,6 @@ class EmaPerturbation {
 
   std::size_t dim() const { return dim_; }
   double alpha() const { return alpha_; }
-  double ema_signed(std::size_t j) const { return e_[j]; }
-  double ema_abs(std::size_t j) const { return a_[j]; }
 
   /// Raw statistics (serialization support).
   std::span<const float> raw_signed() const { return e_; }

@@ -57,6 +57,8 @@ class StrawmanBase : public fl::SyncStrategyBase {
   /// Restores a state written by save_state(). Must be called after init()
   /// with the same model dimension; throws apf::Error on any mismatch or
   /// truncation.
+  // No run resumes yet, so only the checkpoint round-trip tests call it.
+  // lint-apf: allow-test-only-api(restore half of the save_state pair)
   void load_state(std::istream& is);
 
  protected:

@@ -1,19 +1,11 @@
 #include "data/dataset.h"
 
-#include <numeric>
-
 namespace apf::data {
 
 std::vector<std::size_t> Dataset::all_labels() const {
   std::vector<std::size_t> labels(size());
   for (std::size_t i = 0; i < labels.size(); ++i) labels[i] = label(i);
   return labels;
-}
-
-Batch Dataset::full_batch() const {
-  std::vector<std::size_t> idx(size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  return get_batch(idx);
 }
 
 }  // namespace apf::data

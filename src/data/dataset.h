@@ -40,9 +40,6 @@ class Dataset {
 
   /// All labels, in index order (used by partitioners).
   std::vector<std::size_t> all_labels() const;
-
-  /// Batch of every sample; convenient for small evaluation sets.
-  Batch full_batch() const;
 };
 
 }  // namespace apf::data

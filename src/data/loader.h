@@ -24,7 +24,6 @@ class DataLoader {
   /// the subset is at least that large).
   Batch next_batch();
 
-  std::size_t dataset_size() const { return indices_.size(); }
   std::size_t batch_size() const { return batch_size_; }
 
   /// Batches per epoch (ceiling).

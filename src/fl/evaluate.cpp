@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "nn/loss.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 
@@ -63,25 +62,6 @@ double evaluate_accuracy(nn::Module& module, const data::Dataset& dataset,
              ? 0.0
              : static_cast<double>(count_correct(module, dataset, batch_size)) /
                    static_cast<double>(dataset.size());
-}
-
-double evaluate_loss(nn::Module& module, const data::Dataset& dataset,
-                     std::size_t batch_size) {
-  APF_CHECK(batch_size > 0);
-  const bool was_training = module.training();
-  module.set_training(false);
-  double total = 0.0;
-  for_each_batch(dataset, 0, dataset.size(), batch_size,
-                 [&](const data::Batch& batch) {
-    const Tensor logits = module.forward(batch.inputs);
-    const auto result = nn::softmax_cross_entropy(logits, batch.labels);
-    total += static_cast<double>(result.loss) *
-             static_cast<double>(batch.size());
-  });
-  module.set_training(was_training);
-  return dataset.size() == 0
-             ? 0.0
-             : total / static_cast<double>(dataset.size());
 }
 
 std::size_t eval_shard_count(std::size_t lanes, std::size_t samples) {

@@ -24,10 +24,6 @@ std::size_t count_correct(nn::Module& module, const data::Dataset& dataset,
 double evaluate_accuracy(nn::Module& module, const data::Dataset& dataset,
                          std::size_t batch_size = 128);
 
-/// Mean cross-entropy loss over the dataset (eval mode).
-double evaluate_loss(nn::Module& module, const data::Dataset& dataset,
-                     std::size_t batch_size = 128);
-
 /// Samples per evaluation shard at most; a shard runs as one forward batch.
 inline constexpr std::size_t kEvalShardSamples = 32;
 

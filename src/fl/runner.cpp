@@ -97,6 +97,16 @@ FederatedRunner::FederatedRunner(FlConfig config, const data::Dataset& train,
   // letting the first transfer_seconds() call trip mid-round (issue #7).
   config_.network.validate("FlConfig::network");
   APF_CHECK(config_.grad_clip_norm >= 0.0);
+  // A NaN cost would reach the sort over async arrival times, a negative one
+  // would give negative simulated seconds, and a NaN or negative mu would
+  // silently switch FedProx off.
+  APF_CHECK_MSG(std::isfinite(config_.compute_seconds_per_iter) &&
+                    config_.compute_seconds_per_iter >= 0.0,
+                "FlConfig::compute_seconds_per_iter must be finite and >= 0, "
+                "got " << config_.compute_seconds_per_iter);
+  APF_CHECK_MSG(std::isfinite(config_.fedprox_mu) && config_.fedprox_mu >= 0.0,
+                "FlConfig::fedprox_mu must be finite and >= 0, got "
+                    << config_.fedprox_mu);
   APF_CHECK_MSG(config_.compute_multiplier.empty() ||
                     config_.compute_multiplier.size() == config_.num_clients,
                 "compute_multiplier size "

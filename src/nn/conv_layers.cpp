@@ -179,63 +179,4 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-AvgPool2d::AvgPool2d(std::size_t kernel) : kernel_(kernel) {
-  APF_CHECK(kernel > 0);
-}
-
-Tensor AvgPool2d::forward(const Tensor& input) {
-  APF_CHECK(input.rank() == 4);
-  const std::size_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
-                    w = input.dim(3);
-  APF_CHECK(h % kernel_ == 0 && w % kernel_ == 0);
-  const std::size_t oh = h / kernel_, ow = w / kernel_;
-  input_shape_ = input.shape();
-  Tensor out({n, c, oh, ow});
-  const float inv = 1.f / static_cast<float>(kernel_ * kernel_);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = input.raw() + (s * c + ch) * h * w;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x) {
-          double acc = 0.0;
-          for (std::size_t ky = 0; ky < kernel_; ++ky)
-            for (std::size_t kx = 0; kx < kernel_; ++kx)
-              acc += plane[(y * kernel_ + ky) * w + (x * kernel_ + kx)];
-          out[((s * c + ch) * oh + y) * ow + x] =
-              static_cast<float>(acc) * inv;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
-  APF_CHECK_MSG(input_shape_.size() == 4,
-                "AvgPool2d::backward needs a forward first");
-  const std::size_t n = input_shape_[0], c = input_shape_[1],
-                    h = input_shape_[2], w = input_shape_[3];
-  const std::size_t oh = h / kernel_, ow = w / kernel_;
-  APF_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == n &&
-            grad_output.dim(1) == c && grad_output.dim(2) == oh &&
-            grad_output.dim(3) == ow);
-  Tensor grad_input(input_shape_);
-  const float inv = 1.f / static_cast<float>(kernel_ * kernel_);
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      float* plane = grad_input.raw() + (s * c + ch) * h * w;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x) {
-          const float g =
-              grad_output[((s * c + ch) * oh + y) * ow + x] * inv;
-          for (std::size_t ky = 0; ky < kernel_; ++ky)
-            for (std::size_t kx = 0; kx < kernel_; ++kx)
-              plane[(y * kernel_ + ky) * w + (x * kernel_ + kx)] += g;
-        }
-      }
-    }
-  }
-  return grad_input;
-}
-
 }  // namespace apf::nn

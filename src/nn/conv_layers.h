@@ -59,17 +59,4 @@ class GlobalAvgPool : public Module {
   Shape input_shape_;
 };
 
-/// Average pooling with square window; window == stride.
-class AvgPool2d : public Module {
- public:
-  explicit AvgPool2d(std::size_t kernel);
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-
- private:
-  std::size_t kernel_;
-  Shape input_shape_;
-};
-
 }  // namespace apf::nn

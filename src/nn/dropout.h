@@ -19,8 +19,6 @@ class Dropout : public Module {
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
 
-  double drop_probability() const { return p_; }
-
  private:
   double p_;
   Rng rng_;

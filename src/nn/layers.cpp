@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 
@@ -77,34 +76,6 @@ Tensor ReLU::forward(const Tensor& input) {
 Tensor ReLU::backward(const Tensor& grad_output) {
   APF_CHECK(grad_output.same_shape(mask_));
   return hadamard(grad_output, mask_);
-}
-
-Tensor Tanh::forward(const Tensor& input) {
-  output_ = input;
-  apf::tanh(output_.data(), output_.data());
-  return output_;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  APF_CHECK(grad_output.same_shape(output_));
-  Tensor g = grad_output;
-  for (std::size_t i = 0; i < g.numel(); ++i)
-    g[i] *= 1.f - output_[i] * output_[i];
-  return g;
-}
-
-Tensor Sigmoid::forward(const Tensor& input) {
-  output_ = input;
-  apf::sigmoid(output_.data(), output_.data());
-  return output_;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-  APF_CHECK(grad_output.same_shape(output_));
-  Tensor g = grad_output;
-  for (std::size_t i = 0; i < g.numel(); ++i)
-    g[i] *= output_[i] * (1.f - output_[i]);
-  return g;
 }
 
 Tensor Flatten::forward(const Tensor& input) {

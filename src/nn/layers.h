@@ -40,26 +40,6 @@ class ReLU : public Module {
   Tensor mask_;  // 1 where input > 0
 };
 
-/// Hyperbolic tangent.
-class Tanh : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-
- private:
-  Tensor output_;
-};
-
-/// Logistic sigmoid.
-class Sigmoid : public Module {
- public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-
- private:
-  Tensor output_;
-};
-
 /// Reshapes (N, ...) to (N, prod(...)); inverse on backward.
 class Flatten : public Module {
  public:

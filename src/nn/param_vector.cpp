@@ -16,31 +16,6 @@ std::vector<float> flatten_params(Module& module) {
   return flat;
 }
 
-std::vector<float> flatten_grads(Module& module) {
-  std::vector<float> flat;
-  flat.reserve(module.parameter_count());
-  for (const auto& p : module.parameters()) {
-    const auto span = p.param->grad.data();
-    flat.insert(flat.end(), span.begin(), span.end());
-  }
-  return flat;
-}
-
-void load_params(Module& module, std::span<const float> flat) {
-  std::size_t offset = 0;
-  for (const auto& p : module.parameters()) {
-    const std::size_t n = p.param->numel();
-    APF_CHECK_MSG(offset + n <= flat.size(),
-                  "flat vector too small: " << flat.size());
-    std::copy(flat.begin() + static_cast<std::ptrdiff_t>(offset),
-              flat.begin() + static_cast<std::ptrdiff_t>(offset + n),
-              p.param->value.data().begin());
-    offset += n;
-  }
-  APF_CHECK_MSG(offset == flat.size(),
-                "flat vector size " << flat.size() << " != params " << offset);
-}
-
 std::vector<ParamSegment> param_segments(Module& module) {
   std::vector<ParamSegment> segs;
   std::size_t offset = 0;

@@ -24,12 +24,6 @@ struct ParamSegment {
 /// the module tree's parameter order, which is stable for a given model).
 std::vector<float> flatten_params(Module& module);
 
-/// Copies all parameter gradients into one flat vector.
-std::vector<float> flatten_grads(Module& module);
-
-/// Writes a flat vector back into the module's parameters.
-void load_params(Module& module, std::span<const float> flat);
-
 /// Segment table describing how tensors map into the flat vector.
 std::vector<ParamSegment> param_segments(Module& module);
 

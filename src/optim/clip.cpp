@@ -1,6 +1,5 @@
 #include "optim/clip.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/error.h"
@@ -27,17 +26,6 @@ double clip_grad_norm(nn::Module& module, double max_norm) {
     }
   }
   return norm;
-}
-
-void clip_grad_value(nn::Module& module, double max_value) {
-  APF_CHECK(max_value > 0.0);
-  const auto lo = static_cast<float>(-max_value);
-  const auto hi = static_cast<float>(max_value);
-  for (const auto& p : module.parameters()) {
-    for (std::size_t i = 0; i < p.param->numel(); ++i) {
-      p.param->grad[i] = std::clamp(p.param->grad[i], lo, hi);
-    }
-  }
 }
 
 }  // namespace apf::optim

@@ -10,7 +10,4 @@ namespace apf::optim {
 /// recurrent models (exploding gradients through time).
 double clip_grad_norm(nn::Module& module, double max_norm);
 
-/// Clamps every gradient coordinate to [-max_value, max_value].
-void clip_grad_value(nn::Module& module, double max_value);
-
 }  // namespace apf::optim

@@ -18,8 +18,4 @@ double MultiplicativeDecayLr::lr(std::size_t k) const {
   return initial_ * std::pow(factor_, static_cast<double>(k / every_));
 }
 
-double InverseSqrtLr::lr(std::size_t k) const {
-  return initial_ / std::sqrt(static_cast<double>(k + 1));
-}
-
 }  // namespace apf::optim

@@ -1,5 +1,5 @@
-// Learning-rate schedules (paper §7.8 uses constant and multiplicative-decay
-// schedules; Theorem 2 motivates decaying rates).
+// Learning-rate schedules. Paper §7.8 uses a constant rate (no schedule)
+// and a multiplicative decay; Theorem 2 motivates decaying rates.
 #pragma once
 
 #include <cstddef>
@@ -14,15 +14,6 @@ class LrSchedule {
   virtual double lr(std::size_t k) const = 0;
 };
 
-class ConstantLr : public LrSchedule {
- public:
-  explicit ConstantLr(double lr) : lr_(lr) {}
-  double lr(std::size_t) const override { return lr_; }
-
- private:
-  double lr_;
-};
-
 /// lr(k) = initial * factor^(k / every) — the paper's "multiply by 0.99
 /// every 10 epochs" setup (§7.8).
 class MultiplicativeDecayLr : public LrSchedule {
@@ -34,17 +25,6 @@ class MultiplicativeDecayLr : public LrSchedule {
   double initial_;
   double factor_;
   std::size_t every_;
-};
-
-/// lr(k) = initial / sqrt(k + 1): the O(1/sqrt(T)) rate that satisfies
-/// Theorem 2's conditions (eq. 16).
-class InverseSqrtLr : public LrSchedule {
- public:
-  explicit InverseSqrtLr(double initial) : initial_(initial) {}
-  double lr(std::size_t k) const override;
-
- private:
-  double initial_;
 };
 
 }  // namespace apf::optim

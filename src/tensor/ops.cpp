@@ -680,14 +680,15 @@ void nt_pair(const float* a1, std::size_t lda1, const double* panels1,
   }
 }
 
-// C(m x r) += A_s * B_s^T for segments s in order (matmul_nt_fold_segments
-// in ops.h): A_s is the (m x len) slab at a + s * m * len, and
-// pack(j0, width, s, dst) writes the panel of B_s holding C's columns
-// [j0, j0 + width): row q (of len) holds B_s[j0 + jj][q] in lane jj, zeros
-// past width. A is widened in chunks of kWideRows rows (each chunk packs B
-// again, at most 1/kWideRows of the arithmetic). Blocks walk their panels,
-// pack runs of segments that fit in L1 and sweep the row tiles over each
-// run, so every C element folds its segments in ascending order.
+// C(m x r) += A_s * B_s^T for segments s in order, the fold of the conv
+// weight gradient (conv_weight_grad below): A_s is the (m x len) slab at
+// a + s * m * len, and pack(j0, width, s, dst) writes the panel of B_s
+// holding C's columns [j0, j0 + width): row q (of len) holds B_s[j0 + jj][q]
+// in lane jj, zeros past width. A is widened in chunks of kWideRows rows
+// (each chunk packs B again, at most 1/kWideRows of the arithmetic). Blocks
+// walk their panels, pack runs of segments that fit in L1 and sweep the row
+// tiles over each run, so every C element folds its segments in ascending
+// order.
 template <typename Isa, typename Pack>
 void nt_segments(const float* a, std::size_t m, std::size_t r,
                  std::size_t segments, std::size_t len, float* c,
@@ -934,8 +935,8 @@ void conv_forward(const float* weight, std::size_t out_c, const float* bias,
             ConvForwardOperands{&taps, padded, bias, out, out_c, n});
 }
 
-// The weight-gradient fold: matmul_nt_fold_segments with B_s the patch
-// rows of sample s, each panel packed straight from the padded image,
+// The weight-gradient fold: nt_segments with B_s the patch rows of
+// sample s, each panel packed straight from the padded image,
 // q-major: row q holds the taps of the panel's patch rows at output q.
 template <typename Isa>
 void conv_weight_grad(const float* grad_out, std::size_t out_c,
@@ -1130,19 +1131,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
-                             std::size_t r, std::size_t segments,
-                             std::size_t len, float* c) {
-  const std::size_t ldb = segments * len;
-  simd::with_isa<Tiles>([&](auto isa) {
-    nt_segments<decltype(isa)>(
-        a, m, r, segments, len, c,
-        [&](std::size_t j0, std::size_t width, std::size_t s, double* dst) {
-          pack_nt_panel(b + j0 * ldb + s * len, ldb, len, width, dst);
-        });
-  });
-}
-
 void conv2d_forward(const float* weight, std::size_t out_c, const float* bias,
                     const float* padded, std::size_t n, const ConvTaps& taps,
                     float* out) {
@@ -1173,15 +1161,6 @@ const char* gemm_simd_path() {
   const char* name = nullptr;
   simd::with_isa<Tiles>([&](auto isa) { name = decltype(isa)::kName; });
   return name;
-}
-
-Tensor transpose(const Tensor& a) {
-  APF_CHECK(a.rank() == 2);
-  const std::size_t m = a.dim(0), n = a.dim(1);
-  Tensor t({n, m});
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) t[j * m + i] = a[i * n + j];
-  return t;
 }
 
 Tensor softmax_rows(const Tensor& logits) {

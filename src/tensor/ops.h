@@ -1,4 +1,4 @@
-// Linear-algebra kernels over Tensor: matmul family, transpose, row softmax.
+// Linear-algebra kernels over Tensor: matmul family and row softmax.
 //
 // These are the hot loops of the NN substrate. Determinism rule: a kernel
 // may vectorize across output elements but never reassociates a reduction,
@@ -28,18 +28,19 @@
 // each step's float sum with one float add, the bits of one `C +=
 // matmul_tn(A_t, B_t)` per step in descending t.
 //
-// matmul_nt, matmul_nt_pair and matmul_nt_fold_segments pack B^T into the
-// same 8-column panels as doubles, widen A to doubles in chunks of 64 rows,
-// and keep a tile of double accumulators with the reduction ascending: the
-// scalar double dot product, bit for bit. Pool runs partition output tiles
-// (row tiles x column blocks), never a reduction. matmul_nt reads B
-// through an NtPacked handle, packed once for any number of A (a recurrent
-// layer packs each weight once per forward); matmul_nt_pair runs two such
-// products into one C in one pass, rounding each dot product to float and
-// adding the two with one float add; matmul_nt_fold_segments packs runs of
-// its segments per column block. Besides their output the kernels
-// allocate the widened copy of A and, for the segment fold, one packed
-// panel run per block.
+// matmul_nt and matmul_nt_pair pack B^T into the same 8-column panels as
+// doubles, widen A to doubles in chunks of 64 rows, and keep a tile of
+// double accumulators with the reduction ascending: the scalar double dot
+// product, bit for bit. Pool runs partition output tiles (row tiles x
+// column blocks), never a reduction. matmul_nt reads B through an NtPacked
+// handle, packed once for any number of A (a recurrent layer packs each
+// weight once per forward); matmul_nt_pair runs two such products into one
+// C in one pass, rounding each dot product to float and adding the two
+// with one float add. The same double tile runs a segment fold, C += A_s
+// B_s^T over segments s in order, whose one user is the conv weight
+// gradient (conv2d_weight_grad, tensor/conv.h): it packs runs of segments
+// per column block. Besides their output the kernels allocate the widened copy
+// of A and, for the segment fold, one packed panel run per block.
 //
 // The pointer forms of matmul_nt, matmul_nt_pair and GemmPacked are the
 // per-step products of the recurrent layers, at most a few hundred
@@ -172,24 +173,11 @@ void matmul_nt_pair(const float* a1, std::size_t lda1, const NtPacked& b1,
                     const float* a2, std::size_t lda2, const NtPacked& b2,
                     std::size_t m, float* c);
 
-/// C(m x r) += A_s * B_s^T for s = 0..segments-1, folded into C in segment
-/// order. A_s is the row-major (m x len) slab at a + s * m * len (so A is
-/// an NCHW-style batch); B_s is columns [s * len, (s + 1) * len) of the
-/// row-major (r x segments * len) matrix b. Each product element is a double
-/// dot product over its segment, rounded to float before the fold: exactly
-/// matmul_nt(A_s, B_s) followed by C += for each s in turn.
-void matmul_nt_fold_segments(const float* a, const float* b, std::size_t m,
-                             std::size_t r, std::size_t segments,
-                             std::size_t len, float* c);
-
 /// The instruction set the matmul family and the activation kernels run in
 /// this process: "avx2" when glibc reports AVX2 and FMA active on x86-64,
 /// else "sse2" (the baseline). Both give the same bits; the name is for
 /// benchmark reports.
 const char* gemm_simd_path();
-
-/// 2-D transpose.
-Tensor transpose(const Tensor& a);
 
 /// Row-wise softmax of a 2-D tensor (numerically stabilized); its exp is
 /// apf::exp (tensor/activations.h).

@@ -134,12 +134,6 @@ Tensor& Tensor::operator+=(float s) {
   return *this;
 }
 
-void Tensor::add_scaled(const Tensor& other, float alpha) {
-  check_same_shape(other);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    data_[i] += alpha * other.data_[i];
-}
-
 float Tensor::sum() const {
   double acc = 0.0;
   for (float v : data_) acc += v;
@@ -192,14 +186,6 @@ Tensor hadamard(const Tensor& a, const Tensor& b) {
   Tensor out = a;
   for (std::size_t i = 0; i < out.numel(); ++i) out[i] *= b[i];
   return out;
-}
-
-float dot(const Tensor& a, const Tensor& b) {
-  APF_CHECK(a.numel() == b.numel());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.numel(); ++i)
-    acc += static_cast<double>(a[i]) * b[i];
-  return static_cast<float>(acc);
 }
 
 }  // namespace apf

@@ -39,7 +39,6 @@ class Tensor {
   /// Adopts `data`; data.size() must equal shape_numel(shape).
   Tensor(Shape shape, std::vector<float> data);
 
-  static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor full(Shape shape, float value) {
     return Tensor(std::move(shape), value);
   }
@@ -94,9 +93,6 @@ class Tensor {
   Tensor& operator*=(float s);
   Tensor& operator+=(float s);
 
-  /// this += alpha * other (axpy).
-  void add_scaled(const Tensor& other, float alpha);
-
   /// Reductions over all elements.
   float sum() const;
   float mean() const;
@@ -122,8 +118,5 @@ Tensor operator*(float s, const Tensor& a);
 
 /// Elementwise (Hadamard) product.
 Tensor hadamard(const Tensor& a, const Tensor& b);
-
-/// Dot product of two flattened tensors of equal numel.
-float dot(const Tensor& a, const Tensor& b);
 
 }  // namespace apf

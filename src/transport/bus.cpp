@@ -103,16 +103,6 @@ const Bus::LinkState* Bus::find(ClientId client) const {
   return it == links_.end() ? nullptr : &it->second;
 }
 
-ByteCount Bus::link_up_bytes(ClientId client) const {
-  const LinkState* link = find(client);
-  return link == nullptr ? ByteCount(0) : link->up_bytes;
-}
-
-ByteCount Bus::link_down_bytes(ClientId client) const {
-  const LinkState* link = find(client);
-  return link == nullptr ? ByteCount(0) : link->down_bytes;
-}
-
 double Bus::link_comm_seconds(ClientId client) const {
   const LinkState* link = find(client);
   return link == nullptr ? 0.0 : price(*link);

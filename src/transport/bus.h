@@ -105,22 +105,16 @@ class Bus {
   /// Client receive: drains `client`'s mailbox in send order.
   std::vector<Frame> take_pulls(ClientId client);
 
-  /// Per-link byte counters for the round in flight (0 for untouched links).
-  ByteCount link_up_bytes(ClientId client) const;
-  ByteCount link_down_bytes(ClientId client) const;
-
   /// Comm seconds of `client`'s link for the bytes it has carried so far
   /// this round (0 for an untouched link): the same price finish_round()
   /// reports for the link if nothing else travels on it.
   double link_comm_seconds(ClientId client) const;
 
-  /// Payload bytes currently queued (pushed or delivered, not yet taken).
-  ByteCount queued_bytes() const { return queued_bytes_; }
-
-  /// High-water mark of queued_bytes() since construction (never reset).
+  /// High-water mark of the payload bytes queued (pushed or delivered, not
+  /// yet taken) since construction (never reset).
   ByteCount peak_queued_bytes() const { return peak_queued_bytes_; }
 
-  /// High-water mark of queued_bytes() since the last begin_round() — the
+  /// High-water mark of the queued bytes since the last begin_round() — the
   /// figure per-round windowing bounds (e.g. the million-client bench's
   /// one-encode-window assertion) must use; the lifetime peak above only
   /// ever ratchets up. begin_round() resets it to the bytes still in flight

@@ -86,7 +86,6 @@ class APF_CAPABILITY("mutex") Mutex {
 
   void lock() APF_ACQUIRE() { m_.lock(); }
   void unlock() APF_RELEASE() { m_.unlock(); }
-  bool try_lock() APF_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   std::mutex m_;

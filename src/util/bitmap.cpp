@@ -54,33 +54,9 @@ double Bitmap::fraction() const {
                     : static_cast<double>(count()) / static_cast<double>(size_);
 }
 
-void Bitmap::flip() {
-  for (auto& w : words_) w = ~w;
-  mask_tail();
-}
-
 void Bitmap::or_with(const Bitmap& other) {
   APF_CHECK(size_ == other.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-}
-
-void Bitmap::and_with(const Bitmap& other) {
-  APF_CHECK(size_ == other.size_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-}
-
-std::vector<std::size_t> Bitmap::set_indices() const {
-  std::vector<std::size_t> idx;
-  idx.reserve(count());
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    std::uint64_t word = words_[w];
-    while (word != 0) {
-      const int bit = std::countr_zero(word);
-      idx.push_back(w * kBits + static_cast<std::size_t>(bit));
-      word &= word - 1;
-    }
-  }
-  return idx;
 }
 
 bool Bitmap::operator==(const Bitmap& other) const {

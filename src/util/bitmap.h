@@ -42,18 +42,8 @@ class Bitmap {
   /// count() / size(); 0 for an empty bitmap.
   double fraction() const;
 
-  /// Flips every bit.
-  void flip();
-
-  /// Element-wise OR/AND with another bitmap of the same size.
+  /// Element-wise OR with another bitmap of the same size.
   void or_with(const Bitmap& other);
-  void and_with(const Bitmap& other);
-
-  /// Indices of set bits, ascending.
-  std::vector<std::size_t> set_indices() const;
-
-  /// Serialized payload size in bytes (for communication accounting).
-  std::size_t byte_size() const { return words_.size() * sizeof(std::uint64_t); }
 
   /// Packs the bits into bytes (little-endian within each byte).
   std::vector<std::uint8_t> to_bytes() const;

@@ -73,7 +73,6 @@ class ByteReader {
       : bytes_(bytes), context_(context) {}
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
-  std::size_t position() const { return pos_; }
   bool exhausted() const { return pos_ == bytes_.size(); }
 
   /// Raises apf::Error unless at least `n` bytes remain.

@@ -65,11 +65,6 @@ using RoundId = detail::Ordinal<struct RoundIdTag>;
 /// Per-link send order, assigned by the bus; starts at 0 each round.
 using SeqNo = detail::Ordinal<struct SeqNoTag>;
 
-/// The round after `round`.
-constexpr RoundId next_round(RoundId round) {
-  return RoundId(round.value() + 1);
-}
-
 /// The sequence number after `seq`.
 constexpr SeqNo next_seq(SeqNo seq) { return SeqNo(seq.value() + 1); }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <iostream>
-#include <ostream>
 
 #include "util/annotations.h"
 
@@ -10,13 +9,8 @@ namespace apf {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
-// Serializes emission so concurrent worker-thread messages never interleave,
-// and guards the redirectable sink below.
+// Serializes emission so concurrent worker-thread messages never interleave.
 util::Mutex g_emit_mutex;
-// Replacement sink (nullptr = stderr). Guarded both as a pointer (swapped by
-// set_log_sink) and as a pointee (streamed into by log_emit).
-std::ostream* g_sink APF_GUARDED_BY(g_emit_mutex)
-    APF_PT_GUARDED_BY(g_emit_mutex) = nullptr;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -35,16 +29,10 @@ void set_log_level(LogLevel level) {
 }
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
-void set_log_sink(std::ostream* sink) {
-  util::MutexLock lock(g_emit_mutex);
-  g_sink = sink;
-}
-
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg) {
   util::MutexLock lock(g_emit_mutex);
-  std::ostream& out = g_sink != nullptr ? *g_sink : std::cerr;
-  out << '[' << level_name(level) << "] " << msg << '\n';
+  std::cerr << '[' << level_name(level) << "] " << msg << '\n';
 }
 }  // namespace detail
 

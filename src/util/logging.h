@@ -6,7 +6,6 @@
 // by a mutex so lines never interleave, and the level is atomic.
 #pragma once
 
-#include <iosfwd>
 #include <sstream>
 #include <string>
 
@@ -17,12 +16,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 /// Global minimum level; messages below it are dropped.
 void set_log_level(LogLevel level);
 LogLevel log_level();
-
-/// Redirects emission to `sink` (nullptr restores stderr). Both the pointer
-/// and the pointee are guarded by the emit mutex: log_emit streams a whole
-/// line under the lock, so swapping sinks never tears a message. The caller
-/// keeps ownership of `sink` and must reset to nullptr before destroying it.
-void set_log_sink(std::ostream* sink);
 
 namespace detail {
 void log_emit(LogLevel level, const std::string& msg);

@@ -129,23 +129,6 @@ std::vector<double> Rng::dirichlet(const std::vector<double>& alphas) {
   return out;
 }
 
-std::size_t Rng::categorical(const std::vector<double>& weights) {
-  APF_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    APF_CHECK(w >= 0.0);
-    total += w;
-  }
-  APF_CHECK(total > 0.0);
-  const double r = uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::split() { return Rng(next_u64()); }
 
 }  // namespace apf

@@ -72,9 +72,6 @@ class Rng {
     }
   }
 
-  /// A categorical draw from (unnormalized, non-negative) weights.
-  std::size_t categorical(const std::vector<double>& weights);
-
   /// Derives an independent child generator; changing the child does not
   /// perturb this generator's stream beyond the one next_u64() consumed.
   Rng split();

@@ -28,15 +28,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void Ema::add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * value_ + (1.0 - alpha_) * x;
-  }
-}
-
 double percentile(std::vector<double> values, double p) {
   APF_CHECK(!values.empty());
   APF_CHECK(p >= 0.0 && p <= 100.0);

@@ -1,6 +1,6 @@
 // Small statistics helpers used by the experiment harness and by APF's
-// stability bookkeeping: running mean/variance (Welford), exponential moving
-// averages, and percentile extraction (Fig. 3's 5th/95th error bars).
+// stability bookkeeping: running mean/variance (Welford) and percentile
+// extraction (Fig. 3's 5th/95th error bars).
 #pragma once
 
 #include <cstddef>
@@ -28,22 +28,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Scalar exponential moving average: v <- alpha * v + (1 - alpha) * x.
-class Ema {
- public:
-  explicit Ema(double alpha) : alpha_(alpha) {}
-
-  void add(double x);
-  bool initialized() const { return initialized_; }
-  double value() const { return value_; }
-  double alpha() const { return alpha_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
 };
 
 /// p-th percentile (p in [0,100]) by linear interpolation; copies & sorts.

@@ -9,9 +9,6 @@
 //    is executed exactly once by exactly one thread; work is handed out in
 //    dynamically sized chunks, so *which* thread runs an index varies between
 //    runs — any state fn touches must be per-index.
-//  - ordered_reduce(n, init, produce, combine): that per-slot-then-serial
-//    pattern packaged as one call. Floating-point summation order is a
-//    function of n alone, never of the worker count or scheduling.
 //  - post(fn) / drain(): background work. post queues fn; a worker runs it
 //    only when no parallel_for chunk is waiting, so regions keep priority
 //    and posted tasks fill lanes that would otherwise sit idle. drain()
@@ -78,22 +75,6 @@ class ThreadPool {
   /// thread (the caller lane). Distinct threads of one pool never share a
   /// lane, and drain() runs its tasks on the caller lane.
   static std::size_t current_lane();
-
-  /// Deterministic reduction: partials[i] = produce(i) in parallel, then
-  /// acc = combine(acc, partials[i]) serially for i = 0..n-1. The combine
-  /// order is independent of the worker count, so floating-point results are
-  /// bit-identical for any pool size.
-  template <typename T, typename Produce, typename Combine>
-  T ordered_reduce(std::size_t n, T init, Produce&& produce,
-                   Combine&& combine) {
-    std::vector<T> partials(n);
-    parallel_for(n, [&](std::size_t i) { partials[i] = produce(i); });
-    T acc = std::move(init);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc = combine(std::move(acc), std::move(partials[i]));
-    }
-    return acc;
-  }
 
   /// Process-wide pool shared by the tensor/evaluation hot paths, sized to
   /// the hardware (lazily constructed). See compute_pool() below.

@@ -8,6 +8,9 @@
 // matrix: sample s reads or writes the column block starting at
 // cols + s * out_h * out_w, with ld = N * out_h * out_w. The Tensor forms
 // are the single-image case, ld = out_h * out_w.
+//
+// transpose is the explicit A^T the matmul_tn and matmul_nt tests compare
+// against; the kernels only ever read A through strides.
 #pragma once
 
 #include <cstddef>
@@ -84,6 +87,16 @@ inline void col2im(const Tensor& cols, const ConvGeom& g, float* image) {
             cols.dim(0) == g.channels * g.kernel * g.kernel &&
             cols.dim(1) == g.out_h() * g.out_w());
   col2im_from(cols.raw(), cols.dim(1), g, image);
+}
+
+/// 2-D transpose.
+inline Tensor transpose(const Tensor& a) {
+  APF_CHECK(a.rank() == 2);
+  const std::size_t m = a.dim(0), n = a.dim(1);
+  Tensor t({n, m});
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < n; ++j) t[j * m + i] = a[i * n + j];
+  return t;
 }
 
 }  // namespace apf::test

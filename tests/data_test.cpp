@@ -127,7 +127,9 @@ TEST(SyntheticImages, FullBatchCoversAll) {
   SyntheticImageSpec spec;
   spec.image_size = 6;
   SyntheticImageDataset ds(spec, 25, 4);
-  const auto batch = ds.full_batch();
+  std::vector<std::size_t> all(ds.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const auto batch = ds.get_batch(all);
   EXPECT_EQ(batch.size(), 25u);
   EXPECT_EQ(batch.inputs.dim(0), 25u);
 }

@@ -84,7 +84,9 @@ TEST(KwsGru, LearnsSequenceTask) {
   Rng rng(7);
   auto net = nn::make_kws_gru(rng, 4, 16, 3);
   optim::Adam adam(net->parameters(), 5e-3);
-  const auto batch = train.full_batch();
+  std::vector<std::size_t> all(train.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const auto batch = train.get_batch(all);
   double first = 0, last = 0;
   for (int step = 0; step < 120; ++step) {
     adam.zero_grad();
@@ -255,14 +257,6 @@ TEST(ClipGradNorm, LeavesSmallGradientsUntouched) {
   const double norm = optim::clip_grad_norm(m, 1.0);
   EXPECT_NEAR(norm, 0.1, 1e-7);
   EXPECT_FLOAT_EQ(m.a_.grad[0], 0.1f);
-}
-
-TEST(ClipGradValue, Clamps) {
-  TwoParamModule m;
-  m.a_.grad = Tensor({2}, std::vector<float>{5.f, -7.f});
-  optim::clip_grad_value(m, 2.0);
-  EXPECT_FLOAT_EQ(m.a_.grad[0], 2.f);
-  EXPECT_FLOAT_EQ(m.a_.grad[1], -2.f);
 }
 
 TEST(ClipGradNorm, RejectsNonPositiveBound) {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -768,6 +769,32 @@ TEST(Runner, AsyncRequiresStreamCapableStrategyAndValidConfig) {
                                    tiny_mlp_factory(64, 4), opt_factory,
                                    strategy),
                Error);
+  // The per-iteration compute cost and the FedProx coefficient must be
+  // finite and >= 0: a NaN cost would reach the sort over async arrival
+  // times, and a NaN or negative mu would silently switch FedProx off.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double v : {std::nan(""), kInf, -kInf, -0.01}) {
+    bad = config;
+    bad.compute_seconds_per_iter = v;
+    EXPECT_THROW(fl::FederatedRunner(bad, train, partition, test,
+                                     tiny_mlp_factory(64, 4), opt_factory,
+                                     strategy),
+                 Error)
+        << "compute_seconds_per_iter " << v;
+    bad = config;
+    bad.fedprox_mu = v;
+    EXPECT_THROW(fl::FederatedRunner(bad, train, partition, test,
+                                     tiny_mlp_factory(64, 4), opt_factory,
+                                     strategy),
+                 Error)
+        << "fedprox_mu " << v;
+  }
+  bad = config;
+  bad.compute_seconds_per_iter = 0.0;  // free compute is allowed
+  bad.fedprox_mu = 0.0;
+  EXPECT_NO_THROW(fl::FederatedRunner(bad, train, partition, test,
+                                      tiny_mlp_factory(64, 4), opt_factory,
+                                      strategy));
 }
 
 TEST(Runner, AsyncProbeRejectsSparsePushFormatsWithoutSideEffects) {

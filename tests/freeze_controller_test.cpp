@@ -26,7 +26,7 @@ TEST(FreezeController, FirstStableCheckFreezesForOnePeriod) {
   FreezeController c(1);
   c.check(kAlways, kAlways);
   EXPECT_TRUE(c.frozen(0));
-  EXPECT_EQ(c.period(0), 1u);
+  EXPECT_EQ(c.raw_periods()[0], 1u);
   EXPECT_EQ(c.remaining(0), 1u);
 }
 
@@ -38,7 +38,7 @@ TEST(FreezeController, AimdGrowsAdditively) {
     const bool was_active = !c.frozen(0);
     c.check(kAlways, kAlways);
     if (was_active) {
-      observed.push_back(c.period(0));
+      observed.push_back(c.raw_periods()[0]);
       ++evaluations;
     }
   }
@@ -60,13 +60,13 @@ TEST(FreezeController, AimdHalvesOnInstability) {
   run_until_active(true);   // L=2
   run_until_active(true);   // L=3
   run_until_active(true);   // L=4
-  EXPECT_EQ(c.period(0), 4u);
+  EXPECT_EQ(c.raw_periods()[0], 4u);
   run_until_active(false);  // unstable -> L=2
-  EXPECT_EQ(c.period(0), 2u);
+  EXPECT_EQ(c.raw_periods()[0], 2u);
   run_until_active(false);  // L=1
-  EXPECT_EQ(c.period(0), 1u);
+  EXPECT_EQ(c.raw_periods()[0], 1u);
   run_until_active(false);  // L=0 -> unfrozen immediately
-  EXPECT_EQ(c.period(0), 0u);
+  EXPECT_EQ(c.raw_periods()[0], 0u);
   EXPECT_FALSE(c.frozen(0));
 }
 
@@ -89,7 +89,7 @@ TEST(FreezeController, UnevaluableScalarKeepsPeriod) {
   c.check(kAlways, kNever);   // tick down, active
   // Active but not evaluable (e.g. randomly frozen mid-window).
   c.check(kNever, kAlways);
-  EXPECT_EQ(c.period(0), 1u);
+  EXPECT_EQ(c.raw_periods()[0], 1u);
   EXPECT_FALSE(c.frozen(0));
 }
 
@@ -97,7 +97,7 @@ TEST(FreezeController, NeverStableStaysActive) {
   FreezeController c(8);
   for (int i = 0; i < 20; ++i) c.check(kAlways, kNever);
   EXPECT_EQ(c.mask().count(), 0u);
-  for (std::size_t j = 0; j < 8; ++j) EXPECT_EQ(c.period(j), 0u);
+  for (std::size_t j = 0; j < 8; ++j) EXPECT_EQ(c.raw_periods()[j], 0u);
 }
 
 TEST(FreezeController, PureAdditiveDecreasesByStep) {
@@ -114,9 +114,9 @@ TEST(FreezeController, PureAdditiveDecreasesByStep) {
   run_until_active(true);   // 1
   run_until_active(true);   // 2
   run_until_active(true);   // 3
-  EXPECT_EQ(c.period(0), 3u);
+  EXPECT_EQ(c.raw_periods()[0], 3u);
   run_until_active(false);  // 2 (additive decrease)
-  EXPECT_EQ(c.period(0), 2u);
+  EXPECT_EQ(c.raw_periods()[0], 2u);
 }
 
 TEST(FreezeController, PureMultiplicativeDoubles) {
@@ -131,13 +131,13 @@ TEST(FreezeController, PureMultiplicativeDoubles) {
     }
   };
   run_until_active(true);  // max(1, 0*2) = 1
-  EXPECT_EQ(c.period(0), 1u);
+  EXPECT_EQ(c.raw_periods()[0], 1u);
   run_until_active(true);  // 2
-  EXPECT_EQ(c.period(0), 2u);
+  EXPECT_EQ(c.raw_periods()[0], 2u);
   run_until_active(true);  // 4
-  EXPECT_EQ(c.period(0), 4u);
+  EXPECT_EQ(c.raw_periods()[0], 4u);
   run_until_active(false);  // 2
-  EXPECT_EQ(c.period(0), 2u);
+  EXPECT_EQ(c.raw_periods()[0], 2u);
 }
 
 TEST(FreezeController, FixedPolicyUsesConstantPeriod) {
@@ -146,7 +146,7 @@ TEST(FreezeController, FixedPolicyUsesConstantPeriod) {
   opt.fixed_period = 10;
   FreezeController c(1, opt);
   c.check(kAlways, kAlways);
-  EXPECT_EQ(c.period(0), 10u);
+  EXPECT_EQ(c.raw_periods()[0], 10u);
   EXPECT_EQ(c.remaining(0), 10u);
   // Ten ticks later it becomes active again.
   for (int i = 0; i < 10; ++i) {
@@ -162,7 +162,7 @@ TEST(FreezeController, MaxPeriodCapped) {
   opt.max_period = 8;
   FreezeController c(1, opt);
   for (int i = 0; i < 200; ++i) c.check(kAlways, kAlways);
-  EXPECT_LE(c.period(0), 8u);
+  EXPECT_LE(c.raw_periods()[0], 8u);
 }
 
 TEST(FreezeController, IndependentScalars) {

@@ -87,7 +87,6 @@ TEST(IdsTest, DefaultAndExplicitConstruction) {
 
 TEST(IdsTest, OrderingAndSuccessors) {
   EXPECT_LT(ClientId(1), ClientId(2));
-  EXPECT_EQ(next_round(RoundId(4)), RoundId(5));
   EXPECT_EQ(next_seq(SeqNo(0)), SeqNo(1));
   EXPECT_GT(next_seq(SeqNo(0)), SeqNo(0));
 }

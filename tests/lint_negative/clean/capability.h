@@ -6,10 +6,10 @@
 #pragma once
 #include "util/annotations.h"
 
-class Tally {
+class Tally {  // lint-apf: allow-test-only-api(fixture stub)
  public:
   // Caller must hold mutex_ across the batch.
-  void add_locked(int v) APF_REQUIRES(mutex_);
+  void add_locked(int v) APF_REQUIRES(mutex_);  // lint-apf: allow-test-only-api(fixture stub)
 
  private:
   void drain() APF_REQUIRES(mutex_);

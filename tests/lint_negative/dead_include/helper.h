@@ -2,4 +2,4 @@
 // lint-place: src/util/
 #pragma once
 
-int helper_value();
+int helper_value();  // lint-apf: allow-test-only-api(fixture stub)

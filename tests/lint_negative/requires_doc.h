@@ -6,13 +6,13 @@
 #pragma once
 #include "util/annotations.h"
 
-class Registry {
+class Registry {  // lint-apf: allow-test-only-api(fixture stub)
  public:
-  void poke() APF_REQUIRES(mutex_);  // lint-expect: capability-requires-doc
+  void poke() APF_REQUIRES(mutex_);  // lint-expect: capability-requires-doc; lint-apf: allow-test-only-api(fixture stub)
 
  private:
   apf::util::Mutex mutex_;
 };
 
 extern apf::util::Mutex g_registry_mutex;
-void flush_registry() APF_REQUIRES(g_registry_mutex);  // lint-expect: capability-requires-doc
+void flush_registry() APF_REQUIRES(g_registry_mutex);  // lint-expect: capability-requires-doc; lint-apf: allow-test-only-api(fixture stub)

@@ -5,9 +5,9 @@
 #pragma once
 #include "util/annotations.h"
 
-class Counter {
+class Counter {  // lint-apf: allow-test-only-api(fixture stub)
  public:
-  void bump();
+  void bump();  // lint-apf: allow-test-only-api(fixture stub)
 
  private:
   apf::util::Mutex mutex_;

@@ -1,9 +1,10 @@
-// Coverage for smaller surfaces: evaluate_loss, optimizer details, Gaia/CMFL
+// Coverage for smaller surfaces: evaluation modes, optimizer details, Gaia/CMFL
 // option paths, the runner's eval cadence and LR-schedule hook, Sequential
 // accessors and the logging switch.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iostream>
 #include <numeric>
 
 #include "compress/cmfl.h"
@@ -13,7 +14,6 @@
 #include "fl/evaluate.h"
 #include "fl/runner.h"
 #include "nn/layers.h"
-#include "nn/loss.h"
 #include "nn/models.h"
 #include "optim/lr_schedule.h"
 #include "optim/optimizer.h"
@@ -24,23 +24,7 @@
 namespace apf {
 namespace {
 
-TEST(EvaluateLoss, UniformModelGivesLogC) {
-  data::SyntheticImageSpec spec;
-  spec.num_classes = 5;
-  spec.channels = 1;
-  spec.image_size = 6;
-  data::SyntheticImageDataset ds(spec, 20, 1);
-  Rng rng(1);
-  auto net = std::make_unique<nn::Sequential>();
-  net->add(std::make_unique<nn::Flatten>());
-  auto fc = std::make_unique<nn::Linear>(36, 5, rng);
-  fc->weight().value.zero();
-  fc->bias()->value.zero();
-  net->add(std::move(fc));
-  EXPECT_NEAR(fl::evaluate_loss(*net, ds), std::log(5.0), 1e-5);
-}
-
-TEST(EvaluateLoss, RestoresTrainingMode) {
+TEST(EvaluateAccuracy, RestoresTrainingMode) {
   data::SyntheticImageSpec spec;
   spec.num_classes = 2;
   spec.channels = 1;
@@ -52,7 +36,7 @@ TEST(EvaluateLoss, RestoresTrainingMode) {
   wrapper->add(std::make_unique<nn::Flatten>());
   wrapper->add(std::move(net));
   wrapper->set_training(true);
-  fl::evaluate_loss(*wrapper, ds);
+  fl::evaluate_accuracy(*wrapper, ds);
   EXPECT_TRUE(wrapper->training());
   wrapper->set_training(false);
   fl::evaluate_accuracy(*wrapper, ds);
@@ -116,7 +100,8 @@ TEST(Cmfl, AcceptanceRateTracksFiltering) {
   strategy.init(std::vector<float>(4, 0.f), 1);
   auto params = std::vector<std::vector<float>>{std::vector<float>(4, 1.f)};
   strategy.synchronize(fl::RoundId(1), params, {1.0});
-  EXPECT_DOUBLE_EQ(strategy.acceptance_rate(), 1.0);
+  EXPECT_EQ(strategy.considered(), 1u);
+  EXPECT_EQ(strategy.accepted(), 1u);
 }
 
 TEST(Sequential, LayerAccessors) {
@@ -149,9 +134,9 @@ TEST(Logging, SinkCapturesWholeLinesAndRestores) {
   const LogLevel before = log_level();
   set_log_level(LogLevel::kWarn);
   std::ostringstream captured;
-  set_log_sink(&captured);
+  std::streambuf* const stderr_buf = std::cerr.rdbuf(captured.rdbuf());
   APF_WARN("sink test " << 42);
-  set_log_sink(nullptr);  // back to stderr before `captured` dies
+  std::cerr.rdbuf(stderr_buf);  // back to stderr before `captured` dies
   set_log_level(before);
   const std::string line = captured.str();
   EXPECT_NE(line.find("[WARN]"), std::string::npos) << line;
@@ -228,10 +213,10 @@ TEST(Runner, LrScheduleChangesTrajectory) {
     return runner.run().final_global_params;
   };
   // A schedule pinned at the optimizer's own rate reproduces the default...
-  optim::ConstantLr same(0.05);
+  const optim::MultiplicativeDecayLr same(0.05, 1.0, 1);
   EXPECT_EQ(run_with(nullptr), run_with(&same));
   // ...and a different rate produces a different trajectory.
-  optim::ConstantLr faster(0.2);
+  const optim::MultiplicativeDecayLr faster(0.2, 1.0, 1);
   EXPECT_NE(run_with(nullptr), run_with(&faster));
 }
 

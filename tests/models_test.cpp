@@ -104,18 +104,6 @@ TEST(Mlp, ShapeAndDepth) {
   EXPECT_EQ(net->parameters().size(), 8u);
 }
 
-TEST(ParamVector, FlattenLoadRoundTrip) {
-  Rng rng(11);
-  auto net = nn::make_mlp(rng, 4, 8, 2, 3);
-  auto flat = nn::flatten_params(*net);
-  EXPECT_EQ(flat.size(), net->parameter_count());
-  // Perturb, reload, verify.
-  for (auto& v : flat) v += 1.f;
-  nn::load_params(*net, flat);
-  const auto flat2 = nn::flatten_params(*net);
-  EXPECT_EQ(flat, flat2);
-}
-
 TEST(ParamVector, SegmentsTileTheVector) {
   Rng rng(12);
   auto net = nn::make_lenet5(rng, 1, 16, 4, 0.5);
@@ -129,13 +117,6 @@ TEST(ParamVector, SegmentsTileTheVector) {
   EXPECT_EQ(offset, net->parameter_count());
 }
 
-TEST(ParamVector, LoadWrongSizeThrows) {
-  Rng rng(13);
-  auto net = nn::make_mlp(rng, 4, 8, 1, 3);
-  std::vector<float> tooshort(3);
-  EXPECT_THROW(nn::load_params(*net, tooshort), Error);
-}
-
 TEST(ParamVector, BufferRoundTrip) {
   Rng rng(14);
   auto net = nn::make_resnet18(rng, 3, 10, 4);
@@ -144,18 +125,6 @@ TEST(ParamVector, BufferRoundTrip) {
   for (auto& v : buffers) v = 0.25f;
   nn::load_buffers(*net, buffers);
   EXPECT_EQ(nn::flatten_buffers(*net), buffers);
-}
-
-TEST(ParamVector, FlattenGradsMatchesLayout) {
-  Rng rng(15);
-  auto net = nn::make_mlp(rng, 4, 8, 1, 3);
-  Tensor y = net->forward(Tensor::uniform({2, 4}, rng));
-  net->backward(Tensor(y.shape(), 1.f));
-  const auto grads = nn::flatten_grads(*net);
-  EXPECT_EQ(grads.size(), net->parameter_count());
-  bool any_nonzero = false;
-  for (float g : grads) any_nonzero |= g != 0.f;
-  EXPECT_TRUE(any_nonzero);
 }
 
 TEST(Models, IdenticalSeedsGiveIdenticalModels) {

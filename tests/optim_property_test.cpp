@@ -129,16 +129,5 @@ TEST(ScheduleInteraction, MultiplicativeDecayIsMonotone) {
   EXPECT_LT(schedule.lr(199), 0.1);
 }
 
-TEST(ScheduleInteraction, InverseSqrtMonotoneAndPositive) {
-  optim::InverseSqrtLr schedule(0.5);
-  double prev = schedule.lr(0);
-  for (std::size_t k = 1; k < 1000; ++k) {
-    const double cur = schedule.lr(k);
-    ASSERT_GT(cur, 0.0);
-    ASSERT_LE(cur, prev);
-    prev = cur;
-  }
-}
-
 }  // namespace
 }  // namespace apf

@@ -61,25 +61,6 @@ TEST(ThreadPool, ParallelForZeroAndOne) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPool, OrderedReduceBitIdenticalForAnyLaneCount) {
-  // Summation order must be a function of n alone, so pools of any size
-  // produce the identical double, bit for bit.
-  constexpr std::size_t kN = 4097;
-  auto produce = [](std::size_t i) {
-    // Values with wildly different magnitudes so FP addition order matters.
-    return (i % 7 == 0 ? 1e12 : 1e-3) / static_cast<double>(i + 1);
-  };
-  auto combine = [](double acc, double v) { return acc + v; };
-  double serial = 0.0;
-  for (std::size_t i = 0; i < kN; ++i) serial = combine(serial, produce(i));
-  for (std::size_t lanes : {1u, 2u, 8u}) {
-    util::ThreadPool pool(lanes);
-    const double parallel =
-        pool.ordered_reduce(kN, 0.0, produce, combine);
-    EXPECT_EQ(serial, parallel) << "lanes=" << lanes;
-  }
-}
-
 TEST(ThreadPool, NestedParallelForRunsInline) {
   util::ThreadPool pool(4);
   std::atomic<int> inner_total{0};

@@ -106,13 +106,13 @@ TEST(EmaPerturbation, BoundedInUnitInterval) {
 TEST(EmaPerturbation, SkipMaskLeavesStatisticsUntouched) {
   EmaPerturbation p(2, 0.9);
   p.update(std::vector<float>{1.f, 1.f});
-  const double before0 = p.ema_signed(0);
-  const double before1 = p.ema_signed(1);
+  const double before0 = p.raw_signed()[0];
+  const double before1 = p.raw_signed()[1];
   Bitmap skip(2, false);
   skip.set(0, true);
   p.update(std::vector<float>{-5.f, -5.f}, &skip);
-  EXPECT_DOUBLE_EQ(p.ema_signed(0), before0);   // frozen: untouched
-  EXPECT_NE(p.ema_signed(1), before1);          // active: updated
+  EXPECT_DOUBLE_EQ(p.raw_signed()[0], before0);   // frozen: untouched
+  EXPECT_NE(p.raw_signed()[1], before1);          // active: updated
 }
 
 TEST(EmaPerturbation, StabilizationDetectedAfterDirectionFlips) {

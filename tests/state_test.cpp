@@ -221,11 +221,12 @@ TEST(ApfState, SaveLoadRoundTripsExactly) {
                    manager.stability_threshold());
   for (std::size_t j = 0; j < dim; ++j) {
     EXPECT_EQ(restored.global_params()[j], manager.global_params()[j]);
-    EXPECT_EQ(restored.controller().period(j), manager.controller().period(j));
+    EXPECT_EQ(restored.controller().raw_periods()[j],
+              manager.controller().raw_periods()[j]);
     EXPECT_EQ(restored.controller().remaining(j),
               manager.controller().remaining(j));
-    EXPECT_DOUBLE_EQ(restored.perturbation().ema_signed(j),
-                     manager.perturbation().ema_signed(j));
+    EXPECT_DOUBLE_EQ(restored.perturbation().raw_signed()[j],
+                     manager.perturbation().raw_signed()[j]);
   }
 }
 

@@ -28,6 +28,7 @@ using test::col2im;
 using test::col2im_from;
 using test::im2col;
 using test::im2col_into;
+using test::transpose;
 
 
 TEST(Shape, NumelAndString) {
@@ -94,14 +95,6 @@ TEST(Tensor, ShapeMismatchThrows) {
   EXPECT_THROW(a += b, Error);
 }
 
-TEST(Tensor, AddScaled) {
-  Tensor a({2}, std::vector<float>{1, 1});
-  Tensor b({2}, std::vector<float>{2, 4});
-  a.add_scaled(b, 0.5f);
-  EXPECT_EQ(a[0], 2.f);
-  EXPECT_EQ(a[1], 3.f);
-}
-
 TEST(Tensor, Reductions) {
   Tensor t({4}, std::vector<float>{1, -2, 3, 4});
   EXPECT_FLOAT_EQ(t.sum(), 6.f);
@@ -125,7 +118,7 @@ TEST(Tensor, HadamardAndDot) {
   Tensor b({3}, std::vector<float>{4, 5, 6});
   Tensor h = hadamard(a, b);
   EXPECT_EQ(h[2], 18.f);
-  EXPECT_FLOAT_EQ(dot(a, b), 32.f);
+  EXPECT_FLOAT_EQ(h.sum(), 32.f);  // the dot product
 }
 
 TEST(Ops, MatmulHandComputed) {
@@ -422,47 +415,6 @@ TEST(Ops, MatmulTnFoldStepsMatchesPerStepFoldsInDescendingOrder) {
   });
 }
 
-TEST(Ops, MatmulNtFoldSegmentsMatchesPerSegmentScalarFold) {
-  // C += float(double dot over each segment), segments folded in order,
-  // onto a non-zero C; m and r end in partial tiles and panels, and m = 65
-  // spans two widening chunks.
-  on_1_and_4_lanes([] {
-    Rng rng(11);
-    for (std::size_t segments = 1; segments <= 17; ++segments) {
-      for (const std::size_t len : {1u, 4u, 16u, 256u}) {
-        for (const std::size_t m : {1u, 3u, 5u, 8u, 65u}) {
-          if (m == 65 && len == 256) continue;  // keeps the sweep quick
-          for (const std::size_t r : {1u, 7u, 8u, 17u}) {
-            const Tensor a = signed_with_zeros({segments, m, len}, rng);
-            const Tensor b =
-                Tensor::uniform({r, segments * len}, rng, -3.f, 3.f);
-            const Tensor c0 = Tensor::uniform({m, r}, rng);
-            Tensor expect = c0;
-            for (std::size_t s = 0; s < segments; ++s) {
-              for (std::size_t i = 0; i < m; ++i) {
-                for (std::size_t j = 0; j < r; ++j) {
-                  double acc = 0.0;
-                  for (std::size_t q = 0; q < len; ++q) {
-                    acc += static_cast<double>(a[(s * m + i) * len + q]) *
-                           b[j * segments * len + s * len + q];
-                  }
-                  expect[i * r + j] += static_cast<float>(acc);
-                }
-              }
-            }
-            Tensor got = c0;
-            matmul_nt_fold_segments(a.raw(), b.raw(), m, r, segments, len,
-                                    got.raw());
-            ASSERT_TRUE(bitwise_equal(got, expect))
-                << "segments=" << segments << " len=" << len << " m=" << m
-                << " r=" << r;
-          }
-        }
-      }
-    }
-  });
-}
-
 // The scalar double-accumulator loop matmul_nt must reproduce bit for bit:
 // each C[i][j] sums float products in double, in ascending k.
 Tensor matmul_nt_scalar_reference(const Tensor& a, const Tensor& b) {
@@ -607,8 +559,9 @@ TEST(Ops, MatmulNtExactUnderFma) {
   // Extreme exponents in A and B, and products that cancel to zero: each
   // row of A is followed by its copy, and column q + 1 of B negates column
   // q at odd q, so pairs of products cancel exactly. Whichever tile runs,
-  // matmul_nt and the segment fold must equal the scalar loop (a separate
-  // multiply and add) bit for bit.
+  // matmul_nt must equal the scalar loop (a separate multiply and add) bit
+  // for bit. Conv.WeightGradMatchesPerSampleScalarFoldBitwise runs the
+  // segment fold of the same double tile over extreme values.
   on_1_and_4_lanes([] {
     Rng rng(31);
     for (const std::size_t k : {2u, 6u, 17u, 64u}) {
@@ -632,39 +585,6 @@ TEST(Ops, MatmulNtExactUnderFma) {
           ASSERT_TRUE(bitwise_equal(matmul_nt(a, b),
                                     matmul_nt_scalar_reference(a, b)))
               << "matmul_nt m=" << m << " k=" << k << " r=" << r;
-          // The first 2 * len columns as two segments of len, folded onto
-          // a C with -0 in every other element.
-          const std::size_t len = k / 2;
-          Tensor slabs({2, m, len});
-          Tensor bs({r, 2 * len});
-          for (std::size_t s = 0; s < 2; ++s)
-            for (std::size_t i = 0; i < m; ++i)
-              for (std::size_t q = 0; q < len; ++q)
-                slabs[(s * m + i) * len + q] = a[i * k + s * len + q];
-          for (std::size_t j = 0; j < r; ++j)
-            for (std::size_t q = 0; q < 2 * len; ++q)
-              bs[j * 2 * len + q] = b[j * k + q];
-          Tensor c0({m, r});
-          for (std::size_t i = 0; i < c0.numel(); ++i)
-            c0[i] = i % 2 == 0 ? -0.f : extreme_float(rng);
-          Tensor expect = c0;
-          for (std::size_t s = 0; s < 2; ++s) {
-            for (std::size_t i = 0; i < m; ++i) {
-              for (std::size_t j = 0; j < r; ++j) {
-                double acc = 0.0;
-                for (std::size_t q = 0; q < len; ++q) {
-                  acc += static_cast<double>(slabs[(s * m + i) * len + q]) *
-                         bs[j * 2 * len + s * len + q];
-                }
-                expect[i * r + j] += static_cast<float>(acc);
-              }
-            }
-          }
-          Tensor got = c0;
-          matmul_nt_fold_segments(slabs.raw(), bs.raw(), m, r, 2, len,
-                                  got.raw());
-          ASSERT_TRUE(bitwise_equal(got, expect))
-              << "fold m=" << m << " k=" << k << " r=" << r;
         }
       }
     }
@@ -694,13 +614,6 @@ TEST(Ops, GemmSimdPathFollowsGlibcTunable) {
   const std::string path = gemm_simd_path();
   EXPECT_TRUE(path == "avx2" || path == "sse2") << path;
   if (tunables_mask("AVX2") || tunables_mask("FMA")) EXPECT_EQ(path, "sse2");
-}
-
-TEST(Ops, TransposeInvolution) {
-  Rng rng(4);
-  Tensor a = Tensor::uniform({3, 7}, rng);
-  Tensor tt = transpose(transpose(a));
-  for (std::size_t i = 0; i < a.numel(); ++i) EXPECT_EQ(tt[i], a[i]);
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
@@ -872,6 +785,73 @@ TEST(Conv, Col2imFromWithLeadingDimensionIsAdjoint) {
   col2im(block, g, via_tensor.data());
   EXPECT_EQ(std::memcmp(back.data(), via_tensor.data(), image * sizeof(float)),
             0);
+}
+
+// conv2d_weight_grad must fold gy_s * P_s^T into dW sample by sample, as
+// the lowered form does: each element a double dot product over the
+// sample's output positions (P_s from the scalar im2col), rounded to float
+// and added with one float add, onto a dW holding -0 and non-zero values.
+// Its segment fold packs runs of samples per column block of 8 patch rows:
+// 1x1 and 4x4 outputs put up to 17 samples in one run, 18x18 outputs one
+// sample per run. 27 patch rows end in a partial block, 65 output channels
+// span two widening chunks of A, 4 lanes split row tiles and blocks, and
+// the extreme-value pass checks the AVX2 tile's FMA against the separate
+// multiply and add.
+TEST(Conv, WeightGradMatchesPerSampleScalarFoldBitwise) {
+  on_1_and_4_lanes([] {
+    Rng rng(11);
+    const ConvGeom geoms[] = {{3, 1, 1, 1, 1, 0},
+                              {3, 4, 4, 3, 1, 1},
+                              {2, 9, 7, 2, 2, 0},
+                              {1, 18, 18, 3, 1, 1}};
+    for (const ConvGeom& g : geoms) {
+      const ConvTaps taps(g);
+      const std::size_t rows = taps.rows.size();
+      const std::size_t len = g.out_h() * g.out_w();
+      const std::size_t image = g.channels * g.in_h * g.in_w;
+      for (const bool extreme : {false, true}) {
+        for (const std::size_t n : {1u, 3u, 17u}) {
+          for (const std::size_t out_c : {1u, 5u, 8u, 65u}) {
+            Tensor images = signed_with_zeros({n, image}, rng);
+            Tensor gy = signed_with_zeros({n, out_c * len}, rng);
+            if (extreme) {
+              for (std::size_t i = 0; i < images.numel(); ++i)
+                images[i] = extreme_float(rng);
+              for (std::size_t i = 0; i < gy.numel(); ++i)
+                gy[i] = extreme_float(rng);
+            }
+            Tensor dw0({out_c, rows});
+            for (std::size_t i = 0; i < dw0.numel(); ++i)
+              dw0[i] = i % 2 == 0 ? -0.f : rng.uniform_float(-1.f, 1.f);
+            Tensor expect = dw0;
+            for (std::size_t s = 0; s < n; ++s) {
+              const Tensor cols = im2col(images.raw() + s * image, g);
+              const float* gy_s = gy.raw() + s * out_c * len;
+              for (std::size_t o = 0; o < out_c; ++o) {
+                for (std::size_t row = 0; row < rows; ++row) {
+                  double acc = 0.0;
+                  for (std::size_t q = 0; q < len; ++q) {
+                    acc += static_cast<double>(gy_s[o * len + q]) *
+                           cols[row * len + q];
+                  }
+                  expect[o * rows + row] += static_cast<float>(acc);
+                }
+              }
+            }
+            std::vector<float> padded(n * taps.padded_image());
+            conv2d_pad(images.raw(), n, taps, padded.data());
+            Tensor got = dw0;
+            conv2d_weight_grad(gy.raw(), out_c, padded.data(), n, taps,
+                               got.raw());
+            ASSERT_TRUE(bitwise_equal(got, expect))
+                << "in=" << g.in_h << "x" << g.in_w << " k=" << g.kernel
+                << " n=" << n << " out_c=" << out_c
+                << " extreme=" << extreme;
+          }
+        }
+      }
+    }
+  });
 }
 
 // The span kernels must equal libm bit for bit (NaN: any NaN): apf::tanh

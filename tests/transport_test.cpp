@@ -245,20 +245,20 @@ TEST(TransportBus, RoundLifecycleIsEnforced) {
 }
 
 TEST(TransportBus, LinkStateResetsBetweenRounds) {
-  Bus bus(NetworkModel{});
+  const NetworkModel net;
+  Bus bus(net);
   bus.begin_round(transport::RoundId(1));
   bus.push(transport::ClientId(5), Frame::Kind::kStrategy, payload_of(10, 0));
-  EXPECT_EQ(bus.link_up_bytes(transport::ClientId(5)),
-            transport::ByteCount(10));
+  EXPECT_DOUBLE_EQ(bus.link_comm_seconds(transport::ClientId(5)),
+                   net.client_upload_seconds(transport::ByteCount(10)));
   (void)bus.take_pushes();
   (void)bus.finish_round();
   // Per-round state, not cumulative.
-  EXPECT_EQ(bus.link_up_bytes(transport::ClientId(5)),
-            transport::ByteCount(0));
+  EXPECT_EQ(bus.link_comm_seconds(transport::ClientId(5)), 0.0);
   bus.begin_round(transport::RoundId(2));
   bus.deliver(transport::ClientId(5), Frame::Kind::kStrategy, payload_of(6, 0));
-  EXPECT_EQ(bus.link_down_bytes(transport::ClientId(5)),
-            transport::ByteCount(6));
+  EXPECT_DOUBLE_EQ(bus.link_comm_seconds(transport::ClientId(5)),
+                   net.client_download_seconds(transport::ByteCount(6)));
   (void)bus.take_pulls(transport::ClientId(5));
   const RoundStats stats = bus.finish_round();
   EXPECT_EQ(stats.total_bytes, transport::ByteCount(6));
@@ -267,20 +267,22 @@ TEST(TransportBus, LinkStateResetsBetweenRounds) {
 TEST(TransportBus, QueuedBytesTracksInFlightWindowAndPeak) {
   Bus bus(NetworkModel{});
   bus.begin_round(transport::RoundId(1));
-  EXPECT_EQ(bus.queued_bytes(), transport::ByteCount(0));
+  EXPECT_EQ(bus.round_peak_queued_bytes(), transport::ByteCount(0));
   bus.push(transport::ClientId(0), Frame::Kind::kStrategy, payload_of(100, 0));
   bus.push(transport::ClientId(1), Frame::Kind::kStrategy, payload_of(50, 0));
-  EXPECT_EQ(bus.queued_bytes(), transport::ByteCount(150));
   EXPECT_EQ(bus.peak_queued_bytes(), transport::ByteCount(150));
   (void)bus.take_pushes();
-  EXPECT_EQ(bus.queued_bytes(), transport::ByteCount(0));
-  // High-water mark persists.
-  EXPECT_EQ(bus.peak_queued_bytes(), transport::ByteCount(150));
+  // Taking the pushes empties the window: 20 more bytes stay under the
+  // high-water mark, which persists.
   bus.deliver(transport::ClientId(0), Frame::Kind::kStrategy, payload_of(20, 0));
-  EXPECT_EQ(bus.queued_bytes(), transport::ByteCount(20));
+  EXPECT_EQ(bus.peak_queued_bytes(), transport::ByteCount(150));
   (void)bus.take_pulls(transport::ClientId(0));
   (void)bus.finish_round();
   EXPECT_EQ(bus.peak_queued_bytes(), transport::ByteCount(150));
+  // Everything was taken, so the next round opens with nothing queued.
+  bus.begin_round(transport::RoundId(2));
+  EXPECT_EQ(bus.round_peak_queued_bytes(), transport::ByteCount(0));
+  (void)bus.finish_round();
 }
 
 TEST(TransportBus, ReportsPerLinkCommSecondsInAscendingOrder) {
@@ -418,9 +420,11 @@ TEST(TransportBus, PerRoundPeakStartsAtCarriedBytes) {
   (void)bus.finish_round(FinishPolicy::kCarryOver);
   bus.begin_round(transport::RoundId(2));
   EXPECT_EQ(bus.round_peak_queued_bytes(), transport::ByteCount(60));
-  EXPECT_EQ(bus.queued_bytes(), transport::ByteCount(60));
   (void)bus.take_pushes(transport::ClientId(2));
-  EXPECT_EQ(bus.queued_bytes(), transport::ByteCount(0));
+  (void)bus.finish_round(FinishPolicy::kCarryOver);
+  // The carried frame was taken: round 3 opens with nothing in flight.
+  bus.begin_round(transport::RoundId(3));
+  EXPECT_EQ(bus.round_peak_queued_bytes(), transport::ByteCount(0));
   (void)bus.finish_round(FinishPolicy::kCarryOver);
 }
 

@@ -157,17 +157,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(v, original);
 }
 
-TEST(Rng, CategoricalRespectsWeights) {
-  Rng rng(41);
-  const std::vector<double> weights = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) ++counts[rng.categorical(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.02);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.02);
-}
-
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(55);
   Rng child = a.split();
@@ -202,17 +191,13 @@ TEST(Bitmap, FillTrueMasksTail) {
   Bitmap b(70, true);
   EXPECT_EQ(b.count(), 70u);
   EXPECT_DOUBLE_EQ(b.fraction(), 1.0);
-  b.flip();
+  b.fill(false);
   EXPECT_EQ(b.count(), 0u);
-}
-
-TEST(Bitmap, FlipRespectsTail) {
-  Bitmap b(70, false);
-  b.flip();
+  b.fill(true);
   EXPECT_EQ(b.count(), 70u);
 }
 
-TEST(Bitmap, OrAndSemantics) {
+TEST(Bitmap, OrSemantics) {
   Bitmap a(10, false), b(10, false);
   a.set(1, true);
   a.set(2, true);
@@ -221,22 +206,7 @@ TEST(Bitmap, OrAndSemantics) {
   Bitmap o = a;
   o.or_with(b);
   EXPECT_EQ(o.count(), 3u);
-  Bitmap n = a;
-  n.and_with(b);
-  EXPECT_EQ(n.count(), 1u);
-  EXPECT_TRUE(n.get(2));
-}
-
-TEST(Bitmap, SetIndicesAscending) {
-  Bitmap b(200, false);
-  b.set(5, true);
-  b.set(100, true);
-  b.set(199, true);
-  const auto idx = b.set_indices();
-  ASSERT_EQ(idx.size(), 3u);
-  EXPECT_EQ(idx[0], 5u);
-  EXPECT_EQ(idx[1], 100u);
-  EXPECT_EQ(idx[2], 199u);
+  EXPECT_TRUE(o.get(1) && o.get(2) && o.get(3));
 }
 
 TEST(Bitmap, EqualityAndByteSize) {
@@ -244,7 +214,7 @@ TEST(Bitmap, EqualityAndByteSize) {
   EXPECT_EQ(a, b);
   b.set(64, true);
   EXPECT_NE(a, b);
-  EXPECT_EQ(a.byte_size(), 16u);  // two 64-bit words
+  EXPECT_EQ(a.to_bytes().size(), 9u);  // 65 bits on the wire
 }
 
 TEST(Bitmap, OutOfRangeThrows) {
@@ -267,20 +237,6 @@ TEST(RunningStat, EmptyIsZero) {
   RunningStat s;
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Ema, ConvergesToConstant) {
-  Ema ema(0.9);
-  for (int i = 0; i < 200; ++i) ema.add(5.0);
-  EXPECT_NEAR(ema.value(), 5.0, 1e-9);
-}
-
-TEST(Ema, FirstValueInitializes) {
-  Ema ema(0.99);
-  EXPECT_FALSE(ema.initialized());
-  ema.add(3.0);
-  EXPECT_TRUE(ema.initialized());
-  EXPECT_DOUBLE_EQ(ema.value(), 3.0);
 }
 
 TEST(Percentile, InterpolatesLinearly) {

@@ -21,7 +21,7 @@ ENTRY_POINTS = ("synchronize", "encode_push", "begin_fold", "fold_push",
 # delegating the round to another hook, which then owns the rejection.
 VALIDATION = re.compile(CHECK_CALL + r"|->\s*(?:" + "|".join(ENTRY_POINTS) +
                         r")\s*\(")
-FOLD_ROOTS = ("begin_fold", "fold_push", "finish_fold", "ordered_reduce")
+FOLD_ROOTS = ("begin_fold", "fold_push", "finish_fold")
 FOLD_CLASSES = ("StreamingAggregator", "BufferedAggregator")
 ASSIGN = r"(?:=(?!=)|\+=|-=|\*=|/=|\|=|&=|\^=)"
 MEMBER_WRITE = re.compile(r"\b([A-Za-z_]\w*_)\s*" + ASSIGN)
@@ -255,7 +255,7 @@ def fold_roots(f):
     if f.t_hash:
         yield f.head, (f"fold path {f.qname}() reaches a hash-order "
                        f"iteration ({f.t_hash}); fold in a deterministic "
-                       "order (ordered_reduce / ascending client order)")
+                       "order (ascending client order)")
 
 
 def fold_local(tree, f):
@@ -269,9 +269,8 @@ def fold_local(tree, f):
             if name not in local and (name in floats or name.endswith("_")):
                 yield f.line_of(start + m.start()), (
                     f"float accumulation into '{name}' {where}; fold in a "
-                    "deterministic order instead (ordered_reduce, "
-                    "StreamingAggregator, or per-slot commit + ordered "
-                    "reduction)")
+                    "deterministic order instead (StreamingAggregator, or "
+                    "per-slot commit + ordered reduction)")
 
     for m in re.finditer(r"\bfor\s*\(", code):
         close = match_brace(code, m.end() - 1)

@@ -11,8 +11,8 @@ import re
 
 import flow
 import wire
-from source import (CHECK_CALL, FLOAT_DECL, KEYWORDS, SourceFile, match_brace,
-                    unordered_names)
+from source import (CHECK_CALL, CLASS_HEAD, FLOAT_DECL, FUNC_HEAD, KEYWORDS,
+                    REFERENCE_TREES, SourceFile, match_brace, unordered_names)
 
 Finding = collections.namedtuple("Finding", "path line rule message")
 
@@ -52,6 +52,7 @@ RULE_SCOPES = {
                                       "src/transport", "fuzz", "bench"),
     "wire-size": lambda f: f.under("src/wire") and f.name.endswith(".cpp"),
     "dead-include": lambda f: f.top in STRUCTURAL,
+    "test-only-api": lambda f: f.top == "src" and f.name.endswith(".h"),
     "waiver": lambda f: True,
 }
 RULES = tuple(RULE_SCOPES)
@@ -116,6 +117,13 @@ MEMBER_SKIP = re.compile(
     r"public|protected|private)\b")
 UNORDERED = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\b")
 CALL_NAME = re.compile(r"\b(~?[A-Za-z_]\w*)\s*\(")
+# Annotation groups around a declaration: `APF_REQUIRES(mu)`,
+# `__attribute__((...))`, `alignas(64)`.
+ATTRIBUTE = re.compile(r"\b(?:APF_\w+|__attribute__|alignas)\s*\(")
+# test-only-api: a template head before a declaration, and member
+# declarations that declare no member function of their own.
+TEMPLATE_PREFIX = re.compile(r"^template\s*<(?:[^<>]|<[^<>]*>)*>\s*")
+NESTED_DECL = re.compile(r"(?:class|struct|union|enum|using|typedef|friend)\b")
 ENUM_DEF = re.compile(r"\benum\s+class\s+(\w+)[^{;]*\{([^}]*)\}")
 INT_TYPE = (r"(?:std::)?(?:u?int(?:8|16|32|64)_t|size_t|ptrdiff_t"
             r"|unsigned(?:\s+(?:long|int|short))?|long(?:\s+long)?(?:\s+int)?"
@@ -138,8 +146,10 @@ class Tree:
     """All files of one run plus the cross-file tables rules share."""
 
     def __init__(self, files):
-        self.files = {rel: SourceFile(rel, text)
-                      for rel, text in sorted(files.items())}
+        loaded = [SourceFile(rel, text) for rel, text in sorted(files.items())]
+        self.files = {f.rel: f for f in loaded
+                      if f.top not in REFERENCE_TREES}
+        self.references = [f for f in loaded if f.top in REFERENCE_TREES]
         self.unordered = {rel: unordered_names(f.code)
                           for rel, f in self.files.items()}
         self.provided = {}
@@ -449,6 +459,92 @@ CHECKS = (
 )
 
 
+def declared_function(stmt):
+    """(qualifier, name, name offset) for a statement that declares or
+    defines a function a test-only-api finding may name, else None:
+    operators, destructors and override, final, pure, deleted or
+    defaulted functions are reached through their base or the language."""
+    def blank(m):
+        return " " * len(m.group())
+
+    head = re.sub(r"\[\[.*?\]\]", blank, TEMPLATE_PREFIX.sub(blank, stmt, 1))
+    for m in reversed(list(ATTRIBUTE.finditer(head))):
+        end = match_brace(head, m.end() - 1) + 1 or len(head)
+        head = head[:m.start()] + " " * (end - m.start()) + head[end:]
+    for m in FUNC_HEAD.finditer(head):
+        name, before = m.group(1), head[:m.start()]
+        if re.search(r"\boperator\b|=|~\s*$", before) or name == "operator":
+            return None
+        if name in KEYWORDS or before.count("<") > before.count(">"):
+            continue
+        close = match_brace(head, m.end() - 1)
+        tail = re.split(r"[{;]", head[close + 1:], 1)[0] if close != -1 \
+            else ""
+        if re.search(r"\b(?:override|final)\b|=\s*(?:0|delete|default)\s*$",
+                     tail):
+            return None
+        qual = re.search(r"([A-Za-z_]\w*)\s*::\s*$", before)
+        return qual.group(1) if qual else None, name, m.start()
+    return None
+
+
+def words(text, name):
+    return len(re.findall(rf"\b{re.escape(name)}\b", text))
+
+
+def test_only_api(tree):
+    """Namespace-scope classes, free functions and public member functions
+    declared in a src/ header that nothing outside tests/ references.
+    Name-based, like dead-include: a name is live when src/, bench/,
+    examples/, fuzz/ or perfbench/ use it more often than its own
+    declaration statements and out-of-line definitions mention it."""
+    decls = []  # (file, line, label, name) per candidate
+    own = collections.Counter()  # mentions inside declarations/definitions
+    for f in tree.under("src"):
+        header = RULE_SCOPES["test-only-api"](f)
+        for off, stmt in f.statements():
+            body = TEMPLATE_PREFIX.sub("", stmt, 1)
+            off += len(stmt) - len(body)
+            cls = CLASS_HEAD.match(body)
+            if cls and header:
+                name = cls.group(2)
+                decls.append((f, f.line_of(off + cls.start(2)), name, name))
+                own[name] += words(body, name)
+                close = match_brace(f.code, off + cls.end() - 1)
+                for line, member, access in f.members(
+                        off + cls.end(), close, "private" if
+                        cls.group(1) == "class" else "public"):
+                    fn = None if NESTED_DECL.match(member) else \
+                        declared_function(member)
+                    if access == "public" and fn and fn[1] != name:
+                        decls.append((f, line + member[:fn[2]].count("\n"),
+                                      f"{name}::{fn[1]}", fn[1]))
+                        own[fn[1]] += words(member, fn[1])
+                continue
+            forward = re.match(r"(?:class|struct)\s+(\w+)\s*;", body)
+            if forward:
+                own[forward.group(1)] += 1
+            fn = None if cls or forward else declared_function(body)
+            if not fn:
+                continue
+            qual, name, at = fn
+            own[name] += words(body, name)
+            if qual and qual != name:
+                own[qual] += words(body, qual)
+            elif header:
+                decls.append((f, f.line_of(off + at), name, name))
+    used = collections.Counter()
+    for f in list(tree.files.values()) + tree.references:
+        if f.top != "tests":
+            used.update(re.findall(r"[A-Za-z_]\w*", f.code))
+    for f, line, label, name in decls:
+        if used[name] <= own[name]:
+            yield f.rel, line, (
+                f"'{label}' is referenced only from tests/ (or nowhere): "
+                "nothing in src/, bench/, examples/, fuzz/ or perfbench/ "
+                "uses it; delete it with its tests")
+
+
 def module_of(rel):
     """('module', name) for src files, ('tool', tree) for tool trees."""
     parts = rel.split("/")
@@ -533,6 +629,8 @@ def analyze(files, wire_doc=""):
                 for rule, line, msg in check_file(tree, f)]
     raw += [Finding(path, line, "layering", msg)
             for path, line, msg in layering(tree)]
+    raw += [Finding(path, line, "test-only-api", msg)
+            for path, line, msg in test_only_api(tree)]
     structural = [f for f in tree.files.values() if f.top in STRUCTURAL]
     raw += [Finding(path, line, rule, msg) for rule, path, line, msg
             in flow.check(structural, RULE_SCOPES)]

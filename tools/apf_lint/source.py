@@ -11,8 +11,10 @@ import bisect
 import re
 
 # Trees the analyzer reads, relative to the repo root. Each rule narrows
-# this to its own scope (see RULE_SCOPES in rules.py).
+# this to its own scope (see RULE_SCOPES in rules.py). REFERENCE_TREES are
+# read only as a source of references for test-only-api, never linted.
 TREES = ("src", "fuzz", "bench", "examples", "tests")
+REFERENCE_TREES = ("perfbench",)
 FIXTURE_DIR = "tests/lint_negative"
 EXTENSIONS = (".h", ".hpp", ".cpp")
 
@@ -325,9 +327,10 @@ def body_open(code, close):
 
 
 def load_tree(root):
-    """{rel path: text} for every C++ file in TREES, fixtures excluded."""
+    """{rel path: text} for every C++ file in TREES and REFERENCE_TREES,
+    fixtures excluded."""
     files = {}
-    for top in TREES:
+    for top in TREES + REFERENCE_TREES:
         for path in sorted((root / top).rglob("*")):
             rel = path.relative_to(root).as_posix()
             if path.suffix in EXTENSIONS and path.is_file() and \
