@@ -11,9 +11,11 @@
 // symbol inside the (statically linked) binary, so the edge ids — and
 // therefore the harness's corpus evolution — are a pure function of the
 // binary and the input, independent of ASLR. Only the thread that called
-// coverage_begin() is recorded; pool workers are ignored, so worker
-// scheduling cannot perturb the edge set. Without instrumentation every
-// function below is a cheap no-op that reports zero edges.
+// coverage_begin() is recorded; pool workers are ignored, so code that fans
+// out over a pool of more than one lane records only the chunks this thread
+// ran, which vary with scheduling. run_fuzz() therefore installs a one-lane
+// compute pool for its whole run. Without instrumentation every function
+// below is a cheap no-op that reports zero edges.
 #pragma once
 
 #include <cstdint>

@@ -18,6 +18,7 @@
 #include "util/bitmap.h"
 #include "util/bytes.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 #include "wire/masked.h"
 #include "wire/quantize.h"
 #include "wire/wire.h"
@@ -326,6 +327,12 @@ FuzzSummary run_fuzz(const FuzzTarget& target, std::uint64_t seed,
       {reinterpret_cast<const std::uint8_t*>(target.name),
        std::strlen(target.name)});
   Rng rng(splitmix64(state));
+
+  // Coverage records only the collecting thread, so every call the run
+  // makes stays on it: strategy codec work would otherwise fan out over the
+  // compute pool, and the edges of the chunks other lanes ran would be lost.
+  util::ThreadPool one_lane(1);
+  const util::ScopedComputePool scope(one_lane);
 
   FuzzSummary summary;
 

@@ -9,6 +9,7 @@
 #include "data/loader.h"
 #include "fl/evaluate.h"
 #include "fl/flat_view.h"
+#include "nn/lane_store.h"
 #include "nn/loss.h"
 #include "nn/param_vector.h"
 #include "optim/clip.h"
@@ -426,6 +427,12 @@ SimulationResult FederatedRunner::run() {
     pool.parallel_for(active.size(), [&](std::size_t slot) {
       const std::size_t i = active[slot];
       Client& client = clients[i];
+      // This lane runs the client's steps to completion, and posted eval
+      // shards hold nothing in the lane store, so the backward state the
+      // lane's previous client left there is dead: its regions go to this
+      // client's layers, and a run keeps one model's backward state per lane
+      // (src/nn/lane_store.h).
+      nn::recycle_lane_store();
       client.model->set_training(true);
       double local_loss_sum = 0.0;
       std::size_t local_loss_count = 0;

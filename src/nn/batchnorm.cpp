@@ -27,8 +27,8 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
   const std::size_t per_channel = n * plane;
   Tensor out(input.shape());
   if (training_) {
-    xhat_ = Tensor(input.shape());
-    invstd_ = Tensor({channels_});
+    float* xhat = cache_.hold<float>(input.numel() + channels_);
+    float* invstd = xhat + input.numel();
     for (std::size_t c = 0; c < channels_; ++c) {
       double sum = 0.0, sq = 0.0;
       for (std::size_t s = 0; s < n; ++s) {
@@ -44,7 +44,7 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
       const double var_clamped = var < 0.0 ? 0.0 : var;
       const float inv =
           static_cast<float>(1.0 / std::sqrt(var_clamped + eps_));
-      invstd_[c] = inv;
+      invstd[c] = inv;
       running_mean_[c] = (1.f - momentum_) * running_mean_[c] +
                          momentum_ * static_cast<float>(mean);
       running_var_[c] = (1.f - momentum_) * running_var_[c] +
@@ -53,7 +53,7 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
       const float m = static_cast<float>(mean);
       for (std::size_t s = 0; s < n; ++s) {
         const float* p = input.raw() + (s * channels_ + c) * plane;
-        float* xh = xhat_.raw() + (s * channels_ + c) * plane;
+        float* xh = xhat + (s * channels_ + c) * plane;
         float* o = out.raw() + (s * channels_ + c) * plane;
         for (std::size_t i = 0; i < plane; ++i) {
           xh[i] = (p[i] - m) * inv;
@@ -62,9 +62,8 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
       }
     }
   } else {
-    // Eval mode keeps no cache, so backward() after it throws.
-    xhat_ = Tensor();
-    invstd_ = Tensor();
+    // Eval mode holds no cache, so backward() after it throws.
+    cache_.drop();
     for (std::size_t c = 0; c < channels_; ++c) {
       const float m = running_mean_[c];
       const float inv = 1.f / std::sqrt(running_var_[c] + eps_);
@@ -82,9 +81,11 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   APF_CHECK(training_);
-  APF_CHECK_MSG(xhat_.rank() == 4 && xhat_.shape() == input_shape_,
-                "BatchNorm2d::backward needs a training-mode forward first");
+  const std::span<const float> cache = cache_.get<const float>(
+      "BatchNorm2d::backward needs a training-mode forward first");
   APF_CHECK(grad_output.shape() == input_shape_);
+  const float* xhat = cache.data();
+  const float* invstd = xhat + grad_output.numel();
   const std::size_t n = input_shape_[0], h = input_shape_[2],
                     w = input_shape_[3];
   const std::size_t plane = h * w;
@@ -94,7 +95,7 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     double sum_gy = 0.0, sum_gy_xhat = 0.0;
     for (std::size_t s = 0; s < n; ++s) {
       const float* gy = grad_output.raw() + (s * channels_ + c) * plane;
-      const float* xh = xhat_.raw() + (s * channels_ + c) * plane;
+      const float* xh = xhat + (s * channels_ + c) * plane;
       for (std::size_t i = 0; i < plane; ++i) {
         sum_gy += gy[i];
         sum_gy_xhat += static_cast<double>(gy[i]) * xh[i];
@@ -103,12 +104,12 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
     gamma_.grad[c] += static_cast<float>(sum_gy_xhat);
     beta_.grad[c] += static_cast<float>(sum_gy);
     const float g = gamma_.value[c];
-    const float inv = invstd_[c];
+    const float inv = invstd[c];
     const float mean_gy = static_cast<float>(sum_gy / m);
     const float mean_gy_xhat = static_cast<float>(sum_gy_xhat / m);
     for (std::size_t s = 0; s < n; ++s) {
       const float* gy = grad_output.raw() + (s * channels_ + c) * plane;
-      const float* xh = xhat_.raw() + (s * channels_ + c) * plane;
+      const float* xh = xhat + (s * channels_ + c) * plane;
       float* gi = grad_input.raw() + (s * channels_ + c) * plane;
       for (std::size_t i = 0; i < plane; ++i) {
         gi[i] = g * inv * (gy[i] - mean_gy - xh[i] * mean_gy_xhat);

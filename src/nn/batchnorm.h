@@ -1,6 +1,7 @@
 // Batch normalization over NCHW feature maps (per-channel statistics).
 #pragma once
 
+#include "nn/lane_store.h"
 #include "nn/module.h"
 
 namespace apf::nn {
@@ -29,9 +30,8 @@ class BatchNorm2d : public Module {
   Parameter beta_;   // shift, init 0
   Tensor running_mean_;
   Tensor running_var_;
-  // Backward caches (training mode).
-  Tensor xhat_;
-  Tensor invstd_;  // per channel
+  // A training forward's xhat (the input's shape) and 1/std per channel.
+  LaneBuffer cache_;
   Shape input_shape_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "util/error.h"
 
@@ -39,36 +40,41 @@ Tensor Conv2d::forward(const Tensor& input) {
                       stride_, pad_};
   if (!(geom == taps_.geom)) taps_ = ConvTaps(geom);
   const std::size_t n = input.dim(0);
-  // A training forward pads into the buffer it keeps for backward(), so
-  // the buffer is reused; eval mode keeps none, and backward() after it
-  // throws.
-  const Shape padded_shape{n, in_channels_, taps_.padded_h, taps_.padded_w};
-  Tensor padded = training() && padded_.shape() == padded_shape
-                      ? std::move(padded_)
-                      : Tensor(padded_shape);
-  padded_ = Tensor();
-  conv2d_pad(input.raw(), n, taps_, padded.raw());
+  // A training forward pads into its lane buffer, which backward() reads;
+  // an eval forward pads into a call-local copy and holds nothing.
+  const std::size_t padded_size =
+      n * in_channels_ * taps_.padded_h * taps_.padded_w;
+  std::unique_ptr<float[]> local;
+  float* padded = nullptr;
+  if (training()) {
+    padded = padded_.hold<float>(padded_size);
+  } else {
+    padded_.drop();
+    local = std::make_unique_for_overwrite<float[]>(padded_size);
+    padded = local.get();
+  }
+  conv2d_pad(input.raw(), n, taps_, padded);
   Tensor out({n, out_channels_, geom.out_h(), geom.out_w()});
   conv2d_forward(weight_.value.raw(), out_channels_,
-                 has_bias_ ? bias_.value.raw() : nullptr, padded.raw(), n,
-                 taps_, out.raw());
-  if (training()) padded_ = std::move(padded);
+                 has_bias_ ? bias_.value.raw() : nullptr, padded, n, taps_,
+                 out.raw());
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  APF_CHECK_MSG(padded_.rank() == 4,
-                "Conv2d::backward needs a training-mode forward first");
+  const std::span<const float> padded = padded_.get<const float>(
+      "Conv2d::backward needs a training-mode forward first");
   const ConvGeom& geom = taps_.geom;
-  const std::size_t n = padded_.dim(0);
   const std::size_t plane = geom.out_h() * geom.out_w();
-  APF_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == n &&
-            grad_output.dim(1) == out_channels_ &&
+  APF_CHECK(grad_output.rank() == 4 && grad_output.dim(1) == out_channels_ &&
             grad_output.dim(2) == geom.out_h() &&
             grad_output.dim(3) == geom.out_w());
+  const std::size_t n = grad_output.dim(0);
+  APF_CHECK(padded.size() ==
+            n * in_channels_ * taps_.padded_h * taps_.padded_w);
   // dW += gy_s * P_s^T per sample, each a double dot product rounded to
   // float and folded in sample order; the bias gradient likewise.
-  conv2d_weight_grad(grad_output.raw(), out_channels_, padded_.raw(), n,
+  conv2d_weight_grad(grad_output.raw(), out_channels_, padded.data(), n,
                      taps_, weight_.grad.raw());
   if (has_bias_) {
     for (std::size_t s = 0; s < n; ++s) {
@@ -105,7 +111,13 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   const std::size_t oh = h / kernel_, ow = w / kernel_;
   input_shape_ = input.shape();
   Tensor out({n, c, oh, ow});
-  argmax_.assign(out.numel(), 0);
+  // Eval mode records no argmax: backward() after it throws.
+  std::size_t* argmax = nullptr;
+  if (training()) {
+    argmax = argmax_.hold<std::size_t>(out.numel());
+  } else {
+    argmax_.drop();
+  }
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t ch = 0; ch < c; ++ch) {
       const float* plane = input.raw() + (s * c + ch) * h * w;
@@ -125,7 +137,9 @@ Tensor MaxPool2d::forward(const Tensor& input) {
           }
           const std::size_t out_idx = ((s * c + ch) * oh + y) * ow + x;
           out[out_idx] = best;
-          argmax_[out_idx] = (s * c + ch) * h * w + best_idx;
+          if (argmax != nullptr) {
+            argmax[out_idx] = (s * c + ch) * h * w + best_idx;
+          }
         }
       }
     }
@@ -134,10 +148,12 @@ Tensor MaxPool2d::forward(const Tensor& input) {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  APF_CHECK(grad_output.numel() == argmax_.size());
+  const std::span<const std::size_t> argmax = argmax_.get<const std::size_t>(
+      "MaxPool2d::backward needs a training-mode forward first");
+  APF_CHECK(grad_output.numel() == argmax.size());
   Tensor grad_input(input_shape_);
   for (std::size_t i = 0; i < grad_output.numel(); ++i) {
-    grad_input[argmax_[i]] += grad_output[i];
+    grad_input[argmax[i]] += grad_output[i];
   }
   return grad_input;
 }

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "nn/lane_store.h"
 #include "nn/module.h"
 #include "tensor/conv.h"
 #include "util/rng.h"
@@ -13,8 +14,8 @@ namespace apf::nn {
 /// GEMMs (tensor/conv.h): the forward, the per-sample dW fold and the input
 /// gradient pack their panels straight from the images or the output
 /// gradient, and no patch matrix is built. A training forward keeps a
-/// zero-padded copy of its input for the dW fold; eval mode keeps none,
-/// and backward() after an eval-mode forward throws.
+/// zero-padded copy of its input for the dW fold in a LaneBuffer; eval mode
+/// pads into a call-local copy, and backward() after it throws.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -31,8 +32,8 @@ class Conv2d : public Module {
   bool has_bias_;
   Parameter weight_;  // (out_c, in_c * k * k)
   Parameter bias_;    // (out_c)
-  ConvTaps taps_;  // of the last input shape
-  Tensor padded_;  // the last training input, padded; empty after eval
+  ConvTaps taps_;      // of the last input shape
+  LaneBuffer padded_;  // a training forward's input, padded
 };
 
 /// Max pooling with square window; window == stride (non-overlapping).
@@ -46,7 +47,7 @@ class MaxPool2d : public Module {
  private:
   std::size_t kernel_;
   Shape input_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
+  LaneBuffer argmax_;  // a training forward's flat input index per output
 };
 
 /// Global average pooling: (N, C, H, W) -> (N, C).

@@ -10,17 +10,18 @@ Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
 
 Tensor Dropout::forward(const Tensor& input) {
   if (!training_ || p_ == 0.0) {
-    mask_ = Tensor();  // marks "identity" for backward
+    mask_.drop();  // marks "identity" for backward
     return input;
   }
   const float keep_scale = static_cast<float>(1.0 / (1.0 - p_));
-  mask_ = Tensor(input.shape());
+  float* mask = mask_.hold<float>(input.numel());
   Tensor out = input;
   for (std::size_t i = 0; i < out.numel(); ++i) {
     if (rng_.bernoulli(p_)) {
       out[i] = 0.f;
+      mask[i] = 0.f;
     } else {
-      mask_[i] = keep_scale;
+      mask[i] = keep_scale;
       out[i] *= keep_scale;
     }
   }
@@ -28,9 +29,10 @@ Tensor Dropout::forward(const Tensor& input) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (mask_.numel() == 0) return grad_output;  // eval / p == 0
-  APF_CHECK(grad_output.same_shape(mask_));
-  return hadamard(grad_output, mask_);
+  if (!mask_.held()) return grad_output;  // eval / p == 0
+  return hadamard(grad_output,
+                  mask_.get<const float>(
+                      "Dropout::backward needs a training-mode forward first"));
 }
 
 }  // namespace apf::nn

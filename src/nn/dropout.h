@@ -5,6 +5,7 @@
 // the survivors scaled by 1/(1-p); eval mode is the identity.
 #pragma once
 
+#include "nn/lane_store.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -22,7 +23,7 @@ class Dropout : public Module {
  private:
   double p_;
   Rng rng_;
-  Tensor mask_;  // 0 or 1/(1-p) per element (train mode)
+  LaneBuffer mask_;  // 0 or 1/(1-p) per element; none when the identity
 };
 
 }  // namespace apf::nn

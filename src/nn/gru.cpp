@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "nn/lane_scratch.h"
 #include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -31,9 +31,9 @@ GRU::GRU(std::size_t input_size, std::size_t hidden_size, Rng& rng)
   bias_hh_.grad = Tensor({3 * hidden_});
 }
 
-// Views of cache_: a training forward keeps one slot per step (h one more,
-// for h_0); an eval forward keeps one slot, which every step reuses,
-// reading h before it overwrites it.
+// Views of one forward's buffer: a training forward keeps one slot per step
+// (h one more, for h_0); an eval forward keeps one slot, which every step
+// reuses, reading h before it overwrites it.
 struct GRU::Steps {
   float* x;        // the input (N, T, in); training only
   float* h;        // h_t, (N, H) per slot
@@ -50,14 +50,21 @@ struct GRU::Steps {
   float* hn_at(std::size_t t) const { return hn + slot(t) * nh; }
 };
 
-GRU::Steps GRU::steps(bool training) {
+std::size_t GRU::steps_size(bool training) const {
   const std::size_t nh = batch_ * hidden_;
   const std::size_t slots = training ? time_ : 1;
   const std::size_t states = training ? time_ + 1 : 1;
   const std::size_t x_size = training ? batch_ * time_ * input_size_ : 0;
-  cache_.resize(x_size + states * nh + 4 * slots * nh + 6 * nh);
+  return x_size + states * nh + 4 * slots * nh + 6 * nh;
+}
+
+GRU::Steps GRU::steps(float* base, bool training) const {
+  const std::size_t nh = batch_ * hidden_;
+  const std::size_t slots = training ? time_ : 1;
+  const std::size_t states = training ? time_ + 1 : 1;
+  const std::size_t x_size = training ? batch_ * time_ * input_size_ : 0;
   Steps st{};
-  st.x = cache_.data();
+  st.x = base;
   st.h = st.x + x_size;
   st.gates = st.h + states * nh;
   st.hn = st.gates + 3 * slots * nh;
@@ -74,10 +81,19 @@ Tensor GRU::forward(const Tensor& input) {
                                     << shape_str(input.shape()));
   batch_ = input.dim(0);
   time_ = input.dim(1);
-  // Evaluation keeps no BPTT caches; backward then refuses to run.
+  // Evaluation keeps one step in a call-local buffer and holds no BPTT
+  // caches; backward then refuses to run.
   const bool keep_caches = training();
-  cached_ = false;
-  const Steps st = steps(keep_caches);
+  std::unique_ptr<float[]> local;
+  float* base = nullptr;
+  if (keep_caches) {
+    base = cache_.hold<float>(steps_size(true));
+  } else {
+    cache_.drop();
+    local = std::make_unique_for_overwrite<float[]>(steps_size(false));
+    base = local.get();
+  }
+  const Steps st = steps(base, keep_caches);
   const std::size_t n = batch_, hid = hidden_, nh = st.nh;
   if (keep_caches) std::copy(input.raw(), input.raw() + input.numel(), st.x);
   std::fill(st.h, st.h + nh, 0.f);
@@ -135,24 +151,25 @@ Tensor GRU::forward(const Tensor& input) {
       }
     }
   }
-  cached_ = keep_caches;
   return out;
 }
 
 Tensor GRU::backward(const Tensor& grad_output) {
-  APF_CHECK_MSG(cached_, "GRU::backward needs a training-mode forward first");
+  float* base =
+      cache_.get<float>("GRU::backward needs a training-mode forward first")
+          .data();
   APF_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch_ &&
             grad_output.dim(1) == time_ && grad_output.dim(2) == hidden_);
-  const Steps st = steps(true);
+  const Steps st = steps(base, true);
   const std::size_t n = batch_, hid = hidden_, nh = st.nh, in = input_size_;
   Tensor grad_input({batch_, time_, in});
-  // Lane-local scratch: every step's pre-activation gradients of the
-  // input-side and hidden-side products, each laid out (N, T, 3H) like the
-  // input, so that the GEMMs read step t in place and dW and dx run once
-  // over all steps; then the gradient flowing into h_t from step t + 1
+  // The lane's transient buffer: every step's pre-activation gradients of
+  // the input-side and hidden-side products, each laid out (N, T, 3H) like
+  // the input, so that the GEMMs read step t in place and dW and dx run
+  // once over all steps; then the gradient flowing into h_t from step t + 1
   // (zero past the last step).
   const std::size_t cols = 3 * hid, ldg = time_ * cols;
-  float* dgates_ih = lane_scratch(2 * n * ldg + nh);
+  float* dgates_ih = lane_transient(2 * n * ldg + nh);
   float* dgates_hh = dgates_ih + n * ldg;
   float* dh = dgates_hh + n * ldg;
   std::fill(dh, dh + nh, 0.f);

@@ -10,8 +10,7 @@
 //   h' = (1 - z) * n + z * h
 #pragma once
 
-#include <vector>
-
+#include "nn/lane_store.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -29,9 +28,10 @@ class GRU : public Module {
   std::size_t hidden_size() const { return hidden_; }
 
  private:
-  // Views of one forward's buffers in cache_ (see forward()).
+  // Views of one forward's buffers (see forward()).
   struct Steps;
-  Steps steps(bool training);
+  std::size_t steps_size(bool training) const;
+  Steps steps(float* base, bool training) const;
 
   std::size_t input_size_;
   std::size_t hidden_;
@@ -40,14 +40,13 @@ class GRU : public Module {
   Parameter bias_ih_;  // (3H)
   Parameter bias_hh_;  // (3H)
 
-  // The state of every step in one buffer, sized by a forward and reused by
-  // the next (laid out in gru.cpp). A training-mode forward keeps what BPTT
-  // reads: a copy of the input (N, T, in); h_t for t = 0..T, each (N, H),
-  // with h_0 = 0; each step's activated gates, gate-major (3, N, H) in
-  // [r, z, n] order; and hn_lin = W_hn h + b_hn (N, H). An eval-mode
-  // forward keeps one step of each and updates h in place.
-  std::vector<float> cache_;
-  bool cached_ = false;  // cache_ holds a training-mode forward's steps
+  // The state of every step in one buffer (laid out in gru.cpp). A
+  // training-mode forward holds what BPTT reads in a LaneBuffer: a copy of
+  // the input (N, T, in); h_t for t = 0..T, each (N, H), with h_0 = 0; each
+  // step's activated gates, gate-major (3, N, H) in [r, z, n] order; and
+  // hn_lin = W_hn h + b_hn (N, H). An eval-mode forward keeps one step of
+  // each in a call-local buffer and updates h in place.
+  LaneBuffer cache_;
   std::size_t batch_ = 0;
   std::size_t time_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/ops.h"
@@ -30,18 +31,25 @@ Tensor Linear::forward(const Tensor& input) {
   APF_CHECK_MSG(input.rank() == 2 && input.dim(1) == in_features_,
                 "Linear expects (N," << in_features_ << "), got "
                                      << shape_str(input.shape()));
-  input_ = input;
+  if (training()) {
+    std::copy(input.raw(), input.raw() + input.numel(),
+              input_.hold<float>(input.numel()));
+  } else {
+    input_.drop();
+  }
   Tensor out = matmul_nt(input, weight_.value);  // (N, out)
   if (has_bias_) add_bias_rows(out, bias_.value);
   return out;
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  const std::span<const float> input = input_.get<const float>(
+      "Linear::backward needs a training-mode forward first");
   APF_CHECK(grad_output.rank() == 2 && grad_output.dim(1) == out_features_);
-  APF_CHECK(grad_output.dim(0) == input_.dim(0));
+  APF_CHECK(grad_output.dim(0) * in_features_ == input.size());
   // dW (out, in) += gradY^T (out, N) * X (N, in), folded in place
   matmul_tn_fold({grad_output.raw(), out_features_, 0},
-                 {input_.raw(), in_features_, 0}, grad_output.dim(0),
+                 {input.data(), in_features_, 0}, grad_output.dim(0),
                  out_features_, in_features_, 1, weight_.grad.raw());
   if (has_bias_) {
     const std::size_t n = grad_output.dim(0);
@@ -62,20 +70,27 @@ void Linear::collect_params(const std::string& prefix,
 }
 
 Tensor ReLU::forward(const Tensor& input) {
-  mask_ = Tensor(input.shape());
   Tensor out(input.shape());
+  if (!training()) {
+    mask_.drop();
+    for (std::size_t i = 0; i < out.numel(); ++i)
+      out[i] = input[i] > 0.f ? input[i] : 0.f;
+    return out;
+  }
+  float* mask = mask_.hold<float>(input.numel());
   // Branch-free selects, so the loop vectorizes whatever the sign pattern.
   for (std::size_t i = 0; i < out.numel(); ++i) {
     const bool positive = input[i] > 0.f;
     out[i] = positive ? input[i] : 0.f;
-    mask_[i] = positive ? 1.f : 0.f;
+    mask[i] = positive ? 1.f : 0.f;
   }
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  APF_CHECK(grad_output.same_shape(mask_));
-  return hadamard(grad_output, mask_);
+  return hadamard(grad_output,
+                  mask_.get<const float>(
+                      "ReLU::backward needs a training-mode forward first"));
 }
 
 Tensor Flatten::forward(const Tensor& input) {

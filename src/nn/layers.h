@@ -1,6 +1,7 @@
 // Dense and activation layers.
 #pragma once
 
+#include "nn/lane_store.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -27,7 +28,7 @@ class Linear : public Module {
   bool has_bias_;
   Parameter weight_;  // (out, in)
   Parameter bias_;    // (out)
-  Tensor input_;      // cached for backward
+  LaneBuffer input_;  // a training forward's input (N, in)
 };
 
 /// Rectified linear unit.
@@ -37,7 +38,7 @@ class ReLU : public Module {
   Tensor backward(const Tensor& grad_output) override;
 
  private:
-  Tensor mask_;  // 1 where input > 0
+  LaneBuffer mask_;  // a training forward's 1 where input > 0, else 0
 };
 
 /// Reshapes (N, ...) to (N, prod(...)); inverse on backward.

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "nn/lane_scratch.h"
 #include "tensor/activations.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -28,9 +28,9 @@ LSTM::LSTM(std::size_t input_size, std::size_t hidden_size, Rng& rng)
   bias_.grad = Tensor({4 * hidden_});
 }
 
-// Views of cache_: a training forward keeps one slot per step (h and c one
-// more, for h_0 and c_0); an eval forward keeps one slot, which every step
-// reuses, reading h and c before it overwrites them.
+// Views of one forward's buffer: a training forward keeps one slot per step
+// (h and c one more, for h_0 and c_0); an eval forward keeps one slot,
+// which every step reuses, reading h and c before it overwrites them.
 struct LSTM::Steps {
   float* x;        // the input (N, T, in); training only
   float* h;        // h_t, (N, H) per slot
@@ -48,14 +48,21 @@ struct LSTM::Steps {
   float* tanh_c_at(std::size_t t) const { return tanh_c + slot(t) * nh; }
 };
 
-LSTM::Steps LSTM::steps(bool training) {
+std::size_t LSTM::steps_size(bool training) const {
   const std::size_t nh = batch_ * hidden_;
   const std::size_t slots = training ? time_ : 1;
   const std::size_t states = training ? time_ + 1 : 1;
   const std::size_t x_size = training ? batch_ * time_ * input_size_ : 0;
-  cache_.resize(x_size + 2 * states * nh + 5 * slots * nh + 4 * nh);
+  return x_size + 2 * states * nh + 5 * slots * nh + 4 * nh;
+}
+
+LSTM::Steps LSTM::steps(float* base, bool training) const {
+  const std::size_t nh = batch_ * hidden_;
+  const std::size_t slots = training ? time_ : 1;
+  const std::size_t states = training ? time_ + 1 : 1;
+  const std::size_t x_size = training ? batch_ * time_ * input_size_ : 0;
   Steps st{};
-  st.x = cache_.data();
+  st.x = base;
   st.h = st.x + x_size;
   st.c = st.h + states * nh;
   st.gates = st.c + states * nh;
@@ -72,10 +79,19 @@ Tensor LSTM::forward(const Tensor& input) {
                                      << shape_str(input.shape()));
   batch_ = input.dim(0);
   time_ = input.dim(1);
-  // Evaluation keeps no BPTT caches; backward then refuses to run.
+  // Evaluation keeps one step in a call-local buffer and holds no BPTT
+  // caches; backward then refuses to run.
   const bool keep_caches = training();
-  cached_ = false;
-  const Steps st = steps(keep_caches);
+  std::unique_ptr<float[]> local;
+  float* base = nullptr;
+  if (keep_caches) {
+    base = cache_.hold<float>(steps_size(true));
+  } else {
+    cache_.drop();
+    local = std::make_unique_for_overwrite<float[]>(steps_size(false));
+    base = local.get();
+  }
+  const Steps st = steps(base, keep_caches);
   const std::size_t n = batch_, hid = hidden_, nh = st.nh;
   if (keep_caches) std::copy(input.raw(), input.raw() + input.numel(), st.x);
   std::fill(st.h, st.h + nh, 0.f);
@@ -128,23 +144,25 @@ Tensor LSTM::forward(const Tensor& input) {
       }
     }
   }
-  cached_ = keep_caches;
   return out;
 }
 
 Tensor LSTM::backward(const Tensor& grad_output) {
-  APF_CHECK_MSG(cached_, "LSTM::backward needs a training-mode forward first");
+  float* base =
+      cache_.get<float>("LSTM::backward needs a training-mode forward first")
+          .data();
   APF_CHECK(grad_output.rank() == 3 && grad_output.dim(0) == batch_ &&
             grad_output.dim(1) == time_ && grad_output.dim(2) == hidden_);
-  const Steps st = steps(true);
+  const Steps st = steps(base, true);
   const std::size_t n = batch_, hid = hidden_, nh = st.nh, in = input_size_;
   Tensor grad_input({batch_, time_, in});
-  // Lane-local scratch: every step's pre-activation gate gradients, laid
-  // out (N, T, 4H) like the input, so that the GEMMs read step t in place
-  // and dW and dx run once over all steps; then the gradients flowing into
-  // h_t and c_t from step t + 1 (zero past the last step).
+  // The lane's transient buffer: every step's pre-activation gate
+  // gradients, laid out (N, T, 4H) like the input, so that the GEMMs read
+  // step t in place and dW and dx run once over all steps; then the
+  // gradients flowing into h_t and c_t from step t + 1 (zero past the last
+  // step).
   const std::size_t cols = 4 * hid, ldg = time_ * cols;
-  float* dgates = lane_scratch(n * ldg + 2 * nh);
+  float* dgates = lane_transient(n * ldg + 2 * nh);
   float* dh = dgates + n * ldg;
   float* dc = dh + nh;
   std::fill(dh, dc + nh, 0.f);

@@ -5,8 +5,7 @@
 // Gate order in the packed weight matrices is [input, forget, cell, output].
 #pragma once
 
-#include <vector>
-
+#include "nn/lane_store.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -24,9 +23,10 @@ class LSTM : public Module {
   std::size_t hidden_size() const { return hidden_; }
 
  private:
-  // Views of one forward's buffers in cache_ (see forward()).
+  // Views of one forward's buffers (see forward()).
   struct Steps;
-  Steps steps(bool training);
+  std::size_t steps_size(bool training) const;
+  Steps steps(float* base, bool training) const;
 
   std::size_t input_size_;
   std::size_t hidden_;
@@ -34,14 +34,13 @@ class LSTM : public Module {
   Parameter w_hh_;  // (4H, H)
   Parameter bias_;  // (4H)
 
-  // The state of every step in one buffer, sized by a forward and reused by
-  // the next (laid out in lstm.cpp). A training-mode forward keeps what
-  // BPTT reads: a copy of the input (N, T, in); h_t and c_t for t = 0..T,
-  // each (N, H), with h_0 = c_0 = 0; each step's activated gates,
-  // gate-major (4, N, H) in [i, f, g, o] order; and tanh(c_t) (N, H). An
-  // eval-mode forward keeps one step of each and updates h and c in place.
-  std::vector<float> cache_;
-  bool cached_ = false;  // cache_ holds a training-mode forward's steps
+  // The state of every step in one buffer (laid out in lstm.cpp). A
+  // training-mode forward holds what BPTT reads in a LaneBuffer: a copy of
+  // the input (N, T, in); h_t and c_t for t = 0..T, each (N, H), with
+  // h_0 = c_0 = 0; each step's activated gates, gate-major (4, N, H) in
+  // [i, f, g, o] order; and tanh(c_t) (N, H). An eval-mode forward keeps
+  // one step of each in a call-local buffer and updates h and c in place.
+  LaneBuffer cache_;
   std::size_t batch_ = 0;
   std::size_t time_ = 0;
 };

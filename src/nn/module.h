@@ -1,8 +1,15 @@
 // Neural-network module interface.
 //
-// Layers implement explicit forward/backward passes (no tape autograd): each
-// module caches what its backward needs during forward. This keeps the
+// Layers implement explicit forward/backward passes (no tape autograd): a
+// training-mode forward keeps what its backward needs. This keeps the
 // substrate small, fast, and easy to verify against finite differences.
+//
+// That backward state is not the model's: it is dead between a backward and
+// the next training forward, so each layer holds it in the calling thread's
+// lane store (nn/lane_store.h) through a LaneBuffer, and a run keeps one
+// model's backward state per pool lane rather than one per client. A model
+// keeps only what outlives a step: parameters, gradients, BatchNorm running
+// statistics, RNG state and shapes.
 //
 // Parameters are exposed through ParamRef so higher layers (optimizers, the
 // FL runtime, the APF manager) can address every trainable scalar of a model
@@ -49,13 +56,15 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  /// Computes the output for `input`, caching activations for backward().
+  /// Computes the output for `input`; in training mode it holds what
+  /// backward() reads in the calling thread's lane store.
   virtual Tensor forward(const Tensor& input) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
-  /// dLoss/dInput. Must be called after a forward() with matching shapes;
-  /// Conv2d, LSTM and GRU keep no caches in eval mode and throw after an eval
-  /// forward.
+  /// dLoss/dInput. Must be called on the thread of a training-mode forward()
+  /// with matching shapes, with no recycle of its lane store in between;
+  /// otherwise a layer that reads backward state throws Error and leaves
+  /// every gradient as it was.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// Appends this module's parameters (prefixed names) to `out`.

@@ -26,17 +26,26 @@ Tensor BasicBlock::forward(const Tensor& input) {
   APF_CHECK(main.same_shape(shortcut));
   Tensor out = main;
   out += shortcut;
-  relu_mask_ = Tensor(out.shape());
+  if (!training()) {
+    relu_mask_.drop();
+    for (std::size_t i = 0; i < out.numel(); ++i)
+      out[i] = out[i] > 0.f ? out[i] : 0.f;
+    return out;
+  }
+  float* mask = relu_mask_.hold<float>(out.numel());
   for (std::size_t i = 0; i < out.numel(); ++i) {
     const bool positive = out[i] > 0.f;
-    relu_mask_[i] = positive ? 1.f : 0.f;
+    mask[i] = positive ? 1.f : 0.f;
     out[i] = positive ? out[i] : 0.f;
   }
   return out;
 }
 
 Tensor BasicBlock::backward(const Tensor& grad_output) {
-  Tensor g = hadamard(grad_output, relu_mask_);
+  Tensor g = hadamard(grad_output,
+                      relu_mask_.get<const float>(
+                          "BasicBlock::backward needs a training-mode forward "
+                          "first"));
   // Gradient splits into main branch and shortcut.
   Tensor grad_main = conv1_.backward(
       bn1_.backward(relu1_.backward(conv2_.backward(bn2_.backward(g)))));

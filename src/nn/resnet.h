@@ -5,6 +5,7 @@
 
 #include "nn/batchnorm.h"
 #include "nn/conv_layers.h"
+#include "nn/lane_store.h"
 #include "nn/layers.h"
 #include "nn/module.h"
 
@@ -35,7 +36,7 @@ class BasicBlock : public Module {
   bool has_projection_;
   std::unique_ptr<Conv2d> proj_conv_;
   std::unique_ptr<BatchNorm2d> proj_bn_;
-  Tensor relu_mask_;  // final ReLU mask
+  LaneBuffer relu_mask_;  // a training forward's final ReLU mask
 };
 
 }  // namespace apf::nn

@@ -181,8 +181,8 @@ Tensor operator*(const Tensor& a, float s) {
 
 Tensor operator*(float s, const Tensor& a) { return a * s; }
 
-Tensor hadamard(const Tensor& a, const Tensor& b) {
-  APF_CHECK(a.same_shape(b));
+Tensor hadamard(const Tensor& a, std::span<const float> b) {
+  APF_CHECK(a.numel() == b.size());
   Tensor out = a;
   for (std::size_t i = 0; i < out.numel(); ++i) out[i] *= b[i];
   return out;

@@ -116,7 +116,8 @@ Tensor operator-(const Tensor& a, const Tensor& b);
 Tensor operator*(const Tensor& a, float s);
 Tensor operator*(float s, const Tensor& a);
 
-/// Elementwise (Hadamard) product.
-Tensor hadamard(const Tensor& a, const Tensor& b);
+/// Elementwise (Hadamard) product with `b`, which holds a.numel() floats
+/// (the masks the layers keep for backward).
+Tensor hadamard(const Tensor& a, std::span<const float> b);
 
 }  // namespace apf

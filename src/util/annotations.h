@@ -43,7 +43,6 @@
 // APF_REQUIRES(...)           caller must already hold the listed capabilities
 // APF_ACQUIRE(...)            function acquires them (held on return)
 // APF_RELEASE(...)            function releases them (must be held on entry)
-// APF_TRY_ACQUIRE(b, ...)     acquires them iff the function returns `b`
 // APF_EXCLUDES(...)           caller must NOT hold them (non-reentrancy)
 // APF_ACQUIRED_BEFORE/AFTER   static lock-ordering edges (checked under
 //                             -Wthread-safety-beta)
@@ -60,8 +59,6 @@
   APF_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define APF_RELEASE(...) \
   APF_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define APF_TRY_ACQUIRE(...) \
-  APF_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 #define APF_EXCLUDES(...) APF_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define APF_ACQUIRED_BEFORE(...) \
   APF_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))

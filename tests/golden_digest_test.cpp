@@ -5,7 +5,7 @@
 // the final global parameters into one FNV-1a 64 digest over their bit
 // patterns. The constants below pin the runner's observable behaviour: a
 // refactor of the round loop must leave every one of them unchanged. Each
-// case also runs at 1 and 4 worker threads, which must agree bit for bit.
+// case also runs at 1, 2 and 4 worker threads, which must agree bit for bit.
 //
 // To re-pin after an intended behaviour change, run this binary and copy
 // the "actual" digest each failing case prints.
@@ -462,6 +462,13 @@ TEST_P(GoldenDigest, MatchesPinnedValueAtOneAndFourWorkers) {
   const std::uint64_t four = digest(c.run(4));
   EXPECT_EQ(hex(one), hex(four)) << c.name << ": worker count changed output";
   EXPECT_EQ(hex(one), hex(c.digest)) << c.name << ": actual " << hex(one);
+}
+
+// At 2 workers a lane recycles its lane store between clients (most cases
+// have 4) while the other lane's client still holds backward state there.
+TEST_P(GoldenDigest, MatchesPinnedValueAtTwoWorkers) {
+  const GoldenCase& c = GetParam();
+  EXPECT_EQ(hex(digest(c.run(2))), hex(c.digest)) << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCases, GoldenDigest,

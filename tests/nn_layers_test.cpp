@@ -2,16 +2,22 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "grad_check.h"
 #include "nn/batchnorm.h"
 #include "nn/conv_layers.h"
+#include "nn/dropout.h"
 #include "nn/gru.h"
+#include "nn/lane_store.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
+#include "nn/models.h"
 #include "nn/module.h"
 #include "nn/resnet.h"
 #include "conv_reference.h"
@@ -701,6 +707,163 @@ TEST(Loss, AccuracyCounts) {
   Tensor logits({2, 2}, std::vector<float>{0.9f, 0.1f, 0.2f, 0.8f});
   EXPECT_DOUBLE_EQ(nn::accuracy(logits, {0, 1}), 1.0);
   EXPECT_DOUBLE_EQ(nn::accuracy(logits, {1, 1}), 0.5);
+}
+
+// Every layer that takes its backward state from the lane store: after a
+// training forward and a recycle of the store, backward must throw the
+// layer's Error and leave every parameter gradient as it was, bit for bit;
+// the next training forward claims a region again.
+struct LaneLayerCase {
+  const char* name;
+  std::function<std::unique_ptr<nn::Module>(Rng&)> make;
+  Shape input;
+};
+
+class LaneStoreRecycle : public ::testing::TestWithParam<LaneLayerCase> {};
+
+TEST_P(LaneStoreRecycle, BackwardThrowsAndKeepsGradients) {
+  const LaneLayerCase& c = GetParam();
+  Rng rng(41);
+  const std::unique_ptr<nn::Module> layer = c.make(rng);
+  const Tensor x = Tensor::uniform(c.input, rng);
+  const Tensor g = Tensor::uniform(layer->forward(x).shape(), rng);
+  layer->backward(g);
+  std::vector<Tensor> grads;
+  for (const auto& ref : layer->parameters()) grads.push_back(ref.param->grad);
+  layer->forward(x);
+  nn::recycle_lane_store();
+  EXPECT_THROW(layer->backward(g), Error);
+  const auto params = layer->parameters();
+  ASSERT_EQ(params.size(), grads.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(params[i].param->grad, grads[i]))
+        << params[i].name;
+  }
+  layer->forward(x);
+  EXPECT_EQ(layer->backward(g).shape(), x.shape());
+}
+
+template <typename Layer, typename... Args>
+std::function<std::unique_ptr<nn::Module>(Rng&)> maker(Args... args) {
+  return [=](Rng& rng) -> std::unique_ptr<nn::Module> {
+    if constexpr (std::is_constructible_v<Layer, Args..., Rng&>) {
+      return std::make_unique<Layer>(args..., rng);
+    } else {
+      return std::make_unique<Layer>(args...);
+    }
+  };
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLayer, LaneStoreRecycle,
+    ::testing::Values(
+        LaneLayerCase{"Linear", maker<Linear>(5u, 4u), {3, 5}},
+        LaneLayerCase{"ReLU", maker<ReLU>(), {3, 7}},
+        LaneLayerCase{"Conv2d",
+                      [](Rng& rng) -> std::unique_ptr<nn::Module> {
+                        return std::make_unique<Conv2d>(2, 4, 3, rng, 1, 1);
+                      },
+                      {2, 2, 5, 5}},
+        LaneLayerCase{"MaxPool2d", maker<MaxPool2d>(2u), {2, 3, 4, 4}},
+        LaneLayerCase{"BatchNorm2d", maker<BatchNorm2d>(3u), {4, 3, 3, 3}},
+        LaneLayerCase{"Dropout", maker<nn::Dropout>(0.5), {4, 6}},
+        LaneLayerCase{"LSTM", maker<LSTM>(4u, 6u), {3, 5, 4}},
+        LaneLayerCase{"GRU", maker<GRU>(4u, 6u), {3, 5, 4}},
+        LaneLayerCase{"BasicBlock",
+                      [](Rng& rng) -> std::unique_ptr<nn::Module> {
+                        return std::make_unique<BasicBlock>(2, 4, 2, rng);
+                      },
+                      {2, 2, 4, 4}}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// Two models driven by hand on one thread with no recycle, their steps
+// interleaved so that both hold backward state at once: each must give the
+// outputs, input gradients and parameter gradients of the same model
+// trained alone, bit for bit. Tests and benches that drive models by hand
+// rely on this.
+TEST(LaneStore, InterleavedModelsMatchTheirSingleRuns) {
+  struct ModelCase {
+    const char* name;
+    std::function<std::unique_ptr<Sequential>(Rng&)> make;
+    Shape input;
+  };
+  const ModelCase cases[] = {
+      {"lenet5",
+       [](Rng& rng) { return nn::make_lenet5(rng, 1, 16, 10, 0.5); },
+       {4, 1, 16, 16}},
+      {"vgg11", [](Rng& rng) { return nn::make_vgg11(rng, 3, 8, 10, 4); },
+       {4, 3, 8, 8}},
+      {"resnet18", [](Rng& rng) { return nn::make_resnet18(rng, 3, 10, 4); },
+       {4, 3, 8, 8}},
+      {"kws_lstm", [](Rng& rng) { return nn::make_kws_lstm(rng, 5, 6, 10); },
+       {4, 7, 5}},
+      {"kws_gru", [](Rng& rng) { return nn::make_kws_gru(rng, 5, 6, 10); },
+       {4, 7, 5}},
+  };
+  constexpr std::size_t kSteps = 3;
+  struct Step {
+    Tensor out, grad_input;
+    std::vector<Tensor> grads;
+  };
+  for (const ModelCase& c : cases) {
+    // Per model: its construction seed and its step inputs and output
+    // gradients.
+    std::vector<Tensor> xs[2], gs[2];
+    Rng data(43);
+    for (int m = 0; m < 2; ++m) {
+      for (std::size_t t = 0; t < kSteps; ++t) {
+        xs[m].push_back(Tensor::uniform(c.input, data));
+        gs[m].push_back(Tensor::uniform({c.input[0], 10}, data));
+      }
+    }
+    const auto make = [&](int m) {
+      Rng rng(50 + m);
+      return c.make(rng);
+    };
+    const auto record = [](Sequential& model, Tensor out, Tensor grad_input) {
+      Step step{std::move(out), std::move(grad_input), {}};
+      for (const auto& ref : model.parameters()) {
+        step.grads.push_back(ref.param->grad);
+      }
+      return step;
+    };
+    std::vector<Step> alone[2];
+    for (int m = 0; m < 2; ++m) {
+      const auto model = make(m);
+      for (std::size_t t = 0; t < kSteps; ++t) {
+        model->zero_grad();
+        Tensor out = model->forward(xs[m][t]);
+        Tensor grad_input = model->backward(gs[m][t]);
+        alone[m].push_back(
+            record(*model, std::move(out), std::move(grad_input)));
+      }
+    }
+    const std::unique_ptr<Sequential> models[2] = {make(0), make(1)};
+    for (std::size_t t = 0; t < kSteps; ++t) {
+      Tensor outs[2];
+      for (int m = 0; m < 2; ++m) {
+        models[m]->zero_grad();
+        outs[m] = models[m]->forward(xs[m][t]);
+      }
+      for (int m = 0; m < 2; ++m) {
+        Tensor grad_input = models[m]->backward(gs[m][t]);
+        const Step step =
+            record(*models[m], std::move(outs[m]), std::move(grad_input));
+        const std::string where = std::string(c.name) + " model " +
+                                  std::to_string(m) + " step " +
+                                  std::to_string(t);
+        const Step& expect = alone[m][t];
+        EXPECT_TRUE(bitwise_equal(step.out, expect.out)) << where;
+        EXPECT_TRUE(bitwise_equal(step.grad_input, expect.grad_input))
+            << where;
+        ASSERT_EQ(step.grads.size(), expect.grads.size()) << where;
+        for (std::size_t i = 0; i < step.grads.size(); ++i) {
+          EXPECT_TRUE(bitwise_equal(step.grads[i], expect.grads[i]))
+              << where << " parameter " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -116,7 +116,7 @@ TEST(Tensor, RandomInitRanges) {
 TEST(Tensor, HadamardAndDot) {
   Tensor a({3}, std::vector<float>{1, 2, 3});
   Tensor b({3}, std::vector<float>{4, 5, 6});
-  Tensor h = hadamard(a, b);
+  Tensor h = hadamard(a, b.data());
   EXPECT_EQ(h[2], 18.f);
   EXPECT_FLOAT_EQ(h.sum(), 32.f);  // the dot product
 }
